@@ -58,10 +58,6 @@ __all__ = ["ExperimentConfig", "run", "main"]
 
 _REQUIRED = object()
 
-_SUBCOMMANDS = ("gen", "ahlfors", "alpha", "whitney", "ur-sum",
-                "dist-fields", "verify-identities", "carleson", "solve",
-                "hm", "ainfty", "sn")
-
 
 # -- configuration ----------------------------------------------------------
 
@@ -611,7 +607,7 @@ def run(subcommand: str, config, outdir=None) -> int:
     """
     if subcommand not in _COMMANDS:
         print(f"unknown subcommand {subcommand!r}; choose from "
-              f"{', '.join(_SUBCOMMANDS)}", file=sys.stderr)
+              f"{', '.join(_COMMANDS)}", file=sys.stderr)
         return 2
     t0 = time.monotonic()
     out = None
@@ -660,7 +656,7 @@ def main(argv=None) -> int:
         description="experiment runner for the flatness/elliptic laboratory")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="subcommand")
-    for name in _SUBCOMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", default=None,
                        help="JSON config file")

@@ -1,12 +1,22 @@
 """Localized Wasserstein distance, flat measures, and alpha numbers.
 
-The core is a linear program for the dual form of the distance: maximize a
-signed integral of a potential over the samples, subject to pairwise
-Lipschitz constraints and a support bound that pins the potential to zero
-on the sphere.  Restricted to samples strictly inside the ball those two
-constraint families characterize exactly the admissible potentials
-(Lipschitz extension), so no discretization of the function space is
-involved beyond the sampling of the measures themselves.
+The core is a linear program for the primal (transport) form of the
+distance.  By Kantorovich-Rubinstein duality, the supremum of a signed
+integral over 1-Lipschitz potentials that vanish on the sphere equals the
+cheapest plan that moves mass between the positive and the negative atoms
+at cost |x_i - x_j|, with the sphere as a ground node that takes or gives
+any mass at cost b_i = r - |x_i - c| (the boundary-as-reservoir distance
+of Figalli and Gigli).  Every atom has one equality row: its pair flows
+plus its ground flow equal its mass.
+
+Only positive-to-negative pairs get a flow variable.  Routing through a
+third atom never helps, since the pair costs are a metric and b is
+1-Lipschitz, so a detour is never cheaper than the direct edge or the
+ground.  A pair with |x_i - x_j| >= b_i + b_j is no cheaper than sending
+both masses to the sphere, so it is dropped before the LP is built.
+Restricted to samples strictly inside the ball both reductions are exact,
+and no discretization of the function space is involved beyond the
+sampling of the measures themselves.
 """
 
 from __future__ import annotations
@@ -160,9 +170,9 @@ def _resample(pts: np.ndarray, w: np.ndarray, target: int,
 # -- the LP -------------------------------------------------------------------
 
 
-def _dual_lp(pts_a, w_a, pts_b, w_b, center, radius, d, *,
-             cap=300, seed=0):
-    """Shared dual-LP core; returns (optimum, iterations, n, subsampled)."""
+def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
+                  cap=300, seed=0):
+    """Shared transport LP; returns (optimum, iterations, n, subsampled)."""
     center = np.asarray(center, dtype=np.float64)
 
     def _inside(pts, w):
@@ -204,25 +214,29 @@ def _dual_lp(pts_a, w_a, pts_b, w_b, center, radius, d, *,
         return 0.0, 0, 0, subsampled
 
     bound = radius - np.linalg.norm(pts - center, axis=1)
-    if m == 1:
-        # single signed atom: best potential is +-bound at the point
-        return float(abs(coeff[0]) * bound[0]), 0, 1, subsampled
+    mass = np.abs(coeff)
+    pos = np.flatnonzero(coeff > 0)
+    neg = np.flatnonzero(coeff < 0)
+    if pos.size == 0 or neg.size == 0:
+        # one sign (a single atom included): all mass goes to the sphere
+        return float(mass @ bound), 0, m, subsampled
 
-    iu, ju = np.triu_indices(m, k=1)
-    lip = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    rows = np.arange(iu.size)
-    a_ub = sp.coo_matrix(
-        (np.concatenate([np.ones(iu.size), -np.ones(iu.size),
-                         -np.ones(iu.size), np.ones(iu.size)]),
-         (np.concatenate([rows, rows, rows + iu.size, rows + iu.size]),
-          np.concatenate([iu, ju, iu, ju]))),
-        shape=(2 * iu.size, m)).tocsr()
-    b_ub = np.concatenate([lip, lip])
-    res = linprog(-coeff, A_ub=a_ub, b_ub=b_ub,
-                  bounds=np.column_stack([-bound, bound]), method="highs")
+    # a pair no cheaper than both atoms' trips to the sphere never carries mass
+    cost = np.linalg.norm(pts[pos, None] - pts[None, neg], axis=2)
+    pi, pj = np.nonzero(cost < bound[pos, None] + bound[None, neg])
+    # columns: k pair flows, then one ground flow per atom; one row per atom
+    k = pi.size
+    cols = np.arange(k + m)
+    a_eq = sp.csr_matrix(
+        (np.ones(2 * k + m),
+         (np.concatenate([pos[pi], neg[pj], np.arange(m)]),
+          np.concatenate([cols[:k], cols]))),
+        shape=(m, k + m))
+    res = linprog(np.concatenate([cost[pi, pj], bound]), A_eq=a_eq,
+                  b_eq=mass, method="highs")
     if res.status != 0:
         raise NumericError(f"LP failed with status {res.status}: {res.message}")
-    return max(0.0, float(-res.fun)), int(res.nit), m, subsampled
+    return float(res.fun), int(res.nit), m, subsampled
 
 
 def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
@@ -230,16 +244,19 @@ def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
                       details: bool = False):
     """Normalized ball-localized Wasserstein-1 distance between two clouds.
 
-    The value is r^{-d-1} times the optimum of the dual LP over potentials
-    supported in the closed ball.  Weight-proportional subsampling (seeded)
-    keeps the combined sample count at or below `cap`.
+    The value is r^{-d-1} times the optimum of the transport LP in which
+    the sphere is a ground node (see the module docstring); it equals the
+    supremum over potentials supported in the closed ball.
+    Weight-proportional subsampling (seeded) keeps the combined sample
+    count at or below `cap`.  With details=True the result's `iterations`
+    counts the HiGHS iterations of that primal LP (0 when no LP runs).
     """
     if mu.intrinsic_dim != nu.intrinsic_dim:
         raise InputError("measures must share the intrinsic dimension")
     d = mu.intrinsic_dim
-    opt, nit, m, sub = _dual_lp(mu.points, mu.weights, nu.points, nu.weights,
-                                ball.center, ball.radius, d,
-                                cap=cap, seed=seed)
+    opt, nit, m, sub = _transport_lp(mu.points, mu.weights, nu.points,
+                                     nu.weights, ball.center, ball.radius,
+                                     cap=cap, seed=seed)
     value = opt / ball.radius ** (d + 1)
     if details:
         return WassersteinResult(value, opt, nit, m, sub, seed)
@@ -326,8 +343,8 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
             samp = flat_sample(flat, ball, m_res)
         except (InputError, ResolutionError):
             return 10.0         # plane left the ball; alpha values are O(1)
-        opt, _, _, _ = _dual_lp(samp.points, samp.weights, pts, w,
-                                ball.center, r, d, cap=None)
+        opt, _, _, _ = _transport_lp(samp.points, samp.weights, pts, w,
+                                     ball.center, r, cap=None)
         return opt / r ** (d + 1)
 
     npar = d * codim + codim + 1
@@ -378,8 +395,8 @@ def flat_distance(sigma: DiscreteMeasure, flat: FlatMeasure, ball: Ball, *,
     except InputError:          # plane misses the ball entirely
         fpts = np.zeros((0, sigma.ambient_dim))
         fw = np.zeros(0)
-    opt, _, _, _ = _dual_lp(fpts, fw, pts, w, ball.center, r, d,
-                            cap=cap, seed=seed)
+    opt, _, _, _ = _transport_lp(fpts, fw, pts, w, ball.center, r,
+                                 cap=cap, seed=seed)
     return opt / r ** (d + 1)
 
 
@@ -437,8 +454,7 @@ def flat_pair_envelope(mu1: FlatMeasure, mu2: FlatMeasure,
 
 def _null_space(basis: np.ndarray) -> np.ndarray:
     """Orthonormal complement rows of a (d, n) orthonormal row basis."""
-    n = basis.shape[1]
-    _, s, vh = np.linalg.svd(basis, full_matrices=True)
+    _, _, vh = np.linalg.svd(basis, full_matrices=True)
     return vh[basis.shape[0]:]
 
 

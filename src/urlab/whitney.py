@@ -390,10 +390,17 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
             raise ResolutionError(
                 f"flatness ball radius {radius:g} below the resolution "
                 f"floor {floor_r:g} (cube level {cube.level}, k={k})")
-    key = (cube.anchor_index, float(radius), bool(refine))
+    return _anchor_alpha(deco, cube.anchor_index, radius, refine)
+
+
+def _anchor_alpha(deco: WhitneyDecomposition, anchor_index: int,
+                  radius: float, refine: bool) -> AlphaResult:
+    """alpha_number on B(sigma.points[anchor_index], radius), memoized."""
+    key = (int(anchor_index), float(radius), bool(refine))
     hit = deco.alpha_cache.get(key)
     if hit is None:
-        hit = alpha_number(sigma, Ball(cube.anchor, radius),
+        sigma = deco.sigma
+        hit = alpha_number(sigma, Ball(sigma.points[anchor_index], radius),
                            resolution=deco.alpha_resolution,
                            cap=deco.alpha_cap, refine=refine,
                            seed=deco.alpha_seed)
@@ -650,17 +657,8 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
             continue
         aidx = lev.anchor_idx[sel]
         uniq, inv = np.unique(aidx, return_inverse=True)
-        vals = np.empty(len(uniq))
-        for i, a_i in enumerate(uniq):
-            key = (int(a_i), float(radius), bool(refine))
-            hit = deco.alpha_cache.get(key)
-            if hit is None:
-                hit = alpha_number(sigma, Ball(sigma.points[a_i], radius),
-                                   resolution=deco.alpha_resolution,
-                                   cap=deco.alpha_cap, refine=refine,
-                                   seed=deco.alpha_seed)
-                deco.alpha_cache[key] = hit
-            vals[i] = hit.value
+        vals = np.array([_anchor_alpha(deco, a_i, radius, refine).value
+                         for a_i in uniq])
         total += ell ** d * float(np.sum(vals[inv] ** 2))
         n_cubes += count
         anchors += len(uniq)

@@ -1,10 +1,13 @@
-"""Dual LP, flat sampling, alpha numbers, closed-form envelopes."""
+"""Transport LP, flat sampling, alpha numbers, closed-form envelopes."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
+from urlab import wasserstein
 from urlab.exceptions import DegenerateInputError, InputError
 from urlab.geometry import Ball, DiscreteMeasure, make_cantor_set
 from urlab.wasserstein import (
@@ -15,6 +18,7 @@ from urlab.wasserstein import (
     local_wasserstein,
     scale_monotonicity,
 )
+from urlab.wasserstein import _transport_lp
 
 
 def _atoms(points, weights):
@@ -46,6 +50,113 @@ def test_two_point_analytic_optimum():
         slack = (r - np.linalg.norm(p - center)) + (r - np.linalg.norm(q - center))
         want = w * min(np.linalg.norm(p - q), slack) / r ** 2
         assert got == pytest.approx(want, abs=1e-6, rel=1e-6)
+
+
+# -- all-pairs dual LP oracle -------------------------------------------------
+
+def _dual_lp_oracle(pts_a, w_a, pts_b, w_b, center, radius):
+    """Dual form on the same atoms: m potentials, m(m-1) Lipschitz rows."""
+    pts = np.concatenate([pts_a, pts_b])
+    coeff = np.concatenate([w_a, -w_b])
+    inside = np.linalg.norm(pts - center, axis=1) < radius
+    pts, inv = np.unique(pts[inside], axis=0, return_inverse=True)
+    merged = np.zeros(pts.shape[0])
+    np.add.at(merged, inv, coeff[inside])
+    m = pts.shape[0]
+    bound = radius - np.linalg.norm(pts - center, axis=1)
+    iu, ju = np.triu_indices(m, k=1)
+    a_ub = b_ub = None
+    if iu.size:
+        lip = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+        rows = np.arange(iu.size)
+        a_ub = sp.coo_matrix(
+            (np.concatenate([np.ones(iu.size), -np.ones(iu.size),
+                             -np.ones(iu.size), np.ones(iu.size)]),
+             (np.concatenate([rows, rows, rows + iu.size, rows + iu.size]),
+              np.concatenate([iu, ju, iu, ju]))),
+            shape=(2 * iu.size, m)).tocsr()
+        b_ub = np.concatenate([lip, lip])
+    res = linprog(-merged, A_ub=a_ub, b_ub=b_ub,
+                  bounds=np.column_stack([-bound, bound]), method="highs")
+    assert res.status == 0
+    return max(0.0, float(-res.fun))
+
+
+def _lp_columns(monkeypatch):
+    """Record the column count of every LP the transport core solves."""
+    seen = []
+
+    def spy(c, **kwargs):
+        seen.append(len(c))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "linprog", spy)
+    return seen
+
+
+@pytest.mark.parametrize("coincide", [False, True])
+def test_transport_lp_matches_dual_oracle(coincide):
+    rng = np.random.default_rng(23 + coincide)
+    for _ in range(20):
+        na, nb = rng.integers(1, 121, size=2)
+        a = rng.normal(size=(na, 3)) * 0.5
+        b = rng.normal(size=(nb, 3)) * 0.5
+        if coincide:            # half the atoms sit on the other side's atoms
+            h = min(na, nb) // 2
+            b[:h] = a[:h]
+        wa = rng.uniform(0.1, 1.0, size=na)
+        wb = rng.uniform(0.1, 1.0, size=nb)
+        center = rng.normal(size=3) * 0.1
+        r = float(rng.uniform(0.8, 1.2))
+        got = _transport_lp(a, wa, b, wb, center, r, cap=None)[0]
+        want = _dual_lp_oracle(a, wa, b, wb, center, r)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_transport_lp_one_signed_runs_no_lp(monkeypatch):
+    seen = _lp_columns(monkeypatch)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-0.4, 0.4, size=(30, 3))
+    wa = rng.uniform(0.1, 1.0, size=30)
+    empty = np.zeros((0, 3))
+    bound = 1.0 - np.linalg.norm(a, axis=1)
+    for got in (_transport_lp(a, wa, empty, np.zeros(0), np.zeros(3), 1.0,
+                              cap=None),
+                _transport_lp(empty, np.zeros(0), a, wa, np.zeros(3), 1.0,
+                              cap=None)):
+        assert got[:3] == (pytest.approx(float(wa @ bound), rel=1e-12), 0, 30)
+        assert got[0] == pytest.approx(
+            _dual_lp_oracle(a, wa, empty, np.zeros(0), np.zeros(3), 1.0),
+            rel=1e-9)
+    assert seen == []
+
+
+def test_transport_lp_prunes_every_pair(monkeypatch):
+    seen = _lp_columns(monkeypatch)
+    rng = np.random.default_rng(4)
+    # atoms near opposite poles: every pair is longer than both trips out
+    a = np.array([0.9, 0.0, 0.0]) + rng.uniform(-0.03, 0.03, size=(12, 3))
+    b = np.array([-0.9, 0.0, 0.0]) + rng.uniform(-0.03, 0.03, size=(9, 3))
+    wa = rng.uniform(0.1, 1.0, size=12)
+    wb = rng.uniform(0.1, 1.0, size=9)
+    got = _transport_lp(a, wa, b, wb, np.zeros(3), 1.0, cap=None)[0]
+    assert seen == [21]         # ground flows only, no pair column
+    bound = 1.0 - np.linalg.norm(np.concatenate([a, b]), axis=1)
+    want = _dual_lp_oracle(a, wa, b, wb, np.zeros(3), 1.0)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(float(np.concatenate([wa, wb]) @ bound),
+                                rel=1e-9)
+
+
+def test_transport_lp_single_atom():
+    p = np.array([[0.2, -0.1, 0.3]])
+    got = _transport_lp(p, [0.7], np.zeros((0, 3)), np.zeros(0),
+                        np.zeros(3), 1.0, cap=None)
+    want = 0.7 * (1.0 - np.linalg.norm(p))
+    assert got == (pytest.approx(want, rel=1e-15), 0, 1, False)
+    assert got[0] == pytest.approx(
+        _dual_lp_oracle(p, [0.7], np.zeros((0, 3)), np.zeros(0),
+                        np.zeros(3), 1.0), rel=1e-9)
 
 
 def test_identical_inputs_vanish(line3d):
