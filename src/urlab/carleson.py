@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19                # grid cells processed per evaluator call
+_NT_BLOCK = 1 << 15             # grid cells per cone-membership block
 
 
 # -- types ----------------------------------------------------------------
@@ -427,29 +428,43 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
     Returns (values, empty-cone flags); an empty cone contributes 0 and
     is flagged, since at a coarse resolution that is data absence, not a
     zero supremum.
+
+    The field points are walked in cache-sized blocks; within a block each
+    vertex's squared distances are built axis by axis in preallocated
+    buffers and the block maximum is taken over the members only.
     """
     pts, vals = _field_data(u)
     if dists is None:
         dists = sigma.dist_to_support(pts)
     dists = np.asarray(dists, dtype=np.float64)
     absvals = np.abs(vals)
-    reach = cones.aperture * dists
+    reach2 = (cones.aperture * dists) ** 2
     if cones.ball is not None:
         inside = (np.linalg.norm(pts - cones.ball.center, axis=1)
                   <= cones.ball.radius)
         absvals = np.where(inside, absvals, -np.inf)
-    out = np.empty(len(cones))
-    empty = np.zeros(len(cones), dtype=bool)
-    step = max(1, _CHUNK // max(pts.shape[0], 1))
-    for lo in range(0, len(cones), step):
-        vx = cones.vertices[lo: lo + step]
-        diff = pts[None, :, :] - vx[:, None, :]
-        member = np.einsum("vij,vij->vi", diff, diff) <= reach ** 2
-        masked = np.where(member, absvals[None, :], -np.inf)
-        mx = masked.max(axis=1)
-        empty[lo: lo + step] = ~np.isfinite(mx)
-        out[lo: lo + step] = np.where(np.isfinite(mx), mx, 0.0)
-    return out, empty
+    best = np.full(len(cones), -np.inf)
+    block_max = np.empty(len(cones))
+    size = min(_NT_BLOCK, pts.shape[0])
+    d2, work = np.empty(size), np.empty(size)
+    member = np.empty(size, dtype=bool)
+    for lo in range(0, pts.shape[0], _NT_BLOCK):
+        hi = min(lo + _NT_BLOCK, pts.shape[0])
+        cols = np.ascontiguousarray(pts[lo:hi].T)
+        b_d2, b_work, b_member = d2[:hi - lo], work[:hi - lo], member[:hi - lo]
+        for i, vx in enumerate(cones.vertices):
+            np.subtract(cols[0], vx[0], out=b_d2)
+            b_d2 *= b_d2
+            for k in range(1, cols.shape[0]):
+                np.subtract(cols[k], vx[k], out=b_work)
+                b_work *= b_work
+                b_d2 += b_work
+            np.less_equal(b_d2, reach2[lo:hi], out=b_member)
+            block_max[i] = np.max(absvals[lo:hi], where=b_member,
+                                  initial=-np.inf)
+        np.maximum(best, block_max, out=best)
+    empty = ~np.isfinite(best)
+    return np.where(empty, 0.0, best), empty
 
 
 def ntmax(u, sigma: DiscreteMeasure, x: np.ndarray, *,

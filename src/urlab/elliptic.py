@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg.blas import daxpy
 
 from . import carleson, distances
 from .exceptions import (DegenerateInputError, DomainError, InputError,
@@ -63,6 +64,7 @@ MASK_OUTER = 2
 
 _MAX_CELLS = 2 ** 31 - 1
 _EVAL_SLAB = 2_000_000
+_BLOCK = 1 << 15                # cells per matvec block: 256 KB per array
 
 
 def _axis_slice(n: int, axis: int, sl) -> tuple:
@@ -241,7 +243,7 @@ class EllipticSystem:
     def __init__(self, sigma: DiscreteMeasure, config: SolverConfig,
                  box_lo: np.ndarray, h: float, shape: tuple,
                  mask: np.ndarray, anchor: np.ndarray, diag: np.ndarray,
-                 w_faces: list, uc_pairs: list):
+                 w_pad: list, uc_pairs: list):
         self.sigma = sigma
         self.config = config
         self.box_lo = box_lo
@@ -250,7 +252,10 @@ class EllipticSystem:
         self.mask = mask                      # flat int8
         self.anchor = anchor                  # flat int32, -1 off-collar
         self.diag = diag                      # flat float64
-        self.w_faces = w_faces                # per-axis face-shaped arrays
+        self.w_pad = w_pad                    # per-axis flat, zero-padded
+        self.w_faces = [                      # face-shaped views of w_pad
+            w.reshape(shape)[_axis_slice(len(shape), a, np.s_[:-1])]
+            for a, w in enumerate(w_pad)]
         self.uc_pairs = uc_pairs              # per-axis (unk, collar, w)
         self.n_cells = int(np.prod(shape))
         self.collar = mask == MASK_COLLAR
@@ -258,46 +263,75 @@ class EllipticSystem:
         self.n_unknowns = self.n_cells - self.n_collar
         self._inv_diag = 1.0 / diag
         self._pole_cache: dict = {}
-        self._scratch = np.empty(max(w.size for w in w_faces))
+        self._strides = [int(np.prod(shape[a + 1:]))
+                         for a in range(len(shape))]
+        self._work = np.empty(min(_BLOCK, self.n_cells))
 
     # -- linear algebra ---------------------------------------------------
 
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        n = len(self.shape)
-        x3 = x.reshape(self.shape)
-        y3 = self.diag.reshape(self.shape) * x3
-        for a, w in enumerate(self.w_faces):
-            fr = _axis_slice(n, a, np.s_[:-1])
-            bk = _axis_slice(n, a, np.s_[1:])
-            s = self._scratch[:w.size].reshape(w.shape)
-            np.multiply(w, x3[bk], out=s)
-            y3[fr] -= s
-            np.multiply(w, x3[fr], out=s)
-            y3[bk] -= s
-        return y3.ravel()
+    def _matvec(self, x: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+        """y = A x, one blocked pass over the flat arrays.
+
+        ``w_pad[a]`` holds axis a's conductances on the full grid, zero in
+        the last layer along a, so the face between cells i and i + s (s
+        the flat stride of axis a) is entry i of one contiguous array.
+        Each block of _BLOCK cells computes diag*x and then, axis by axis,
+        subtracts the forward term w[i]*x[i+s] and the backward term
+        w[i-s]*x[i-s].  Those are the products, in the same order, of a
+        sweep of whole-grid slices over the face-shaped ``w_faces`` (the
+        padding only subtracts exact zeros), so the result is bit-identical
+        to that sweep, but every array streams through the cache once and
+        the only temporary is one block-sized buffer.  ``out`` must not
+        alias ``x``.
+        """
+        nc = self.n_cells
+        if out is None:
+            out = np.empty(nc)
+        for lo in range(0, nc, _BLOCK):
+            hi = min(lo + _BLOCK, nc)
+            np.multiply(self.diag[lo:hi], x[lo:hi], out=out[lo:hi])
+            for w, s in zip(self.w_pad, self._strides):
+                f_hi = min(hi, nc - s)
+                if f_hi > lo:
+                    t = self._work[:f_hi - lo]
+                    np.multiply(w[lo:f_hi], x[lo + s:f_hi + s], out=t)
+                    np.subtract(out[lo:f_hi], t, out=out[lo:f_hi])
+                b_lo = max(lo, s)
+                if hi > b_lo:
+                    t = self._work[:hi - b_lo]
+                    np.multiply(w[b_lo - s:hi - s], x[b_lo - s:hi - s], out=t)
+                    np.subtract(out[b_lo:hi], t, out=out[b_lo:hi])
+        return out
 
     def _cg(self, b: np.ndarray, x0: np.ndarray) -> tuple:
         """Jacobi-preconditioned conjugate gradients, hand-rolled so the
-        stencil matvec is the only per-iteration cost."""
+        stencil matvec is the only per-iteration cost.
+
+        Allocation-free after set-up: A p goes into one preallocated array,
+        the x and r updates are in-place BLAS axpy calls, and z and p are
+        updated in place.  Stops once |r| <= tol * |b|.
+        """
         maxiter = self.config.maxiter
         if maxiter is None:
             maxiter = max(2000, 60 * max(self.shape))
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(float(b @ b))
         stop = self.config.tol * bnorm
         x = x0.copy()
-        r = b - self._matvec(x)
+        ap = self._matvec(x)
+        r = b - ap
         iters = 0
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(float(r @ r))
         if rnorm > stop:
             z = r * self._inv_diag
             p = z.copy()
             rz = float(r @ z)
             for iters in range(1, maxiter + 1):
-                ap = self._matvec(p)
+                self._matvec(p, out=ap)
                 alpha = rz / float(p @ ap)
-                x += alpha * p
-                r -= alpha * ap
-                rnorm = float(np.linalg.norm(r))
+                x = daxpy(p, x, a=alpha)
+                r = daxpy(ap, r, a=-alpha)
+                rnorm = math.sqrt(float(r @ r))
                 if rnorm <= stop:
                     break
                 np.multiply(r, self._inv_diag, out=z)
@@ -492,7 +526,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             f"solver (got d={d}, n={n})")
     if h <= 0:
         raise ParameterError("cell size h must be positive")
-    floor_h = 2.0 * sigma.spacing / (config.collar - 0.5) if config.collar > 0.5 else math.inf
+    floor_h = 2.0 * sigma.spacing / (config.collar - 0.5)
     if (config.collar - 0.5) * h < 2.0 * sigma.spacing * (1.0 - 1e-9):
         raise ResolutionError(
             f"face midpoints would sit closer than two spacings to the "
@@ -506,7 +540,11 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     ncells = m ** n
     axes = [lo[a] + (np.arange(m) + 0.5) * h for a in range(n)]
 
-    # cell-center distances and nearest atoms, slabbed to bound memory
+    # cell-center distances and nearest atoms, slabbed to bound memory;
+    # only collar cells read them, so the search stops at the collar radius
+    # (misses come back as dist=inf)
+    reach = config.collar * h
+    bound = np.nextafter(reach, np.inf)
     dist = np.empty(ncells)
     near = np.empty(ncells, dtype=np.int32)
     slab = max(1, _EVAL_SLAB // m ** (n - 1))
@@ -514,12 +552,12 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         i1 = min(i0 + slab, m)
         mesh = np.meshgrid(axes[0][i0:i1], *axes[1:], indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=1)
-        dd, ii = sigma.tree.query(pts, workers=-1)
+        dd, ii = sigma.tree.query(pts, workers=-1, distance_upper_bound=bound)
         dist[i0 * m ** (n - 1):i1 * m ** (n - 1)] = dd
         near[i0 * m ** (n - 1):i1 * m ** (n - 1)] = ii
 
     mask = np.zeros(ncells, dtype=np.int8)
-    coll = dist <= config.collar * h
+    coll = dist <= reach
     if not coll.any():
         raise DomainError("the box does not reach the support: no collar cells")
     mask[coll] = MASK_COLLAR
@@ -543,15 +581,16 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     scale = h ** (n - 2)
     diag = np.zeros(ncells)
     idx3 = np.arange(ncells, dtype=np.int64).reshape(shape)
-    w_faces = []
+    w_pad = []
     uc_pairs = []
 
-    def _face_weights(flat_face_idx, face_shape, axis):
-        """Conductances for the faces with the given flat indices."""
-        out = np.empty(flat_face_idx.size)
-        for s0 in range(0, flat_face_idx.size, _EVAL_SLAB):
-            sl = flat_face_idx[s0:s0 + _EVAL_SLAB]
-            coords = np.unravel_index(sl, face_shape)
+    def _face_weights(flat_idx, axis):
+        """Conductances of the faces from the given flat cells to their
+        forward neighbours along axis."""
+        out = np.empty(flat_idx.size)
+        for s0 in range(0, flat_idx.size, _EVAL_SLAB):
+            sl = flat_idx[s0:s0 + _EVAL_SLAB]
+            coords = np.unravel_index(sl, shape)
             probes = np.empty((sl.size, n))
             for b in range(n):
                 probes[:, b] = axes[b][coords[b]]
@@ -571,25 +610,27 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         uu = unknown[fr] & unknown[bk]
         uc = unknown[fr] & ~unknown[bk]
         cu = ~unknown[fr] & unknown[bk]
-        need = uu | uc | cu
-        face_shape = need.shape
-        w = np.zeros(face_shape)
-        nz = np.flatnonzero(need)
-        if nz.size:
-            w.ravel()[nz] = _face_weights(nz, face_shape, a)
+        # face (cell, cell + e_a) lives at the cell's flat index; the last
+        # layer along a has no face and stays zero
         i_fr = idx3[fr]
         i_bk = idx3[bk]
+        wp = np.zeros(ncells)
+        w = wp.reshape(shape)[fr]
+        nz = i_fr[uu | uc | cu]
+        if nz.size:
+            wp[nz] = _face_weights(nz, a)
         diag += np.bincount(i_fr[uu], weights=w[uu], minlength=ncells)
         diag += np.bincount(i_bk[uu], weights=w[uu], minlength=ncells)
         if uc.any():
             diag += np.bincount(i_fr[uc], weights=w[uc], minlength=ncells)
         if cu.any():
             diag += np.bincount(i_bk[cu], weights=w[cu], minlength=ncells)
-        w_faces.append(np.where(uu, w, 0.0))
         unk_idx = np.concatenate([i_fr[uc], i_bk[cu]])
         col_idx = np.concatenate([i_bk[uc], i_fr[cu]])
         wv = np.concatenate([w[uc], w[cu]])
         uc_pairs.append((unk_idx, col_idx, wv))
+        w[~uu] = 0.0
+        w_pad.append(wp)
 
     if config.outer == "dirichlet0":
         for a in range(n):
@@ -618,7 +659,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         raise NumericError("isolated cell with no conductance; refine h")
 
     return EllipticSystem(sigma, config, lo, h, shape, mask, anchor, diag,
-                          w_faces, uc_pairs)
+                          w_pad, uc_pairs)
 
 
 # -- harmonic measure --------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from urlab import distances
 from urlab.distances import (
     distance_gradient,
     divergence_check,
@@ -19,6 +20,64 @@ from urlab.distances import (
 )
 from urlab.exceptions import ParameterError, ResolutionError
 from urlab.geometry import DiscreteMeasure, make_plane_set
+
+
+def _neg_half_pow_oracle(r2, e):
+    if e == 1.0:
+        return 1.0 / np.sqrt(r2)
+    if e == 2.0:
+        return 1.0 / r2
+    if e == 3.0:
+        return 1.0 / (r2 * np.sqrt(r2))
+    if e == 4.0:
+        return 1.0 / (r2 * r2)
+    if e == 5.0:
+        return 1.0 / (r2 * r2 * np.sqrt(r2))
+    return r2 ** (-e / 2.0)
+
+
+def _kernel_bundle_oracle(sigma, probes, scalar_exps, vector_exps=(),
+                          check=True):
+    """The replaced kernel-sum core, kept as a reference: squared distances
+    from the expanded product |x|^2 + |y|^2 - 2x.y in (probes, atoms)
+    chunks of up to 4e6 floats, vector sums through a (chunk, atoms, n)
+    difference array."""
+    pts = sigma.points
+    w = sigma.weights
+    m, n = probes.shape
+    scalars = {e: np.zeros(m) for e in scalar_exps}
+    vectors = {e: np.zeros((m, n)) for e in vector_exps}
+    gap = np.full(m, np.inf)
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    chunk = max(1, 4_000_000 // max(pts.shape[0], 1))
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        pr = probes[lo:hi]
+        r2 = np.einsum("ij,ij->i", pr, pr)[:, None] + pts_sq[None, :] \
+            - 2.0 * (pr @ pts.T)
+        np.maximum(r2, 0.0, out=r2)
+        gap[lo:hi] = np.sqrt(r2.min(axis=1))
+        for e in scalar_exps:
+            scalars[e][lo:hi] = _neg_half_pow_oracle(r2, e) @ w
+        if vector_exps:
+            diff = pr[:, None, :] - pts[None, :, :]
+            for e in vector_exps:
+                fac = _neg_half_pow_oracle(r2, e + 1.0) * w[None, :]
+                vectors[e][lo:hi] = np.einsum("ij,ijk->ik", fac, diff)
+    if check and np.any(gap < 2.0 * sigma.spacing):
+        raise ResolutionError("probe too close to the support")
+    return scalars, vectors, gap
+
+
+def _assert_bundles_match(got, want, rtol):
+    (s, v, gap), (so, vo, gapo) = got, want
+    assert s.keys() == so.keys() and v.keys() == vo.keys()
+    for e in so:
+        assert np.all(np.abs(s[e] - so[e]) <= rtol * np.abs(so[e]))
+    for e in vo:
+        err = np.linalg.norm(v[e] - vo[e], axis=1)
+        assert np.all(err <= rtol * np.linalg.norm(vo[e], axis=1))
+    assert np.all(np.abs(gap - gapo) <= rtol * gapo)
 
 
 def _ring_probes(count, dist, x_range=0.4, seed=0):
@@ -206,3 +265,63 @@ def test_evaluate_fields_flags_instead(line3d):
     assert fs.reliable.tolist() == [False, True]
     assert fs.distance.shape == (2,)
     assert fs.field.shape == (2, 3)
+
+
+# -- kernel-sum core against the expanded-product oracle ---------------------
+
+_SCALARS = (1.5, 3.0, 3.5, 4.0, 5.0)
+_VECTORS = (3.0, 4.0)
+
+
+def test_kernel_bundle_matches_oracle(graph02):
+    probes = _ring_probes(300, 0.1, seed=13) + np.array([0.0, 0.06, 0.0])
+    got = distances._kernel_bundle(graph02, probes, _SCALARS, _VECTORS)
+    want = _kernel_bundle_oracle(graph02, probes, _SCALARS, _VECTORS)
+    _assert_bundles_match(got, want, 1e-12)
+
+
+def test_kernel_bundle_single_probe(line3d):
+    probe = np.array([[0.05, 0.07, -0.02]])
+    got = distances._kernel_bundle(line3d, probe, _SCALARS, _VECTORS)
+    want = _kernel_bundle_oracle(line3d, probe, _SCALARS, _VECTORS)
+    _assert_bundles_match(got, want, 1e-12)
+
+
+def test_kernel_bundle_more_atoms_than_a_chunk(graph02, monkeypatch):
+    # a budget below the atom count leaves one probe per chunk
+    monkeypatch.setattr(distances, "_CHUNK_BUDGET", 64)
+    assert graph02.points.shape[0] > 64
+    probes = _ring_probes(7, 0.15, seed=14) + np.array([0.0, 0.06, 0.0])
+    got = distances._kernel_bundle(graph02, probes, _SCALARS, _VECTORS)
+    want = _kernel_bundle_oracle(graph02, probes, _SCALARS, _VECTORS)
+    _assert_bundles_match(got, want, 1e-12)
+
+
+def test_kernel_bundle_near_support_guard(line3d):
+    probes = np.array([[0.0, 0.015, 0.0], [0.0, 0.1, 0.0]])
+    with pytest.raises(ResolutionError):
+        distances._kernel_bundle(line3d, probes, (3.0,))
+    got = distances._kernel_bundle(line3d, probes, (3.0,), (3.0,),
+                                   check=False)
+    want = _kernel_bundle_oracle(line3d, probes, (3.0,), (3.0,),
+                                 check=False)
+    _assert_bundles_match(got, want, 1e-12)
+    assert np.allclose(got[2], line3d.dist_to_support(probes), rtol=1e-12)
+    assert got[2][0] < 2.0 * line3d.spacing
+
+
+def test_fields_invariant_under_translation():
+    # direct differences: a shift of the whole picture moves the values
+    # only by the rounding of the shifted coordinates
+    line = make_plane_set(3, 1, 0.32, 0.02)
+    assert line.points.shape[0] == 32
+    shift = np.full(3, 1e3)
+    moved = DiscreteMeasure(3, 1, line.points + shift, line.weights,
+                            line.spacing, "shifted")
+    probes = _ring_probes(40, 0.08, x_range=0.3, seed=15)
+    base = evaluate_fields(line, probes, 2.0)
+    far = evaluate_fields(moved, probes + shift, 2.0)
+    assert np.all(np.abs(far.distance / base.distance - 1.0) <= 1e-10)
+    assert np.all(np.abs(far.support_gap / base.support_gap - 1.0) <= 1e-10)
+    err = np.linalg.norm(far.gradient - base.gradient, axis=1)
+    assert np.all(err <= 1e-10 * np.linalg.norm(base.gradient, axis=1))

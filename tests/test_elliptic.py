@@ -31,6 +31,43 @@ from urlab.exceptions import (
 from urlab.geometry import DiscreteMeasure, make_plane_set
 
 
+def _matvec_oracle(system, x):
+    """The replaced stencil matvec, kept as a reference: one whole-grid
+    slice sweep per axis and direction over the face-shaped weights."""
+    n = len(system.shape)
+    x3 = x.reshape(system.shape)
+    y3 = system.diag.reshape(system.shape) * x3
+    for a, w in enumerate(system.w_faces):
+        fr = elliptic._axis_slice(n, a, np.s_[:-1])
+        bk = elliptic._axis_slice(n, a, np.s_[1:])
+        y3[fr] -= w * x3[bk]
+        y3[bk] -= w * x3[fr]
+    return y3.ravel()
+
+
+def _cg_oracle(system, b, x0, tol):
+    """The replaced Jacobi-PCG loop over the oracle matvec."""
+    stop = tol * np.linalg.norm(b)
+    x = x0.copy()
+    r = b - _matvec_oracle(system, x)
+    inv_diag = 1.0 / system.diag
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(r @ z)
+    iters = 0
+    while np.linalg.norm(r) > stop:
+        iters += 1
+        ap = _matvec_oracle(system, p)
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = r * inv_diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, iters
+
+
 @pytest.fixture(scope="module")
 def sys48(line3d):
     """Shared 48^3 system on the standard line, reflecting walls."""
@@ -111,6 +148,49 @@ def test_matrix_is_symmetric_and_kills_constants(sys48):
     assert np.abs(r[free]).max() <= 1e-12
     # pinned rows are exact identities
     assert np.abs(r[sys48.collar] - 1.0).max() == 0.0
+
+
+@pytest.fixture(scope="module")
+def sys4():
+    """12^4 system on a small d=2 sheet in R^4."""
+    sheet = make_plane_set(4, 2, 0.16, 0.01)
+    return assemble(sheet, (np.zeros(4), 0.24), 0.02, SolverConfig())
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_blocked_matvec_is_bit_identical(sys48, sys4, block, monkeypatch):
+    # neither 48^3 nor 12^4 is a multiple of either block; a 1000-cell
+    # block is also shorter than the 2304-cell stride of the first axis
+    if block is not None:
+        monkeypatch.setattr(elliptic, "_BLOCK", block)
+    rng = np.random.default_rng(4)
+    for system in (sys48, sys4):
+        assert system.n_cells % elliptic._BLOCK != 0
+        x = rng.normal(size=system.n_cells)
+        out = np.full(system.n_cells, np.nan)
+        assert system._matvec(x, out=out) is out
+        assert np.array_equal(out, _matvec_oracle(system, x))
+        assert np.array_equal(system._matvec(x), out)
+
+
+def test_padded_faces_back_the_face_views(sys48):
+    m = sys48.shape[0]
+    for a, (w, face) in enumerate(zip(sys48.w_pad, sys48.w_faces)):
+        assert w.shape == (sys48.n_cells,) and np.shares_memory(w, face)
+        last = w.reshape(sys48.shape)[elliptic._axis_slice(3, a, m - 1)]
+        assert not last.any()
+
+
+def test_solve_matches_oracle_cg(line3d, sys48):
+    g = (line3d.points[:, 0] > 0).astype(float)
+    res = sys48.solve(g)
+    g_cells = sys48._g_cells(g)
+    x0 = g_cells.copy()
+    x0[~sys48.collar] = g.mean()
+    want, iters = _cg_oracle(sys48, sys48._rhs(g_cells), x0,
+                             sys48.config.tol)
+    assert res.iterations == iters > 0
+    assert np.abs(res.field.values.ravel() - want).max() <= 1e-12
 
 
 def test_face_weights_match_plane_closed_form(line3d):
