@@ -27,10 +27,12 @@ from scipy.integrate import quad
 from .exceptions import (
     DomainError,
     InputError,
+    LabError,
     NumericError,
     ParameterError,
 )
-from .geometry import Ball, DiscreteMeasure, support_ball_family
+from .geometry import (Ball, DiscreteMeasure, _ball_volume, _sphere_area,
+                       support_ball_family)
 
 __all__ = [
     "ConeFamily",
@@ -245,15 +247,6 @@ def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
 # -- radial oracle ----------------------------------------------------------
 
 
-def _sphere_area(k: int) -> float:
-    """Surface measure of the unit (k-1)-sphere in R^k."""
-    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
-
-
-def _ball_volume(k: int) -> float:
-    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-
-
 def shell_oracle(d: int, n: int, r: float, s0: float, s1: float) -> float:
     """Exact integral of dist^{d-n} over the shell s0 <= dist <= s1 of a
     ball of radius r centered on an ideal unit-density d-plane in R^n.
@@ -304,27 +297,32 @@ def _grid_cells(center: np.ndarray, radius: float, h: float) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+# evaluator failures that cost a cell; any other exception is a bug
+_CELL_FAILURES = (LabError, ArithmeticError, ValueError)
+
+
 def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, int]:
     """Field values with per-cell failure isolation.
 
-    One vectorized call normally; if the evaluator throws, it is retried
-    in chunks and finally cell-by-cell, so a local failure costs one cell,
-    not the whole ball.  Non-finite outputs count as failed cells too.
+    One vectorized call normally; if the evaluator raises one of
+    _CELL_FAILURES, it is retried in chunks and finally cell-by-cell, so a
+    local failure costs one cell, not the whole ball.  Non-finite outputs
+    count as failed cells too.
     """
     try:
         vals = np.asarray(f(pts), dtype=np.float64).reshape(pts.shape[0])
-    except Exception:
+    except _CELL_FAILURES:
         vals = np.full(pts.shape[0], np.nan)
         for lo in range(0, pts.shape[0], 1024):
             sl = slice(lo, min(lo + 1024, pts.shape[0]))
             try:
                 vals[sl] = np.asarray(f(pts[sl]),
                                       dtype=np.float64).reshape(-1)
-            except Exception:
+            except _CELL_FAILURES:
                 for i in range(sl.start, sl.stop):
                     try:
-                        vals[i] = float(f(pts[i: i + 1]))
-                    except Exception:
+                        vals[i] = np.asarray(f(pts[i: i + 1])).item()
+                    except _CELL_FAILURES:
                         pass
     bad = ~np.isfinite(vals)
     return np.where(bad, 0.0, vals), int(np.count_nonzero(bad))

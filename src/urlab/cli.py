@@ -30,6 +30,7 @@ import json
 import math
 import sys
 import time
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
@@ -590,12 +591,22 @@ _COMMANDS = {
 
 def _versions() -> dict:
     try:
-        from importlib.metadata import version
         pkg = version("urlab")
-    except Exception:
+    except PackageNotFoundError:
         pkg = "unknown"
     return {"urlab": pkg, "python": sys.version.split()[0],
             "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _error_record(subcommand: str, exc: LabError, outdir=None) -> int:
+    record = {"status": "error", "subcommand": subcommand,
+              "error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(record), file=sys.stderr)
+    if outdir is not None:
+        with open(outdir / "error.json", "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+    return 1
 
 
 def run(subcommand: str, config, outdir=None) -> int:
@@ -626,14 +637,7 @@ def run(subcommand: str, config, outdir=None) -> int:
         rng = np.random.default_rng(seed)
         summary, artifacts = _COMMANDS[subcommand](cfg, rng, out)
     except LabError as exc:
-        record = {"status": "error", "subcommand": subcommand,
-                  "error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        if out is not None:
-            with open(out / "error.json", "w") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
-        return 1
+        return _error_record(subcommand, exc, out)
     manifest = {
         "subcommand": subcommand,
         "status": "ok",
@@ -672,10 +676,7 @@ def main(argv=None) -> int:
         for spec in args.overrides:
             cfg.apply_override(spec)
     except LabError as exc:
-        record = {"status": "error", "subcommand": args.subcommand,
-                  "error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
+        return _error_record(args.subcommand, exc)
     return run(args.subcommand, cfg, args.out)
 
 

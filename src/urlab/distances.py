@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .exceptions import ParameterError, ResolutionError
-from .geometry import DiscreteMeasure
+from .geometry import DiscreteMeasure, _sphere_area
 
 __all__ = [
     "FieldSample",
@@ -78,19 +78,22 @@ def kernel_constant(d: int, beta: float) -> float:
     """
     if d < 1 or beta <= 0:
         raise ParameterError("need d >= 1 and beta > 0")
-    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     expo = (d + beta) / 2.0
     val, err = quad(lambda rho: rho ** (d - 1) * (1.0 + rho * rho) ** (-expo),
                     0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
     if not math.isfinite(val) or err > 1e-8 * abs(val):
         raise ParameterError(f"quadrature failed for d={d}, beta={beta}")
-    return sphere * val
+    return _sphere_area(d) * val
 
 
 # -- kernel sums -------------------------------------------------------------
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x, *exps: float) -> tuple[np.ndarray, bool]:
+    """(M, n) probe batch and single-point flag; refuses exponents <= 0."""
+    if any(e <= 0 for e in exps):
+        raise ParameterError("beta must be positive" if len(exps) == 1
+                             else "exponents must be positive")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x[None, :], True
@@ -177,22 +180,38 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     return scalars, vectors, gap
 
 
+def _distance(s: dict, d: int, beta: float) -> np.ndarray:
+    """D_beta = S_beta^{-1/beta} from the scalar sum of exponent d+beta."""
+    return s[d + beta] ** (-1.0 / beta)
+
+
+def _gradient(s: dict, v: dict, d: int, beta: float) -> tuple:
+    """(D_beta, grad D_beta), by the field identity
+    grad D = ((d+beta)/beta) * D^{beta+1} * field(beta+1)."""
+    dval = _distance(s, d, beta)
+    grad = ((d + beta) / beta) * (dval ** (beta + 1.0))[:, None] \
+        * v[d + beta + 1.0]
+    return dval, grad
+
+
+def _density(s: dict, d: int) -> np.ndarray:
+    """Smoothed density D_1 / D_{1/2}, calibrated to 1 on a unit plane."""
+    return kernel_constant(d, 1.0) / kernel_constant(d, 0.5) ** 2 \
+        * _distance(s, d, 1.0) / _distance(s, d, 0.5)
+
+
 def regularized_distance(sigma: DiscreteMeasure, x, beta: float):
     """Inverse-beta-root of the kernel sum; comparable to dist(x, support)."""
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    probes, single = _as_batch(x)
+    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
     s, _, _ = _kernel_bundle(sigma, probes, (d + beta,))
-    out = s[d + beta] ** (-1.0 / beta)
+    out = _distance(s, d, beta)
     return float(out[0]) if single else out
 
 
 def riesz_field(sigma: DiscreteMeasure, x, beta: float):
     """Vector kernel sum w*r^-(d+beta+1)*(X-p); |field| <= distance^-beta."""
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    probes, single = _as_batch(x)
+    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
     _, v, _ = _kernel_bundle(sigma, probes, (), (d + beta,))
     out = v[d + beta]
@@ -205,14 +224,10 @@ def distance_gradient(sigma: DiscreteMeasure, x, beta: float):
     grad D = ((d+beta)/beta) * D^{beta+1} * field(beta+1); no finite
     differences on the primary path.
     """
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    probes, single = _as_batch(x)
+    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
     s, v, _ = _kernel_bundle(sigma, probes, (d + beta,), (d + beta + 1.0,))
-    dval = s[d + beta] ** (-1.0 / beta)
-    out = ((d + beta) / beta) * (dval ** (beta + 1.0))[:, None] \
-        * v[d + beta + 1.0]
+    _, out = _gradient(s, v, d, beta)
     return out[0] if single else out
 
 
@@ -225,9 +240,7 @@ def smoothed_density(sigma: DiscreteMeasure, x):
     probes, single = _as_batch(x)
     d = sigma.intrinsic_dim
     s, _, _ = _kernel_bundle(sigma, probes, (d + 1.0, d + 0.5))
-    d1 = s[d + 1.0] ** (-1.0)
-    dhalf = s[d + 0.5] ** (-2.0)
-    out = kernel_constant(d, 1.0) / kernel_constant(d, 0.5) ** 2 * d1 / dhalf
+    out = _density(s, d)
     return float(out[0]) if single else out
 
 
@@ -239,20 +252,14 @@ def field_decomposition(sigma: DiscreteMeasure, x, alpha: float,
     density, so V measures the deviation from flatness; V vanishes
     identically when sigma is a plane.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("exponents must be positive")
-    probes, _ = _as_batch(x)
+    probes, _ = _as_batch(x, alpha, beta)
     d = sigma.intrinsic_dim
     s, v, _ = _kernel_bundle(
         sigma, probes,
         (d + alpha, d + beta, d + 1.0, d + 0.5),
         (d + alpha, d + beta + 1.0))
-    dbeta = s[d + beta] ** (-1.0 / beta)
-    grad = ((d + beta) / beta) * (dbeta ** (beta + 1.0))[:, None] \
-        * v[d + beta + 1.0]
-    d1 = s[d + 1.0] ** (-1.0)
-    dhalf = s[d + 0.5] ** (-2.0)
-    sdens = kernel_constant(d, 1.0) / kernel_constant(d, 0.5) ** 2 * d1 / dhalf
+    dbeta, grad = _gradient(s, v, d, beta)
+    sdens = _density(s, d)
     coeff = (beta * kernel_constant(d, alpha + 1.0)
              / ((d + beta) * kernel_constant(d, beta + 2.0)))
     b = coeff * (kernel_constant(d, beta) * sdens) ** ((beta + 1.0 - alpha) / beta)
@@ -266,19 +273,17 @@ def ratio_gradient(sigma: DiscreteMeasure, x, alpha: float, beta: float):
     The gradient is assembled from the two field identities, so the flat
     case cancels exactly; the scale factor makes the quantity dimensionless.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("exponents must be positive")
-    probes, single = _as_batch(x)
+    probes, single = _as_batch(x, alpha, beta)
     d = sigma.intrinsic_dim
     s, v, gap = _kernel_bundle(
         sigma, probes,
         (d + alpha, d + beta),
         (d + alpha + 1.0, d + beta + 1.0))
-    dalpha = s[d + alpha] ** (-1.0 / alpha)
-    dbeta = s[d + beta] ** (-1.0 / beta)
-    term_b = ((d + beta) / beta) * v[d + beta + 1.0] / s[d + beta][:, None]
-    term_a = ((d + alpha) / alpha) * v[d + alpha + 1.0] / s[d + alpha][:, None]
-    grad = (dbeta / dalpha)[:, None] * (term_b - term_a)
+    # grad log D_e = grad D_e / D_e = ((d+e)/e) * field(e+1) / S_e
+    log_b, log_a = (((d + e) / e) * v[d + e + 1.0] / s[d + e][:, None]
+                    for e in (beta, alpha))
+    ratio = _distance(s, d, beta) / _distance(s, d, alpha)
+    grad = ratio[:, None] * (log_b - log_a)
     out = gap * np.linalg.norm(grad, axis=1)
     return float(out[0]) if single else out
 
@@ -289,15 +294,11 @@ def evaluate_fields(sigma: DiscreteMeasure, x, beta: float) -> FieldSample:
     Unlike the individual evaluators this does not refuse near-support
     probes; it flags them, so sweeps can report coverage.
     """
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    probes, _ = _as_batch(x)
+    probes, _ = _as_batch(x, beta)
     d = sigma.intrinsic_dim
     s, v, gap = _kernel_bundle(
         sigma, probes, (d + beta,), (d + beta, d + beta + 1.0), check=False)
-    dval = s[d + beta] ** (-1.0 / beta)
-    grad = ((d + beta) / beta) * (dval ** (beta + 1.0))[:, None] \
-        * v[d + beta + 1.0]
+    dval, grad = _gradient(s, v, d, beta)
     return FieldSample(probes, beta, dval, v[d + beta], grad, gap,
                        gap >= 2.0 * sigma.spacing)
 

@@ -73,6 +73,59 @@ def _axis_slice(n: int, axis: int, sl) -> tuple:
     return tuple(out)
 
 
+# -- grid geometry ------------------------------------------------------------
+
+
+def _cell_centers(box_lo, h: float, shape: tuple, cells: np.ndarray,
+                  axis: int | None = None, shift: float = 0.0) -> np.ndarray:
+    """Coordinates of the given flat (C-order) cells of a grid, one row
+    each, moved by ``shift * h`` along ``axis`` when given (shift 0.5: the
+    midpoint of the face to the forward neighbour, -0.5: the backward one).
+    """
+    pts = np.empty((len(cells), len(shape)))
+    for a, idx in enumerate(np.unravel_index(cells, shape)):
+        pts[:, a] = (box_lo[a] + (np.arange(shape[a]) + 0.5) * h)[idx]
+    if axis is not None:
+        pts[:, axis] += shift * h
+    return pts
+
+
+def _stencil(box_lo, h: float, shape: tuple, points: np.ndarray):
+    """Multilinear interpolation stencil of points on a grid: an iterator
+    over the 2**n cell corners, in itertools.product order, of (flat cell
+    index, weight) arrays with one entry per point.  Raises DomainError
+    unless every point lies in the cell-center hull."""
+    t = (points - box_lo) / h - 0.5
+    base = np.floor(t).astype(np.int64)
+    frac = t - base
+    if (base < 0).any() or (base >= np.asarray(shape) - 1).any():
+        raise DomainError("interpolation point outside the cell-center hull")
+
+    def corner(offsets):
+        wt = np.ones(points.shape[0])
+        flat = np.zeros(points.shape[0], dtype=np.int64)
+        for a, c in enumerate(offsets):
+            wt *= frac[:, a] if c else 1.0 - frac[:, a]
+            flat = flat * shape[a] + (base[:, a] + c)
+        return flat, wt
+
+    return map(corner, itertools.product((0, 1), repeat=len(shape)))
+
+
+def _conductance(sigma: DiscreteMeasure, points: np.ndarray, beta: float,
+                 expo: float, what: str) -> np.ndarray:
+    """Unscaled degenerate weight D_beta(points) ** expo; a refused probe
+    or a non-finite weight is a NumericError naming the ``what`` weight."""
+    try:
+        dval = distances.regularized_distance(sigma, points, beta)
+    except ResolutionError as exc:
+        raise NumericError(f"{what}-weight evaluation refused: {exc}") from None
+    out = dval ** expo
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"non-finite {what} weight encountered")
+    return out
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the truncated solver.
@@ -122,12 +175,13 @@ class GridField:
         return self.values.ndim
 
     def axes(self) -> list[np.ndarray]:
-        return [self.box_lo[a] + (np.arange(self.shape[a]) + 0.5) * self.h
-                for a in range(self.ambient_dim)]
+        return [_cell_centers(self.box_lo[a:a + 1], self.h, (m,),
+                              np.arange(m))[:, 0]
+                for a, m in enumerate(self.shape)]
 
     def cell_centers(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=1)
+        return _cell_centers(self.box_lo, self.h, self.shape,
+                             np.arange(self.values.size))
 
     def interp(self, x):
         """Multilinear interpolation at points strictly inside the
@@ -138,19 +192,10 @@ class GridField:
             pts = pts[None, :]
         if pts.shape[1] != self.ambient_dim:
             raise InputError("point dimension does not match the grid")
-        t = (pts - self.box_lo[None, :]) / self.h - 0.5
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-        hi = np.asarray(self.shape) - 1
-        if (base < 0).any() or (base >= hi[None, :]).any():
-            raise DomainError("interpolation point outside the cell-center hull")
+        vals = self.values.ravel()
         out = np.zeros(pts.shape[0])
-        for corner in itertools.product((0, 1), repeat=self.ambient_dim):
-            wt = np.ones(pts.shape[0])
-            for a, c in enumerate(corner):
-                wt *= frac[:, a] if c else 1.0 - frac[:, a]
-            out += wt * self.values[tuple((base[:, a] + corner[a])
-                                          for a in range(self.ambient_dim))]
+        for flat, wt in _stencil(self.box_lo, self.h, self.shape, pts):
+            out += wt * vals[flat]
         return float(out[0]) if single else out
 
 
@@ -400,21 +445,15 @@ class EllipticSystem:
         if fld.shape == tuple(self.shape) and fld.h == self.h \
                 and np.array_equal(fld.box_lo, self.box_lo):
             return fld.values.ravel().copy()
-        n = len(self.shape)
         hull_lo = fld.box_lo + (0.5 + 1e-9) * fld.h
         hull_hi = fld.box_lo + (np.asarray(fld.shape) - 0.5 - 1e-9) * fld.h
         out = np.empty(self.n_cells)
-        axes = [self.box_lo[a] + (np.arange(self.shape[a]) + 0.5) * self.h
-                for a in range(n)]
-        slab = max(1, _EVAL_SLAB // int(np.prod(self.shape[1:])))
-        m0 = self.shape[0]
-        block = int(np.prod(self.shape[1:]))
-        for i0 in range(0, m0, slab):
-            i1 = min(i0 + slab, m0)
-            mesh = np.meshgrid(axes[0][i0:i1], *axes[1:], indexing="ij")
-            pts = np.stack([g.ravel() for g in mesh], axis=1)
+        for c0 in range(0, self.n_cells, _EVAL_SLAB):
+            c1 = min(c0 + _EVAL_SLAB, self.n_cells)
+            pts = _cell_centers(self.box_lo, self.h, self.shape,
+                                np.arange(c0, c1))
             np.clip(pts, hull_lo[None, :], hull_hi[None, :], out=pts)
-            out[i0 * block:i1 * block] = fld.interp(pts)
+            out[c0:c1] = fld.interp(pts)
         return out
 
     def solve(self, g, warm_start: GridField | None = None) -> SolveResult:
@@ -436,26 +475,6 @@ class EllipticSystem:
                         x.reshape(self.shape),
                         self.mask.reshape(self.shape).copy())
         return SolveResult(fld, iters, residual, self.n_unknowns)
-
-    def _interp_stencil(self, pole: np.ndarray) -> tuple:
-        n = len(self.shape)
-        t = (pole - self.box_lo) / self.h - 0.5
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-        m = np.asarray(self.shape)
-        if (base < 0).any() or (base + 1 >= m).any():
-            raise DomainError("observation point outside the cell-center hull")
-        idxs = []
-        wts = []
-        for corner in itertools.product((0, 1), repeat=n):
-            wt = 1.0
-            flat = 0
-            for a, c in enumerate(corner):
-                wt *= frac[a] if c else 1.0 - frac[a]
-                flat = flat * self.shape[a] + int(base[a] + c)
-            idxs.append(flat)
-            wts.append(wt)
-        return np.asarray(idxs, dtype=np.int64), np.asarray(wts)
 
     def check_pole(self, pole) -> np.ndarray:
         pole = np.asarray(pole, dtype=np.float64)
@@ -479,9 +498,10 @@ class EllipticSystem:
         hit = self._pole_cache.get(key)
         if hit is not None:
             return hit
-        idxs, wts = self._interp_stencil(pole)
         b = np.zeros(self.n_cells)
-        np.add.at(b, idxs, wts)
+        for flat, wt in _stencil(self.box_lo, self.h, self.shape,
+                                 pole[None, :]):
+            b[flat] += wt
         v, iters, residual = self._cg(b, np.zeros(self.n_cells))
         out = PoleWeights(pole, self._collar_functional(v), iters, residual)
         self._pole_cache[key] = out
@@ -538,7 +558,6 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     lo = center - 0.5 * m * h
     shape = (m,) * n
     ncells = m ** n
-    axes = [lo[a] + (np.arange(m) + 0.5) * h for a in range(n)]
 
     # cell-center distances and nearest atoms, slabbed to bound memory;
     # only collar cells read them, so the search stops at the collar radius
@@ -547,14 +566,11 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     bound = np.nextafter(reach, np.inf)
     dist = np.empty(ncells)
     near = np.empty(ncells, dtype=np.int32)
-    slab = max(1, _EVAL_SLAB // m ** (n - 1))
-    for i0 in range(0, m, slab):
-        i1 = min(i0 + slab, m)
-        mesh = np.meshgrid(axes[0][i0:i1], *axes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        dd, ii = sigma.tree.query(pts, workers=-1, distance_upper_bound=bound)
-        dist[i0 * m ** (n - 1):i1 * m ** (n - 1)] = dd
-        near[i0 * m ** (n - 1):i1 * m ** (n - 1)] = ii
+    for c0 in range(0, ncells, _EVAL_SLAB):
+        c1 = min(c0 + _EVAL_SLAB, ncells)
+        dist[c0:c1], near[c0:c1] = sigma.tree.query(
+            _cell_centers(lo, h, shape, np.arange(c0, c1)), workers=-1,
+            distance_upper_bound=bound)
 
     mask = np.zeros(ncells, dtype=np.int8)
     coll = dist <= reach
@@ -584,24 +600,15 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     w_pad = []
     uc_pairs = []
 
-    def _face_weights(flat_idx, axis):
+    def _face_weights(flat_idx, axis, shift=0.5, what="face"):
         """Conductances of the faces from the given flat cells to their
-        forward neighbours along axis."""
+        neighbours along axis, forward for shift 0.5, backward for -0.5."""
         out = np.empty(flat_idx.size)
         for s0 in range(0, flat_idx.size, _EVAL_SLAB):
             sl = flat_idx[s0:s0 + _EVAL_SLAB]
-            coords = np.unravel_index(sl, shape)
-            probes = np.empty((sl.size, n))
-            for b in range(n):
-                probes[:, b] = axes[b][coords[b]]
-            probes[:, axis] += 0.5 * h
-            try:
-                dval = distances.regularized_distance(sigma, probes, config.beta)
-            except ResolutionError as exc:
-                raise NumericError(f"face-weight evaluation refused: {exc}") from None
-            out[s0:s0 + sl.size] = dval ** expo
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite face weight encountered")
+            out[s0:s0 + sl.size] = _conductance(
+                sigma, _cell_centers(lo, h, shape, sl, axis, shift),
+                config.beta, expo, what)
         return out * scale
 
     for a in range(n):
@@ -633,25 +640,15 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         w_pad.append(wp)
 
     if config.outer == "dirichlet0":
+        # an absorbing wall is a face to a ghost cell held at zero
         for a in range(n):
             for edge, shift in ((0, -0.5), (m - 1, 0.5)):
                 sl = _axis_slice(n, a, edge)
                 cells = idx3[sl][unknown[sl]].ravel()
-                if not cells.size:
-                    continue
-                coords = np.unravel_index(cells, shape)
-                probes = np.empty((cells.size, n))
-                for b in range(n):
-                    probes[:, b] = axes[b][coords[b]]
-                probes[:, a] += shift * h
-                try:
-                    dval = distances.regularized_distance(sigma, probes,
-                                                          config.beta)
-                except ResolutionError as exc:
-                    raise NumericError(
-                        f"wall-weight evaluation refused: {exc}") from None
-                diag += np.bincount(cells, weights=dval ** expo * scale,
-                                    minlength=ncells)
+                if cells.size:
+                    diag += np.bincount(
+                        cells, weights=_face_weights(cells, a, shift, "wall"),
+                        minlength=ncells)
 
     coll_flat = mask == MASK_COLLAR
     diag[coll_flat] = 1.0
@@ -900,14 +897,10 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
         if expo2 == 0.0:
             wgt = 1.0
         else:
-            coords = np.nonzero(in_b)
-            centers = np.stack([ax[a][coords[a]] for a in range(n)], axis=1)
-            try:
-                wgt = distances.regularized_distance(
-                    sigma, centers, config.beta) ** expo2
-            except ResolutionError as exc:
-                raise NumericError(
-                    f"gradient-weight evaluation refused: {exc}") from None
+            wgt = _conductance(
+                sigma, _cell_centers(sub.box_lo, sub.h, sub.shape,
+                                     np.flatnonzero(in_b)),
+                config.beta, expo2, "gradient")
         square_fn = float(np.sum(grad2[in_b] * wgt) * fld.h ** n)
     else:
         square_fn = 0.0
@@ -917,8 +910,8 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     mass_b = sigma.mass_in_ball(ball.center, r)
     sup_sq = sup * sup * mass_b
 
-    coords = np.nonzero(in_2b)
-    cells_2b = np.stack([ax[a][coords[a]] for a in range(n)], axis=1)
+    cells_2b = _cell_centers(sub.box_lo, sub.h, sub.shape,
+                             np.flatnonzero(in_2b))
     u_2b = sub.values[in_2b]
     vert_gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
     verts = np.flatnonzero(vert_gap <= 2.0 * r)

@@ -161,6 +161,16 @@ class CorkscrewResult:
     constant: float             # radius / dist, the two-sided constant
 
 
+def _sphere_area(k: int) -> float:
+    """Surface measure of the unit (k-1)-sphere in R^k."""
+    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
+
+
+def _ball_volume(k: int) -> float:
+    """Volume of the unit ball in R^k."""
+    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+
+
 # -- generators -----------------------------------------------------------
 
 
@@ -388,9 +398,8 @@ def save_measure(sigma: DiscreteMeasure, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{sigma.ambient_dim} {sigma.intrinsic_dim} "
                  f"{len(sigma)} {sigma.spacing:.17g}\n")
-        for p, w in zip(sigma.points, sigma.weights):
-            cols = " ".join(f"{c:.17g}" for c in p)
-            fh.write(f"{cols} {w:.17g}\n")
+        np.savetxt(fh, np.column_stack([sigma.points, sigma.weights]),
+                   fmt="%.17g")
 
 
 def load_measure(path: str, descriptor: str | None = None) -> DiscreteMeasure:

@@ -35,7 +35,7 @@ from .exceptions import (
     ParameterError,
     ResolutionError,
 )
-from .geometry import Ball, DiscreteMeasure
+from .geometry import Ball, DiscreteMeasure, _ball_volume
 
 __all__ = [
     "FlatMeasure",
@@ -266,10 +266,6 @@ def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
 # -- alpha numbers ------------------------------------------------------------
 
 
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
 def _sign_fix(rows: np.ndarray) -> np.ndarray:
     out = rows.copy()
     for i, row in enumerate(out):
@@ -311,7 +307,7 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
     # budget: flat side gets about half the cap at the chosen resolution
     m_res = resolution
     if d >= 2:
-        max_res = max(3, int(math.sqrt(cap / (2.0 * _unit_ball_volume(d)))))
+        max_res = max(3, int(math.sqrt(cap / (2.0 * _ball_volume(d)))))
         m_res = min(m_res, max_res)
     flat_budget = min(cap // 2, (2 * m_res) ** d)
     rng = np.random.default_rng(seed)
@@ -328,7 +324,7 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
 
     gap = float(np.linalg.norm((ball.center - bary) @ v.T))
     rho2 = max(r ** 2 - gap ** 2, (0.05 * r) ** 2)
-    c0 = mass / (_unit_ball_volume(d) * rho2 ** (d / 2.0))
+    c0 = mass / (_ball_volume(d) * rho2 ** (d / 2.0))
 
     def build(theta: np.ndarray) -> FlatMeasure:
         tilt = theta[: d * codim].reshape(d, codim)

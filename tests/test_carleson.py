@@ -25,6 +25,7 @@ from urlab.exceptions import (
     InputError,
     NumericError,
     ParameterError,
+    ResolutionError,
 )
 from urlab.geometry import Ball, make_lipschitz_graph, sawtooth_profile
 
@@ -204,6 +205,46 @@ def test_skipped_cell_accounting(graph2d, ball2):
     assert est2.values[0] == 0.0
     assert est2.n_cells[0] == 0
     assert est2.skipped[0] > 0
+
+
+def test_refusing_evaluator_costs_only_its_cells(graph2d, ball2):
+    """An evaluator that refuses some cells (as the distance kernel does
+    near the support) loses exactly those cells, the same as one that
+    returns NaN there: the cell-by-cell retry must accept array output."""
+    hole = Ball(ball2.center + np.array([0.0, 0.05]), 0.02)
+
+    def in_hole(pts):
+        return np.linalg.norm(pts - hole.center, axis=1) <= hole.radius
+
+    def nan_in_hole(pts):
+        return np.where(in_hole(pts), np.nan, 1.0)
+
+    def refuses_hole(pts):
+        if in_hole(pts).any():
+            raise ResolutionError("probe in the hole")
+        return np.ones(pts.shape[0])
+
+    h = ball2.radius / 32.0
+    want = carleson_norm(nan_in_hole, graph2d, [ball2], h, refine=False)
+    got = carleson_norm(refuses_hole, graph2d, [ball2], h, refine=False)
+    assert want.skipped[0] > 0
+    assert got.skipped[0] == want.skipped[0]
+    assert got.values[0] == want.values[0]
+
+
+def test_evaluator_bugs_propagate_instead_of_skipping_cells(graph2d, ball2):
+    """A programming error in an evaluator is not a cell failure: it must
+    surface, not turn into a count of skipped cells."""
+    def buggy(pts):
+        return pts.no_such_attribute
+
+    h = ball2.radius / 32.0
+    with pytest.raises(AttributeError):
+        carleson_norm(buggy, graph2d, [ball2], h, refine=False)
+    with pytest.raises(AttributeError):
+        embedding_check(buggy, _ones, graph2d, ball2, h, cm1=1.0)
+    with pytest.raises(AttributeError):
+        embedding_check(_ones, buggy, graph2d, ball2, h, cm1=1.0)
 
 
 def test_shell_oracle_closed_form_and_guards():

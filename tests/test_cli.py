@@ -223,3 +223,48 @@ def test_main_round_trip_with_config_file(tmp_path):
     man = _manifest(tmp_path / "out")
     assert man["config"]["generator"]["extent"] == 2.0
     assert man["summary"]["n_atoms"] == 80
+
+
+@pytest.mark.parametrize("argv", [["-c", "nope.json"],
+                                  ["-s", "generator.kind"]],
+                         ids=["missing-config-file", "malformed-override"])
+def test_main_config_errors_are_reported(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", *argv, "-o", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["status"] == "error"
+    assert record["subcommand"] == "gen"
+    assert record["error"] == "InputError"
+    assert not (tmp_path / "out").exists()
+
+
+_RERUN_CONFIGS = {
+    "carleson": ({"generator": {"kind": "graph", "spacing": 0.02},
+                  "balls": {"count": 1, "radii": [0.64]},
+                  "field": {"kind": "gradient", "beta": 2.0},
+                  "carleson": {"h": 0.02, "refine": False}, "seed": 3},
+                 ["carleson.csv", "carleson_summary.json"]),
+    "dist-fields": ({"generator": {"kind": "graph", "spacing": 0.02},
+                     "probes": {"line": {"start": [0.0, 0.0, 0.01],
+                                         "stop": [0.3, 0.5, 0.2],
+                                         "count": 16}}},
+                    ["fields.csv"]),
+    "solve": ({"generator": {"kind": "plane"},
+               "data": {"kind": "halfspace", "axis": 0, "threshold": 0.0},
+               "elliptic": {"box": {"center": [0.0, 0.0, 0.0], "side": 3.0},
+                            "h": 0.125, "tol": 1e-6, "outer": "dirichlet0"}},
+              ["field.bin", "field.json", "field_mask.bin"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RERUN_CONFIGS))
+def test_rerun_reproduces_artifact_bytes(tmp_path, subcommand):
+    config, artifacts = _RERUN_CONFIGS[subcommand]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(subcommand, config, a) == 0
+    assert run(subcommand, config, b) == 0
+    assert _manifest(a)["artifacts"] == artifacts
+    for name in artifacts:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -2,6 +2,8 @@
 probabilities and their invariants, the scatter diagnostic, and the
 square-function comparisons."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,83 @@ def test_warm_start_changes_nothing_but_iterations(line3d, sys48):
     warm = sys48.solve(g, warm_start=cold.field)
     assert warm.iterations == 0
     assert np.array_equal(warm.field.values, cold.field.values)
+
+
+def test_cross_grid_warm_start_interpolates_and_converges(line3d, sys48):
+    g = (line3d.points[:, 0] > 0).astype(float)
+    coarse = assemble(line3d, (np.zeros(3), 3.0), 3.0 / 24,
+                      SolverConfig()).solve(g).field
+    seed = sys48._warm_start(coarse)
+    # the seed is the coarse field at the fine cell centers, clamped into
+    # the coarse cell-center hull (the outermost fine centers lie outside)
+    axes = [sys48.box_lo[a] + (np.arange(48) + 0.5) * sys48.h
+            for a in range(3)]
+    centers = np.stack([c.ravel() for c in
+                        np.meshgrid(*axes, indexing="ij")], axis=1)
+    lo = coarse.box_lo + (0.5 + 1e-9) * coarse.h
+    hi = coarse.box_lo + (np.asarray(coarse.shape) - 0.5 - 1e-9) * coarse.h
+    clamped = np.clip(centers, lo, hi)
+    assert np.any(clamped != centers)
+    assert np.array_equal(seed, coarse.interp(clamped))
+    # the seed changes the iteration, not the answer: both solves meet the
+    # relative residual tol of the same system, so A(warm - cold) is at
+    # most 2 tol |b|, recomputed here from the system itself
+    tol = sys48.config.tol
+    cold = sys48.solve(g)
+    warm = sys48.solve(g, warm_start=coarse)
+    assert warm.iterations > 0
+    b = sys48._rhs(sys48._g_cells(g))
+    gap = sys48._matvec((warm.field.values - cold.field.values).ravel())
+    assert np.linalg.norm(gap) <= 2.0 * tol * np.linalg.norm(b)
+    # batched interpolation is the pointwise one
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(300, 3))
+    assert np.array_equal(coarse.interp(pts),
+                          [coarse.interp(p) for p in pts])
+
+
+def _interp_oracle(fld, pts):
+    """The replaced GridField.interp gather, kept as a reference."""
+    t = (pts - fld.box_lo[None, :]) / fld.h - 0.5
+    base = np.floor(t).astype(np.int64)
+    frac = t - base
+    out = np.zeros(pts.shape[0])
+    for corner in itertools.product((0, 1), repeat=fld.ambient_dim):
+        wt = np.ones(pts.shape[0])
+        for a, c in enumerate(corner):
+            wt *= frac[:, a] if c else 1.0 - frac[:, a]
+        out += wt * fld.values[tuple((base[:, a] + corner[a])
+                                     for a in range(fld.ambient_dim))]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_interp_matches_per_axis_gather(n):
+    rng = np.random.default_rng(40 + n)
+    shape = (9, 7, 8, 6)[:n]
+    fld = GridField(rng.uniform(-1.0, 1.0, n), 0.13,
+                    rng.standard_normal(shape), np.zeros(shape, np.int8))
+    lo = fld.box_lo + 0.5 * fld.h
+    hi = fld.box_lo + (np.asarray(shape) - 0.5) * fld.h
+    pts = rng.uniform(lo, hi, size=(5000, n))
+    assert np.array_equal(fld.interp(pts), _interp_oracle(fld, pts))
+
+
+def test_pole_weights_scatter_the_interpolation_stencil(sys48, pole_above):
+    """The representer right-hand side is the old per-pole stencil: its
+    solve reproduces the pole weights bit for bit."""
+    t = (pole_above - sys48.box_lo) / sys48.h - 0.5
+    base = np.floor(t).astype(np.int64)
+    frac = t - base
+    b = np.zeros(sys48.n_cells)
+    for corner in itertools.product((0, 1), repeat=3):
+        wt, flat = 1.0, 0
+        for a, c in enumerate(corner):
+            wt *= frac[a] if c else 1.0 - frac[a]
+            flat = flat * sys48.shape[a] + int(base[a] + c)
+        b[flat] += wt
+    v, _, _ = sys48._cg(b, np.zeros(sys48.n_cells))
+    assert np.array_equal(sys48.pole_weights(pole_above).weights,
+                          sys48._collar_functional(v))
 
 
 # -- grid fields ---------------------------------------------------------------

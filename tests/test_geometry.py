@@ -175,3 +175,23 @@ def test_header_shape(tmp_path, cantor4):
     save_measure(cantor4, str(path))
     header = path.read_text().splitlines()[0].split()
     assert header[:3] == ["3", "1", str(4 ** 4)]
+
+
+def _save_measure_oracle(sigma, path):
+    """The replaced per-atom writer of save_measure, kept as a reference."""
+    with open(path, "w") as fh:
+        fh.write(f"{sigma.ambient_dim} {sigma.intrinsic_dim} "
+                 f"{len(sigma)} {sigma.spacing:.17g}\n")
+        for p, w in zip(sigma.points, sigma.weights):
+            cols = " ".join(f"{c:.17g}" for c in p)
+            fh.write(f"{cols} {w:.17g}\n")
+
+
+@pytest.mark.parametrize("fixture", ["graph02", "cantor4"])
+def test_save_measure_bytes_match_per_atom_writer(tmp_path, request,
+                                                   fixture):
+    sigma = request.getfixturevalue(fixture)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    save_measure(sigma, str(got))
+    _save_measure_oracle(sigma, str(want))
+    assert got.read_bytes() == want.read_bytes()
