@@ -31,8 +31,8 @@ from .exceptions import (
     NumericError,
     ParameterError,
 )
-from .geometry import (Ball, DiscreteMeasure, _ball_volume, _sphere_area,
-                       support_ball_family)
+from .geometry import (Ball, DiscreteMeasure, _ball_volume, _lattice,
+                       _sphere_area, support_ball_family)
 
 __all__ = [
     "ConeFamily",
@@ -95,9 +95,10 @@ class CarlesonEstimate:
 
     `bias` estimates, per ball, what the excluded near-support shell would
     contribute (radial oracle times the near-shell sup of the integrand's
-    field factor); `skipped` counts cells whose evaluator failed or
-    returned non-finite values.  `refinement` re-prices the supremum ball
-    on a half-step grid: (value at h, value at h/2).
+    field factor), NaN where no near-shell cell evaluated; `skipped`
+    counts cells whose evaluator failed or returned non-finite values.
+    `refinement` re-prices the supremum ball on a half-step grid: (value at
+    h, value at h/2).
     """
 
     values: np.ndarray
@@ -114,6 +115,11 @@ class CarlesonEstimate:
         if self.refinement is None or self.refinement[0] == 0.0:
             return None
         return self.refinement[1] / self.refinement[0]
+
+    def max_bias(self) -> float | None:
+        """Largest bias over the balls whose bias is known, else None."""
+        known = self.bias[~np.isnan(self.bias)]
+        return float(known.max()) if known.size else None
 
 
 @dataclass(frozen=True)
@@ -280,84 +286,78 @@ def _grid_chunks(center: np.ndarray, radius: float, h: float):
     cross = m ** (n - 1)
     group = max(1, _CHUNK // max(cross, 1))
     for lo in range(0, m, group):
-        grids = np.meshgrid(axis[lo: lo + group], *([axis] * (n - 1)),
-                            indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1) + center
+        pts = _lattice([axis[lo: lo + group], *([axis] * (n - 1))]) + center
         rad2 = np.einsum("ij,ij->i", pts - center, pts - center)
         pts = pts[rad2 <= radius * radius]
         if pts.shape[0]:
             yield pts
 
 
-def _grid_cells(center: np.ndarray, radius: float, h: float) -> np.ndarray:
-    """All in-ball cell centers at once (callers that need one array)."""
-    chunks = list(_grid_chunks(center, radius, h))
-    if not chunks:
-        return np.zeros((0, center.shape[0]))
-    return np.concatenate(chunks, axis=0)
+def _far_cells(sigma: DiscreteMeasure, ball: Ball, h: float):
+    """(cells, support distances) of the ball's grid cells at least 2h
+    from the support, slab by slab; slabs with no such cell are skipped."""
+    for pts in _grid_chunks(ball.center, ball.radius, h):
+        dist = sigma.dist_to_support(pts)
+        keep = dist >= 2.0 * h
+        if np.any(keep):
+            yield pts[keep], dist[keep]
 
 
 # evaluator failures that cost a cell; any other exception is a bug
 _CELL_FAILURES = (LabError, ArithmeticError, ValueError)
 
 
-def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Field values with per-cell failure isolation.
+def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Field values and the per-cell failure mask.
 
     One vectorized call normally; if the evaluator raises one of
-    _CELL_FAILURES, it is retried in chunks and finally cell-by-cell, so a
-    local failure costs one cell, not the whole ball.  Non-finite outputs
-    count as failed cells too.
+    _CELL_FAILURES, each half is retried on its own down to single cells,
+    so a local failure costs its cells, not the whole ball, in a number of
+    calls that grows with the failing regions, not the cells.  Non-finite
+    outputs fail their cells too; failed cells read 0.
     """
     try:
         vals = np.asarray(f(pts), dtype=np.float64).reshape(pts.shape[0])
     except _CELL_FAILURES:
-        vals = np.full(pts.shape[0], np.nan)
-        for lo in range(0, pts.shape[0], 1024):
-            sl = slice(lo, min(lo + 1024, pts.shape[0]))
-            try:
-                vals[sl] = np.asarray(f(pts[sl]),
-                                      dtype=np.float64).reshape(-1)
-            except _CELL_FAILURES:
-                for i in range(sl.start, sl.stop):
-                    try:
-                        vals[i] = np.asarray(f(pts[i: i + 1])).item()
-                    except _CELL_FAILURES:
-                        pass
+        if pts.shape[0] <= 1:
+            return np.zeros(pts.shape[0]), np.ones(pts.shape[0], dtype=bool)
+        halves = [_evaluate_field(f, part) for part in np.array_split(pts, 2)]
+        return tuple(np.concatenate(a) for a in zip(*halves))
     bad = ~np.isfinite(vals)
-    return np.where(bad, 0.0, vals), int(np.count_nonzero(bad))
+    return np.where(bad, 0.0, vals), bad
 
 
 def _ball_value(f, sigma: DiscreteMeasure, ball: Ball, h: float,
                 p: int) -> tuple[float, float, int, int]:
-    """(normalized value, bias, skipped cells, used cells) for one ball."""
+    """(normalized value, bias, skipped cells, used cells) for one ball;
+    the bias is NaN when the shell holds cells but none evaluated."""
     d, n = sigma.intrinsic_dim, sigma.ambient_dim
     mass = sigma.mass_in_ball(ball.center, ball.radius)
     if mass <= 0:
         raise DomainError("ball carries no mass; center it on the support")
     total = 0.0
-    skipped = 0
-    used = 0
+    skipped = cells = 0
     near_sup = 0.0
-    for pts in _grid_chunks(ball.center, ball.radius, h):
-        dist = sigma.dist_to_support(pts)
-        keep = dist >= 2.0 * h
-        if not np.any(keep):
-            continue
-        pts, dist = pts[keep], dist[keep]
+    shell_cells = shell_known = 0
+    for pts, dist in _far_cells(sigma, ball, h):
         vals, bad = _evaluate_field(f, pts)
-        skipped += bad
-        used += pts.shape[0] - bad
+        skipped += int(np.count_nonzero(bad))
+        cells += pts.shape[0]
         contrib = np.abs(vals) ** p * dist ** (d - n)
         total += float(contrib.sum()) * h ** n
         shell = dist <= 4.0 * h
-        if np.any(shell):
-            near_sup = max(near_sup, float(np.max(np.abs(vals[shell]) ** p)))
+        known = shell & ~bad
+        shell_cells += int(np.count_nonzero(shell))
+        shell_known += int(np.count_nonzero(known))
+        if np.any(known):
+            near_sup = max(near_sup, float(np.max(np.abs(vals[known]) ** p)))
+    if shell_cells and not shell_known:
+        near_sup = math.nan
     s0 = 0.5 * sigma.spacing
     bias = 0.0
-    if near_sup > 0.0 and 2.0 * h > s0:
+    if near_sup != 0.0 and 2.0 * h > s0:
         bias = near_sup * shell_oracle(d, n, ball.radius, s0, 2.0 * h) / mass
-    return total / mass, bias, skipped, used
+    return total / mass, bias, skipped, cells - skipped
 
 
 def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
@@ -520,10 +520,9 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     if h <= 0:
         raise ParameterError("grid step must be positive")
     d, n = sigma.intrinsic_dim, sigma.ambient_dim
-    cells = _grid_cells(ball.center, ball.radius, h)
-    dist = sigma.dist_to_support(cells)
-    keep = dist >= 2.0 * h
-    cells, dist = cells[keep], dist[keep]
+    empty = (np.zeros((0, n)), np.zeros(0))
+    cells, dist = (np.concatenate(a)
+                   for a in zip(empty, *_far_cells(sigma, ball, h)))
     fvals, bad_f = _evaluate_field(f, cells)
     if float(fvals.min(initial=0.0)) < -1e-12:
         raise InputError("embedding check requires a nonnegative field f")
@@ -550,7 +549,9 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return EmbeddingResult(lhs, rhs, ratio, float(cm1), nt_integral,
                            len(cones), int(np.count_nonzero(empty)),
-                           int(cells.shape[0]), bad_f + bad_u)
+                           int(cells.shape[0]),
+                           int(np.count_nonzero(bad_f)
+                               + np.count_nonzero(bad_u)))
 
 
 # -- reporting ---------------------------------------------------------------
@@ -575,7 +576,7 @@ def write_carleson(est: CarlesonEstimate, csv_path: str,
         "supremum": est.supremum,
         "grid_step": est.h,
         "squared": est.squared,
-        "max_bias": float(est.bias.max()),
+        "max_bias": est.max_bias(),
         "total_skipped_cells": int(est.skipped.sum()),
         "refinement": list(est.refinement) if est.refinement else None,
         "refinement_ratio": est.refinement_ratio(),

@@ -450,7 +450,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
         div = _distances.divergence_check(sigma, probe)
         check("middle-exponent-divergence-free", div["ratio"], 1e-3)
 
-    r_alpha = min(sigma.extent / 4.0, 25.0 * sigma.spacing)
+    r_alpha = min(sigma.window()[1], 25.0 * sigma.spacing)
     res = _wasserstein.alpha_number(sigma, Ball(center, r_alpha),
                                     seed=int(cfg.get("wasserstein.seed", 0)))
     check("flatness-vanishes-on-flat-sets", res.value,
@@ -490,7 +490,7 @@ def _cmd_carleson(cfg, rng, outdir):
                              str(outdir / "carleson_summary.json"))
     return {"supremum": est.supremum, "grid_step": est.h,
             "n_balls": len(est.balls),
-            "max_bias": float(est.bias.max()),
+            "max_bias": est.max_bias(),
             "total_skipped_cells": int(est.skipped.sum()),
             "refinement_ratio": est.refinement_ratio()}, \
         ["carleson.csv", "carleson_summary.json"]

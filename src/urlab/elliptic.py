@@ -683,6 +683,23 @@ def _default_box(sigma: DiscreteMeasure) -> tuple:
     return center, side
 
 
+def _system_for(sigma: DiscreteMeasure, system: EllipticSystem | None,
+                config: SolverConfig | None, box, default_box,
+                h: float | None) -> EllipticSystem:
+    """The given system, checked to belong to sigma, or else a fresh one
+    assembled on ``box`` (else ``default_box``) with cell size h, by
+    default the box side / 96."""
+    if system is not None:
+        if system.sigma is not sigma:
+            raise InputError("system was assembled for a different measure")
+        return system
+    if box is None:
+        box = default_box
+    if h is None:
+        h = _normalize_box(box, sigma.ambient_dim)[1] / 96.0
+    return assemble(sigma, box, h, config)
+
+
 def harmonic_measure(sigma: DiscreteMeasure, e, pole,
                      config: SolverConfig | None = None, *,
                      box=None, h: float | None = None,
@@ -693,16 +710,7 @@ def harmonic_measure(sigma: DiscreteMeasure, e, pole,
     Solves with indicator data for e and for its complement; the two values
     summing to one (under reflecting walls) is reported as ``mass_gap``.
     """
-    if system is None:
-        if config is None:
-            config = SolverConfig()
-        if box is None:
-            box = _default_box(sigma)
-        if h is None:
-            h = _normalize_box(box, sigma.ambient_dim)[1] / 96.0
-        system = assemble(sigma, box, h, config)
-    elif system.sigma is not sigma:
-        raise InputError("system was assembled for a different measure")
+    system = _system_for(sigma, system, config, box, _default_box(sigma), h)
     npts = sigma.points.shape[0]
     emask = _e_mask(e, npts)
     pole = system.check_pole(pole)
@@ -736,22 +744,14 @@ def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
     """
     if n_sets < 1:
         raise ParameterError("n_sets must be at least 1")
-    if config is None:
-        config = SolverConfig()
     npts = sigma.points.shape[0]
     gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
     atoms_in = np.flatnonzero(gap <= ball.radius)
     if atoms_in.size < 2:
         raise DegenerateInputError(
             "ball holds fewer than two support atoms; nothing to sample")
-    if system is None:
-        if box is None:
-            box = (ball.center, 7.5 * ball.radius)
-        if h is None:
-            h = _normalize_box(box, sigma.ambient_dim)[1] / 96.0
-        system = assemble(sigma, box, h, config)
-    elif system.sigma is not sigma:
-        raise InputError("system was assembled for a different measure")
+    system = _system_for(sigma, system, config, box,
+                         (ball.center, 7.5 * ball.radius), h)
 
     pole = corkscrew_point(sigma, ball, ball.radius / 16.0)
     pw = system.pole_weights(pole.point)
@@ -822,7 +822,6 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
              config: SolverConfig | None = None, g=None, *,
              h: float | None = None, box=None,
              system: EllipticSystem | None = None,
-             warm_start: GridField | None = None,
              solution: SolveResult | None = None) -> SNResult:
     """Square-function mass on a ball against pointwise and cone suprema.
 
@@ -834,10 +833,8 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     Both comparisons hold per ball for one fixed solution, so a solve may
     be shared across balls: pass the assembled ``system`` together with its
     ``solution``, and only the ball-local sums are recomputed.  The grid
-    must still cover 2B.
+    must still cover 2B.  The gradient weight takes beta from the system.
     """
-    if config is None:
-        config = SolverConfig()
     if g is None and solution is None:
         raise InputError("boundary data g is required")
     r = ball.radius
@@ -847,15 +844,11 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
         raise ResolutionError(
             f"ball must be resolved by at least 32 cells per radius "
             f"(h {h:g} > r/32 = {r / 32:g})")
-    if system is None:
-        if box is None:
-            box = (ball.center, 4.0 * r + 8.0 * h)
-        system = assemble(sigma, box, h, config)
-    elif system.sigma is not sigma:
-        raise InputError("system was assembled for a different measure")
+    system = _system_for(sigma, system, config, box,
+                         (ball.center, 4.0 * r + 8.0 * h), h)
 
     if solution is None:
-        sol = system.solve(g, warm_start=warm_start)
+        sol = system.solve(g)
     else:
         if solution.field.shape != tuple(system.shape) or \
                 not np.allclose(solution.field.box_lo, system.box_lo):
@@ -900,7 +893,7 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
             wgt = _conductance(
                 sigma, _cell_centers(sub.box_lo, sub.h, sub.shape,
                                      np.flatnonzero(in_b)),
-                config.beta, expo2, "gradient")
+                system.config.beta, expo2, "gradient")
         square_fn = float(np.sum(grad2[in_b] * wgt) * fld.h ** n)
     else:
         square_fn = 0.0

@@ -90,6 +90,10 @@ class DiscreteMeasure:
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return (float(span.max()) + self.spacing) / 2.0
 
+    def window(self) -> tuple[float, float]:
+        """Resolution window of ball radii: (4*spacing, extent/4)."""
+        return 4.0 * self.spacing, self.extent / 4.0
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -98,14 +102,12 @@ class DiscreteMeasure:
         d, _ = self.tree.query(np.asarray(x, dtype=np.float64), workers=-1)
         return d
 
-    def mass_in_ball(self, center: np.ndarray, radius: float,
-                     hard: bool = False) -> float:
+    def mass_in_ball(self, center: np.ndarray, radius: float) -> float:
         """sigma(B(center, radius)).
 
         Membership uses a half-cell linear ramp of width `spacing` (the 1-D
         exact cell-overlap rule), so the estimate has O((spacing/r)^2)
         relative error instead of the O(spacing/r) of a hard indicator.
-        Pass hard=True for the plain indicator sum.
         """
         center = np.asarray(center, dtype=np.float64)
         idx = self.tree.query_ball_point(center, radius + 0.5 * self.spacing)
@@ -113,11 +115,8 @@ class DiscreteMeasure:
             return 0.0
         idx = np.asarray(idx)
         dist = np.linalg.norm(self.points[idx] - center, axis=1)
-        if hard:
-            frac = (dist <= radius).astype(np.float64)
-        else:
-            frac = np.clip((radius + 0.5 * self.spacing - dist) / self.spacing,
-                           0.0, 1.0)
+        frac = np.clip((radius + 0.5 * self.spacing - dist) / self.spacing,
+                       0.0, 1.0)
         return float(np.dot(self.weights[idx], frac))
 
     def restrict_to_ball(self, ball: "Ball") -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +173,12 @@ def _ball_volume(k: int) -> float:
 # -- generators -----------------------------------------------------------
 
 
+def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Product grid of 1-D axes, one point per row, in C order."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def _snapped_axis(extent: float, spacing: float) -> tuple[np.ndarray, float]:
     """Cell centers tiling [-extent, extent] with step snapped to divide it."""
     m = max(1, round(2.0 * extent / spacing))
@@ -181,11 +186,14 @@ def _snapped_axis(extent: float, spacing: float) -> tuple[np.ndarray, float]:
     return -extent + (np.arange(m) + 0.5) * h, h
 
 
-def _base_grid(d: int, extent: float, spacing: float) -> tuple[np.ndarray, float]:
+def _base_grid(n: int, d: int, extent: float,
+               spacing: float) -> tuple[np.ndarray, float]:
+    if not (0 < d < n):
+        raise ParameterError("need 0 < d < n")
+    if extent < 16 * spacing:
+        raise ParameterError("extent must be at least 16*spacing")
     axis, h = _snapped_axis(extent, spacing)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts, h
+    return _lattice([axis] * d), h
 
 
 def make_plane_set(n: int, d: int, extent: float, spacing: float) -> DiscreteMeasure:
@@ -195,11 +203,7 @@ def make_plane_set(n: int, d: int, extent: float, spacing: float) -> DiscreteMea
     point carries weight step^d, so the total mass equals (2*extent)^d to
     rounding.
     """
-    if not (0 < d < n):
-        raise ParameterError("need 0 < d < n")
-    if extent < 16 * spacing:
-        raise ParameterError("extent must be at least 16*spacing")
-    base, h = _base_grid(d, extent, spacing)
+    base, h = _base_grid(n, d, extent, spacing)
     pts = np.zeros((base.shape[0], n))
     pts[:, :d] = base
     w = np.full(base.shape[0], h ** d)
@@ -217,13 +221,9 @@ def make_lipschitz_graph(n: int, d: int, fn: Callable[[np.ndarray], np.ndarray],
     constants downstream).  lam=0 reproduces the plane set translated by
     fn(0).
     """
-    if not (0 < d < n):
-        raise ParameterError("need 0 < d < n")
     if lam < 0:
         raise ParameterError("lam must be nonnegative")
-    if extent < 16 * spacing:
-        raise ParameterError("extent must be at least 16*spacing")
-    base, h = _base_grid(d, extent, spacing)
+    base, h = _base_grid(n, d, extent, spacing)
     vals = np.asarray(fn(base), dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -314,7 +314,7 @@ def ahlfors_constant(sigma: DiscreteMeasure, balls: Sequence[Ball]) -> AhlforsRe
     max(max ratio, 1/min ratio) with ratio = sigma(B)/r^d, so it is >= 1 and
     equals the usual two-sided bound when the family is rich enough.
     """
-    lo, hi = 4.0 * sigma.spacing, sigma.extent / 4.0
+    lo, hi = sigma.window()
     ratios = []
     used: list[Ball] = []
     excluded: list[tuple[Ball, str]] = []
@@ -353,8 +353,7 @@ def corkscrew_point(sigma: DiscreteMeasure, ball: Ball,
     n = sigma.ambient_dim
     k = int(math.floor(ball.radius / grid_step))
     axis = np.arange(-k, k + 1) * grid_step
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
+    offsets = _lattice([axis] * n)
     inside = np.einsum("ij,ij->i", offsets, offsets) <= ball.radius ** 2
     cand = ball.center + offsets[inside]
     dist = sigma.dist_to_support(cand)
@@ -377,8 +376,7 @@ def support_ball_family(sigma: DiscreteMeasure, count: int,
     (center, radius) pair becomes one ball.
     """
     if radii is None:
-        hi = sigma.extent / 4.0
-        lo = 4.0 * sigma.spacing
+        lo, hi = sigma.window()
         radii = []
         r = hi
         while r >= lo and len(radii) < 6:

@@ -35,7 +35,7 @@ from .exceptions import (
     ParameterError,
     ResolutionError,
 )
-from .geometry import Ball, DiscreteMeasure, _ball_volume
+from .geometry import Ball, DiscreteMeasure, _ball_volume, _lattice
 
 __all__ = [
     "FlatMeasure",
@@ -146,8 +146,7 @@ def flat_sample(mu: FlatMeasure, ball: Ball, resolution: int) -> DiscreteMeasure
     step = ball.radius / resolution
     k = int(math.ceil(rho / step)) + 1
     axis = (np.arange(-k, k) + 0.5) * step
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    t = np.stack([g.ravel() for g in grids], axis=1)
+    t = _lattice([axis] * d)
     t = t[np.einsum("ij,ij->i", t, t) <= rho ** 2]
     if t.shape[0] == 0:
         raise ResolutionError(
@@ -302,7 +301,8 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         raise DegenerateInputError(
             f"need at least {d + 1} support points in the ball, "
             f"found {pts.shape[0]}")
-    truncated = not (4.0 * sigma.spacing <= r <= sigma.extent / 4.0)
+    floor_r, ceil_r = sigma.window()
+    truncated = not floor_r <= r <= ceil_r
 
     # budget: flat side gets about half the cap at the chosen resolution
     m_res = resolution

@@ -83,6 +83,13 @@ def _child_offsets(n: int) -> np.ndarray:
     return (bits & 1).astype(np.int64)
 
 
+def _dilate_gap2(centers: np.ndarray, side: float, s: float,
+                 x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from x to the s-dilate of each cube."""
+    over = np.clip(np.abs(centers - x) - 0.5 * s * side, 0.0, None)
+    return np.einsum("ij,ij->i", over, over)
+
+
 @dataclass
 class _Level:
     side: float
@@ -229,31 +236,48 @@ class WhitneyDecomposition:
             for i in range(int(self._starts[j + 1] - self._starts[j])):
                 yield WhitneyCube(self, k, i)
 
+    def _inside(self, pts: np.ndarray) -> np.ndarray:
+        return np.all((pts >= self.box_lo)
+                      & (pts < self.box_lo + self.box_side), axis=-1)
+
+    def _locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(level, index) of the retained cube holding each point, -1
+        where none does; one packed-key search per level."""
+        n = self.sigma.ambient_dim
+        level = np.full(pts.shape[0], -1, dtype=np.int64)
+        index = np.full(pts.shape[0], -1, dtype=np.int64)
+        open_idx = np.flatnonzero(self._inside(pts))
+        for k, lev in self.levels.items():
+            if open_idx.size == 0:
+                break
+            corner = np.floor((pts[open_idx] - self.box_lo)
+                              / lev.side).astype(np.int64)
+            key = _pack(corner, n)
+            pos = np.minimum(np.searchsorted(lev.packed, key),
+                             len(lev.packed) - 1)
+            hit = (np.all((corner >= 0) & (corner < 2 ** k), axis=1)
+                   & (lev.packed[pos] == key))
+            level[open_idx[hit]] = k
+            index[open_idx[hit]] = pos[hit]
+            open_idx = open_idx[~hit]
+        return level, index
+
     def cube_at(self, x: np.ndarray) -> WhitneyCube | None:
         """The unique retained cube containing x, or None."""
         x = np.asarray(x, dtype=np.float64)
-        hi = self.box_lo + self.box_side
-        if np.any(x < self.box_lo) or np.any(x >= hi):
+        if not self._inside(x):
             raise DomainError("probe point outside the decomposed box")
-        n = self.sigma.ambient_dim
-        for k, lev in self.levels.items():
-            corner = np.floor((x - self.box_lo) / lev.side).astype(np.int64)
-            if np.any(corner < 0) or np.any(corner >= 2 ** k):
-                continue
-            key = _pack(corner[None, :], n)[0]
-            pos = int(np.searchsorted(lev.packed, key))
-            if pos < len(lev.packed) and lev.packed[pos] == key:
-                return WhitneyCube(self, k, pos)
-        return None
+        level, index = self._locate(x[None, :])
+        if level[0] < 0:
+            return None
+        return WhitneyCube(self, int(level[0]), int(index[0]))
 
     def nearest_cube(self, x: np.ndarray) -> WhitneyCube:
         if self._center_tree is None:
             centers = np.vstack([lev.centers for lev in self.levels.values()])
             self._center_tree = cKDTree(centers)
         _, flat_idx = self._center_tree.query(np.asarray(x, dtype=np.float64))
-        j = int(np.searchsorted(self._starts, flat_idx, side="right")) - 1
-        return WhitneyCube(self, self._level_keys[j],
-                           int(flat_idx - self._starts[j]))
+        return self[flat_idx]
 
     def level_sizes(self) -> dict:
         return {k: len(lev.packed) for k, lev in self.levels.items()}
@@ -342,11 +366,8 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
             undecided = viol.shape[0]
             break
         if focus is not None and viol.shape[0]:
-            v_centers = lo + (viol + 0.5) * side_k
-            over = np.clip(np.abs(v_centers - f_center) - 0.5 * side_k,
-                           0.0, None)
-            live = (np.einsum("ij,ij->i", over, over)
-                    <= (f_radius + side_k) ** 2)
+            live = (_dilate_gap2(lo + (viol + 0.5) * side_k, side_k, 1.0,
+                                 f_center) <= (f_radius + side_k) ** 2)
             pruned += int(np.count_nonzero(~live))
             viol = viol[live]
         if viol.shape[0] == 0:
@@ -359,10 +380,6 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
 
 
 # -- per-cube quantities --------------------------------------------------------
-
-
-def _window(sigma: DiscreteMeasure) -> tuple[float, float]:
-    return 4.0 * sigma.spacing, sigma.extent / 4.0
 
 
 def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
@@ -380,7 +397,7 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
         raise ParameterError("k must be nonnegative")
     sigma = deco.sigma
     radius = lam * 2.0 ** k * cube.diameter
-    floor_r, ceil_r = _window(sigma)
+    floor_r, ceil_r = sigma.window()
     if window == "raise":
         if radius > ceil_r:
             raise TruncationError(
@@ -577,12 +594,11 @@ def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
               refine: bool = False) -> np.ndarray:
     """a_x evaluated at many points in one sweep.
 
-    Points are matched to cubes level-by-level with one packed-key search
-    per level, so cost scales with the number of distinct cubes hit (each
-    priced once through the shared memo), not with the point count.
-    Points covered by no retained cube — on unresolved cells, in pruned
-    branches, or outside the box — come back NaN; callers choose how to
-    treat uncovered cells.
+    Points are matched to cubes in one vectorized lookup, so cost scales
+    with the number of distinct cubes hit (each priced once through the
+    shared memo), not with the point count.  Points covered by no retained
+    cube — on unresolved cells, in pruned branches, or outside the box —
+    come back NaN; callers choose how to treat uncovered cells.
     """
     _require(deco)
     if alpha_exp <= 0 or beta_exp <= 0:
@@ -592,29 +608,15 @@ def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ParameterError(f"points must have shape (m, {n})")
     m = min(alpha_exp, beta_exp)
+    level, index = deco._locate(pts)
+    found = np.flatnonzero(level >= 0)
+    cubes, inv = np.unique(np.stack([level[found], index[found]], axis=1),
+                           axis=0, return_inverse=True)
+    vals = np.array([_a_x_cube(deco, WhitneyCube(deco, int(k), int(j)), m,
+                               k_max=k_max, eps=eps, lam=lam,
+                               refine=refine)[0] for k, j in cubes])
     out = np.full(pts.shape[0], np.nan)
-    inside = np.all((pts >= deco.box_lo)
-                    & (pts < deco.box_lo + deco.box_side), axis=1)
-    open_idx = np.flatnonzero(inside)
-    for k, lev in deco.levels.items():
-        if open_idx.size == 0:
-            break
-        corner = np.floor((pts[open_idx] - deco.box_lo)
-                          / lev.side).astype(np.int64)
-        key = _pack(corner, n)
-        pos = np.searchsorted(lev.packed, key)
-        pos = np.minimum(pos, len(lev.packed) - 1)
-        hit = lev.packed[pos] == key
-        hit_idx = open_idx[hit]
-        if hit_idx.size:
-            uniq, inv = np.unique(pos[hit], return_inverse=True)
-            vals = np.empty(uniq.size)
-            for t, j in enumerate(uniq):
-                vals[t] = _a_x_cube(deco, WhitneyCube(deco, k, int(j)), m,
-                                    k_max=k_max, eps=eps, lam=lam,
-                                    refine=refine)[0]
-            out[hit_idx] = vals[inv]
-        open_idx = open_idx[~hit]
+    out[found] = vals[inv.reshape(-1)]
     return out
 
 
@@ -639,14 +641,13 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     sigma = deco.sigma
     d = sigma.intrinsic_dim
     n = sigma.ambient_dim
-    floor_r, ceil_r = _window(sigma)
+    floor_r, ceil_r = sigma.window()
     total = 0.0
     n_cubes = 0
     n_excluded = 0
     anchors = 0
     for lev_k, lev in deco.levels.items():
-        over = np.clip(np.abs(lev.centers - x) - lev.side, 0.0, None)
-        sel = np.einsum("ij,ij->i", over, over) <= r * r
+        sel = _dilate_gap2(lev.centers, lev.side, 2.0, x) <= r * r
         count = int(np.count_nonzero(sel))
         if count == 0:
             continue

@@ -210,8 +210,11 @@ def test_skipped_cell_accounting(graph2d, ball2):
 def test_refusing_evaluator_costs_only_its_cells(graph2d, ball2):
     """An evaluator that refuses some cells (as the distance kernel does
     near the support) loses exactly those cells, the same as one that
-    returns NaN there: the cell-by-cell retry must accept array output."""
+    returns NaN there: the cell-by-cell retry must accept array output.
+    The retry halves the refused batches, so a hole of about a hundred
+    cells costs a few hundred calls, not one per cell of its slice."""
     hole = Ball(ball2.center + np.array([0.0, 0.05]), 0.02)
+    calls = []
 
     def in_hole(pts):
         return np.linalg.norm(pts - hole.center, axis=1) <= hole.radius
@@ -220,6 +223,7 @@ def test_refusing_evaluator_costs_only_its_cells(graph2d, ball2):
         return np.where(in_hole(pts), np.nan, 1.0)
 
     def refuses_hole(pts):
+        calls.append(pts.shape[0])
         if in_hole(pts).any():
             raise ResolutionError("probe in the hole")
         return np.ones(pts.shape[0])
@@ -230,6 +234,31 @@ def test_refusing_evaluator_costs_only_its_cells(graph2d, ball2):
     assert want.skipped[0] > 0
     assert got.skipped[0] == want.skipped[0]
     assert got.values[0] == want.values[0]
+    assert len(calls) < 300
+
+
+def test_bias_is_unknown_when_no_shell_cell_evaluates(graph2d, ball2):
+    """A near-support shell whose cells all failed gives no supremum to
+    scale the shell oracle by: the ball's bias is NaN, not 0, and the
+    summary maximum covers only the balls whose bias is known."""
+    other = Ball(graph2d.points[40], 0.1)
+    h = other.radius / 32.0
+
+    def refuses_shell(pts):
+        in_ball2 = np.linalg.norm(pts - ball2.center, axis=1) <= ball2.radius
+        if (in_ball2 & (graph2d.dist_to_support(pts) <= 4.0 * h)).any():
+            raise ResolutionError("probe in the near-support shell")
+        return np.ones(pts.shape[0])
+
+    est = carleson_norm(refuses_shell, graph2d, [ball2], h, refine=False)
+    assert est.skipped[0] > 0 and est.values[0] > 0.0
+    assert np.isnan(est.bias[0])
+    assert est.max_bias() is None
+    both = carleson_norm(refuses_shell, graph2d, [ball2, other], h,
+                         refine=False)
+    assert np.isnan(both.bias[0])
+    assert both.skipped[1] == 0 and both.bias[1] > 0.0
+    assert both.max_bias() == both.bias[1]
 
 
 def test_evaluator_bugs_propagate_instead_of_skipping_cells(graph2d, ball2):
@@ -390,3 +419,4 @@ def test_write_carleson_outputs(tmp_path, graph2d, ball2):
     assert summary["supremum"] == est.supremum
     assert len(summary["refinement"]) == 2
     assert summary["refinement_ratio"] == est.refinement_ratio()
+    assert summary["max_bias"] == est.max_bias() == est.bias[0]

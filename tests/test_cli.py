@@ -241,6 +241,20 @@ def test_main_config_errors_are_reported(tmp_path, monkeypatch, capsys, argv):
 
 
 _RERUN_CONFIGS = {
+    "alpha": ({"generator": {"kind": "cantor", "m": 4},
+               "balls": {"count": 2, "radii": [0.1]},
+               "wasserstein": {"cap": 120, "resolution": 8,
+                               "refine_maxiter": 5}, "seed": 1},
+              ["alpha.csv"]),
+    "ur-sum": ({"generator": {"kind": "graph", "spacing": 0.02},
+                "query": {"point": [0.0, 0.0, 0.0], "radius": 0.3},
+                "whitney": {"max_depth": 9, "lam": 3.0}},
+               ["ur_sum.csv"]),
+    "ainfty": ({"generator": {"kind": "plane", "spacing": 0.05},
+                "ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5},
+                "elliptic": {"h": 0.1, "collar": 3.0, "tol": 1e-6},
+                "scatter": {"n_sets": 8}},
+               ["scatter.csv"]),
     "carleson": ({"generator": {"kind": "graph", "spacing": 0.02},
                   "balls": {"count": 1, "radii": [0.64]},
                   "field": {"kind": "gradient", "beta": 2.0},

@@ -22,6 +22,7 @@ from urlab.geometry import make_cantor_set, make_lipschitz_graph, \
 from urlab.whitney import (
     WhitneyCube,
     a_x,
+    a_x_field,
     alpha_qk,
     decompose,
     dump_cubes,
@@ -295,6 +296,37 @@ def test_a_x_fallback_flag_and_domain(deco_line):
         a_x(deco_line, np.array([40.0, 0.0, 0.0]), 1.0, 1.0)
     with pytest.raises(ParameterError):
         a_x(deco_line, np.zeros(3), 0.0, 1.0)
+
+
+def test_a_x_field_matches_pointwise_a_x(deco_line, line3d):
+    """The batched sweep agrees with a_x wherever cube_at finds a cube and
+    is NaN on support points (no cube) and outside the box."""
+    rng = np.random.default_rng(7)
+    cubes = [deco_line[int(i)]
+             for i in rng.choice(len(deco_line), 20, replace=False)]
+    sides = np.array([[c.side] for c in cubes])
+    inner = (np.array([c.center for c in cubes])
+             + rng.uniform(-0.45, 0.45, size=(20, 3)) * sides)
+    outside = deco_line.box_lo - 1.0
+    pts = np.vstack([inner, line3d.points[::40], outside])
+    got = a_x_field(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
+    assert got.shape == (pts.shape[0],)
+    for i, x in enumerate(pts[:-1]):
+        cube = deco_line.cube_at(x)
+        if i < len(cubes):
+            assert (cube.level, cube.index) == (cubes[i].level,
+                                                cubes[i].index)
+        if cube is None:
+            assert np.isnan(got[i])
+        else:
+            want = a_x(deco_line, x, 1.0, 1.0, k_max=2, lam=2.0)
+            assert not want.flagged
+            assert got[i] == want.value
+    assert np.isnan(got[len(cubes):-1]).all()     # support: in no cube
+    assert np.isfinite(got[:len(cubes)]).all()
+    assert np.isnan(got[-1])
+    with pytest.raises(DomainError):
+        deco_line.cube_at(outside)
 
 
 # -- square sums ---------------------------------------------------------------
