@@ -406,10 +406,7 @@ def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
 
 
 def _field_data(u) -> tuple[np.ndarray, np.ndarray]:
-    """Accept (points, values) pairs or objects exposing them."""
-    if hasattr(u, "cell_centers") and hasattr(u, "values"):
-        return np.asarray(u.cell_centers(), dtype=np.float64), \
-            np.ravel(np.asarray(u.values, dtype=np.float64))
+    """Points and flat values of a (points, values) pair."""
     pts, vals = u
     pts = np.asarray(pts, dtype=np.float64)
     vals = np.ravel(np.asarray(vals, dtype=np.float64))
@@ -550,8 +547,7 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     return EmbeddingResult(lhs, rhs, ratio, float(cm1), nt_integral,
                            len(cones), int(np.count_nonzero(empty)),
                            int(cells.shape[0]),
-                           int(np.count_nonzero(bad_f)
-                               + np.count_nonzero(bad_u)))
+                           int(np.count_nonzero(bad_f | bad_u)))
 
 
 # -- reporting ---------------------------------------------------------------

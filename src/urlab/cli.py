@@ -212,24 +212,29 @@ def _single_ball(cfg: ExperimentConfig, sigma) -> Ball:
     return Ball(center, radius)
 
 
+def _optional(cfg: ExperimentConfig, path: str, kind=float):
+    """The value at path converted by kind, or None (recorded) if absent."""
+    value = cfg.get(path, None)
+    return None if value is None else kind(value)
+
+
+def _box(cfg: ExperimentConfig, section: str):
+    """(center, side) from ``<section>.box``, or None (recorded) if absent."""
+    if not cfg.has(f"{section}.box"):
+        cfg.get(f"{section}.box", None)
+        return None
+    return (np.asarray(cfg.get(f"{section}.box.center"), dtype=np.float64),
+            float(cfg.get(f"{section}.box.side")))
+
+
 def _solver_config(cfg: ExperimentConfig) -> "_elliptic.SolverConfig":
-    maxiter = cfg.get("elliptic.maxiter", None)
     return _elliptic.SolverConfig(
         beta=float(cfg.get("elliptic.beta", 2.0)),
         gamma=float(cfg.get("elliptic.gamma", 0.0)),
         tol=float(cfg.get("elliptic.tol", 1e-8)),
-        maxiter=None if maxiter is None else int(maxiter),
+        maxiter=_optional(cfg, "elliptic.maxiter", int),
         collar=float(cfg.get("elliptic.collar", 1.5)),
         outer=str(cfg.get("elliptic.outer", "neumann")))
-
-
-def _elliptic_box(cfg: ExperimentConfig):
-    if not cfg.has("elliptic.box"):
-        cfg.get("elliptic.box", None)
-        return None
-    center = np.asarray(cfg.get("elliptic.box.center"), dtype=np.float64)
-    side = float(cfg.get("elliptic.box.side"))
-    return (center, side)
 
 
 def _atom_data(cfg: ExperimentConfig, sigma, section: str):
@@ -254,14 +259,9 @@ def _atom_data(cfg: ExperimentConfig, sigma, section: str):
 
 def _decomposition(cfg: ExperimentConfig, sigma,
                    focus=None) -> "_whitney.WhitneyDecomposition":
-    box = None
-    if cfg.has("whitney.box"):
-        box = (np.asarray(cfg.get("whitney.box.center"), dtype=np.float64),
-               float(cfg.get("whitney.box.side")))
-    else:
-        cfg.get("whitney.box", None)
     return _whitney.decompose(
-        sigma, box, int(cfg.get("whitney.max_depth", 10)), focus=focus,
+        sigma, _box(cfg, "whitney"), int(cfg.get("whitney.max_depth", 10)),
+        focus=focus,
         alpha_resolution=int(cfg.get("whitney.alpha_resolution", 12)),
         alpha_cap=int(cfg.get("whitney.alpha_cap", 120)),
         alpha_seed=int(cfg.get("whitney.alpha_seed", 0)))
@@ -499,7 +499,7 @@ def _cmd_carleson(cfg, rng, outdir):
 def _cmd_solve(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     system = _elliptic.assemble(
-        sigma, _elliptic_box(cfg) or _elliptic._default_box(sigma),
+        sigma, _box(cfg, "elliptic") or _elliptic._default_box(sigma),
         float(cfg.get("elliptic.h")), _solver_config(cfg))
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     sol = system.solve(g)
@@ -518,10 +518,9 @@ def _cmd_hm(cfg, rng, outdir):
     if e.dtype != bool:
         raise InputError("set.kind must describe a membership set, not data")
     pole = np.asarray(cfg.get("hm.pole"), dtype=np.float64)
-    h = cfg.get("elliptic.h", None)
     res = _elliptic.harmonic_measure(
-        sigma, e, pole, _solver_config(cfg), box=_elliptic_box(cfg),
-        h=None if h is None else float(h))
+        sigma, e, pole, _solver_config(cfg), box=_box(cfg, "elliptic"),
+        h=_optional(cfg, "elliptic.h"))
     it_set, it_comp = res.iterations
     _write_csv(outdir / "hm.csv",
                ["value", "complement_value", "mass_gap", "iterations_set",
@@ -536,12 +535,11 @@ def _cmd_hm(cfg, rng, outdir):
 def _cmd_ainfty(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
-    h = cfg.get("elliptic.h", None)
     res = _elliptic.ainfty_scatter(
         sigma, ball, _solver_config(cfg),
         n_sets=int(cfg.get("scatter.n_sets", 64)),
         seed=int(cfg.get("scatter.seed", 0)),
-        box=_elliptic_box(cfg), h=None if h is None else float(h))
+        box=_box(cfg, "elliptic"), h=_optional(cfg, "elliptic.h"))
     _elliptic.write_scatter(res, outdir / "scatter.csv")
     deltas = [float(t) for t in cfg.get("scatter.deltas", [0.01, 0.05, 0.2])]
     return {"envelopes": {str(t): res.envelope(t) for t in deltas},
@@ -554,10 +552,9 @@ def _cmd_sn(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
-    h = cfg.get("elliptic.h", None)
     res = _elliptic.sn_check(sigma, ball, _solver_config(cfg), g,
-                             h=None if h is None else float(h),
-                             box=_elliptic_box(cfg))
+                             h=_optional(cfg, "elliptic.h"),
+                             box=_box(cfg, "elliptic"))
     _write_csv(outdir / "sn.csv",
                ["square_fn", "sup_sq", "nt_sq", "sup_ratio", "nt_ratio",
                 "iterations", "n_empty_cones"],

@@ -16,14 +16,16 @@ truncation instead:
   default, which preserves the exact constant solution for constant data) or
   absorbing (``outer="dirichlet0"``, which measures the truncation bias).
 
-The resulting matrix is symmetric positive definite and block-diagonal
+The resulting matrix A is symmetric positive definite and block-diagonal
 between pinned and free cells, so one conjugate-gradient solve per boundary
-datum suffices.  Symmetry also gives a *representer* shortcut: solving once
-with the interpolation stencil of an observation point as right-hand side
-yields, for every support atom at once, the weight with which its datum
-enters the observed value.  Those weights evaluate hitting probabilities of
-arbitrary subsets of the support without further solves, which is what the
-scatter diagnostic exploits.
+datum suffices.  The per-atom data g enter only through the right-hand side
+C g of one sparse boundary-coupling list C (see ``EllipticSystem``).
+Symmetry then gives a *representer* shortcut: a value s . A^-1 C g observed
+through an interpolation stencil s equals (C^T A^-1 s) . g, so one solve
+with s as right-hand side, then C^T, yields for every support atom at once
+the weight with which its datum enters the observed value.  Those weights
+evaluate hitting probabilities of arbitrary subsets of the support without
+further solves, which is what the scatter diagnostic exploits.
 
 Resolution contract: collar pinning keeps every evaluated face midpoint at
 distance at least ``(collar - 0.5) * h`` from the support, and the distance
@@ -283,25 +285,35 @@ class SNResult:
 
 
 class EllipticSystem:
-    """Assembled truncated system on one box; reusable across data."""
+    """Assembled truncated system on one box; reusable across data.
+
+    State over the flat (C-order) grid cells: ``mask`` (int8 cell roles),
+    ``diag`` (the diagonal, 1 on pinned collar rows), ``w_pad`` (per axis,
+    the conductances of faces between two unknowns, zero-padded; see
+    ``_matvec``) and ``coupling``, the boundary-coupling list ``(cell,
+    atom, weight)``: a unit entry per collar cell at its nearest atom, and
+    per face between an unknown and a collar cell an entry (unknown cell,
+    the collar cell's nearest atom, face weight).  ``_rhs`` and
+    ``_collar_functional`` are the two transposes of that one list;
+    ``pole_weights`` relies on this to be the exact adjoint of ``solve``.
+    """
 
     def __init__(self, sigma: DiscreteMeasure, config: SolverConfig,
                  box_lo: np.ndarray, h: float, shape: tuple,
-                 mask: np.ndarray, anchor: np.ndarray, diag: np.ndarray,
-                 w_pad: list, uc_pairs: list):
+                 mask: np.ndarray, diag: np.ndarray, w_pad: list,
+                 coupling: tuple):
         self.sigma = sigma
         self.config = config
         self.box_lo = box_lo
         self.h = h
         self.shape = shape
-        self.mask = mask                      # flat int8
-        self.anchor = anchor                  # flat int32, -1 off-collar
-        self.diag = diag                      # flat float64
-        self.w_pad = w_pad                    # per-axis flat, zero-padded
+        self.mask = mask
+        self.diag = diag
+        self.w_pad = w_pad
         self.w_faces = [                      # face-shaped views of w_pad
             w.reshape(shape)[_axis_slice(len(shape), a, np.s_[:-1])]
             for a, w in enumerate(w_pad)]
-        self.uc_pairs = uc_pairs              # per-axis (unk, collar, w)
+        self.coupling = coupling
         self.n_cells = int(np.prod(shape))
         self.collar = mask == MASK_COLLAR
         self.n_collar = int(self.collar.sum())
@@ -409,33 +421,16 @@ class EllipticSystem:
             raise InputError("boundary data contains non-finite values")
         return vals
 
-    def _g_cells(self, g_support: np.ndarray) -> np.ndarray:
-        g_cells = np.zeros(self.n_cells)
-        coll = self.collar
-        g_cells[coll] = g_support[self.anchor[coll]]
-        return g_cells
-
-    def _rhs(self, g_cells: np.ndarray) -> np.ndarray:
-        b = np.zeros(self.n_cells)
-        for unk, col, w in self.uc_pairs:
-            if unk.size:
-                b += np.bincount(unk, weights=w * g_cells[col],
-                                 minlength=self.n_cells)
-        b[self.collar] = g_cells[self.collar]
-        return b
+    def _rhs(self, g: np.ndarray) -> np.ndarray:
+        """Right-hand side C g of the per-atom data g."""
+        cell, atom, w = self.coupling
+        return np.bincount(cell, weights=w * g[atom], minlength=self.n_cells)
 
     def _collar_functional(self, v: np.ndarray) -> np.ndarray:
-        """Transpose of the data-to-rhs map applied to v, per support atom."""
-        out = np.zeros(self.n_cells)
-        for unk, col, w in self.uc_pairs:
-            if unk.size:
-                out += np.bincount(col, weights=w * v[unk],
-                                   minlength=self.n_cells)
-        coll = self.collar
-        out[coll] += v[coll]
-        npts = self.sigma.points.shape[0]
-        return np.bincount(self.anchor[coll], weights=out[coll],
-                           minlength=npts)
+        """C^T v, one weight per support atom."""
+        cell, atom, w = self.coupling
+        return np.bincount(atom, weights=w * v[cell],
+                           minlength=self.sigma.points.shape[0])
 
     # -- public operations --------------------------------------------------
 
@@ -462,13 +457,12 @@ class EllipticSystem:
         ``warm_start`` seeds the iteration with another field (typically a
         coarser solve of the same data); it never changes the answer."""
         gs = self._g_support(g)
-        g_cells = self._g_cells(gs)
-        b = self._rhs(g_cells)
+        b = self._rhs(gs)
         if warm_start is not None:
             x0 = self._warm_start(warm_start)
-            x0[self.collar] = g_cells[self.collar]
+            x0[self.collar] = b[self.collar]
         else:
-            x0 = g_cells.copy()
+            x0 = b.copy()
             x0[~self.collar] = float(gs.mean())
         x, iters, residual = self._cg(b, x0)
         fld = GridField(self.box_lo.copy(), self.h,
@@ -592,13 +586,14 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             f"the collar splits the box into {ncomp} components; enlarge "
             "the box or refine h")
 
-    anchor = np.where(coll, near, -1).astype(np.int32)
     expo = d + 1.0 + config.gamma - n
     scale = h ** (n - 2)
     diag = np.zeros(ncells)
     idx3 = np.arange(ncells, dtype=np.int64).reshape(shape)
     w_pad = []
-    uc_pairs = []
+    # boundary-coupling list (cell, atom, weight), see EllipticSystem
+    coll_cells = np.flatnonzero(coll)
+    coupling = [(coll_cells, near[coll_cells], np.ones(coll_cells.size))]
 
     def _face_weights(flat_idx, axis, shift=0.5, what="face"):
         """Conductances of the faces from the given flat cells to their
@@ -632,10 +627,8 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             diag += np.bincount(i_fr[uc], weights=w[uc], minlength=ncells)
         if cu.any():
             diag += np.bincount(i_bk[cu], weights=w[cu], minlength=ncells)
-        unk_idx = np.concatenate([i_fr[uc], i_bk[cu]])
-        col_idx = np.concatenate([i_bk[uc], i_fr[cu]])
-        wv = np.concatenate([w[uc], w[cu]])
-        uc_pairs.append((unk_idx, col_idx, wv))
+        coupling += [(i_fr[uc], near[i_bk[uc]], w[uc]),
+                     (i_bk[cu], near[i_fr[cu]], w[cu])]
         w[~uu] = 0.0
         w_pad.append(wp)
 
@@ -650,13 +643,13 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
                         cells, weights=_face_weights(cells, a, shift, "wall"),
                         minlength=ncells)
 
-    coll_flat = mask == MASK_COLLAR
-    diag[coll_flat] = 1.0
+    diag[coll] = 1.0
     if np.any(diag <= 0):
         raise NumericError("isolated cell with no conductance; refine h")
 
-    return EllipticSystem(sigma, config, lo, h, shape, mask, anchor, diag,
-                          w_pad, uc_pairs)
+    coupling = tuple(map(np.concatenate, zip(*coupling)))
+    return EllipticSystem(sigma, config, lo, h, shape, mask, diag, w_pad,
+                          coupling)
 
 
 # -- harmonic measure --------------------------------------------------------

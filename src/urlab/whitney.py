@@ -174,10 +174,6 @@ class WhitneyCube:
         half = 0.5 * scale * self.side
         return self.center - half, self.center + half
 
-    def contains(self, x: np.ndarray) -> bool:
-        lo, hi = self.box()
-        return bool(np.all(x >= lo) and np.all(x < hi))
-
     def alpha(self, k: int = 0, **kw) -> AlphaResult:
         return alpha_qk(self.deco, self, k, **kw)
 
@@ -231,11 +227,6 @@ class WhitneyDecomposition:
         j = int(np.searchsorted(self._starts, i, side="right")) - 1
         return WhitneyCube(self, self._level_keys[j], i - int(self._starts[j]))
 
-    def __iter__(self):
-        for j, k in enumerate(self._level_keys):
-            for i in range(int(self._starts[j + 1] - self._starts[j])):
-                yield WhitneyCube(self, k, i)
-
     def _inside(self, pts: np.ndarray) -> np.ndarray:
         return np.all((pts >= self.box_lo)
                       & (pts < self.box_lo + self.box_side), axis=-1)
@@ -278,9 +269,6 @@ class WhitneyDecomposition:
             self._center_tree = cKDTree(centers)
         _, flat_idx = self._center_tree.query(np.asarray(x, dtype=np.float64))
         return self[flat_idx]
-
-    def level_sizes(self) -> dict:
-        return {k: len(lev.packed) for k, lev in self.levels.items()}
 
 
 def _require(deco) -> None:
@@ -712,9 +700,12 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
 
     Flatness and flat-measure columns are optional (they trigger LP work
     per distinct anchor ball) and window violations render as empty cells.
+    ``stride`` keeps every stride-th cube of the global cube order; only
+    the optional columns build per-cube views.
     """
     _require(deco)
     n = deco.sigma.ambient_dim
+    stride = max(1, stride)
     rows = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -726,25 +717,32 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
             head += ["mu_branch", "mu_density", "gap_2q", "anchor_gap",
                      "flagged"]
         w.writerow(head)
-        for idx in range(0, len(deco), max(1, stride)):
-            cube = deco[idx]
-            row = ([cube.level] + [int(c) for c in cube.corner]
-                   + [f"{cube.diameter:.17g}"]
-                   + [f"{v:.17g}" for v in cube.anchor])
-            if include_alpha:
-                for k in range(k_max + 1):
+        for (level, lev), start in zip(deco.levels.items(), deco._starts):
+            local = np.arange(-int(start) % stride, len(lev.packed), stride)
+            corners = np.rint((lev.centers[local] - deco.box_lo) / lev.side
+                              - 0.5).astype(np.int64)
+            diameter = f"{math.sqrt(n) * lev.side:.17g}"
+            anchors = deco.sigma.points[lev.anchor_idx[local]]
+            for i, corner, anchor in zip(local, corners.tolist(), anchors):
+                row = ([level] + corner + [diameter]
+                       + [f"{v:.17g}" for v in anchor])
+                if include_alpha or include_mu:
+                    cube = WhitneyCube(deco, level, int(i))
+                if include_alpha:
+                    for k in range(k_max + 1):
+                        try:
+                            alpha = alpha_qk(deco, cube, k, lam=lam).value
+                            row.append(f"{alpha:.17g}")
+                        except (TruncationError, ResolutionError):
+                            row.append("")
+                if include_mu:
                     try:
-                        row.append(f"{alpha_qk(deco, cube, k, lam=lam).value:.17g}")
+                        mu = mu_q(deco, cube, eps=eps, lam=lam, refine=False)
+                        row += [mu.branch, f"{mu.flat.c:.17g}",
+                                f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
+                                str(mu.flagged)]
                     except (TruncationError, ResolutionError):
-                        row.append("")
-            if include_mu:
-                try:
-                    mu = mu_q(deco, cube, eps=eps, lam=lam, refine=False)
-                    row += [mu.branch, f"{mu.flat.c:.17g}",
-                            f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
-                            str(mu.flagged)]
-                except (TruncationError, ResolutionError):
-                    row += ["", "", "", "", ""]
-            w.writerow(row)
-            rows += 1
+                        row += ["", "", "", "", ""]
+                w.writerow(row)
+                rows += 1
     return rows

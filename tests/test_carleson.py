@@ -404,6 +404,16 @@ def test_embedding_trivial_and_error_paths(graph2d, ball2):
                         ball2, h, cm1=1.0)
 
 
+def test_embedding_counts_a_cell_failing_both_fields_once(graph2d, ball2):
+    def nan(pts):
+        return np.full(pts.shape[0], np.nan)
+
+    res = embedding_check(nan, nan, graph2d, ball2, ball2.radius / 32.0,
+                          cm1=1.0)
+    assert res.n_cells > 0
+    assert res.skipped == res.n_cells
+
+
 def test_write_carleson_outputs(tmp_path, graph2d, ball2):
     est = carleson_norm(_ones, graph2d, [ball2], ball2.radius / 32.0,
                         refine=True)

@@ -143,8 +143,7 @@ def test_matrix_is_symmetric_and_kills_constants(sys48):
 
     r = sys48._matvec(np.ones(sys48.n_cells))
     touches_collar = np.zeros(sys48.n_cells, dtype=bool)
-    for unk, _, _ in sys48.uc_pairs:
-        touches_collar[unk] = True
+    touches_collar[sys48.coupling[0]] = True
     free = ~sys48.collar & ~touches_collar
     assert free.sum() > 100_000
     assert np.abs(r[free]).max() <= 1e-12
@@ -186,11 +185,10 @@ def test_padded_faces_back_the_face_views(sys48):
 def test_solve_matches_oracle_cg(line3d, sys48):
     g = (line3d.points[:, 0] > 0).astype(float)
     res = sys48.solve(g)
-    g_cells = sys48._g_cells(g)
-    x0 = g_cells.copy()
+    b = sys48._rhs(g)
+    x0 = b.copy()
     x0[~sys48.collar] = g.mean()
-    want, iters = _cg_oracle(sys48, sys48._rhs(g_cells), x0,
-                             sys48.config.tol)
+    want, iters = _cg_oracle(sys48, b, x0, sys48.config.tol)
     assert res.iterations == iters > 0
     assert np.abs(res.field.values.ravel() - want).max() <= 1e-12
 
@@ -376,7 +374,7 @@ def test_cross_grid_warm_start_interpolates_and_converges(line3d, sys48):
     cold = sys48.solve(g)
     warm = sys48.solve(g, warm_start=coarse)
     assert warm.iterations > 0
-    b = sys48._rhs(sys48._g_cells(g))
+    b = sys48._rhs(g)
     gap = sys48._matvec((warm.field.values - cold.field.values).ravel())
     assert np.linalg.norm(gap) <= 2.0 * tol * np.linalg.norm(b)
     # batched interpolation is the pointwise one
@@ -428,6 +426,33 @@ def test_pole_weights_scatter_the_interpolation_stencil(sys48, pole_above):
     v, _, _ = sys48._cg(b, np.zeros(sys48.n_cells))
     assert np.array_equal(sys48.pole_weights(pole_above).weights,
                           sys48._collar_functional(v))
+
+
+@pytest.fixture(scope="module")
+def sys48d(line3d):
+    """The sys48 grid with absorbing walls."""
+    return assemble(line3d, (np.zeros(3), 3.0), 3.0 / 48,
+                    SolverConfig(outer="dirichlet0"))
+
+
+@pytest.mark.parametrize("name", ["sys48", "sys48d", "sys4"])
+def test_rhs_and_collar_functional_are_transposes(name, request):
+    """Both directions read one coupling list: <v, C g> = <C^T v, g>, and
+    a collar row of C g is the datum of the cell's nearest atom."""
+    system = request.getfixturevalue(name)
+    rng = np.random.default_rng(6)
+    npts = system.sigma.points.shape[0]
+    for _ in range(3):
+        v = rng.normal(size=system.n_cells)
+        g = rng.normal(size=npts)
+        lhs = float(v @ system._rhs(g))
+        rhs = float(system._collar_functional(v) @ g)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    coll = np.flatnonzero(system.collar)
+    centers = elliptic._cell_centers(system.box_lo, system.h, system.shape,
+                                     coll)
+    _, nearest = system.sigma.tree.query(centers)
+    assert np.array_equal(system._rhs(g)[coll], g[nearest])
 
 
 # -- grid fields ---------------------------------------------------------------

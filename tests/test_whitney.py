@@ -5,6 +5,7 @@ retention inequalities, containment counts) or measured once on the frozen
 seeded constructions and asserted with stated headroom.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -418,3 +419,54 @@ def test_dump_cubes_stride(tmp_path, deco_small):
     path = tmp_path / "cubes.csv"
     rows = dump_cubes(deco_small, path, stride=7)
     assert rows == math.ceil(len(deco_small) / 7)
+
+
+def _dump_cubes_oracle(deco, path, *, k_max=0, lam=8.0, eps=0.3,
+                       include_alpha=False, include_mu=False, stride=1):
+    """The replaced per-cube writer, kept as a reference."""
+    n = deco.sigma.ambient_dim
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        head = (["level"] + [f"corner{j}" for j in range(n)] + ["diameter"]
+                + [f"anchor{j}" for j in range(n)])
+        if include_alpha:
+            head += [f"alpha_k{k}" for k in range(k_max + 1)]
+        if include_mu:
+            head += ["mu_branch", "mu_density", "gap_2q", "anchor_gap",
+                     "flagged"]
+        w.writerow(head)
+        for idx in range(0, len(deco), max(1, stride)):
+            cube = deco[idx]
+            row = ([cube.level] + [int(c) for c in cube.corner]
+                   + [f"{cube.diameter:.17g}"]
+                   + [f"{v:.17g}" for v in cube.anchor])
+            if include_alpha:
+                for k in range(k_max + 1):
+                    try:
+                        alpha = alpha_qk(deco, cube, k, lam=lam).value
+                        row.append(f"{alpha:.17g}")
+                    except (TruncationError, ResolutionError):
+                        row.append("")
+            if include_mu:
+                try:
+                    mu = mu_q(deco, cube, eps=eps, lam=lam, refine=False)
+                    row += [mu.branch, f"{mu.flat.c:.17g}",
+                            f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
+                            str(mu.flagged)]
+                except (TruncationError, ResolutionError):
+                    row += ["", "", "", "", ""]
+            w.writerow(row)
+            rows += 1
+    return rows
+
+
+@pytest.mark.parametrize("kw", [dict(k_max=1, include_alpha=True),
+                                dict(stride=7), dict(include_mu=True)])
+def test_dump_cubes_matches_per_cube_writer(tmp_path, deco_small, kw):
+    got, want = tmp_path / "levels.csv", tmp_path / "cubes.csv"
+    rows = dump_cubes(deco_small, got, **kw)
+    assert rows == _dump_cubes_oracle(deco_small, want, **kw)
+    assert got.read_bytes() == want.read_bytes()
+    # the decomposition still iterates, through __getitem__
+    assert sum(1 for _ in deco_small) == len(deco_small)
