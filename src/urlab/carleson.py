@@ -126,7 +126,7 @@ class CarlesonEstimate:
 class EmbeddingResult:
     lhs: float                  # grid sum of u * f * dist^{d-n} over the ball
     rhs: float                  # cm1 estimate times the boundary N(u) integral
-    ratio: float
+    ratio: float                # lhs / rhs; NaN when both sides vanish
     cm1: float
     nt_integral: float
     n_vertices: int
@@ -424,20 +424,17 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
     is flagged, since at a coarse resolution that is data absence, not a
     zero supremum.
 
-    The field points are walked in cache-sized blocks; within a block each
-    vertex's squared distances are built axis by axis in preallocated
-    buffers and the block maximum is taken over the members only.
+    The field points are walked in cache-sized blocks.  Each block's
+    preprocessing (support distances, unless ``dists`` is given, the
+    squared cone reach, |u| and the truncating ball's membership) happens
+    inside the loop, so no per-point array of the whole field is built
+    beyond the caller's own.  Within a block each vertex's squared
+    distances are built axis by axis in preallocated buffers and the block
+    maximum is taken over the members only.
     """
     pts, vals = _field_data(u)
-    if dists is None:
-        dists = sigma.dist_to_support(pts)
-    dists = np.asarray(dists, dtype=np.float64)
-    absvals = np.abs(vals)
-    reach2 = (cones.aperture * dists) ** 2
-    if cones.ball is not None:
-        inside = (np.linalg.norm(pts - cones.ball.center, axis=1)
-                  <= cones.ball.radius)
-        absvals = np.where(inside, absvals, -np.inf)
+    if dists is not None:
+        dists = np.asarray(dists, dtype=np.float64)
     best = np.full(len(cones), -np.inf)
     block_max = np.empty(len(cones))
     size = min(_NT_BLOCK, pts.shape[0])
@@ -445,7 +442,16 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
     member = np.empty(size, dtype=bool)
     for lo in range(0, pts.shape[0], _NT_BLOCK):
         hi = min(lo + _NT_BLOCK, pts.shape[0])
-        cols = np.ascontiguousarray(pts[lo:hi].T)
+        b_pts = pts[lo:hi]
+        b_dists = sigma.dist_to_support(b_pts) if dists is None \
+            else dists[lo:hi]
+        reach2 = (cones.aperture * b_dists) ** 2
+        absvals = np.abs(vals[lo:hi])
+        if cones.ball is not None:
+            inside = (np.linalg.norm(b_pts - cones.ball.center, axis=1)
+                      <= cones.ball.radius)
+            absvals = np.where(inside, absvals, -np.inf)
+        cols = np.ascontiguousarray(b_pts.T)
         b_d2, b_work, b_member = d2[:hi - lo], work[:hi - lo], member[:hi - lo]
         for i, vx in enumerate(cones.vertices):
             np.subtract(cols[0], vx[0], out=b_d2)
@@ -454,9 +460,8 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
                 np.subtract(cols[k], vx[k], out=b_work)
                 b_work *= b_work
                 b_d2 += b_work
-            np.less_equal(b_d2, reach2[lo:hi], out=b_member)
-            block_max[i] = np.max(absvals[lo:hi], where=b_member,
-                                  initial=-np.inf)
+            np.less_equal(b_d2, reach2, out=b_member)
+            block_max[i] = np.max(absvals, where=b_member, initial=-np.inf)
         np.maximum(best, block_max, out=best)
     empty = ~np.isfinite(best)
     return np.where(empty, 0.0, best), empty
@@ -543,7 +548,8 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
         raise NumericError(
             "embedding check inconsistent: positive left side against a "
             "zero right side (broken norm or maximal-function estimate)")
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
+    # both sides vanish: the ratio is undefined, not a perfect 0
+    ratio = lhs / rhs if rhs > 0.0 else math.nan
     return EmbeddingResult(lhs, rhs, ratio, float(cm1), nt_integral,
                            len(cones), int(np.count_nonzero(empty)),
                            int(cells.shape[0]),

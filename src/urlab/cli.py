@@ -542,7 +542,10 @@ def _cmd_ainfty(cfg, rng, outdir):
         box=_box(cfg, "elliptic"), h=_optional(cfg, "elliptic.h"))
     _elliptic.write_scatter(res, outdir / "scatter.csv")
     deltas = [float(t) for t in cfg.get("scatter.deltas", [0.01, 0.05, 0.2])]
-    return {"envelopes": {str(t): res.envelope(t) for t in deltas},
+    # an envelope with no row below its threshold is NaN: JSON null
+    envelopes = {str(t): res.envelope(t) for t in deltas}
+    return {"envelopes": {t: None if math.isnan(v) else v
+                          for t, v in envelopes.items()},
             "omega_ball": res.omega_ball, "sigma_ball": res.sigma_ball,
             "n_rows": int(res.pairs.shape[0]),
             "iterations": res.iterations}, ["scatter.csv"]

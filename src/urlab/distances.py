@@ -3,7 +3,8 @@
 All field evaluations are direct kernel sums over the full support; no
 truncation or tree approximation, so the only error against the continuum
 is the sampling of the measure itself.  The sums are built from per-axis
-differences probe minus atom, never from an expanded |x|^2 + |y|^2 - 2x.y
+differences probe minus atom (r^2 by scipy's ``cdist``, which sums their
+squares in axis order), never from an expanded |x|^2 + |y|^2 - 2x.y
 product, so the values do not drift when the data are translated.  Probes
 are processed in chunks whose (atoms, probes) blocks stay cache-resident
 and reuse a few preallocated buffers.  Probes closer to the support than
@@ -19,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import distance
 
 from .exceptions import ParameterError, ResolutionError
 from .geometry import DiscreteMeasure, _sphere_area
@@ -126,11 +128,12 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
 
     Each chunk of probes is laid out as (atoms, probes) blocks of at most
     _CHUNK_BUDGET floats (256 KB, so a chunk's working set stays in a 2 MB
-    L2 cache): per axis one block of direct differences X-p and one of
-    atom coordinates, plus r^2 and two work blocks, all allocated once per
-    call.  The gap is the minimum of r^2 over the atom axis, the scalar
-    sums are w @ K and the vector sums contract w*r^-(e+1) against each
-    axis difference.
+    L2 cache): r^2 from one ``cdist`` call, a kernel and a work block,
+    and, only when vector sums are requested, per axis one block of
+    direct differences X-p and one of atom coordinates, all allocated once
+    per call.  The gap is the minimum of r^2 over the atom axis, the
+    scalar sums are w @ K and the vector sums contract w*r^-(e+1) against
+    each axis difference.
     """
     pts = sigma.points
     w = sigma.weights
@@ -141,30 +144,29 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     gap = np.empty(m)
     chunk = max(1, _CHUNK_BUDGET // nsup)
     size = nsup * min(chunk, m)
-    diff = np.empty((n, size))
-    # atom coordinates repeated along the probe axis: subtracting two
-    # contiguous blocks is faster than broadcasting a column
-    atom_tiles = np.ascontiguousarray(
-        np.broadcast_to(pts.T[:, :, None], (n, nsup, min(chunk, m))))
     r2_buf, kern_buf, work_buf = np.empty(size), np.empty(size), np.empty(size)
+    if vector_exps:
+        diff = np.empty((n, size))
+        # atom coordinates repeated along the probe axis: subtracting two
+        # contiguous blocks is faster than broadcasting a column
+        atom_tiles = np.ascontiguousarray(
+            np.broadcast_to(pts.T[:, :, None], (n, nsup, min(chunk, m))))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         blk = (nsup, hi - lo)
         r2, kern, work = (b[:nsup * (hi - lo)].reshape(blk)
                           for b in (r2_buf, kern_buf, work_buf))
+        distance.cdist(pts, probes[lo:hi], "sqeuclidean", out=r2)
+        r2.min(axis=0, out=gap[lo:hi])
+        for e in scalar_exps:
+            scalars[e][lo:hi] = w @ _neg_half_pow(r2, e, kern)
+        if not vector_exps:
+            continue
         dk = [diff[k, :r2.size].reshape(blk) for k in range(n)]
         probe_rows = probes[lo:hi].T.copy()            # (n, chunk)
         for k in range(n):
             np.copyto(dk[k], probe_rows[k])
             dk[k] -= atom_tiles[k, :, :hi - lo]
-            if k == 0:
-                np.multiply(dk[k], dk[k], out=r2)
-            else:
-                np.multiply(dk[k], dk[k], out=work)
-                r2 += work
-        r2.min(axis=0, out=gap[lo:hi])
-        for e in scalar_exps:
-            scalars[e][lo:hi] = w @ _neg_half_pow(r2, e, kern)
         for e in vector_exps:
             _neg_half_pow(r2, e + 1.0, kern)
             for k in range(n):

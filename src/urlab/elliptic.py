@@ -31,6 +31,18 @@ Resolution contract: collar pinning keeps every evaluated face midpoint at
 distance at least ``(collar - 0.5) * h`` from the support, and the distance
 kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 ``(collar - 0.5) * h >= 2 * spacing`` up front.
+
+Memory: an assembled system keeps about 5.3 float64 grid arrays resident
+(``diag``, its inverse, one padded conductance array per axis, and the int8
+mask with its collar flags) plus the boundary-coupling list, whose length
+follows the collar, not the grid.  Work that touches every cell (face
+midpoints and their kernel sums, warm-start interpolation) runs in slabs of
+``_EVAL_SLAB`` cells; the collar search only visits cells within a few
+cells of an atom; ``sn_check`` walks its window in slabs of leading-axis
+planes.  So the largest transient is the conjugate-gradient working set of
+four grid vectors (``_cg`` reuses the right-hand side and the initial guess
+it is given), and the peak of assemble, solve and sn_check stays near the
+system plus a few grid arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ MASK_COLLAR = 1
 MASK_OUTER = 2
 
 _MAX_CELLS = 2 ** 31 - 1
-_EVAL_SLAB = 2_000_000
+_EVAL_SLAB = 1 << 18            # cells per evaluation slab: 6 MB of 3-D probes
 _BLOCK = 1 << 15                # cells per matvec block: 256 KB per array
 
 
@@ -251,9 +263,11 @@ class ScatterResult:
     residual: float
 
     def envelope(self, delta: float) -> float:
+        """Largest mass ratio among rows with hitting ratio below delta;
+        NaN when no row qualifies (no data, not a zero envelope)."""
         sel = self.pairs[:, 0] < delta
         if not sel.any():
-            return 0.0
+            return math.nan
         return float(self.pairs[sel, 1].max())
 
 
@@ -365,22 +379,26 @@ class EllipticSystem:
         """Jacobi-preconditioned conjugate gradients, hand-rolled so the
         stencil matvec is the only per-iteration cost.
 
-        Allocation-free after set-up: A p goes into one preallocated array,
-        the x and r updates are in-place BLAS axpy calls, and z and p are
-        updated in place.  Stops once |r| <= tol * |b|.
+        Takes ownership of both arguments, which must be contiguous
+        float64 grid vectors: the iterate x is updated in ``x0``'s buffer
+        and returned, and the residual r = b - A x0 overwrites ``b``.  The
+        preconditioned residual z shares one buffer with A p, which it
+        only occupies between matvecs, so the working set is four grid
+        vectors: x, r, A p (or z) and p.  The updates are in-place BLAS
+        axpy calls and ufuncs with ``out=``.  Stops once |r| <= tol * |b|.
         """
         maxiter = self.config.maxiter
         if maxiter is None:
             maxiter = max(2000, 60 * max(self.shape))
         bnorm = math.sqrt(float(b @ b))
         stop = self.config.tol * bnorm
-        x = x0.copy()
+        x = x0
         ap = self._matvec(x)
-        r = b - ap
+        r = np.subtract(b, ap, out=b)
         iters = 0
         rnorm = math.sqrt(float(r @ r))
         if rnorm > stop:
-            z = r * self._inv_diag
+            z = np.multiply(r, self._inv_diag, out=ap)
             p = z.copy()
             rz = float(r @ z)
             for iters in range(1, maxiter + 1):
@@ -519,6 +537,39 @@ def _normalize_box(box, n: int) -> tuple:
     return center, side
 
 
+def _collar_cells(sigma: DiscreteMeasure, lo: np.ndarray, h: float,
+                  shape: tuple, collar: float) -> tuple:
+    """(ascending flat collar cells, nearest atom of each): the cells whose
+    center lies within ``collar * h`` of the support.
+
+    Only cells near an atom are searched.  Each atom marks its cell,
+    clipped to the box (atoms more than rad = ceil(collar) + 1 cells
+    outside the box are dropped), and a (2 rad + 1)^n box dilation of the
+    marks gives the candidates.  A cell within collar * h of an atom lies
+    within collar + 0.5 cells of it on every axis, so no collar cell is
+    missed; the bounded kd query then decides each candidate exactly.
+    """
+    m = np.asarray(shape)
+    rad = math.ceil(collar) + 1
+    at = np.floor((sigma.points - lo) / h).astype(np.int64)
+    keep = np.all((at >= -rad) & (at < m + rad), axis=1)
+    marks = np.zeros(shape, dtype=bool)
+    marks[tuple(np.clip(at[keep], 0, m - 1).T)] = True
+    cand = np.flatnonzero(ndimage.maximum_filter(marks, size=2 * rad + 1,
+                                                 mode="constant"))
+    reach = collar * h
+    bound = np.nextafter(reach, np.inf)
+    dist = np.empty(cand.size)
+    near = np.empty(cand.size, dtype=np.int32)
+    for c0 in range(0, cand.size, _EVAL_SLAB):
+        c1 = min(c0 + _EVAL_SLAB, cand.size)
+        dist[c0:c1], near[c0:c1] = sigma.tree.query(
+            _cell_centers(lo, h, shape, cand[c0:c1]), workers=-1,
+            distance_upper_bound=bound)
+    hit = dist <= reach
+    return cand[hit], near[hit]
+
+
 def assemble(sigma: DiscreteMeasure, box, h: float,
              config: SolverConfig | None = None) -> EllipticSystem:
     """Build the truncated system on a cubic box of cell size h.
@@ -553,24 +604,16 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     shape = (m,) * n
     ncells = m ** n
 
-    # cell-center distances and nearest atoms, slabbed to bound memory;
-    # only collar cells read them, so the search stops at the collar radius
-    # (misses come back as dist=inf)
-    reach = config.collar * h
-    bound = np.nextafter(reach, np.inf)
-    dist = np.empty(ncells)
-    near = np.empty(ncells, dtype=np.int32)
-    for c0 in range(0, ncells, _EVAL_SLAB):
-        c1 = min(c0 + _EVAL_SLAB, ncells)
-        dist[c0:c1], near[c0:c1] = sigma.tree.query(
-            _cell_centers(lo, h, shape, np.arange(c0, c1)), workers=-1,
-            distance_upper_bound=bound)
+    coll_cells, coll_near = _collar_cells(sigma, lo, h, shape, config.collar)
+    if not coll_cells.size:
+        raise DomainError("the box does not reach the support: no collar cells")
+
+    def near(cells):
+        """Nearest atoms of the given collar cells."""
+        return coll_near[np.searchsorted(coll_cells, cells)]
 
     mask = np.zeros(ncells, dtype=np.int8)
-    coll = dist <= reach
-    if not coll.any():
-        raise DomainError("the box does not reach the support: no collar cells")
-    mask[coll] = MASK_COLLAR
+    mask[coll_cells] = MASK_COLLAR
     maskn = mask.reshape(shape)
     for a in range(n):
         for edge in (0, m - 1):
@@ -592,8 +635,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     idx3 = np.arange(ncells, dtype=np.int64).reshape(shape)
     w_pad = []
     # boundary-coupling list (cell, atom, weight), see EllipticSystem
-    coll_cells = np.flatnonzero(coll)
-    coupling = [(coll_cells, near[coll_cells], np.ones(coll_cells.size))]
+    coupling = [(coll_cells, coll_near, np.ones(coll_cells.size))]
 
     def _face_weights(flat_idx, axis, shift=0.5, what="face"):
         """Conductances of the faces from the given flat cells to their
@@ -604,7 +646,8 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             out[s0:s0 + sl.size] = _conductance(
                 sigma, _cell_centers(lo, h, shape, sl, axis, shift),
                 config.beta, expo, what)
-        return out * scale
+        out *= scale
+        return out
 
     for a in range(n):
         fr = _axis_slice(n, a, np.s_[:-1])
@@ -627,8 +670,8 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             diag += np.bincount(i_fr[uc], weights=w[uc], minlength=ncells)
         if cu.any():
             diag += np.bincount(i_bk[cu], weights=w[cu], minlength=ncells)
-        coupling += [(i_fr[uc], near[i_bk[uc]], w[uc]),
-                     (i_bk[cu], near[i_fr[cu]], w[cu])]
+        coupling += [(i_fr[uc], near(i_bk[uc]), w[uc]),
+                     (i_bk[cu], near(i_fr[cu]), w[cu])]
         w[~uu] = 0.0
         w_pad.append(wp)
 
@@ -643,7 +686,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
                         cells, weights=_face_weights(cells, a, shift, "wall"),
                         minlength=ncells)
 
-    diag[coll] = 1.0
+    diag[coll_cells] = 1.0
     if np.any(diag <= 0):
         raise NumericError("isolated cell with no conductance; refine h")
 
@@ -868,37 +911,58 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     sub = GridField(np.array([full_ax[a][win[a]][0] - 0.5 * fld.h
                               for a in range(n)]),
                     fld.h, fld.values[win], fld.mask[win])
-    grad2 = _masked_gradient_sq(sub)
+    sq_off = [(x - c) ** 2 for x, c in zip(sub.axes(), ball.center)]
 
-    ax = sub.axes()
-    dist2 = np.zeros(sub.shape)
-    for a in range(n):
-        sh = [1] * n
-        sh[a] = -1
-        dist2 = dist2 + ((ax[a] - ball.center[a]) ** 2).reshape(sh)
-    noncollar = sub.mask != MASK_COLLAR
-    in_b = (dist2 <= r * r) & noncollar
+    # walk the window in slabs of leading-axis planes; with one halo plane
+    # on each side a slab's masked gradient equals the whole window's
+    plane = int(np.prod(sub.shape[1:]))
+    step = max(1, _EVAL_SLAB // plane)
+    g2_b, idx_b, idx_2b, u_2b = [], [], [], []
+    for i0 in range(0, sub.shape[0], step):
+        i1 = min(i0 + step, sub.shape[0])
+        h0, h1 = max(0, i0 - 1), min(sub.shape[0], i1 + 1)
+        grad2 = _masked_gradient_sq(GridField(
+            sub.box_lo, sub.h, sub.values[h0:h1], sub.mask[h0:h1]))
+        grad2 = grad2[i0 - h0:i1 - h0]
+        vals = sub.values[i0:i1]
+        dist2 = np.zeros(vals.shape)
+        for a in range(n):
+            sh = [1] * n
+            sh[a] = -1
+            dist2 += (sq_off[a][i0:i1] if a == 0 else sq_off[a]).reshape(sh)
+        in_b = (dist2 <= r * r) & (sub.mask[i0:i1] != MASK_COLLAR)
+        g2_b.append(grad2[in_b])
+        idx_b.append(np.flatnonzero(in_b) + i0 * plane)
+        in_2b = dist2 <= 4.0 * r * r
+        u_2b.append(vals[in_2b])
+        idx_2b.append(np.flatnonzero(in_2b) + i0 * plane)
+
+    # one sum over B's cells in C order keeps the whole-window bits
+    idx_b = np.concatenate(idx_b)
     expo2 = d + 2.0 - n
-    if np.any(in_b):
+    if idx_b.size:
         if expo2 == 0.0:
             wgt = 1.0
         else:
             wgt = _conductance(
-                sigma, _cell_centers(sub.box_lo, sub.h, sub.shape,
-                                     np.flatnonzero(in_b)),
+                sigma, _cell_centers(sub.box_lo, sub.h, sub.shape, idx_b),
                 system.config.beta, expo2, "gradient")
-        square_fn = float(np.sum(grad2[in_b] * wgt) * fld.h ** n)
+        square_fn = float(np.sum(np.concatenate(g2_b) * wgt) * fld.h ** n)
     else:
         square_fn = 0.0
 
-    in_2b = dist2 <= 4.0 * r * r
-    sup = float(np.abs(sub.values[in_2b]).max()) if in_2b.any() else 0.0
+    sup = float(np.max([np.abs(u).max(initial=0.0) for u in u_2b]))
     mass_b = sigma.mass_in_ball(ball.center, r)
     sup_sq = sup * sup * mass_b
 
-    cells_2b = _cell_centers(sub.box_lo, sub.h, sub.shape,
-                             np.flatnonzero(in_2b))
-    u_2b = sub.values[in_2b]
+    idx_2b = np.concatenate(idx_2b)
+    u_2b = np.concatenate(u_2b)
+    cells_2b = np.empty((idx_2b.size, n))
+    for c0 in range(0, idx_2b.size, _EVAL_SLAB):
+        c1 = min(c0 + _EVAL_SLAB, idx_2b.size)
+        cells_2b[c0:c1] = _cell_centers(sub.box_lo, sub.h, sub.shape,
+                                        idx_2b[c0:c1])
+    del idx_2b
     vert_gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
     verts = np.flatnonzero(vert_gap <= 2.0 * r)
     if not verts.size:
@@ -909,7 +973,7 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     nt_sq = float(np.sum(sigma.weights[verts] * nvals ** 2))
 
     return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball, float(h),
-                    sol.iterations, sol.residual, int(in_b.sum()),
+                    sol.iterations, sol.residual, int(idx_b.size),
                     int(empty.sum()), fld)
 
 

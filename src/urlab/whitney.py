@@ -383,19 +383,32 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
     _require(deco)
     if k < 0:
         raise ParameterError("k must be nonnegative")
-    sigma = deco.sigma
     radius = lam * 2.0 ** k * cube.diameter
-    floor_r, ceil_r = sigma.window()
     if window == "raise":
-        if radius > ceil_r:
-            raise TruncationError(
-                f"flatness ball radius {radius:g} exceeds the data window "
-                f"ceiling {ceil_r:g} (cube level {cube.level}, k={k})")
-        if radius < floor_r:
-            raise ResolutionError(
-                f"flatness ball radius {radius:g} below the resolution "
-                f"floor {floor_r:g} (cube level {cube.level}, k={k})")
+        refusal = _window_refusal(deco.sigma, radius, cube.level, k)
+        if refusal is not None:
+            raise refusal
     return _anchor_alpha(deco, cube.anchor_index, radius, refine)
+
+
+def _window_refusal(sigma: DiscreteMeasure, radius: float, level: int,
+                    k: int) -> TruncationError | ResolutionError | None:
+    """The error refusing a flatness ball radius outside the data window
+    (above its ceiling: truncation, below its floor: resolution), or None.
+
+    The radius depends on a cube only through its level, so a refusal
+    holds for a whole (level, k) column of cubes.
+    """
+    floor_r, ceil_r = sigma.window()
+    if radius > ceil_r:
+        return TruncationError(
+            f"flatness ball radius {radius:g} exceeds the data window "
+            f"ceiling {ceil_r:g} (cube level {level}, k={k})")
+    if radius < floor_r:
+        return ResolutionError(
+            f"flatness ball radius {radius:g} below the resolution "
+            f"floor {floor_r:g} (cube level {level}, k={k})")
+    return None
 
 
 def _anchor_alpha(deco: WhitneyDecomposition, anchor_index: int,
@@ -701,7 +714,8 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
     Flatness and flat-measure columns are optional (they trigger LP work
     per distinct anchor ball) and window violations render as empty cells.
     ``stride`` keeps every stride-th cube of the global cube order; only
-    the optional columns build per-cube views.
+    the flat-measure columns build per-cube views, and a window refusal of
+    the flatness columns is decided once per (level, k).
     """
     _require(deco)
     n = deco.sigma.ambient_dim
@@ -721,23 +735,33 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
             local = np.arange(-int(start) % stride, len(lev.packed), stride)
             corners = np.rint((lev.centers[local] - deco.box_lo) / lev.side
                               - 0.5).astype(np.int64)
-            diameter = f"{math.sqrt(n) * lev.side:.17g}"
+            diam = math.sqrt(n) * lev.side
+            diameter = f"{diam:.17g}"
+            # alpha_qk's radii, None where the data window refuses the
+            # whole (level, k) column
+            radii = []
+            for k in range(k_max + 1 if include_alpha else 0):
+                radius = lam * 2.0 ** k * diam
+                refusal = _window_refusal(deco.sigma, radius, level, k)
+                radii.append(radius if refusal is None else None)
             anchors = deco.sigma.points[lev.anchor_idx[local]]
             for i, corner, anchor in zip(local, corners.tolist(), anchors):
                 row = ([level] + corner + [diameter]
                        + [f"{v:.17g}" for v in anchor])
-                if include_alpha or include_mu:
-                    cube = WhitneyCube(deco, level, int(i))
-                if include_alpha:
-                    for k in range(k_max + 1):
-                        try:
-                            alpha = alpha_qk(deco, cube, k, lam=lam).value
-                            row.append(f"{alpha:.17g}")
-                        except (TruncationError, ResolutionError):
-                            row.append("")
+                for radius in radii:
+                    if radius is None:
+                        row.append("")
+                        continue
+                    try:
+                        alpha = _anchor_alpha(deco, lev.anchor_idx[i],
+                                              radius, False).value
+                        row.append(f"{alpha:.17g}")
+                    except (TruncationError, ResolutionError):
+                        row.append("")
                 if include_mu:
                     try:
-                        mu = mu_q(deco, cube, eps=eps, lam=lam, refine=False)
+                        mu = mu_q(deco, WhitneyCube(deco, level, int(i)),
+                                  eps=eps, lam=lam, refine=False)
                         row += [mu.branch, f"{mu.flat.c:.17g}",
                                 f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
                                 str(mu.flagged)]

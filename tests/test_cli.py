@@ -282,3 +282,18 @@ def test_rerun_reproduces_artifact_bytes(tmp_path, subcommand):
     assert _manifest(a)["artifacts"] == artifacts
     for name in artifacts:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_ainfty_summary_writes_null_for_an_empty_envelope(tmp_path):
+    config = json.loads(json.dumps(_RERUN_CONFIGS["ainfty"][0]))
+    config["scatter"]["deltas"] = [-1.0, 1.1]
+    assert run("ainfty", config, tmp_path) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"manifest holds the non-JSON constant {name}")
+
+    text = (tmp_path / "manifest.json").read_text()
+    env = json.loads(text, parse_constant=no_constants)["summary"]["envelopes"]
+    # no hitting ratio lies below -1, so that envelope has no data
+    assert env["-1.0"] is None
+    assert env["1.1"] == 1.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from urlab import distances
 from urlab.distances import (
@@ -295,6 +296,22 @@ def test_kernel_bundle_more_atoms_than_a_chunk(graph02, monkeypatch):
     got = distances._kernel_bundle(graph02, probes, _SCALARS, _VECTORS)
     want = _kernel_bundle_oracle(graph02, probes, _SCALARS, _VECTORS)
     _assert_bundles_match(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("n, atoms", [(3, 32), (3, 320), (4, 320)])
+def test_cdist_r2_is_the_per_axis_difference_sum(n, atoms):
+    """r^2 from cdist equals, bit for bit, the per-axis sum of squared
+    differences probe minus atom that the kernel sums used to build."""
+    rng = np.random.default_rng(30 + n + atoms)
+    pts = rng.uniform(-0.5, 0.5, size=(atoms, n)) + 3.0
+    probes = rng.uniform(-0.6, 0.6, size=(1 + (1 << 15) // atoms, n)) + 3.0
+    want = np.zeros((atoms, probes.shape[0]))
+    for k in range(n):
+        dk = probes[:, k][None, :] - pts[:, k][:, None]
+        want += dk * dk
+    got = np.empty_like(want)
+    cdist(pts, probes, "sqeuclidean", out=got)
+    assert np.array_equal(got, want)
 
 
 def test_kernel_bundle_near_support_guard(line3d):

@@ -2,17 +2,22 @@
 probabilities and their invariants, the scatter diagnostic, and the
 square-function comparisons."""
 
+import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from urlab import elliptic
+from urlab import carleson, elliptic
 from urlab.distances import kernel_constant
 from urlab.elliptic import (
     MASK_COLLAR,
     Ball,
     GridField,
+    ScatterResult,
+    SNResult,
     SolverConfig,
     ainfty_scatter,
     assemble,
@@ -455,6 +460,59 @@ def test_rhs_and_collar_functional_are_transposes(name, request):
     assert np.array_equal(system._rhs(g)[coll], g[nearest])
 
 
+def _collar_cells_oracle(sigma, lo, h, shape, collar):
+    """The replaced full-grid collar pass, kept as a reference: a kd query
+    bounded at the collar radius from every cell center."""
+    reach = collar * h
+    dist, near = sigma.tree.query(
+        elliptic._cell_centers(lo, h, shape, np.arange(np.prod(shape))),
+        distance_upper_bound=np.nextafter(reach, np.inf))
+    cells = np.flatnonzero(dist <= reach)
+    return cells, near[cells]
+
+
+# (measure fixture, box, h, config) of the shared systems, and of a box
+# whose low x face at -0.25 cuts the line, which runs on [-0.5, 0.5]: at
+# collar 1 and 1.5 the atoms more than rad cells outside it are dropped
+_CUT_BOX = (np.array([0.5, 0.1, 0.0]), 1.5)
+_COLLAR_CASES = {
+    "sys48": ("line3d", (np.zeros(3), 3.0), 3.0 / 48, SolverConfig()),
+    "sys48d": ("line3d", (np.zeros(3), 3.0), 3.0 / 48,
+               SolverConfig(outer="dirichlet0")),
+    "sys4": (None, (np.zeros(4), 0.24), 0.02, SolverConfig()),
+    "cut-1.0": ("line3d", _CUT_BOX, 1.5 / 24, SolverConfig(collar=1.0)),
+    "cut-1.5": ("line3d", _CUT_BOX, 1.5 / 24, SolverConfig(collar=1.5)),
+    "cut-3.0": ("line3d", _CUT_BOX, 1.5 / 24, SolverConfig(collar=3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLAR_CASES))
+def test_collar_search_matches_full_grid_pass(case, request, monkeypatch):
+    """The collar search near the support finds exactly the cells and
+    nearest atoms of a query at every cell, so the assembled system is
+    the same array for array."""
+    measure, box, h, config = _COLLAR_CASES[case]
+    if case.startswith("sys"):
+        got = request.getfixturevalue(case)
+    else:
+        got = assemble(request.getfixturevalue(measure), box, h, config)
+    sigma = got.sigma
+    monkeypatch.setattr(elliptic, "_collar_cells", _collar_cells_oracle)
+    want = assemble(sigma, box, h, config)
+    assert got.n_collar == want.n_collar > 0
+    assert np.array_equal(got.mask, want.mask)
+    for a, b in zip(got.coupling, want.coupling):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.diag, want.diag)
+    for a, b in zip(got.w_pad, want.w_pad):
+        assert np.array_equal(a, b)
+    if case.startswith("cut"):
+        # the cut box leaves part of the line outside, so some atoms pin
+        # no cell, and the grid's low x layer holds collar cells
+        assert np.unique(got.coupling[1]).size < len(sigma)
+        assert got.mask.reshape(got.shape)[0].any()
+
+
 # -- grid fields ---------------------------------------------------------------
 
 
@@ -583,3 +641,132 @@ def test_sn_constant_data_has_zero_square_function(line3d):
     assert res.sup_sq == pytest.approx(line3d.mass_in_ball(ball.center,
                                                            ball.radius))
     assert res.nt_ratio() == 0.0
+
+
+def test_envelope_without_qualifying_rows_is_nan():
+    pairs = np.array([[1.0, 1.0], [0.3, 0.25], [0.05, 0.1]])
+    res = ScatterResult(pairs, ["full", "a", "b"], None, None, 1.0, 1.0,
+                        3, 0, 0.0)
+    assert res.envelope(0.1) == 0.1
+    assert res.envelope(0.5) == 0.25
+    # no row below the threshold: no data, not a zero envelope
+    assert math.isnan(res.envelope(0.05))
+
+
+# -- the smallest sn grid, shared by the slab and memory tests ---------------
+
+
+@pytest.fixture(scope="module")
+def sn128():
+    """The smallest sn grid in R^3: a 32-atom line (spacing 0.02, collar
+    3), h = r/32 and a box that just covers 2B, so 128^3 cells; the
+    halfspace data are solved once.  Returns (sigma, ball, system,
+    solution)."""
+    sigma = make_plane_set(3, 1, 0.32, 0.02)
+    c = sigma.points[np.argmin(np.abs(sigma.points[:, 0] - 0.125))]
+    ball = Ball(c, 0.64)
+    system = assemble(sigma, (c, 4.0 * ball.radius), ball.radius / 32.0,
+                      SolverConfig(tol=1e-3, collar=3.0))
+    assert system.shape == (128,) * 3
+    sol = system.solve((sigma.points[:, 0] > c[0]).astype(float))
+    return sigma, ball, system, sol
+
+
+def _sn_check_oracle(sigma, ball, system, sol):
+    """The replaced whole-window sn_check body, kept as a reference."""
+    fld = sol.field
+    r = ball.radius
+    n = sigma.ambient_dim
+    d = sigma.intrinsic_dim
+    full_ax = fld.axes()
+    win = []
+    for a in range(n):
+        i0 = int(np.searchsorted(full_ax[a], ball.center[a] - 2.0 * r - fld.h))
+        i1 = int(np.searchsorted(full_ax[a], ball.center[a] + 2.0 * r + fld.h))
+        win.append(slice(max(0, i0 - 1), min(fld.shape[a], i1 + 1)))
+    win = tuple(win)
+    sub = GridField(np.array([full_ax[a][win[a]][0] - 0.5 * fld.h
+                              for a in range(n)]),
+                    fld.h, fld.values[win], fld.mask[win])
+    grad2 = elliptic._masked_gradient_sq(sub)
+    ax = sub.axes()
+    dist2 = np.zeros(sub.shape)
+    for a in range(n):
+        sh = [1] * n
+        sh[a] = -1
+        dist2 = dist2 + ((ax[a] - ball.center[a]) ** 2).reshape(sh)
+    in_b = (dist2 <= r * r) & (sub.mask != MASK_COLLAR)
+    expo2 = d + 2.0 - n
+    if np.any(in_b):
+        wgt = 1.0 if expo2 == 0.0 else elliptic._conductance(
+            sigma, elliptic._cell_centers(sub.box_lo, sub.h, sub.shape,
+                                          np.flatnonzero(in_b)),
+            system.config.beta, expo2, "gradient")
+        square_fn = float(np.sum(grad2[in_b] * wgt) * fld.h ** n)
+    else:
+        square_fn = 0.0
+    in_2b = dist2 <= 4.0 * r * r
+    sup = float(np.abs(sub.values[in_2b]).max()) if in_2b.any() else 0.0
+    sup_sq = sup * sup * sigma.mass_in_ball(ball.center, r)
+    cells_2b = elliptic._cell_centers(sub.box_lo, sub.h, sub.shape,
+                                      np.flatnonzero(in_2b))
+    verts = np.flatnonzero(
+        np.linalg.norm(sigma.points - ball.center[None, :], axis=1) <= 2 * r)
+    cones = carleson.ConeFamily(sigma.points[verts], 2.0,
+                                Ball(ball.center, 2.0 * r))
+    nvals, empty = carleson.ntmax_family(
+        (cells_2b, sub.values[in_2b]), sigma, cones)
+    nt_sq = float(np.sum(sigma.weights[verts] * nvals ** 2))
+    return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball,
+                    float(system.h), sol.iterations, sol.residual,
+                    int(in_b.sum()), int(empty.sum()), fld)
+
+
+def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
+    """Every SNResult field equals the whole-window body's, with slabs of
+    5 planes that do not divide the 128-plane window."""
+    sigma, ball, system, sol = sn128
+    monkeypatch.setattr(elliptic, "_EVAL_SLAB", 5 * 128 * 128 + 7)
+    got = sn_check(sigma, ball, system=system, solution=sol)
+    want = _sn_check_oracle(sigma, ball, system, sol)
+    assert got.square_fn > 0 and got.n_cells > 100_000
+    for f in dataclasses.fields(SNResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a is b if f.name in ("ball", "field") else a == b, f.name
+
+
+def _peak_grid_arrays(n_cells, fn, *args):
+    """fn(*args) and the traced allocation peak of the call, in float64
+    arrays of n_cells entries."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8.0 * n_cells)
+
+
+def test_phase_peaks_stay_near_the_working_set(line3d, sn128, monkeypatch):
+    """Traced allocation peaks of each phase, in float64 grid arrays.
+
+    Measured: assemble 10.1 on the 48^3 grid with 4096-cell slabs (5.3 of
+    them the system it returns, most of the rest the face loop), solve 4.0
+    (the four CG vectors), sn_check 3.9 on the 128^3 grid.  The bounds add
+    0.5 of headroom.  The whole-grid collar search, the seven-vector CG
+    and the whole-window sn_check they replace read 12.6, 7.0 and 10.2.
+    """
+    with monkeypatch.context() as mp:
+        mp.setattr(elliptic, "_EVAL_SLAB", 4096)
+        system, assemble_peak = _peak_grid_arrays(
+            48 ** 3, assemble, line3d, (np.zeros(3), 3.0), 3.0 / 48,
+            SolverConfig())
+        g = (line3d.points[:, 0] > 0).astype(float)
+        _, solve_peak = _peak_grid_arrays(system.n_cells, system.solve, g)
+    sigma, ball, big, sol = sn128
+    _, sn_peak = _peak_grid_arrays(
+        big.n_cells, lambda: sn_check(sigma, ball, system=big, solution=sol))
+    peaks = {"assemble": assemble_peak, "solve": solve_peak,
+             "sn_check": sn_peak}
+    bounds = {"assemble": 10.6, "solve": 4.5, "sn_check": 4.4}
+    assert all(peaks[k] <= bounds[k] for k in bounds), peaks
