@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import distance
 
 from .exceptions import (
     DomainError,
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19                # grid cells processed per evaluator call
-_NT_BLOCK = 1 << 15             # grid cells per cone-membership block
+_NT_BUDGET = 1 << 19            # (vertex, point) pairs per cone block
 
 
 # -- types ----------------------------------------------------------------
@@ -120,6 +121,19 @@ class CarlesonEstimate:
         """Largest bias over the balls whose bias is known, else None."""
         known = self.bias[~np.isnan(self.bias)]
         return float(known.max()) if known.size else None
+
+    def summary(self) -> dict:
+        """Scalar summary: the supremum, grid step, variant, largest known
+        bias, total skipped cells and the refinement pair with its ratio."""
+        return {
+            "supremum": self.supremum,
+            "grid_step": self.h,
+            "squared": self.squared,
+            "max_bias": self.max_bias(),
+            "total_skipped_cells": int(self.skipped.sum()),
+            "refinement": list(self.refinement) if self.refinement else None,
+            "refinement_ratio": self.refinement_ratio(),
+        }
 
 
 @dataclass(frozen=True)
@@ -424,45 +438,36 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
     is flagged, since at a coarse resolution that is data absence, not a
     zero supremum.
 
-    The field points are walked in cache-sized blocks.  Each block's
+    The field points are walked in blocks of ``_NT_BUDGET`` // (number of
+    vertices) points, so a block's (vertex, point) pairs, and its 4 MiB
+    matrix of squared distances, stay within one budget.  Each block's
     preprocessing (support distances, unless ``dists`` is given, the
     squared cone reach, |u| and the truncating ball's membership) happens
     inside the loop, so no per-point array of the whole field is built
-    beyond the caller's own.  Within a block each vertex's squared
-    distances are built axis by axis in preallocated buffers and the block
-    maximum is taken over the members only.
+    beyond the caller's own.  One ``cdist`` call gives a block's squared
+    vertex distances, summed axis by axis, and each vertex's block maximum
+    is a masked max over its members along one contiguous row.
     """
     pts, vals = _field_data(u)
     if dists is not None:
         dists = np.asarray(dists, dtype=np.float64)
     best = np.full(len(cones), -np.inf)
-    block_max = np.empty(len(cones))
-    size = min(_NT_BLOCK, pts.shape[0])
-    d2, work = np.empty(size), np.empty(size)
-    member = np.empty(size, dtype=bool)
-    for lo in range(0, pts.shape[0], _NT_BLOCK):
-        hi = min(lo + _NT_BLOCK, pts.shape[0])
-        b_pts = pts[lo:hi]
+    size = max(1, _NT_BUDGET // max(1, len(cones)))
+    for lo in range(0, pts.shape[0], size):
+        b_pts = pts[lo:lo + size]
         b_dists = sigma.dist_to_support(b_pts) if dists is None \
-            else dists[lo:hi]
+            else dists[lo:lo + size]
         reach2 = (cones.aperture * b_dists) ** 2
-        absvals = np.abs(vals[lo:hi])
+        absvals = np.abs(vals[lo:lo + size])
         if cones.ball is not None:
             inside = (np.linalg.norm(b_pts - cones.ball.center, axis=1)
                       <= cones.ball.radius)
             absvals = np.where(inside, absvals, -np.inf)
-        cols = np.ascontiguousarray(b_pts.T)
-        b_d2, b_work, b_member = d2[:hi - lo], work[:hi - lo], member[:hi - lo]
-        for i, vx in enumerate(cones.vertices):
-            np.subtract(cols[0], vx[0], out=b_d2)
-            b_d2 *= b_d2
-            for k in range(1, cols.shape[0]):
-                np.subtract(cols[k], vx[k], out=b_work)
-                b_work *= b_work
-                b_d2 += b_work
-            np.less_equal(b_d2, reach2, out=b_member)
-            block_max[i] = np.max(absvals, where=b_member, initial=-np.inf)
-        np.maximum(best, block_max, out=best)
+        member = (distance.cdist(cones.vertices, b_pts, "sqeuclidean")
+                  <= reach2)
+        np.maximum(best, np.max(np.broadcast_to(absvals, member.shape),
+                                axis=1, where=member, initial=-np.inf),
+                   out=best)
     empty = ~np.isfinite(best)
     return np.where(empty, 0.0, best), empty
 
@@ -574,15 +579,6 @@ def write_carleson(est: CarlesonEstimate, csv_path: str,
                          int(est.n_cells[i])])
     if json_path is None:
         return
-    summary = {
-        "supremum": est.supremum,
-        "grid_step": est.h,
-        "squared": est.squared,
-        "max_bias": est.max_bias(),
-        "total_skipped_cells": int(est.skipped.sum()),
-        "refinement": list(est.refinement) if est.refinement else None,
-        "refinement_ratio": est.refinement_ratio(),
-    }
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(est.summary(), fh, indent=2)
         fh.write("\n")

@@ -156,6 +156,11 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _json_number(x: float) -> float | None:
+    """A summary number for the manifest; NaN (no data) becomes null."""
+    return None if math.isnan(x) else x
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -203,8 +208,22 @@ def _ball_family(cfg: ExperimentConfig, sigma, rng) -> list[Ball]:
     return support_ball_family(sigma, count, rng, radii)
 
 
+def _point(cfg: ExperimentConfig, path: str, sigma) -> np.ndarray:
+    """The point at path: a list of the measure's ambient coordinates."""
+    n = sigma.ambient_dim
+    value = cfg.get(path)
+    try:
+        x = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        x = np.empty(0)
+    if x.shape != (n,):
+        raise InputError(f"{path} must be a list of {n} numbers, "
+                         f"got {value!r}")
+    return x
+
+
 def _single_ball(cfg: ExperimentConfig, sigma) -> Ball:
-    center = np.asarray(cfg.get("ball.center"), dtype=np.float64)
+    center = _point(cfg, "ball.center", sigma)
     radius = float(cfg.get("ball.radius"))
     if bool(cfg.get("ball.snap", True)):
         center = sigma.points[int(np.argmin(
@@ -218,12 +237,12 @@ def _optional(cfg: ExperimentConfig, path: str, kind=float):
     return None if value is None else kind(value)
 
 
-def _box(cfg: ExperimentConfig, section: str):
+def _box(cfg: ExperimentConfig, section: str, sigma):
     """(center, side) from ``<section>.box``, or None (recorded) if absent."""
     if not cfg.has(f"{section}.box"):
         cfg.get(f"{section}.box", None)
         return None
-    return (np.asarray(cfg.get(f"{section}.box.center"), dtype=np.float64),
+    return (_point(cfg, f"{section}.box.center", sigma),
             float(cfg.get(f"{section}.box.side")))
 
 
@@ -250,17 +269,16 @@ def _atom_data(cfg: ExperimentConfig, sigma, section: str):
     if kind == "constant":
         return np.full(npts, float(cfg.get(f"{section}.value", 1.0)))
     if kind == "indices":
-        idx = np.asarray(cfg.get(f"{section}.values"), dtype=np.int64)
-        mask = np.zeros(npts, dtype=bool)
-        mask[idx] = True
-        return mask
+        return _elliptic._e_mask(
+            np.asarray(cfg.get(f"{section}.values"), dtype=np.int64), npts)
     raise InputError(f"unknown {section}.kind {kind!r}")
 
 
 def _decomposition(cfg: ExperimentConfig, sigma,
                    focus=None) -> "_whitney.WhitneyDecomposition":
     return _whitney.decompose(
-        sigma, _box(cfg, "whitney"), int(cfg.get("whitney.max_depth", 10)),
+        sigma, _box(cfg, "whitney", sigma),
+        int(cfg.get("whitney.max_depth", 10)),
         focus=focus,
         alpha_resolution=int(cfg.get("whitney.alpha_resolution", 12)),
         alpha_cap=int(cfg.get("whitney.alpha_cap", 120)),
@@ -343,7 +361,6 @@ def _cmd_whitney(cfg, rng, outdir):
 
 
 def _cmd_ur_sum(cfg, rng, outdir):
-    x = np.asarray(cfg.get("query.point"), dtype=np.float64)
     r = float(cfg.get("query.radius"))
     k = int(cfg.get("query.k", 0))
     lam = float(cfg.get("whitney.lam", _whitney.SCALE_FACTOR))
@@ -359,6 +376,7 @@ def _cmd_ur_sum(cfg, rng, outdir):
         if sweep_key is not None:
             sub.apply_override(f"{sweep_key}={json.dumps(value)}")
         sigma = _build_measure(sub)
+        x = _point(cfg, "query.point", sigma)
         focus = (x, 2.0 * r) if use_focus else None
         deco = _decomposition(sub, sigma, focus=focus)
         res = _whitney.ur_square_sum(deco, x, r, k, lam=lam, details=True)
@@ -375,13 +393,13 @@ def _cmd_ur_sum(cfg, rng, outdir):
     return summary, ["ur_sum.csv"]
 
 
-def _probe_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
+def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
     if cfg.has("probes.points"):
         pts = np.asarray(cfg.get("probes.points"), dtype=np.float64)
         pts = np.atleast_2d(pts)
     elif cfg.has("probes.line"):
-        start = np.asarray(cfg.get("probes.line.start"), dtype=np.float64)
-        stop = np.asarray(cfg.get("probes.line.stop"), dtype=np.float64)
+        start = _point(cfg, "probes.line.start", sigma)
+        stop = _point(cfg, "probes.line.stop", sigma)
         count = int(cfg.get("probes.line.count", 16))
         if count < 2:
             raise InputError("probes.line.count must be at least 2")
@@ -389,7 +407,7 @@ def _probe_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
         pts = start[None, :] + t[:, None] * (stop - start)[None, :]
     else:
         raise InputError("config needs probes.points or probes.line")
-    if pts.shape[1] != n:
+    if pts.shape[1] != sigma.ambient_dim:
         raise InputError("probe dimension does not match the measure")
     return pts
 
@@ -397,7 +415,7 @@ def _probe_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
 def _cmd_dist_fields(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     beta = float(cfg.get("distances.beta", 2.0))
-    pts = _probe_points(cfg, sigma.ambient_dim)
+    pts = _probe_points(cfg, sigma)
     sample = _distances.evaluate_fields(sigma, pts, beta)
     n = sigma.ambient_dim
     rows = []
@@ -488,18 +506,14 @@ def _cmd_carleson(cfg, rng, outdir):
         refine=bool(cfg.get("carleson.refine", True)))
     _carleson.write_carleson(est, str(outdir / "carleson.csv"),
                              str(outdir / "carleson_summary.json"))
-    return {"supremum": est.supremum, "grid_step": est.h,
-            "n_balls": len(est.balls),
-            "max_bias": est.max_bias(),
-            "total_skipped_cells": int(est.skipped.sum()),
-            "refinement_ratio": est.refinement_ratio()}, \
+    return {**est.summary(), "n_balls": len(est.balls)}, \
         ["carleson.csv", "carleson_summary.json"]
 
 
 def _cmd_solve(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     system = _elliptic.assemble(
-        sigma, _box(cfg, "elliptic") or _elliptic._default_box(sigma),
+        sigma, _box(cfg, "elliptic", sigma) or _elliptic._default_box(sigma),
         float(cfg.get("elliptic.h")), _solver_config(cfg))
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     sol = system.solve(g)
@@ -517,9 +531,9 @@ def _cmd_hm(cfg, rng, outdir):
     e = _atom_data(cfg, sigma, "set")
     if e.dtype != bool:
         raise InputError("set.kind must describe a membership set, not data")
-    pole = np.asarray(cfg.get("hm.pole"), dtype=np.float64)
+    pole = _point(cfg, "hm.pole", sigma)
     res = _elliptic.harmonic_measure(
-        sigma, e, pole, _solver_config(cfg), box=_box(cfg, "elliptic"),
+        sigma, e, pole, _solver_config(cfg), box=_box(cfg, "elliptic", sigma),
         h=_optional(cfg, "elliptic.h"))
     it_set, it_comp = res.iterations
     _write_csv(outdir / "hm.csv",
@@ -539,13 +553,12 @@ def _cmd_ainfty(cfg, rng, outdir):
         sigma, ball, _solver_config(cfg),
         n_sets=int(cfg.get("scatter.n_sets", 64)),
         seed=int(cfg.get("scatter.seed", 0)),
-        box=_box(cfg, "elliptic"), h=_optional(cfg, "elliptic.h"))
+        box=_box(cfg, "elliptic", sigma), h=_optional(cfg, "elliptic.h"))
     _elliptic.write_scatter(res, outdir / "scatter.csv")
     deltas = [float(t) for t in cfg.get("scatter.deltas", [0.01, 0.05, 0.2])]
     # an envelope with no row below its threshold is NaN: JSON null
-    envelopes = {str(t): res.envelope(t) for t in deltas}
-    return {"envelopes": {t: None if math.isnan(v) else v
-                          for t, v in envelopes.items()},
+    return {"envelopes": {str(t): _json_number(res.envelope(t))
+                          for t in deltas},
             "omega_ball": res.omega_ball, "sigma_ball": res.sigma_ball,
             "n_rows": int(res.pairs.shape[0]),
             "iterations": res.iterations}, ["scatter.csv"]
@@ -557,16 +570,17 @@ def _cmd_sn(cfg, rng, outdir):
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     res = _elliptic.sn_check(sigma, ball, _solver_config(cfg), g,
                              h=_optional(cfg, "elliptic.h"),
-                             box=_box(cfg, "elliptic"))
+                             box=_box(cfg, "elliptic", sigma))
     _write_csv(outdir / "sn.csv",
                ["square_fn", "sup_sq", "nt_sq", "sup_ratio", "nt_ratio",
                 "iterations", "n_empty_cones"],
                [[_fmt(res.square_fn), _fmt(res.sup_sq), _fmt(res.nt_sq),
                  _fmt(res.sup_ratio()), _fmt(res.nt_ratio()),
                  res.iterations, res.n_empty_cones]])
+    # a 0/0 ratio is NaN: JSON null
     return {"square_fn": res.square_fn, "sup_sq": res.sup_sq,
-            "nt_sq": res.nt_sq, "sup_ratio": res.sup_ratio(),
-            "nt_ratio": res.nt_ratio(), "grid_step": res.h,
+            "nt_sq": res.nt_sq, "sup_ratio": _json_number(res.sup_ratio()),
+            "nt_ratio": _json_number(res.nt_ratio()), "grid_step": res.h,
             "iterations": res.iterations}, ["sn.csv"]
 
 

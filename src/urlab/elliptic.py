@@ -288,14 +288,18 @@ class SNResult:
     field: GridField
 
     def sup_ratio(self) -> float:
-        if self.sup_sq > 0:
-            return self.square_fn / self.sup_sq
-        return 0.0 if self.square_fn == 0 else math.inf
+        return _ratio(self.square_fn, self.sup_sq)
 
     def nt_ratio(self) -> float:
-        if self.nt_sq > 0:
-            return self.square_fn / self.nt_sq
-        return 0.0 if self.square_fn == 0 else math.inf
+        return _ratio(self.square_fn, self.nt_sq)
+
+
+def _ratio(num: float, bound: float) -> float:
+    """num / bound for a nonnegative bound; over a zero bound the ratio is
+    inf, or NaN when num vanishes too (no data, not a perfect 0)."""
+    if bound > 0:
+        return num / bound
+    return math.nan if num == 0 else math.inf
 
 
 class EllipticSystem:
@@ -452,11 +456,16 @@ class EllipticSystem:
 
     # -- public operations --------------------------------------------------
 
+    def same_grid(self, fld: GridField) -> bool:
+        """Whether the field lives on this system's grid: the same shape,
+        cell size and lower box corner, exactly."""
+        return (fld.shape == tuple(self.shape) and fld.h == self.h
+                and np.array_equal(fld.box_lo, self.box_lo))
+
     def _warm_start(self, fld: GridField) -> np.ndarray:
         """Previous solution interpolated at this grid's cell centers,
         clamped to the source hull (it only seeds the iteration)."""
-        if fld.shape == tuple(self.shape) and fld.h == self.h \
-                and np.array_equal(fld.box_lo, self.box_lo):
+        if self.same_grid(fld):
             return fld.values.ravel().copy()
         hull_lo = fld.box_lo + (0.5 + 1e-9) * fld.h
         hull_hi = fld.box_lo + (np.asarray(fld.shape) - 0.5 - 1e-9) * fld.h
@@ -722,12 +731,16 @@ def _default_box(sigma: DiscreteMeasure) -> tuple:
 def _system_for(sigma: DiscreteMeasure, system: EllipticSystem | None,
                 config: SolverConfig | None, box, default_box,
                 h: float | None) -> EllipticSystem:
-    """The given system, checked to belong to sigma, or else a fresh one
-    assembled on ``box`` (else ``default_box``) with cell size h, by
-    default the box side / 96."""
+    """The one place an entry point's grid is chosen: the given system,
+    checked to belong to sigma and, when h is given, to have cell size h
+    exactly, or else a fresh one assembled on ``box`` (else
+    ``default_box``) with cell size h, by default the box side / 96."""
     if system is not None:
         if system.sigma is not sigma:
             raise InputError("system was assembled for a different measure")
+        if h is not None and h != system.h:
+            raise InputError(f"cell size {h:g} differs from the given "
+                             f"system's {system.h:g}")
         return system
     if box is None:
         box = default_box
@@ -782,7 +795,8 @@ def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
         raise ParameterError("n_sets must be at least 1")
     npts = sigma.points.shape[0]
     gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
-    atoms_in = np.flatnonzero(gap <= ball.radius)
+    in_ball = gap <= ball.radius
+    atoms_in = np.flatnonzero(in_ball)
     if atoms_in.size < 2:
         raise DegenerateInputError(
             "ball holds fewer than two support atoms; nothing to sample")
@@ -791,11 +805,16 @@ def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
 
     pole = corkscrew_point(sigma, ball, ball.radius / 16.0)
     pw = system.pole_weights(pole.point)
-    sigma_ball = float(sigma.weights[atoms_in].sum())
-    omega_ball = float(pw.weights[atoms_in].sum())
+    sigma_ball = float(sigma.weights[in_ball].sum())
+    omega_ball = pw.value(in_ball)
     if sigma_ball <= 0 or omega_ball <= 0:
         raise DegenerateInputError(
             "ball carries no mass or no hitting weight; move or enlarge it")
+
+    def ratios(sub) -> tuple:
+        """(omega ratio, sigma ratio) of an atom set inside the ball."""
+        return (pw.value(sub) / omega_ball,
+                float(sigma.weights[sub].sum()) / sigma_ball)
 
     rng = np.random.default_rng(seed)
     pairs = [(1.0, 1.0)]
@@ -809,17 +828,13 @@ def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
         for c, r in zip(centers, radii):
             member |= np.linalg.norm(pts_in - c[None, :], axis=1) <= r
         sub = atoms_in[member]
-        pairs.append((float(pw.weights[sub].sum()) / omega_ball,
-                      float(sigma.weights[sub].sum()) / sigma_ball))
+        pairs.append(ratios(sub))
         descriptors.append(f"union,k={k},atoms={sub.size}")
     if extra_sets is not None:
         for i, e in enumerate(extra_sets):
-            emask = _e_mask(e, npts)
-            emask = emask & np.isin(np.arange(npts), atoms_in)
-            sub = np.flatnonzero(emask)
-            pairs.append((float(pw.weights[sub].sum()) / omega_ball,
-                          float(sigma.weights[sub].sum()) / sigma_ball))
-            descriptors.append(f"extra,i={i},atoms={sub.size}")
+            sub = _e_mask(e, npts) & in_ball
+            pairs.append(ratios(sub))
+            descriptors.append(f"extra,i={i},atoms={np.count_nonzero(sub)}")
     return ScatterResult(np.asarray(pairs), descriptors, ball, pole,
                          omega_ball, sigma_ball, int(atoms_in.size),
                          pw.iterations, pw.residual)
@@ -869,7 +884,11 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     Both comparisons hold per ball for one fixed solution, so a solve may
     be shared across balls: pass the assembled ``system`` together with its
     ``solution``, and only the ball-local sums are recomputed.  The grid
-    must still cover 2B.  The gradient weight takes beta from the system.
+    is chosen by ``_system_for``: an explicit h must equal a given
+    system's, the r/32 rule applies to the chosen system's cell size,
+    which the result reports, and a given solution must live on that
+    system's grid (``EllipticSystem.same_grid``).  The grid must still
+    cover 2B.  The gradient weight takes beta from the system.
     """
     if g is None and solution is None:
         raise InputError("boundary data g is required")
@@ -883,13 +902,9 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     system = _system_for(sigma, system, config, box,
                          (ball.center, 4.0 * r + 8.0 * h), h)
 
-    if solution is None:
-        sol = system.solve(g)
-    else:
-        if solution.field.shape != tuple(system.shape) or \
-                not np.allclose(solution.field.box_lo, system.box_lo):
-            raise InputError("solution does not match the system's grid")
-        sol = solution
+    if solution is not None and not system.same_grid(solution.field):
+        raise InputError("solution does not match the system's grid")
+    sol = system.solve(g) if solution is None else solution
     fld = sol.field
     box_lo = system.box_lo
     box_hi = system.box_lo + np.asarray(system.shape) * system.h

@@ -642,7 +642,6 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     sigma = deco.sigma
     d = sigma.intrinsic_dim
     n = sigma.ambient_dim
-    floor_r, ceil_r = sigma.window()
     total = 0.0
     n_cubes = 0
     n_excluded = 0
@@ -654,7 +653,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
             continue
         ell = math.sqrt(n) * lev.side
         radius = lam * 2.0 ** k * ell
-        if not floor_r <= radius <= ceil_r:
+        if _window_refusal(sigma, radius, lev_k, k) is not None:
             n_excluded += count
             continue
         aidx = lev.anchor_idx[sel]
@@ -687,21 +686,13 @@ def neighbor_count_max(deco: WhitneyDecomposition, *,
     counts = {k: np.zeros(len(deco.levels[k].packed), dtype=np.int64)
               for k in keys}
     for a in keys:
-        lev_a = deco.levels[a]
         for b in keys:
-            if b < a:
-                continue
-            if max_level_gap is not None and b - a > max_level_gap:
+            if max_level_gap is not None and abs(b - a) > max_level_gap:
                 continue
             lev_b = deco.levels[b]
-            rad = lev_a.side + lev_b.side
-            got = trees[a].query_ball_point(lev_b.centers, rad, p=np.inf,
-                                            return_length=True)
-            counts[b] += got
-            if a != b:          # mirror the tally onto the coarser level
-                rev = trees[b].query_ball_point(lev_a.centers, rad, p=np.inf,
-                                                return_length=True)
-                counts[a] += rev
+            counts[b] += trees[a].query_ball_point(
+                lev_b.centers, deco.levels[a].side + lev_b.side, p=np.inf,
+                return_length=True)
     return int(max(arr.max() for arr in counts.values()))
 
 

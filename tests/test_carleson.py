@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from urlab import carleson
 from urlab.carleson import (
     ConeFamily,
     carleson_norm,
@@ -357,6 +358,58 @@ def test_ntmax_family_matches_scalar_calls(graph2d, ball2):
         ConeFamily(verts, aperture=1.0)
 
 
+def _ntmax_family_oracle(u, sigma, cones, dists=None):
+    """The replaced per-vertex loop, kept as a reference: per block of
+    2^15 points, each vertex's squared distances are built axis by axis
+    and the block maximum is taken over its members."""
+    block = 1 << 15
+    pts, vals = u
+    pts = np.asarray(pts, dtype=np.float64)
+    vals = np.ravel(np.asarray(vals, dtype=np.float64))
+    best = np.full(len(cones), -np.inf)
+    block_max = np.empty(len(cones))
+    for lo in range(0, pts.shape[0], block):
+        b_pts = pts[lo:lo + block]
+        b_dists = sigma.dist_to_support(b_pts) if dists is None \
+            else np.asarray(dists)[lo:lo + block]
+        reach2 = (cones.aperture * b_dists) ** 2
+        absvals = np.abs(vals[lo:lo + block])
+        if cones.ball is not None:
+            inside = (np.linalg.norm(b_pts - cones.ball.center, axis=1)
+                      <= cones.ball.radius)
+            absvals = np.where(inside, absvals, -np.inf)
+        cols = np.ascontiguousarray(b_pts.T)
+        for i, vx in enumerate(cones.vertices):
+            d2 = (cols[0] - vx[0]) ** 2
+            for k in range(1, cols.shape[0]):
+                d2 += (cols[k] - vx[k]) ** 2
+            block_max[i] = np.max(absvals, where=d2 <= reach2,
+                                  initial=-np.inf)
+        np.maximum(best, block_max, out=best)
+    empty = ~np.isfinite(best)
+    return np.where(empty, 0.0, best), empty
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 400 + 3])
+def test_ntmax_family_matches_per_vertex_loop(graph2d, budget, monkeypatch):
+    """Values and flags equal the per-vertex loop's on the embedding
+    check's cone field (every atom a vertex, dists given); with a small
+    pair budget the 400 vertices get 7-point blocks that do not divide
+    the field."""
+    domain = Ball(_origin_point(graph2d), 0.45)
+    pts, dist = _cone_field(graph2d, domain, 0.003125)
+    vals = np.sin(7.0 * pts[:, 0]) + 0.3 * pts[:, 1]
+    cones = ConeFamily(graph2d.points, 2.0, domain)
+    assert len(cones) == 400 and pts.shape[0] % 7
+    if budget is not None:
+        monkeypatch.setattr(carleson, "_NT_BUDGET", budget)
+    got = ntmax_family((pts, vals), graph2d, cones, dists=dist)
+    want = _ntmax_family_oracle((pts, vals), graph2d, cones, dists=dist)
+    assert want[1].any() and not want[1].all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # -- embedding check ----------------------------------------------------------
 
 
@@ -430,3 +483,4 @@ def test_write_carleson_outputs(tmp_path, graph2d, ball2):
     assert len(summary["refinement"]) == 2
     assert summary["refinement_ratio"] == est.refinement_ratio()
     assert summary["max_bias"] == est.max_bias() == est.bias[0]
+    assert summary == est.summary()

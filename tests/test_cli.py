@@ -297,3 +297,74 @@ def test_ainfty_summary_writes_null_for_an_empty_envelope(tmp_path):
     # no hitting ratio lies below -1, so that envelope has no data
     assert env["-1.0"] is None
     assert env["1.1"] == 1.0
+
+
+def _error(outdir):
+    with open(outdir / "error.json") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("values", [[-1], [500]])
+def test_hm_set_indices_out_of_range_are_input_errors(tmp_path, values):
+    """Indices outside the 40-atom plane are refused, not wrapped to the
+    last atom (-1) or left to an IndexError traceback (500)."""
+    config = {"generator": {"kind": "plane", "spacing": 0.05},
+              "set": {"kind": "indices", "values": values},
+              "hm": {"pole": [0.0, 0.25, 0.0]},
+              "elliptic": {"h": 0.1, "collar": 3.0, "tol": 1e-6}}
+    assert run("hm", config, tmp_path) == 1
+    assert _error(tmp_path)["error"] == "InputError"
+    assert not (tmp_path / "hm.csv").exists()
+
+
+_PLANE = {"kind": "plane", "spacing": 0.05}
+
+
+@pytest.mark.parametrize("subcommand, config, key", [
+    ("sn", {"generator": _PLANE,
+            "ball": {"center": [0.0, 0.0], "radius": 0.5}}, "ball.center"),
+    ("ur-sum", {"generator": _PLANE,
+                "query": {"point": [0.0, 0.0], "radius": 0.3}},
+     "query.point"),
+    ("whitney", {"generator": _PLANE,
+                 "whitney": {"box": {"center": [0.0, 0.0], "side": 3.0}}},
+     "whitney.box.center"),
+    ("dist-fields", {"generator": _PLANE,
+                     "probes": {"line": {"start": [0.0, 0.1],
+                                         "stop": [0.3, 0.5, 0.2]}}},
+     "probes.line.start"),
+    ("ainfty", {"generator": _PLANE,
+                "ball": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 0.5}},
+     "ball.center"),
+])
+def test_point_of_the_wrong_dimension_is_an_input_error(tmp_path, subcommand,
+                                                        config, key):
+    """A point-valued key of the wrong length on a 3-D measure ends in an
+    InputError record naming the key, not a broadcast traceback."""
+    assert run(subcommand, config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert key in record["message"]
+
+
+def test_sn_summary_writes_null_for_vanishing_ratios(tmp_path):
+    """Zero data: the square function and both bounds vanish, so both
+    ratios are 0/0, NaN in sn.csv and null in the manifest."""
+    config = {"generator": {"kind": "plane", "extent": 0.32,
+                            "spacing": 0.02},
+              "ball": {"center": [0.13, 0.0, 0.0], "radius": 0.64},
+              "data": {"kind": "constant", "value": 0.0},
+              "elliptic": {"collar": 3.0, "tol": 1e-3,
+                           "box": {"center": [0.13, 0.0, 0.0],
+                                   "side": 2.56}}}
+    assert run("sn", config, tmp_path) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"manifest holds the non-JSON constant {name}")
+
+    text = (tmp_path / "manifest.json").read_text()
+    summary = json.loads(text, parse_constant=no_constants)["summary"]
+    assert summary["iterations"] == 0 and summary["square_fn"] == 0.0
+    assert summary["sup_ratio"] is None and summary["nt_ratio"] is None
+    row = (tmp_path / "sn.csv").read_text().splitlines()[1].split(",")
+    assert row[3:5] == ["nan", "nan"]

@@ -604,6 +604,36 @@ def test_sn_guards(line3d, sys48):
                  system=sys48, solution=sol)
 
 
+@pytest.fixture(scope="module")
+def sys24(line3d):
+    """24^3 system at h = 1/16 centred at 0: box_lo = (-0.75,) * 3."""
+    return assemble(line3d, (np.zeros(3), 1.5), 1.0 / 16, SolverConfig())
+
+
+def test_sn_h_must_be_the_given_systems(line3d, sys24):
+    """An explicit h cannot override a given system's cell size, which
+    would bypass the r/32 rule and misreport the grid step."""
+    ball = Ball(line3d.points[100], 0.3)
+    with pytest.raises(InputError):
+        sn_check(line3d, ball, SolverConfig(), np.ones(200), h=0.005,
+                 system=sys24)
+    # the rule applies to the system's own step: 1/16 > 0.3/32
+    with pytest.raises(ResolutionError):
+        sn_check(line3d, ball, SolverConfig(), np.ones(200), system=sys24)
+
+
+def test_sn_refuses_a_solution_with_another_cell_size(line3d, sys24):
+    """Same shape and box_lo, but h = 1/8: not the system's grid."""
+    other = assemble(line3d, (np.full(3, 0.75), 3.0), 1.0 / 8,
+                     SolverConfig())
+    assert other.shape == sys24.shape
+    assert np.array_equal(other.box_lo, sys24.box_lo)
+    sol = other.solve(1.0)
+    with pytest.raises(InputError):
+        sn_check(line3d, Ball(np.zeros(3), 2.0), system=sys24, solution=sol)
+    assert not sys24.same_grid(sol.field) and other.same_grid(sol.field)
+
+
 def test_sn_single_ball_ratios_and_cone_domination(line3d):
     c = line3d.points[np.argmin(np.abs(line3d.points[:, 0] - 0.125))]
     ball = Ball(c, 0.64)
@@ -733,6 +763,17 @@ def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
     for f in dataclasses.fields(SNResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a is b if f.name in ("ball", "field") else a == b, f.name
+
+
+def test_sn_ratios_of_zero_data_are_nan(sn128):
+    """Zero data: square function, sup^2 and N^2 all vanish, so both
+    ratios are 0/0, which is no data, not a perfect 0."""
+    sigma, ball, system, _ = sn128
+    sol = system.solve(np.zeros(len(sigma)))
+    assert sol.iterations == 0
+    res = sn_check(sigma, ball, system=system, solution=sol)
+    assert res.square_fn == res.sup_sq == res.nt_sq == 0.0
+    assert math.isnan(res.sup_ratio()) and math.isnan(res.nt_ratio())
 
 
 def _peak_grid_arrays(n_cells, fn, *args):
