@@ -172,55 +172,61 @@ def _as_points(points: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _cutoff(sigma: DiscreteMeasure, ball: Ball, eps: float,
+            pts: np.ndarray) -> tuple:
+    """The cutoff at an (m, n) point batch from one support query:
+    (phi, (E1, E2, E3), dist(X,support)).
+
+    phi is the product of bumps in dist(X,B)/(10 dist(X,support)),
+    2 dist(X,B)/r and eps/dist(X,support), and 0 on the support itself.
+    The E-sets are the transition shells of phi inside the 2-dilate:
+
+      E1:  10 dist(X,support) <= dist(X,B) <= 20 dist(X,support)
+      E2:  r/40 <= dist(X,support) <= 2r
+      E3:  eps/2 <= dist(X,support) <= eps
+    """
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
+    dist_b = _ball_gap(pts, ball)
+    r = ball.radius
+    on_support = dist_g <= 0.0
+    safe = np.where(on_support, 1.0, dist_g)
+    phi = _psi(dist_b / (10.0 * safe)) * _psi(2.0 * dist_b / r) \
+        * _psi(eps / safe)
+    phi[on_support] = 0.0
+    in_2b = np.linalg.norm(pts - ball.center, axis=1) <= 2.0 * r
+    e1 = in_2b & (10.0 * dist_g <= dist_b) & (dist_b <= 20.0 * dist_g)
+    e2 = in_2b & (r / 40.0 <= dist_g) & (dist_g <= 2.0 * r)
+    e3 = in_2b & (eps / 2.0 <= dist_g) & (dist_g <= eps)
+    return phi, (e1, e2, e3), dist_g
+
+
 def cutoff_phi(sigma: DiscreteMeasure, ball: Ball, eps: float,
                points: np.ndarray) -> np.ndarray:
-    """Boundary-aware cutoff adapted to a ball: the product of bumps in
-    dist(X,B)/(10 dist(X,support)), 2 dist(X,B)/r, and eps/dist(X,support).
+    """Boundary-aware cutoff adapted to a ball (see ``_cutoff``).
 
     Equals 1 for points inside the ball at least eps from the support;
     vanishes once dist(X,B) exceeds 20 dist(X,support), outside the
     2-dilate, or below distance eps/2.  Points on the support itself get
     0 (the function lives on the complement).
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
     pts, single = _as_points(points, sigma.ambient_dim)
-    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
-    dist_b = _ball_gap(pts, ball)
-    on_support = dist_g <= 0.0
-    safe = np.where(on_support, 1.0, dist_g)
-    out = (_psi(dist_b / (10.0 * safe))
-           * _psi(2.0 * dist_b / ball.radius)
-           * _psi(eps / safe))
-    out[on_support] = 0.0
-    return float(out[0]) if single else out
+    phi = _cutoff(sigma, ball, eps, pts)[0]
+    return float(phi[0]) if single else phi
 
 
 def e_sets_indicator(sigma: DiscreteMeasure, ball: Ball, eps: float,
                      points: np.ndarray) -> tuple:
-    """Indicators of the three transition shells of the cutoff, all inside
-    the 2-dilate of the ball:
-
-      first:  10 dist(X,support) <= dist(X,B) <= 20 dist(X,support)
-      second: r/40 <= dist(X,support) <= 2r
-      third:  eps/2 <= dist(X,support) <= eps
+    """Indicators of the three transition shells E1, E2, E3 of the cutoff
+    (see ``_cutoff``), all inside the 2-dilate of the ball.
 
     The cutoff's gradient is supported on their union, with norm at most
     100/dist(X,support) there.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
     pts, single = _as_points(points, sigma.ambient_dim)
-    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
-    dist_b = _ball_gap(pts, ball)
-    r = ball.radius
-    in_2b = np.linalg.norm(pts - ball.center, axis=1) <= 2.0 * r
-    e1 = in_2b & (10.0 * dist_g <= dist_b) & (dist_b <= 20.0 * dist_g)
-    e2 = in_2b & (r / 40.0 <= dist_g) & (dist_g <= 2.0 * r)
-    e3 = in_2b & (eps / 2.0 <= dist_g) & (dist_g <= eps)
-    if single:
-        return bool(e1[0]), bool(e2[0]), bool(e3[0])
-    return e1, e2, e3
+    sets = _cutoff(sigma, ball, eps, pts)[1]
+    return tuple(bool(s[0]) for s in sets) if single else sets
 
 
 def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
@@ -232,29 +238,23 @@ def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
     is active; a finite difference straddling a shell edge can see slope
     where the center point sees none, so the shell indicators are OR-ed
     over the whole stencil and the distance takes the stencil minimum.
+    Each of the 2n+1 stencil point sets costs one support query.
     """
     pts, _ = _as_points(points, sigma.ambient_dim)
-    n = sigma.ambient_dim
     if step is None:
         step = 1e-3 * min(eps, ball.radius)
     if step <= 0:
         raise ParameterError("step must be positive")
     grad = np.zeros_like(pts)
-    active = np.zeros(pts.shape[0], dtype=bool)
-    min_dist = np.atleast_1d(sigma.dist_to_support(pts))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        hi, lo = pts + e, pts - e
-        grad[:, j] = (cutoff_phi(sigma, ball, eps, hi)
-                      - cutoff_phi(sigma, ball, eps, lo)) / (2.0 * step)
-        for stencil in (hi, lo):
-            s1, s2, s3 = e_sets_indicator(sigma, ball, eps, stencil)
-            active |= s1 | s2 | s3
-            min_dist = np.minimum(min_dist,
-                                  np.atleast_1d(sigma.dist_to_support(stencil)))
-    s1, s2, s3 = e_sets_indicator(sigma, ball, eps, pts)
-    active |= s1 | s2 | s3
+    _, sets, min_dist = _cutoff(sigma, ball, eps, pts)
+    active = np.logical_or.reduce(sets)
+    for j, e in enumerate(step * np.eye(pts.shape[1])):
+        (phi_hi, sets_hi, d_hi), (phi_lo, sets_lo, d_lo) = (
+            _cutoff(sigma, ball, eps, pts + e),
+            _cutoff(sigma, ball, eps, pts - e))
+        grad[:, j] = (phi_hi - phi_lo) / (2.0 * step)
+        active |= np.logical_or.reduce(sets_hi + sets_lo)
+        min_dist = np.minimum(min_dist, np.minimum(d_hi, d_lo))
     grad_norm = np.linalg.norm(grad, axis=1)
     with np.errstate(divide="ignore"):
         bound = np.where(active, 100.0 / np.maximum(min_dist - step, 1e-300),
@@ -514,7 +514,7 @@ def cm1_ball_family(sigma: DiscreteMeasure, *, count: int = 32,
 
 def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
                     aperture: float = 2.0, cm1: float | None = None,
-                    cm1_balls=None, seed: int = 0) -> EmbeddingResult:
+                    seed: int = 0) -> EmbeddingResult:
     """Consistency check of the Carleson embedding on one ball: the grid
     sum of u * f * dist^{d-n} against the unsquared Carleson estimate of
     f times the boundary integral of the cone maxima of u.
@@ -536,8 +536,7 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     uvals, bad_u = _evaluate_field(u, cells)
     lhs = float(np.sum(uvals * fvals * dist ** (d - n))) * h ** n
     if cm1 is None:
-        fam = cm1_balls if cm1_balls is not None else cm1_ball_family(
-            sigma, seed=seed)
+        fam = cm1_ball_family(sigma, seed=seed)
         cm1 = carleson_norm(f, sigma, fam, min(h, min(
             b.radius for b in fam) / 32.0), squared=False,
             refine=False).supremum

@@ -115,30 +115,38 @@ class ExperimentConfig:
             node = nxt
         node[keys[-1]] = value
 
-    def get(self, path: str, default=_REQUIRED):
+    def _lookup(self, path: str) -> tuple:
+        """(found, value) at a dotted path."""
         node = self.data
-        found = True
         for k in path.split("."):
-            if isinstance(node, dict) and k in node:
-                node = node[k]
-            else:
-                found = False
-                break
+            if not (isinstance(node, dict) and k in node):
+                return False, None
+            node = node[k]
+        return True, node
+
+    def get(self, path: str, default=_REQUIRED, kind=None):
+        """The value at path, or ``default`` when absent, checked against
+        ``kind`` and recorded as returned.
+
+        ``kind`` is ``float``, ``int``, ``bool``, ``str``, ``[kind]`` for a
+        list of such values, or None for no check.  A bool comes only from
+        a JSON boolean, a float only from a JSON number and an int only from
+        an integral one; anything else is an InputError naming the key.  A
+        missing key without a default is an InputError; with a None default
+        the key is optional and absence (or null) gives None.
+        """
+        found, node = self._lookup(path)
         if not found:
             if default is _REQUIRED:
                 raise InputError(f"config key {path!r} is required")
             node = default
+        if node is not None or default is not None:
+            node = _typed(path, node, kind)
         self.consumed[path] = node
         return node
 
     def has(self, path: str) -> bool:
-        node = self.data
-        for k in path.split("."):
-            if isinstance(node, dict) and k in node:
-                node = node[k]
-            else:
-                return False
-        return True
+        return self._lookup(path)[0]
 
     def resolved(self) -> dict:
         """Effective configuration: every consumed key, defaults included."""
@@ -150,6 +158,30 @@ class ExperimentConfig:
                 node = node.setdefault(k, {})
             node[keys[-1]] = value
         return out
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string"}
+
+
+def _typed(path: str, value, kind):
+    """value checked against kind (see ``ExperimentConfig.get``)."""
+    if kind is None:
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise InputError(f"config key {path!r} must be a list, "
+                             f"got {value!r}")
+        return [_typed(path, v, kind[0]) for v in value]
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and (kind is float or isinstance(value, int) or value.is_integer())
+    if not ok:
+        raise InputError(f"config key {path!r} must be {_KIND_NAMES[kind]}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _fmt(x) -> str:
@@ -172,69 +204,56 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _build_measure(cfg: ExperimentConfig):
-    kind = cfg.get("generator.kind")
+    kind = cfg.get("generator.kind", kind=str)
     if kind == "plane":
-        return make_plane_set(int(cfg.get("generator.n", 3)),
-                              int(cfg.get("generator.d", 1)),
-                              float(cfg.get("generator.extent", 1.0)),
-                              float(cfg.get("generator.spacing", 0.01)))
+        return make_plane_set(cfg.get("generator.n", 3, int),
+                              cfg.get("generator.d", 1, int),
+                              cfg.get("generator.extent", 1.0, float),
+                              cfg.get("generator.spacing", 0.01, float))
     if kind == "graph":
-        profile = cfg.get("generator.profile", "sawtooth")
-        lam = float(cfg.get("generator.lam", 0.5))
-        period = float(cfg.get("generator.period",
-                               0.5 if profile == "sawtooth" else 1.0))
+        profile = cfg.get("generator.profile", "sawtooth", str)
+        lam = cfg.get("generator.lam", 0.5, float)
+        period = cfg.get("generator.period",
+                         0.5 if profile == "sawtooth" else 1.0, float)
         if profile == "sawtooth":
             fn = sawtooth_profile(lam, period)
         elif profile == "sine":
             fn = sine_profile(lam, period)
         else:
             raise InputError(f"unknown graph profile {profile!r}")
-        return make_lipschitz_graph(int(cfg.get("generator.n", 3)),
-                                    int(cfg.get("generator.d", 1)), fn, lam,
-                                    float(cfg.get("generator.extent", 1.0)),
-                                    float(cfg.get("generator.spacing", 0.01)))
+        return make_lipschitz_graph(cfg.get("generator.n", 3, int),
+                                    cfg.get("generator.d", 1, int), fn, lam,
+                                    cfg.get("generator.extent", 1.0, float),
+                                    cfg.get("generator.spacing", 0.01, float))
     if kind == "cantor":
-        return make_cantor_set(int(cfg.get("generator.m", 4)))
+        return make_cantor_set(cfg.get("generator.m", 4, int))
     if kind == "file":
-        return load_measure(str(cfg.get("generator.path")))
+        return load_measure(cfg.get("generator.path", kind=str))
     raise InputError(f"unknown generator kind {kind!r}")
 
 
 def _ball_family(cfg: ExperimentConfig, sigma, rng) -> list[Ball]:
-    count = int(cfg.get("balls.count", 32))
-    radii = cfg.get("balls.radii", None)
-    if radii is not None:
-        radii = [float(r) for r in radii]
-    return support_ball_family(sigma, count, rng, radii)
+    return support_ball_family(sigma, cfg.get("balls.count", 32, int), rng,
+                               cfg.get("balls.radii", None, [float]))
 
 
 def _point(cfg: ExperimentConfig, path: str, sigma) -> np.ndarray:
     """The point at path: a list of the measure's ambient coordinates."""
     n = sigma.ambient_dim
-    value = cfg.get(path)
-    try:
-        x = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        x = np.empty(0)
-    if x.shape != (n,):
+    value = cfg.get(path, kind=[float])
+    if len(value) != n:
         raise InputError(f"{path} must be a list of {n} numbers, "
                          f"got {value!r}")
-    return x
+    return np.asarray(value)
 
 
 def _single_ball(cfg: ExperimentConfig, sigma) -> Ball:
     center = _point(cfg, "ball.center", sigma)
-    radius = float(cfg.get("ball.radius"))
-    if bool(cfg.get("ball.snap", True)):
+    radius = cfg.get("ball.radius", kind=float)
+    if cfg.get("ball.snap", True, bool):
         center = sigma.points[int(np.argmin(
             np.linalg.norm(sigma.points - center[None, :], axis=1)))]
     return Ball(center, radius)
-
-
-def _optional(cfg: ExperimentConfig, path: str, kind=float):
-    """The value at path converted by kind, or None (recorded) if absent."""
-    value = cfg.get(path, None)
-    return None if value is None else kind(value)
 
 
 def _box(cfg: ExperimentConfig, section: str, sigma):
@@ -243,34 +262,35 @@ def _box(cfg: ExperimentConfig, section: str, sigma):
         cfg.get(f"{section}.box", None)
         return None
     return (_point(cfg, f"{section}.box.center", sigma),
-            float(cfg.get(f"{section}.box.side")))
+            cfg.get(f"{section}.box.side", kind=float))
 
 
 def _solver_config(cfg: ExperimentConfig) -> "_elliptic.SolverConfig":
     return _elliptic.SolverConfig(
-        beta=float(cfg.get("elliptic.beta", 2.0)),
-        gamma=float(cfg.get("elliptic.gamma", 0.0)),
-        tol=float(cfg.get("elliptic.tol", 1e-8)),
-        maxiter=_optional(cfg, "elliptic.maxiter", int),
-        collar=float(cfg.get("elliptic.collar", 1.5)),
-        outer=str(cfg.get("elliptic.outer", "neumann")))
+        beta=cfg.get("elliptic.beta", 2.0, float),
+        gamma=cfg.get("elliptic.gamma", 0.0, float),
+        tol=cfg.get("elliptic.tol", 1e-8, float),
+        maxiter=cfg.get("elliptic.maxiter", None, int),
+        collar=cfg.get("elliptic.collar", 1.5, float),
+        outer=cfg.get("elliptic.outer", "neumann", str))
 
 
 def _atom_data(cfg: ExperimentConfig, sigma, section: str):
     """Per-atom boundary data (float) or membership set (bool) from config."""
-    kind = cfg.get(f"{section}.kind", "halfspace")
+    kind = cfg.get(f"{section}.kind", "halfspace", str)
     npts = len(sigma)
     if kind == "halfspace":
-        axis = int(cfg.get(f"{section}.axis", 0))
-        threshold = float(cfg.get(f"{section}.threshold", 0.0))
+        axis = cfg.get(f"{section}.axis", 0, int)
+        threshold = cfg.get(f"{section}.threshold", 0.0, float)
         if not 0 <= axis < sigma.ambient_dim:
             raise InputError(f"{section}.axis out of range")
         return sigma.points[:, axis] > threshold
     if kind == "constant":
-        return np.full(npts, float(cfg.get(f"{section}.value", 1.0)))
+        return np.full(npts, cfg.get(f"{section}.value", 1.0, float))
     if kind == "indices":
         return _elliptic._e_mask(
-            np.asarray(cfg.get(f"{section}.values"), dtype=np.int64), npts)
+            np.asarray(cfg.get(f"{section}.values", kind=[int]),
+                       dtype=np.int64), npts)
     raise InputError(f"unknown {section}.kind {kind!r}")
 
 
@@ -278,11 +298,11 @@ def _decomposition(cfg: ExperimentConfig, sigma,
                    focus=None) -> "_whitney.WhitneyDecomposition":
     return _whitney.decompose(
         sigma, _box(cfg, "whitney", sigma),
-        int(cfg.get("whitney.max_depth", 10)),
+        cfg.get("whitney.max_depth", 10, int),
         focus=focus,
-        alpha_resolution=int(cfg.get("whitney.alpha_resolution", 12)),
-        alpha_cap=int(cfg.get("whitney.alpha_cap", 120)),
-        alpha_seed=int(cfg.get("whitney.alpha_seed", 0)))
+        alpha_resolution=cfg.get("whitney.alpha_resolution", 12, int),
+        alpha_cap=cfg.get("whitney.alpha_cap", 120, int),
+        alpha_seed=cfg.get("whitney.alpha_seed", 0, int))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -317,12 +337,12 @@ def _cmd_ahlfors(cfg, rng, outdir):
 def _cmd_alpha(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
-    resolution = int(cfg.get("wasserstein.resolution", 16))
-    cap = int(cfg.get("wasserstein.cap", 300))
-    refine = bool(cfg.get("wasserstein.refine", True))
-    maxiter = int(cfg.get("wasserstein.refine_maxiter", 200))
-    xatol = float(cfg.get("wasserstein.xatol", 1e-4))
-    seed = int(cfg.get("wasserstein.seed", 0))
+    resolution = cfg.get("wasserstein.resolution", 16, int)
+    cap = cfg.get("wasserstein.cap", 300, int)
+    refine = cfg.get("wasserstein.refine", True, bool)
+    maxiter = cfg.get("wasserstein.refine_maxiter", 200, int)
+    xatol = cfg.get("wasserstein.xatol", 1e-4, float)
+    seed = cfg.get("wasserstein.seed", 0, int)
     n = sigma.ambient_dim
     rows = []
     values = []
@@ -347,26 +367,22 @@ def _cmd_alpha(cfg, rng, outdir):
 def _cmd_whitney(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     deco = _decomposition(cfg, sigma)
-    lam = float(cfg.get("whitney.lam", _whitney.SCALE_FACTOR))
+    lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
     rows = _whitney.dump_cubes(
         deco, outdir / "cubes.csv",
-        k_max=int(cfg.get("whitney.k_max", 0)), lam=lam,
-        eps=float(cfg.get("whitney.eps", _whitney._EPS_DEFAULT)),
-        include_alpha=bool(cfg.get("whitney.include_alpha", False)),
-        include_mu=bool(cfg.get("whitney.include_mu", False)),
-        stride=int(cfg.get("whitney.stride", 1)))
+        k_max=cfg.get("whitney.k_max", 0, int), lam=lam,
+        eps=cfg.get("whitney.eps", _whitney._EPS_DEFAULT, float),
+        include_alpha=cfg.get("whitney.include_alpha", False, bool),
+        include_mu=cfg.get("whitney.include_mu", False, bool),
+        stride=cfg.get("whitney.stride", 1, int))
     return {"lookback_scale": lam, "n_cubes": len(deco),
             "n_levels": len(deco.levels), "rows_written": rows,
             "n_undecided": deco.undecided}, ["cubes.csv"]
 
 
 def _cmd_ur_sum(cfg, rng, outdir):
-    r = float(cfg.get("query.radius"))
-    k = int(cfg.get("query.k", 0))
-    lam = float(cfg.get("whitney.lam", _whitney.SCALE_FACTOR))
-    use_focus = bool(cfg.get("whitney.focus", True))
-    sweep_key = cfg.get("sweep.key", None)
-    sweep_values = cfg.get("sweep.values", [None])
+    sweep_key = cfg.get("sweep.key", None, str)
+    sweep_values = cfg.get("sweep.values", [None], [None])
     if sweep_key is None and sweep_values != [None]:
         raise InputError("sweep.values requires sweep.key")
     rows = []
@@ -376,10 +392,13 @@ def _cmd_ur_sum(cfg, rng, outdir):
         if sweep_key is not None:
             sub.apply_override(f"{sweep_key}={json.dumps(value)}")
         sigma = _build_measure(sub)
-        x = _point(cfg, "query.point", sigma)
-        focus = (x, 2.0 * r) if use_focus else None
-        deco = _decomposition(sub, sigma, focus=focus)
-        res = _whitney.ur_square_sum(deco, x, r, k, lam=lam, details=True)
+        x = _point(sub, "query.point", sigma)
+        r = sub.get("query.radius", kind=float)
+        lam = sub.get("whitney.lam", _whitney.SCALE_FACTOR, float)
+        # pruning to B(x, 2r) keeps every cube the sum can select
+        deco = _decomposition(sub, sigma, focus=(x, 2.0 * r))
+        res = _whitney.ur_square_sum(deco, x, r, sub.get("query.k", 0, int),
+                                     lam=lam, details=True)
         sums.append(res.value)
         rows.append(["" if value is None else value, _fmt(res.value),
                      res.n_cubes, res.n_excluded, res.n_anchors])
@@ -394,27 +413,27 @@ def _cmd_ur_sum(cfg, rng, outdir):
 
 
 def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
+    n = sigma.ambient_dim
     if cfg.has("probes.points"):
-        pts = np.asarray(cfg.get("probes.points"), dtype=np.float64)
-        pts = np.atleast_2d(pts)
-    elif cfg.has("probes.line"):
-        start = _point(cfg, "probes.line.start", sigma)
-        stop = _point(cfg, "probes.line.stop", sigma)
-        count = int(cfg.get("probes.line.count", 16))
-        if count < 2:
-            raise InputError("probes.line.count must be at least 2")
-        t = np.linspace(0.0, 1.0, count)
-        pts = start[None, :] + t[:, None] * (stop - start)[None, :]
-    else:
+        pts = cfg.get("probes.points", kind=[[float]])
+        if not pts or {len(p) for p in pts} != {n}:
+            raise InputError(f"probes.points must be a list of points with "
+                             f"{n} coordinates each")
+        return np.asarray(pts)
+    if not cfg.has("probes.line"):
         raise InputError("config needs probes.points or probes.line")
-    if pts.shape[1] != sigma.ambient_dim:
-        raise InputError("probe dimension does not match the measure")
-    return pts
+    start = _point(cfg, "probes.line.start", sigma)
+    stop = _point(cfg, "probes.line.stop", sigma)
+    count = cfg.get("probes.line.count", 16, int)
+    if count < 2:
+        raise InputError("probes.line.count must be at least 2")
+    t = np.linspace(0.0, 1.0, count)
+    return start[None, :] + t[:, None] * (stop - start)[None, :]
 
 
 def _cmd_dist_fields(cfg, rng, outdir):
     sigma = _build_measure(cfg)
-    beta = float(cfg.get("distances.beta", 2.0))
+    beta = cfg.get("distances.beta", 2.0, float)
     pts = _probe_points(cfg, sigma)
     sample = _distances.evaluate_fields(sigma, pts, beta)
     n = sigma.ambient_dim
@@ -437,8 +456,8 @@ def _cmd_dist_fields(cfg, rng, outdir):
 def _cmd_verify_identities(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     d = sigma.intrinsic_dim
-    beta = float(cfg.get("distances.beta", 2.0))
-    gap = float(cfg.get("identities.gap", 10.0 * sigma.spacing))
+    beta = cfg.get("distances.beta", 2.0, float)
+    gap = cfg.get("identities.gap", 10.0 * sigma.spacing, float)
     center = sigma.points[int(np.argmin(np.linalg.norm(
         sigma.points - sigma.points.mean(axis=0)[None, :], axis=1)))]
     probe = center.copy()
@@ -470,7 +489,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
 
     r_alpha = min(sigma.window()[1], 25.0 * sigma.spacing)
     res = _wasserstein.alpha_number(sigma, Ball(center, r_alpha),
-                                    seed=int(cfg.get("wasserstein.seed", 0)))
+                                    seed=cfg.get("wasserstein.seed", 0, int))
     check("flatness-vanishes-on-flat-sets", res.value,
           5.0 * sigma.spacing / r_alpha)
 
@@ -482,15 +501,15 @@ def _cmd_verify_identities(cfg, rng, outdir):
 
 
 def _field_fn(cfg: ExperimentConfig, sigma):
-    kind = cfg.get("field.kind", "one")
+    kind = cfg.get("field.kind", "one", str)
     if kind == "one":
         return lambda pts: np.ones(pts.shape[0])
     if kind == "riesz":
-        beta = float(cfg.get("field.beta", 2.0))
+        beta = cfg.get("field.beta", 2.0, float)
         return lambda pts: np.linalg.norm(
             _distances.riesz_field(sigma, pts, beta), axis=1)
     if kind == "gradient":
-        beta = float(cfg.get("field.beta", 2.0))
+        beta = cfg.get("field.beta", 2.0, float)
         return lambda pts: np.linalg.norm(
             _distances.distance_gradient(sigma, pts, beta), axis=1)
     raise InputError(f"unknown field.kind {kind!r}")
@@ -499,11 +518,11 @@ def _field_fn(cfg: ExperimentConfig, sigma):
 def _cmd_carleson(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
-    h = float(cfg.get("carleson.h", min(b.radius for b in balls) / 32.0))
+    h = cfg.get("carleson.h", min(b.radius for b in balls) / 32.0, float)
     est = _carleson.carleson_norm(
         _field_fn(cfg, sigma), sigma, balls, h,
-        squared=bool(cfg.get("carleson.squared", True)),
-        refine=bool(cfg.get("carleson.refine", True)))
+        squared=cfg.get("carleson.squared", True, bool),
+        refine=cfg.get("carleson.refine", True, bool))
     _carleson.write_carleson(est, str(outdir / "carleson.csv"),
                              str(outdir / "carleson_summary.json"))
     return {**est.summary(), "n_balls": len(est.balls)}, \
@@ -512,9 +531,9 @@ def _cmd_carleson(cfg, rng, outdir):
 
 def _cmd_solve(cfg, rng, outdir):
     sigma = _build_measure(cfg)
-    system = _elliptic.assemble(
-        sigma, _box(cfg, "elliptic", sigma) or _elliptic._default_box(sigma),
-        float(cfg.get("elliptic.h")), _solver_config(cfg))
+    system = _elliptic._system_for(
+        sigma, None, _solver_config(cfg), _box(cfg, "elliptic", sigma),
+        _elliptic._default_box(sigma), cfg.get("elliptic.h", kind=float))
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     sol = system.solve(g)
     _elliptic.write_field(sol.field, outdir / "field.bin",
@@ -534,7 +553,7 @@ def _cmd_hm(cfg, rng, outdir):
     pole = _point(cfg, "hm.pole", sigma)
     res = _elliptic.harmonic_measure(
         sigma, e, pole, _solver_config(cfg), box=_box(cfg, "elliptic", sigma),
-        h=_optional(cfg, "elliptic.h"))
+        h=cfg.get("elliptic.h", None, float))
     it_set, it_comp = res.iterations
     _write_csv(outdir / "hm.csv",
                ["value", "complement_value", "mass_gap", "iterations_set",
@@ -551,11 +570,12 @@ def _cmd_ainfty(cfg, rng, outdir):
     ball = _single_ball(cfg, sigma)
     res = _elliptic.ainfty_scatter(
         sigma, ball, _solver_config(cfg),
-        n_sets=int(cfg.get("scatter.n_sets", 64)),
-        seed=int(cfg.get("scatter.seed", 0)),
-        box=_box(cfg, "elliptic", sigma), h=_optional(cfg, "elliptic.h"))
+        n_sets=cfg.get("scatter.n_sets", 64, int),
+        seed=cfg.get("scatter.seed", 0, int),
+        box=_box(cfg, "elliptic", sigma),
+        h=cfg.get("elliptic.h", None, float))
     _elliptic.write_scatter(res, outdir / "scatter.csv")
-    deltas = [float(t) for t in cfg.get("scatter.deltas", [0.01, 0.05, 0.2])]
+    deltas = cfg.get("scatter.deltas", [0.01, 0.05, 0.2], [float])
     # an envelope with no row below its threshold is NaN: JSON null
     return {"envelopes": {str(t): _json_number(res.envelope(t))
                           for t in deltas},
@@ -569,7 +589,7 @@ def _cmd_sn(cfg, rng, outdir):
     ball = _single_ball(cfg, sigma)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     res = _elliptic.sn_check(sigma, ball, _solver_config(cfg), g,
-                             h=_optional(cfg, "elliptic.h"),
+                             h=cfg.get("elliptic.h", None, float),
                              box=_box(cfg, "elliptic", sigma))
     _write_csv(outdir / "sn.csv",
                ["square_fn", "sup_sq", "nt_sq", "sup_ratio", "nt_ratio",
@@ -644,10 +664,10 @@ def run(subcommand: str, config, outdir=None) -> int:
         else:
             cfg = ExperimentConfig.from_file(config)
         out = Path(outdir) if outdir is not None \
-            else Path(cfg.get("outdir", "runs/latest"))
+            else Path(cfg.get("outdir", "runs/latest", str))
         out.mkdir(parents=True, exist_ok=True)
         cfg.consumed["outdir"] = str(out)
-        seed = int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0, int)
         rng = np.random.default_rng(seed)
         summary, artifacts = _COMMANDS[subcommand](cfg, rng, out)
     except LabError as exc:

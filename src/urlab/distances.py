@@ -337,8 +337,9 @@ def fd_gradient_check(sigma: DiscreteMeasure, x, beta: float,
             "step": h, "gap": gap}
 
 
-def divergence_check(sigma: DiscreteMeasure, x, step_factor: float = 0.01) -> dict:
-    """Central-difference divergence of the middle-exponent field.
+def divergence_check(sigma: DiscreteMeasure, x) -> dict:
+    """Central-difference divergence of the middle-exponent field, with
+    step 0.01 dist(x, support).
 
     With exponent beta = n-d-1 every kernel term is divergence free away
     from the atoms, so the sum is too; the report compares the measured
@@ -351,7 +352,7 @@ def divergence_check(sigma: DiscreteMeasure, x, step_factor: float = 0.01) -> di
     if beta <= 0:
         raise ParameterError("need d < n-1 for the middle exponent")
     gap = float(sigma.dist_to_support(x))
-    h = gap * step_factor
+    h = gap * 0.01
     div = 0.0
     for j in range(n):
         e = np.zeros(n)

@@ -231,10 +231,10 @@ class PoleWeights:
     residual: float
 
     def value(self, e) -> float:
-        e = np.asarray(e)
-        if e.dtype == bool:
-            return float(self.weights[e].sum())
-        return float(self.weights[np.asarray(e, dtype=np.int64)].sum())
+        """Hitting weight of the atom set e: a boolean mask over the atoms
+        or atom indices, read as a set (``_e_mask``: each atom counts once,
+        and an index outside the atoms is an InputError)."""
+        return float(self.weights[_e_mask(e, self.weights.size)].sum())
 
 
 @dataclass(frozen=True)
@@ -732,12 +732,20 @@ def _system_for(sigma: DiscreteMeasure, system: EllipticSystem | None,
                 config: SolverConfig | None, box, default_box,
                 h: float | None) -> EllipticSystem:
     """The one place an entry point's grid is chosen: the given system,
-    checked to belong to sigma and, when h is given, to have cell size h
-    exactly, or else a fresh one assembled on ``box`` (else
-    ``default_box``) with cell size h, by default the box side / 96."""
+    or else a fresh one assembled on ``box`` (else ``default_box``) with
+    cell size h, by default the box side / 96.
+
+    A given system must belong to sigma and comes with its own grid and
+    solver: a box, a config other than ``system.config`` or an h other
+    than ``system.h`` given beside it is an InputError, never ignored."""
     if system is not None:
         if system.sigma is not sigma:
             raise InputError("system was assembled for a different measure")
+        if box is not None:
+            raise InputError("a box cannot be given together with a system")
+        if config is not None and config != system.config:
+            raise InputError(f"solver config {config} differs from the "
+                             f"given system's {system.config}")
         if h is not None and h != system.h:
             raise InputError(f"cell size {h:g} differs from the given "
                              f"system's {system.h:g}")

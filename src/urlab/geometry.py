@@ -235,15 +235,10 @@ def make_lipschitz_graph(n: int, d: int, fn: Callable[[np.ndarray], np.ndarray],
 
     # spot-check: adjacent grid pairs along each base axis
     m = round((2.0 * extent) / h)
-    shape = (m,) * d
-    v = vals.reshape(shape + (n - d,))
+    v = vals.reshape((m,) * d + (n - d,))
     tol = 1e-9 * max(lam, 1.0) * h + 1e-12
     for ax in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[ax] = slice(0, m - 1)
-        hi[ax] = slice(1, m)
-        jump = np.linalg.norm(v[tuple(hi)] - v[tuple(lo)], axis=-1)
+        jump = np.linalg.norm(np.diff(v, axis=ax), axis=-1)
         worst = float(jump.max()) if jump.size else 0.0
         if worst > lam * h + tol:
             raise InputError(
@@ -400,7 +395,7 @@ def save_measure(sigma: DiscreteMeasure, path: str) -> None:
                    fmt="%.17g")
 
 
-def load_measure(path: str, descriptor: str | None = None) -> DiscreteMeasure:
+def load_measure(path: str) -> DiscreteMeasure:
     """Inverse of save_measure; round-trips float64 exactly (17 sig digits)."""
     with open(path) as fh:
         header = fh.readline().split()
@@ -412,4 +407,4 @@ def load_measure(path: str, descriptor: str | None = None) -> DiscreteMeasure:
     if data.shape != (count, n + 1):
         raise InputError(f"expected {count} rows of {n + 1} columns in {path}")
     return DiscreteMeasure(n, d, data[:, :n], data[:, n], spacing,
-                           descriptor or f"loaded from {path}")
+                           f"loaded from {path}")

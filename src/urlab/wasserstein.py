@@ -175,10 +175,7 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     center = np.asarray(center, dtype=np.float64)
 
     def _inside(pts, w):
-        if pts.shape[0] == 0:
-            return pts, w
-        dist = np.linalg.norm(pts - center, axis=1)
-        keep = dist < radius
+        keep = np.linalg.norm(pts - center, axis=1) < radius
         return pts[keep], w[keep]
 
     pts_a, w_a = _inside(np.asarray(pts_a, float), np.asarray(w_a, float))
@@ -266,12 +263,10 @@ def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
 
 
 def _sign_fix(rows: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for i, row in enumerate(out):
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            out[i] = -row
-    return out
+    """Each row negated where its largest-magnitude entry is negative."""
+    top = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=1)[:, None],
+                             axis=1)
+    return np.where(top < 0, -rows, rows)
 
 
 def _orthonormalize(w: np.ndarray) -> np.ndarray:
@@ -346,31 +341,22 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
     npar = d * codim + codim + 1
     theta0 = np.zeros(npar)
     f0 = objective(theta0)
-
-    if not refine:              # PCA init only: an upper bound on the inf
-        flat = build(theta0)
-        n_flat = len(flat_sample(flat, ball, m_res))
-        return AlphaResult(f0, flat, f0, f0, pts.shape[0], n_flat,
-                           0, truncated)
-
-    simplex = np.zeros((npar + 1, npar))
-    steps = np.full(npar, 0.1)
-    steps[-1] = 0.2
-    for i in range(npar):
-        simplex[i + 1] = theta0
-        simplex[i + 1, i] += steps[i]
-    res = minimize(objective, theta0, method="Nelder-Mead",
-                   options={"maxiter": refine_maxiter, "xatol": xatol,
-                            "fatol": 1e-5, "initial_simplex": simplex})
-    refined = float(res.fun)
-    if refined <= f0:
-        best_theta, best = res.x, refined
-    else:                       # refinement may not beat the init; keep init
-        best_theta, best = theta0, f0
+    # without refinement the PCA init is the result: an upper bound on the inf
+    best_theta, best, refined, nit = theta0, f0, f0, 0
+    if refine:
+        steps = np.full(npar, 0.1)
+        steps[-1] = 0.2
+        res = minimize(objective, theta0, method="Nelder-Mead",
+                       options={"maxiter": refine_maxiter, "xatol": xatol,
+                                "fatol": 1e-5, "initial_simplex": np.vstack(
+                                    [theta0, theta0 + np.diag(steps)])})
+        refined, nit = float(res.fun), int(res.nit)
+        if refined <= f0:   # refinement may not beat the init; keep init
+            best_theta, best = res.x, refined
     flat = build(best_theta)
     n_flat = len(flat_sample(flat, ball, m_res))
     return AlphaResult(best, flat, f0, refined, pts.shape[0], n_flat,
-                       int(res.nit), truncated)
+                       nit, truncated)
 
 
 def flat_distance(sigma: DiscreteMeasure, flat: FlatMeasure, ball: Ball, *,
@@ -430,22 +416,19 @@ def flat_pair_envelope(mu1: FlatMeasure, mu2: FlatMeasure,
     m = mu2.basis @ u1.T                        # d x d
     smin = np.linalg.svd(m, compute_uv=False).min()
     if smin < 1e-8:
-        x = c1 + c2
-        return EnvelopeResult(x / _ENVELOPE_FACTOR, _ENVELOPE_FACTOR * x,
-                              "orthogonal", math.inf, math.nan, )
-    a = np.linalg.solve(m, mu2.basis @ v1.T)    # d x (n-d) graph matrix
-    tilt = float(np.linalg.norm(a, 2))
-    xi0 = (mu2.offset - origin) @ u1.T
-    eta0 = (mu2.offset - origin) @ v1.T
-    b = eta0 - xi0 @ a
-    shift = float(np.linalg.norm(b))
-    if tilt >= 1.0:
-        x = c1
-        return EnvelopeResult(x / _ENVELOPE_FACTOR, _ENVELOPE_FACTOR * x,
-                              "steep", tilt, shift)
-    x = c1 * (tilt + shift / r) + (c1 - c2)
-    return EnvelopeResult(x / _ENVELOPE_FACTOR, _ENVELOPE_FACTOR * x,
-                          "graph", tilt, shift)
+        x, case, tilt, shift = c1 + c2, "orthogonal", math.inf, math.nan
+    else:
+        a = np.linalg.solve(m, mu2.basis @ v1.T)    # d x (n-d) graph matrix
+        tilt = float(np.linalg.norm(a, 2))
+        xi0 = (mu2.offset - origin) @ u1.T
+        eta0 = (mu2.offset - origin) @ v1.T
+        shift = float(np.linalg.norm(eta0 - xi0 @ a))
+        if tilt >= 1.0:
+            x, case = c1, "steep"
+        else:
+            x, case = c1 * (tilt + shift / r) + (c1 - c2), "graph"
+    return EnvelopeResult(x / _ENVELOPE_FACTOR, _ENVELOPE_FACTOR * x, case,
+                          tilt, shift)
 
 
 def _null_space(basis: np.ndarray) -> np.ndarray:

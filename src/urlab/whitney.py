@@ -332,7 +332,7 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     for k in range(max_depth + 1):
         side_k = side / 2.0 ** k
         centers = lo + (current + 0.5) * side_k
-        d_inf, _ = sigma.tree.query(centers, p=np.inf, workers=-1)
+        d_inf, i_inf = sigma.tree.query(centers, p=np.inf, workers=-1)
         keep = d_inf > 10.0 * side_k
         kept = current[keep]
         if kept.shape[0]:
@@ -344,10 +344,9 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
             kept, key = kept[order], key[order]
             ctr = lo + (kept + 0.5) * side_k
             _, aidx = sigma.tree.query(ctr, workers=-1)
+            # where the euclid-nearest atom left 60Q, the sup-norm nearest
             bad = np.max(np.abs(pts[aidx] - ctr), axis=1) > 30.0 * side_k
-            if np.any(bad):     # euclid-nearest left 60Q; sup-norm fallback
-                _, afix = sigma.tree.query(ctr[bad], p=np.inf, workers=-1)
-                aidx[bad] = afix
+            aidx[bad] = i_inf[keep][order][bad]
             levels[k] = _Level(side_k, key, ctr, aidx.astype(np.int32))
         viol = current[~keep]
         if k == max_depth:

@@ -120,6 +120,117 @@ def test_e_set_memberships(line3d):
                                                           False)
 
 
+# The cutoff trio as written before the cutoff's geometry moved into one
+# support query per point set: each function queried the support itself.
+# Kept as the oracle of the shared implementation.
+
+
+def _oracle_cutoff_phi(sigma, ball, eps, pts):
+    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
+    dist_b = carleson._ball_gap(pts, ball)
+    on_support = dist_g <= 0.0
+    safe = np.where(on_support, 1.0, dist_g)
+    out = (carleson._psi(dist_b / (10.0 * safe))
+           * carleson._psi(2.0 * dist_b / ball.radius)
+           * carleson._psi(eps / safe))
+    out[on_support] = 0.0
+    return out
+
+
+def _oracle_e_sets(sigma, ball, eps, pts):
+    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
+    dist_b = carleson._ball_gap(pts, ball)
+    r = ball.radius
+    in_2b = np.linalg.norm(pts - ball.center, axis=1) <= 2.0 * r
+    e1 = in_2b & (10.0 * dist_g <= dist_b) & (dist_b <= 20.0 * dist_g)
+    e2 = in_2b & (r / 40.0 <= dist_g) & (dist_g <= 2.0 * r)
+    e3 = in_2b & (eps / 2.0 <= dist_g) & (dist_g <= eps)
+    return e1, e2, e3
+
+
+def _oracle_gradient_check(sigma, ball, eps, pts):
+    n = sigma.ambient_dim
+    step = 1e-3 * min(eps, ball.radius)
+    grad = np.zeros_like(pts)
+    active = np.zeros(pts.shape[0], dtype=bool)
+    min_dist = np.atleast_1d(sigma.dist_to_support(pts))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        hi, lo = pts + e, pts - e
+        grad[:, j] = (_oracle_cutoff_phi(sigma, ball, eps, hi)
+                      - _oracle_cutoff_phi(sigma, ball, eps, lo)) / (2 * step)
+        for stencil in (hi, lo):
+            s1, s2, s3 = _oracle_e_sets(sigma, ball, eps, stencil)
+            active |= s1 | s2 | s3
+            min_dist = np.minimum(
+                min_dist, np.atleast_1d(sigma.dist_to_support(stencil)))
+    s1, s2, s3 = _oracle_e_sets(sigma, ball, eps, pts)
+    active |= s1 | s2 | s3
+    grad_norm = np.linalg.norm(grad, axis=1)
+    with np.errstate(divide="ignore"):
+        bound = np.where(active, 100.0 / np.maximum(min_dist - step, 1e-300),
+                         0.0)
+    return {"grad_norm": grad_norm, "bound": bound,
+            "ok": grad_norm <= bound + 1e-9, "active": active, "step": step}
+
+
+def _cutoff_batch(sigma, ball, eps):
+    """Points on the support, on and around the 2B sphere, in each E-set,
+    and a random cloud around the ball."""
+    c0, r = ball.center, ball.radius
+    rng = np.random.default_rng(5)
+    y = np.array([0.0, 1.0, 0.0])
+    x = np.array([1.0, 0.0, 0.0])
+    edge = [c0 + (2.0 * r + t) * u for t in (-1e-12, 0.0, 1e-12, 0.003)
+            for u in (x, y, (x + y) / math.sqrt(2.0))]
+    e1 = [c0 + math.sqrt((r + 15.0 * g) ** 2 - g ** 2) * x + g * y
+          for g in (0.004, 0.006)]
+    e2 = [c0 + 0.1 * y, c0 + 0.05 * x + 0.2 * y]
+    e3 = [c0 + 0.0075 * y, c0 + 0.1 * x + 0.006 * y]
+    return np.vstack([sigma.points[::10], *edge, *e1, *e2, *e3,
+                      c0 + rng.uniform(-0.6, 0.6, size=(400, 3))])
+
+
+def test_cutoff_trio_equals_the_oracle(line3d):
+    ball = Ball(_origin_point(line3d), 0.25)
+    eps = 0.01
+    pts = _cutoff_batch(line3d, ball, eps)
+    sets = e_sets_indicator(line3d, ball, eps, pts)
+    want = _oracle_e_sets(line3d, ball, eps, pts)
+    for got_set, want_set in zip(sets, want):
+        assert want_set.any() and not want_set.all()
+        assert np.array_equal(got_set, want_set)
+    phi = cutoff_phi(line3d, ball, eps, pts)
+    assert np.any(line3d.dist_to_support(pts) == 0.0)
+    assert np.array_equal(phi, _oracle_cutoff_phi(line3d, ball, eps, pts))
+    got = cutoff_gradient_check(line3d, ball, eps, pts)
+    want = _oracle_gradient_check(line3d, ball, eps, pts)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_cutoff_gradient_check_queries_the_support_once_per_stencil_set(
+        line3d, monkeypatch):
+    """2n+1 support queries in R^n: the centre set and the two shifted
+    sets per axis (7 in R^3, where the separate trio made 20)."""
+    ball = Ball(_origin_point(line3d), 0.25)
+    pts = _cutoff_batch(line3d, ball, 0.01)
+    calls = []
+    query = type(line3d).dist_to_support
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return query(self, x)
+
+    monkeypatch.setattr(type(line3d), "dist_to_support", counted)
+    res = cutoff_gradient_check(line3d, ball, 0.01, pts)
+    assert len(calls) == 2 * 3 + 1
+    assert all(shape == pts.shape for shape in calls)
+    assert bool(res["ok"].all())
+
+
 # -- Carleson norms -----------------------------------------------------------
 
 

@@ -368,3 +368,60 @@ def test_sn_summary_writes_null_for_vanishing_ratios(tmp_path):
     assert summary["sup_ratio"] is None and summary["nt_ratio"] is None
     row = (tmp_path / "sn.csv").read_text().splitlines()[1].split(",")
     assert row[3:5] == ["nan", "nan"]
+
+
+_CARLESON = _RERUN_CONFIGS["carleson"][0]
+_WHITNEY = {"generator": {"kind": "cantor", "m": 2},
+            "whitney": {"max_depth": 6, "stride": 100}}
+
+
+@pytest.mark.parametrize("subcommand, config, override, key", [
+    ("carleson", _CARLESON, "carleson.refine=False", "carleson.refine"),
+    ("carleson", _CARLESON, "carleson.h=abc", "carleson.h"),
+    ("carleson", _CARLESON, 'balls.radii=[0.64, "a"]', "balls.radii"),
+    ("whitney", _WHITNEY, "whitney.max_depth=10.5", "whitney.max_depth"),
+    ("whitney", _WHITNEY, "whitney.stride=true", "whitney.stride"),
+], ids=["bool-from-string", "float-from-string", "list-with-a-string",
+        "int-from-fraction", "int-from-bool"])
+def test_config_value_of_the_wrong_type_is_an_input_error(
+        tmp_path, capsys, subcommand, config, override, key):
+    """A value is never coerced: "False" is not a bool, "abc" not a number
+    and 10.5 not an int.  The run ends in an InputError record naming the
+    key, not a misread value or a traceback."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "-c", str(cfg_file), "-o", str(out),
+                 "-s", override]) == 1
+    record = _error(out)
+    assert record["error"] == "InputError"
+    assert key in record["message"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_records_the_typed_value(tmp_path):
+    config = json.loads(json.dumps(_WHITNEY))
+    config["whitney"]["max_depth"] = 6.0
+    config["whitney"]["lam"] = 4
+    assert run("whitney", config, tmp_path) == 0
+    got = _manifest(tmp_path)["config"]["whitney"]
+    assert got["max_depth"] == 6 and type(got["max_depth"]) is int
+    assert got["lam"] == 4.0 and type(got["lam"]) is float
+
+
+def test_ur_sum_sweep_reads_each_key_from_its_value(tmp_path):
+    """A sweep over query.radius runs each radius, and each row equals the
+    run of that radius alone."""
+    config = json.loads(json.dumps(_RERUN_CONFIGS["ur-sum"][0]))
+    config["sweep"] = {"key": "query.radius", "values": [0.2, 0.3]}
+    assert run("ur-sum", config, tmp_path / "sweep") == 0
+    rows = (tmp_path / "sweep" / "ur_sum.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.2", "0.3"]
+    assert rows[0].split(",")[1:] != rows[1].split(",")[1:]
+    for radius, row in zip((0.2, 0.3), rows):
+        alone = json.loads(json.dumps(_RERUN_CONFIGS["ur-sum"][0]))
+        alone["query"]["radius"] = radius
+        out = tmp_path / f"r{radius}"
+        assert run("ur-sum", alone, out) == 0
+        body = (out / "ur_sum.csv").read_text().splitlines()[1]
+        assert body.split(",")[1:] == row.split(",")[1:]

@@ -286,6 +286,40 @@ def test_pole_guards(line3d, sys48):
                          np.array([0.0, 0.25, 0.0]), system=sys48)
 
 
+def test_pole_weights_value_reads_an_atom_set(line3d, sys48, pole_above):
+    """Indices are an atom set: a repeat counts once, and an index outside
+    the atoms is an InputError, not a wrap to the last atom (-1) or an
+    IndexError (n)."""
+    pw = sys48.pole_weights(pole_above)
+    n = len(line3d)
+    mask = np.zeros(n, dtype=bool)
+    mask[[3, 7, 150]] = True
+    assert pw.value([3, 7, 150]) == pw.value(mask) > 0.0
+    assert pw.value([150, 3, 7, 7, 3]) == pw.value(mask)
+    for bad in ([-1], [n], [0, n + 5]):
+        with pytest.raises(InputError):
+            pw.value(bad)
+
+
+def test_a_given_system_refuses_a_box_or_another_config(line3d, sys48,
+                                                         pole_above):
+    """A given system fixes the grid and the solver: a different config or
+    any box beside it is refused, not silently ignored."""
+    e = line3d.points[:, 0] > 0.3
+    with pytest.raises(InputError):
+        harmonic_measure(line3d, e, pole_above,
+                         SolverConfig(outer="dirichlet0"), system=sys48)
+    with pytest.raises(InputError):
+        harmonic_measure(line3d, e, pole_above, box=(np.zeros(3), 3.0),
+                         system=sys48)
+    with pytest.raises(InputError):
+        ainfty_scatter(line3d, Ball(line3d.points[100], 0.5),
+                       SolverConfig(tol=1e-6), system=sys48)
+    with pytest.raises(InputError):
+        sn_check(line3d, Ball(line3d.points[100], 2.0), SolverConfig(),
+                 np.ones(len(line3d)), box=(np.zeros(3), 3.0), system=sys48)
+
+
 def test_harnack_style_pole_moves(line3d, sys48):
     # poles within dist/2 of each other give comparable values
     e = line3d.points[:, 0] > 0

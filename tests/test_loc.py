@@ -1,0 +1,122 @@
+"""tools/loc.py: line kinds, public defaulted parameters and cli config keys,
+counted on a small synthetic package and diffed against a git revision."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "loc", Path(__file__).resolve().parents[1] / "tools" / "loc.py")
+loc = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(loc)
+
+_GEOMETRY = '''"""A module."""
+
+
+def build(n, d=1, *, spacing=0.1, tag=None):
+    # a comment
+    return n
+
+
+def _helper(x, y=2):
+    def inner(z=3):
+        return z
+    return inner()
+
+
+class Shape:
+    """A class."""
+
+    def __init__(self, a, b=0):
+        self.a = a
+
+    def area(self, scale=1.0):
+        return self.a * scale
+
+
+class _Private:
+    def method(self, q=1):
+        return q
+'''
+
+_CLI = '''def _point(cfg, path, sigma):
+    return cfg.get(path, kind=list)
+
+
+def _cmd(cfg, sub, section):
+    a = cfg.get("gen.kind", kind=str)
+    b = cfg.get("gen.n", 3, int)
+    c = sub.get("gen.n", 3, int)
+    if cfg.has("probes.line"):
+        d = _point(cfg, "probes.line.start", None)
+    e = cfg.get(f"{section}.kind", "x", str)
+    f = cfg.get("seed", 0, int)
+    g = {"x.y": 1}.get("x.y")
+    return a, b, c, d, e, f, g
+'''
+
+
+def _package(root, files):
+    pkg = root / "src" / "urlab"
+    pkg.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (pkg / name).write_text(text)
+
+
+def test_counts_line_kinds_and_public_options():
+    got = loc.count(_GEOMETRY)
+    # build: d, spacing, tag; Shape.area: scale.  Private functions,
+    # nested functions, dunder methods and private classes do not count.
+    assert got["options"] == 4
+    assert got["docstring"] == 2 and got["comment"] == 1
+    assert sum(got[k] for k in loc.KINDS if k != "options") \
+        == len(_GEOMETRY.splitlines())
+
+
+def test_config_keys_are_the_distinct_keys_read():
+    # "gen.n" is read twice (through cfg and a sub-config); a key handed to
+    # a helper with the config counts; a plain dict's get does not
+    assert loc.config_keys(_CLI) == {
+        "gen.kind", "gen.n", "probes.line", "probes.line.start",
+        "{section}.kind", "seed"}
+
+
+def test_main_reports_deltas_against_a_revision(tmp_path, capsys):
+    _package(tmp_path, {"geometry.py": _GEOMETRY, "cli.py": _CLI})
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    _package(tmp_path, {
+        "geometry.py": _GEOMETRY.replace(", tag=None", ""),
+        "cli.py": _CLI.replace('    f = cfg.get("seed", 0, int)\n', ""),
+    })
+    assert loc.main(["HEAD"], root=tmp_path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["module", *loc.KINDS]
+    geometry = next(line for line in out if line.startswith("geometry.py"))
+    assert geometry.split()[-2:] == ["3", "(-1)"]
+    assert out[-1].split()[-2:] == ["5", "(-1)"]
+    assert loc.main([], root=tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "5"
+
+
+def test_main_rejects_extra_arguments(capsys):
+    assert loc.main(["a", "b"]) == 2
+    assert "Usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(a, *args, b=1, c, **kw):\n    pass\n", 1),
+    ("async def g(x=1, y=2):\n    pass\n", 2),
+])
+def test_option_count_edge_cases(source, want):
+    """Keyword-only defaults count, and so do async functions'."""
+    assert loc.count(source)["options"] == want

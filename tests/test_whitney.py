@@ -6,6 +6,7 @@ seeded constructions and asserted with stated headroom.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -354,6 +355,16 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
     assert part == pytest.approx(full, rel=1e-12)
     with pytest.raises(ParameterError):
         ur_square_sum(focused, np.zeros(3), 0.35, k=0, lam=2.0)
+    # the focus that `urlab ur-sum` always uses, (x, 2r), prunes no cube
+    # the sum selects: every result field equals the unfocused one exactly
+    x, r = line3d.points[120], 0.25
+    cli_focus = decompose(line3d, max_depth=8, focus=(x, 2.0 * r))
+    assert cli_focus.pruned > 0
+    for k in (0, 1):
+        want = ur_square_sum(deco_line, x, r, k=k, lam=3.0, details=True)
+        got = ur_square_sum(cli_focus, x, r, k=k, lam=3.0, details=True)
+        assert want.n_cubes > 0
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def test_ur_sum_k_growth_is_linearly_stable():

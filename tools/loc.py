@@ -1,9 +1,20 @@
-"""Line counts of the modules of src/urlab: code, docstring, comment and
-blank lines per module, with deltas against a git revision when given.
+"""Line and option counts of the modules of src/urlab, with deltas against
+a git revision when given.
 
-Docstrings are the module, class and function docstrings that ``ast``
-finds; a line counts as a comment when its first non-blank character is
-``#``.  Every other non-blank line is code.
+Per module: code, docstring, comment and blank lines, and ``options``, the
+defaulted parameters of public functions and methods.  Docstrings are the
+module, class and function docstrings that ``ast`` finds; a line counts as
+a comment when its first non-blank character is ``#``.  Every other
+non-blank line is code.  A function or method is public when neither its
+name nor its class's name starts with ``_``; nested functions are not
+counted.
+
+A last line counts the distinct config keys that ``cli`` reads: the first
+argument of a ``get``/``has`` call on the config (a name in CONFIG_NAMES),
+and every dotted argument of another call that is handed the config, such
+as ``_point(cfg, "ball.center", sigma)``.  Only string literals and
+f-strings count; an f-string's fields read as ``{name}``, so
+``f"{section}.kind"`` is one key.
 
 Usage (from the repository root):
 
@@ -20,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/urlab"
-KINDS = ("code", "docstring", "comment", "blank")
+KINDS = ("code", "docstring", "comment", "blank", "options")
+CONFIG_NAMES = ("cfg", "sub")
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -38,9 +50,26 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return out
 
 
+def _options(tree: ast.Module) -> int:
+    """Defaulted parameters of the public functions and methods."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            members = node.body
+        else:
+            members = [node]
+        for f in members:
+            if isinstance(f, funcs) and not f.name.startswith("_"):
+                total += len(f.args.defaults) + sum(
+                    d is not None for d in f.args.kw_defaults)
+    return total
+
+
 def count(source: str) -> dict[str, int]:
-    """Code, docstring, comment and blank line counts of one module."""
-    docs = _docstring_lines(ast.parse(source))
+    """Line counts by kind and the option count of one module."""
+    tree = ast.parse(source)
+    docs = _docstring_lines(tree)
     tally = dict.fromkeys(KINDS, 0)
     for i, line in enumerate(source.splitlines(), start=1):
         text = line.strip()
@@ -52,52 +81,92 @@ def count(source: str) -> dict[str, int]:
             tally["comment"] += 1
         else:
             tally["code"] += 1
+    tally["options"] = _options(tree)
     return tally
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def _key_text(node: ast.AST) -> str | None:
+    """A string literal, or an f-string with its fields as ``{name}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if not isinstance(node, ast.JoinedStr):
+        return None
+    parts = []
+    for v in node.values:
+        if isinstance(v, ast.Constant):
+            parts.append(str(v.value))
+        else:
+            parts.append("{" + ast.unparse(v.value) + "}")
+    return "".join(parts)
+
+
+def config_keys(source: str) -> set[str]:
+    """The distinct config keys a module reads (see the module docstring)."""
+    keys: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("get", "has") \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id in CONFIG_NAMES and node.args:
+            key = _key_text(node.args[0])
+            if key is not None:
+                keys.add(key)
+        elif any(isinstance(a, ast.Name) and a.id in CONFIG_NAMES
+                 for a in node.args):
+            keys.update(k for k in map(_key_text, node.args)
+                        if k is not None and "." in k)
+    return keys
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True,
                           capture_output=True, text=True).stdout
 
 
-def counts_at(rev: str | None) -> dict[str, dict[str, int]]:
-    """Per-module counts of the working tree (rev None) or of a revision."""
+def sources_at(rev: str | None, root: Path = ROOT) -> dict[str, str]:
+    """Module sources of the working tree (rev None) or of a revision."""
     if rev is None:
-        files = {p.name: p.read_text()
-                 for p in sorted((ROOT / PACKAGE).glob("*.py"))}
-    else:
-        names = _git("ls-tree", "--name-only", rev, f"{PACKAGE}/").split()
-        files = {Path(n).name: _git("show", f"{rev}:{n}")
-                 for n in names if n.endswith(".py")}
-    return {name: count(text) for name, text in files.items()}
+        return {p.name: p.read_text()
+                for p in sorted((root / PACKAGE).glob("*.py"))}
+    names = _git(root, "ls-tree", "--name-only", rev, f"{PACKAGE}/").split()
+    return {Path(n).name: _git(root, "show", f"{rev}:{n}")
+            for n in names if n.endswith(".py")}
 
 
-def main(argv: list[str]) -> int:
+def _cell(now: int, then: int | None) -> str:
+    return str(now) + ("" if then is None else f" ({now - then:+d})")
+
+
+def main(argv: list[str], root: Path = ROOT) -> int:
     if len(argv) > 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     rev = argv[0] if argv else None
-    now = counts_at(None)
-    then = counts_at(rev) if rev is not None else None
+    now_src = sources_at(None, root)
+    then_src = sources_at(rev, root) if rev is not None else None
+    now = {name: count(text) for name, text in now_src.items()}
+    then = None if then_src is None else {
+        name: count(text) for name, text in then_src.items()}
     zero = dict.fromkeys(KINDS, 0)
     print(f"{'module':16}" + "".join(f"{k:>16}" for k in KINDS))
     total_now, total_then = dict(zero), dict(zero)
     for name in sorted(set(now) | set(then or {})):
         a = now.get(name, zero)
-        cells = []
+        b = None if then is None else then.get(name, zero)
         for k in KINDS:
             total_now[k] += a[k]
-            cell = str(a[k])
-            if then is not None:
-                b = then.get(name, zero)
-                total_then[k] += b[k]
-                cell += f" ({a[k] - b[k]:+d})"
-            cells.append(cell)
-        print(f"{name:16}" + "".join(f"{c:>16}" for c in cells))
-    cells = [str(total_now[k]) + ("" if then is None else
-                                  f" ({total_now[k] - total_then[k]:+d})")
-             for k in KINDS]
-    print(f"{'total':16}" + "".join(f"{c:>16}" for c in cells))
+            total_then[k] += 0 if b is None else b[k]
+        print(f"{name:16}" + "".join(
+            f"{_cell(a[k], None if b is None else b[k]):>16}" for k in KINDS))
+    print(f"{'total':16}" + "".join(
+        f"{_cell(total_now[k], None if then is None else total_then[k]):>16}"
+        for k in KINDS))
+    keys_now = len(config_keys(now_src.get("cli.py", "")))
+    keys_then = None if then_src is None else len(
+        config_keys(then_src.get("cli.py", "")))
+    print(f"{'cli config keys':16}{_cell(keys_now, keys_then):>16}")
     return 0
 
 
