@@ -11,7 +11,8 @@ executes, and writes its artifacts into the run directory:
   byte-identical across re-runs with the same config and seed;
 * ``manifest.json`` carrying the subcommand, the FULLY resolved
   configuration (every value the run consumed, including defaults that the
-  config file never mentioned), library versions, the seed, and the wall
+  config file never mentioned), the config keys the run never read (a
+  misspelt key shows up there), library versions, the seed, and the wall
   time.  A manifest is therefore a complete recipe for reproducing the run;
   it is the only artifact allowed to differ between identical runs.
 
@@ -148,6 +149,34 @@ class ExperimentConfig:
     def has(self, path: str) -> bool:
         return self._lookup(path)[0]
 
+    def seed(self, path: str) -> int:
+        """The random seed at path, 0 when absent; a negative seed is an
+        InputError naming the key."""
+        value = self.get(path, 0, int)
+        if value < 0:
+            raise InputError(f"config key {path!r} must be a nonnegative "
+                             f"seed, got {value}")
+        return value
+
+    def unread(self) -> list[str]:
+        """Sorted dotted paths of the config leaves that no ``get``
+        consumed, such as a misspelt key; a consumed path covers every
+        leaf below it."""
+        out = []
+
+        def walk(node: dict, prefix: str) -> None:
+            for k, v in node.items():
+                path = prefix + k
+                if path in self.consumed:
+                    continue
+                if isinstance(v, dict):
+                    walk(v, path + ".")
+                else:
+                    out.append(path)
+
+        walk(self.data, "")
+        return sorted(out)
+
     def resolved(self) -> dict:
         """Effective configuration: every consumed key, defaults included."""
         out: dict = {}
@@ -265,14 +294,37 @@ def _box(cfg: ExperimentConfig, section: str, sigma):
             cfg.get(f"{section}.box.side", kind=float))
 
 
-def _solver_config(cfg: ExperimentConfig) -> "_elliptic.SolverConfig":
-    return _elliptic.SolverConfig(
+def _hull_box(sigma) -> tuple:
+    """The measure's bounding box, as (center, side) of a cube 1.5 times
+    its longest extent."""
+    hi, lo = sigma.points.max(axis=0), sigma.points.min(axis=0)
+    return 0.5 * (hi + lo), 1.5 * float((hi - lo).max())
+
+
+def _system(cfg: ExperimentConfig, sigma, default_box,
+            h: float | None = None) -> "_elliptic.EllipticSystem":
+    """The one place a subcommand chooses its grid and solver, assembled.
+
+    The box is ``elliptic.box``, else ``default_box(step)`` of the chosen
+    cell size; the cell size is ``elliptic.h``, else h, else the box side
+    / 96.  The manifest records ``elliptic.box`` and ``elliptic.h`` as
+    given (null when absent), the solver knobs with their defaults.
+    """
+    config = _elliptic.SolverConfig(
         beta=cfg.get("elliptic.beta", 2.0, float),
         gamma=cfg.get("elliptic.gamma", 0.0, float),
         tol=cfg.get("elliptic.tol", 1e-8, float),
         maxiter=cfg.get("elliptic.maxiter", None, int),
         collar=cfg.get("elliptic.collar", 1.5, float),
         outer=cfg.get("elliptic.outer", "neumann", str))
+    box = _box(cfg, "elliptic", sigma)
+    given = cfg.get("elliptic.h", None, float)
+    step = h if given is None else given
+    if box is None:
+        box = default_box(step)
+    if step is None:
+        step = box[1] / 96.0
+    return _elliptic.assemble(sigma, box, step, config)
 
 
 def _atom_data(cfg: ExperimentConfig, sigma, section: str):
@@ -302,7 +354,7 @@ def _decomposition(cfg: ExperimentConfig, sigma,
         focus=focus,
         alpha_resolution=cfg.get("whitney.alpha_resolution", 12, int),
         alpha_cap=cfg.get("whitney.alpha_cap", 120, int),
-        alpha_seed=cfg.get("whitney.alpha_seed", 0, int))
+        alpha_seed=cfg.seed("whitney.alpha_seed"))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -342,7 +394,7 @@ def _cmd_alpha(cfg, rng, outdir):
     refine = cfg.get("wasserstein.refine", True, bool)
     maxiter = cfg.get("wasserstein.refine_maxiter", 200, int)
     xatol = cfg.get("wasserstein.xatol", 1e-4, float)
-    seed = cfg.get("wasserstein.seed", 0, int)
+    seed = cfg.seed("wasserstein.seed")
     n = sigma.ambient_dim
     rows = []
     values = []
@@ -489,7 +541,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
 
     r_alpha = min(sigma.window()[1], 25.0 * sigma.spacing)
     res = _wasserstein.alpha_number(sigma, Ball(center, r_alpha),
-                                    seed=cfg.get("wasserstein.seed", 0, int))
+                                    seed=cfg.seed("wasserstein.seed"))
     check("flatness-vanishes-on-flat-sets", res.value,
           5.0 * sigma.spacing / r_alpha)
 
@@ -531,9 +583,8 @@ def _cmd_carleson(cfg, rng, outdir):
 
 def _cmd_solve(cfg, rng, outdir):
     sigma = _build_measure(cfg)
-    system = _elliptic._system_for(
-        sigma, None, _solver_config(cfg), _box(cfg, "elliptic", sigma),
-        _elliptic._default_box(sigma), cfg.get("elliptic.h", kind=float))
+    system = _system(cfg, sigma, lambda _: _hull_box(sigma),
+                     cfg.get("elliptic.h", kind=float))
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     sol = system.solve(g)
     _elliptic.write_field(sol.field, outdir / "field.bin",
@@ -551,9 +602,8 @@ def _cmd_hm(cfg, rng, outdir):
     if e.dtype != bool:
         raise InputError("set.kind must describe a membership set, not data")
     pole = _point(cfg, "hm.pole", sigma)
-    res = _elliptic.harmonic_measure(
-        sigma, e, pole, _solver_config(cfg), box=_box(cfg, "elliptic", sigma),
-        h=cfg.get("elliptic.h", None, float))
+    system = _system(cfg, sigma, lambda _: _hull_box(sigma))
+    res = _elliptic.harmonic_measure(system, e, pole)
     it_set, it_comp = res.iterations
     _write_csv(outdir / "hm.csv",
                ["value", "complement_value", "mass_gap", "iterations_set",
@@ -568,12 +618,10 @@ def _cmd_hm(cfg, rng, outdir):
 def _cmd_ainfty(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
-    res = _elliptic.ainfty_scatter(
-        sigma, ball, _solver_config(cfg),
-        n_sets=cfg.get("scatter.n_sets", 64, int),
-        seed=cfg.get("scatter.seed", 0, int),
-        box=_box(cfg, "elliptic", sigma),
-        h=cfg.get("elliptic.h", None, float))
+    n_sets = cfg.get("scatter.n_sets", 64, int)
+    seed = cfg.seed("scatter.seed")
+    system = _system(cfg, sigma, lambda _: (ball.center, 7.5 * ball.radius))
+    res = _elliptic.ainfty_scatter(system, ball, n_sets, seed)
     _elliptic.write_scatter(res, outdir / "scatter.csv")
     deltas = cfg.get("scatter.deltas", [0.01, 0.05, 0.2], [float])
     # an envelope with no row below its threshold is NaN: JSON null
@@ -588,9 +636,10 @@ def _cmd_sn(cfg, rng, outdir):
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
-    res = _elliptic.sn_check(sigma, ball, _solver_config(cfg), g,
-                             h=cfg.get("elliptic.h", None, float),
-                             box=_box(cfg, "elliptic", sigma))
+    r = ball.radius
+    system = _system(cfg, sigma, lambda h: (ball.center, 4.0 * r + 8.0 * h),
+                     r / 32.0)
+    res = _elliptic.sn_check(system, ball, system.solve(g))
     _write_csv(outdir / "sn.csv",
                ["square_fn", "sup_sq", "nt_sq", "sup_ratio", "nt_ratio",
                 "iterations", "n_empty_cones"],
@@ -667,7 +716,7 @@ def run(subcommand: str, config, outdir=None) -> int:
             else Path(cfg.get("outdir", "runs/latest", str))
         out.mkdir(parents=True, exist_ok=True)
         cfg.consumed["outdir"] = str(out)
-        seed = cfg.get("seed", 0, int)
+        seed = cfg.seed("seed")
         rng = np.random.default_rng(seed)
         summary, artifacts = _COMMANDS[subcommand](cfg, rng, out)
     except LabError as exc:
@@ -677,6 +726,7 @@ def run(subcommand: str, config, outdir=None) -> int:
         "status": "ok",
         "seed": seed,
         "config": cfg.resolved(),
+        "unread": cfg.unread(),
         "versions": _versions(),
         "wall_time_s": time.monotonic() - t0,
         "artifacts": artifacts,

@@ -721,55 +721,15 @@ def _e_mask(e, npts: int) -> np.ndarray:
     return out
 
 
-def _default_box(sigma: DiscreteMeasure) -> tuple:
-    span = sigma.points.max(axis=0) - sigma.points.min(axis=0)
-    center = 0.5 * (sigma.points.max(axis=0) + sigma.points.min(axis=0))
-    side = 1.5 * float(span.max())
-    return center, side
-
-
-def _system_for(sigma: DiscreteMeasure, system: EllipticSystem | None,
-                config: SolverConfig | None, box, default_box,
-                h: float | None) -> EllipticSystem:
-    """The one place an entry point's grid is chosen: the given system,
-    or else a fresh one assembled on ``box`` (else ``default_box``) with
-    cell size h, by default the box side / 96.
-
-    A given system must belong to sigma and comes with its own grid and
-    solver: a box, a config other than ``system.config`` or an h other
-    than ``system.h`` given beside it is an InputError, never ignored."""
-    if system is not None:
-        if system.sigma is not sigma:
-            raise InputError("system was assembled for a different measure")
-        if box is not None:
-            raise InputError("a box cannot be given together with a system")
-        if config is not None and config != system.config:
-            raise InputError(f"solver config {config} differs from the "
-                             f"given system's {system.config}")
-        if h is not None and h != system.h:
-            raise InputError(f"cell size {h:g} differs from the given "
-                             f"system's {system.h:g}")
-        return system
-    if box is None:
-        box = default_box
-    if h is None:
-        h = _normalize_box(box, sigma.ambient_dim)[1] / 96.0
-    return assemble(sigma, box, h, config)
-
-
-def harmonic_measure(sigma: DiscreteMeasure, e, pole,
-                     config: SolverConfig | None = None, *,
-                     box=None, h: float | None = None,
-                     system: EllipticSystem | None = None
+def harmonic_measure(system: EllipticSystem, e, pole
                      ) -> HarmonicMeasureResult:
-    """Hitting probability of the atom set e seen from the pole.
+    """Hitting probability of the atom set e of ``system.sigma`` seen from
+    the pole, on the system's grid and solver.
 
     Solves with indicator data for e and for its complement; the two values
     summing to one (under reflecting walls) is reported as ``mass_gap``.
     """
-    system = _system_for(sigma, system, config, box, _default_box(sigma), h)
-    npts = sigma.points.shape[0]
-    emask = _e_mask(e, npts)
+    emask = _e_mask(e, system.sigma.points.shape[0])
     pole = system.check_pole(pole)
     res_e = system.solve(emask.astype(np.float64))
     res_c = system.solve((~emask).astype(np.float64))
@@ -786,21 +746,21 @@ def harmonic_measure(sigma: DiscreteMeasure, e, pole,
 # -- scatter diagnostic ------------------------------------------------------
 
 
-def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
-                   config: SolverConfig | None = None,
-                   n_sets: int = 64, seed: int = 0, *,
-                   box=None, h: float | None = None,
-                   system: EllipticSystem | None = None,
+def ainfty_scatter(system: EllipticSystem, ball: Ball, n_sets: int = 64,
+                   seed: int = 0, *,
                    extra_sets: Sequence | None = None) -> ScatterResult:
-    """Hitting-probability ratio vs mass ratio for random subsets of a ball.
+    """Hitting-probability ratio vs mass ratio for random subsets of a ball
+    on ``system.sigma``, priced on the system's grid and solver.
 
     The pole is a deep interior point of the ball.  Row 0 is the full ball,
     exactly (1, 1); the remaining rows are unions of one to five sub-balls
     with radii between r/20 and r/4, seeded for reproducibility.  All rows
-    come from a single representer solve.
+    come from a single representer solve, so many balls and seeds share
+    one assembled system.
     """
     if n_sets < 1:
         raise ParameterError("n_sets must be at least 1")
+    sigma = system.sigma
     npts = sigma.points.shape[0]
     gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
     in_ball = gap <= ball.radius
@@ -808,8 +768,6 @@ def ainfty_scatter(sigma: DiscreteMeasure, ball: Ball,
     if atoms_in.size < 2:
         raise DegenerateInputError(
             "ball holds fewer than two support atoms; nothing to sample")
-    system = _system_for(sigma, system, config, box,
-                         (ball.center, 7.5 * ball.radius), h)
 
     pole = corkscrew_point(sigma, ball, ball.radius / 16.0)
     pw = system.pole_weights(pole.point)
@@ -877,43 +835,31 @@ def _masked_gradient_sq(field: GridField) -> np.ndarray:
     return total
 
 
-def sn_check(sigma: DiscreteMeasure, ball: Ball,
-             config: SolverConfig | None = None, g=None, *,
-             h: float | None = None, box=None,
-             system: EllipticSystem | None = None,
-             solution: SolveResult | None = None) -> SNResult:
-    """Square-function mass on a ball against pointwise and cone suprema.
+def sn_check(system: EllipticSystem, ball: Ball,
+             solution: SolveResult) -> SNResult:
+    """Square-function mass on a ball against pointwise and cone suprema
+    of one solution on the system's grid.
 
-    Solves on a box around 2B, sums the weighted squared gradient over
-    non-pinned cells of B, and compares with (sup over 2B)^2 times the
-    ball's mass and with the mass-weighted squared cone suprema over the
-    atoms in 2B.  Requires at least 32 cells per ball radius.
+    Sums the weighted squared gradient over non-pinned cells of B, and
+    compares with (sup over 2B)^2 times the ball's mass and with the
+    mass-weighted squared cone suprema over the atoms in 2B.  Both
+    comparisons hold per ball for one fixed solution, so one solve may be
+    shared across balls: only the ball-local sums are computed here.
 
-    Both comparisons hold per ball for one fixed solution, so a solve may
-    be shared across balls: pass the assembled ``system`` together with its
-    ``solution``, and only the ball-local sums are recomputed.  The grid
-    is chosen by ``_system_for``: an explicit h must equal a given
-    system's, the r/32 rule applies to the chosen system's cell size,
-    which the result reports, and a given solution must live on that
-    system's grid (``EllipticSystem.same_grid``).  The grid must still
-    cover 2B.  The gradient weight takes beta from the system.
+    Refused: a system coarser than r/32 (``ResolutionError``), a solution
+    that does not live on the system's grid (``EllipticSystem.same_grid``;
+    ``InputError``) and a grid that does not cover 2B (``DomainError``).
+    The gradient weight takes beta from the system.
     """
-    if g is None and solution is None:
-        raise InputError("boundary data g is required")
+    sigma = system.sigma
     r = ball.radius
-    if h is None:
-        h = system.h if system is not None else r / 32.0
-    if h > r / 32.0 * (1.0 + 1e-9):
+    if system.h > r / 32.0 * (1.0 + 1e-9):
         raise ResolutionError(
             f"ball must be resolved by at least 32 cells per radius "
-            f"(h {h:g} > r/32 = {r / 32:g})")
-    system = _system_for(sigma, system, config, box,
-                         (ball.center, 4.0 * r + 8.0 * h), h)
-
-    if solution is not None and not system.same_grid(solution.field):
+            f"(h {system.h:g} > r/32 = {r / 32:g})")
+    if not system.same_grid(solution.field):
         raise InputError("solution does not match the system's grid")
-    sol = system.solve(g) if solution is None else solution
-    fld = sol.field
+    fld = solution.field
     box_lo = system.box_lo
     box_hi = system.box_lo + np.asarray(system.shape) * system.h
     if np.any(ball.center - 2.0 * r < box_lo - 1e-9 * system.h) or \
@@ -995,9 +941,9 @@ def sn_check(sigma: DiscreteMeasure, ball: Ball,
     nvals, empty = carleson.ntmax_family((cells_2b, u_2b), sigma, cones)
     nt_sq = float(np.sum(sigma.weights[verts] * nvals ** 2))
 
-    return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball, float(h),
-                    sol.iterations, sol.residual, int(idx_b.size),
-                    int(empty.sum()), fld)
+    return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball,
+                    float(system.h), solution.iterations, solution.residual,
+                    int(idx_b.size), int(empty.sum()), fld)
 
 
 # -- persistence -------------------------------------------------------------

@@ -370,6 +370,8 @@ def support_ball_family(sigma: DiscreteMeasure, count: int,
     The default radii run dyadically down from the window ceiling; every
     (center, radius) pair becomes one ball.
     """
+    if count < 1:
+        raise ParameterError(f"ball count must be at least 1, got {count}")
     if radii is None:
         lo, hi = sigma.window()
         radii = []

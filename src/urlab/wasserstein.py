@@ -305,6 +305,10 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         max_res = max(3, int(math.sqrt(cap / (2.0 * _ball_volume(d)))))
         m_res = min(m_res, max_res)
     flat_budget = min(cap // 2, (2 * m_res) ** d)
+    if cap - flat_budget < d + 1:
+        raise ParameterError(
+            f"cap {cap} leaves {cap - flat_budget} support atoms beside the "
+            f"flat sample; a d-plane fit needs at least {d + 1}")
     rng = np.random.default_rng(seed)
     if pts.shape[0] > cap - flat_budget:
         pts, w = _resample(pts, w, cap - flat_budget, rng)

@@ -380,14 +380,19 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
     mark itself truncated.
     """
     _require(deco)
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    _scale_index("k", k)
     radius = lam * 2.0 ** k * cube.diameter
     if window == "raise":
         refusal = _window_refusal(deco.sigma, radius, cube.level, k)
         if refusal is not None:
             raise refusal
     return _anchor_alpha(deco, cube.anchor_index, radius, refine)
+
+
+def _scale_index(name: str, k: int) -> None:
+    """Refuse a negative scale index (k or k_max) with a ParameterError."""
+    if k < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {k}")
 
 
 def _window_refusal(sigma: DiscreteMeasure, radius: float, level: int,
@@ -531,6 +536,7 @@ def a_x(deco: WhitneyDecomposition, x: np.ndarray, alpha_exp: float,
     term tail-bounded too, recorded as skipped scale -1.
     """
     _require(deco)
+    _scale_index("k_max", k_max)
     if alpha_exp <= 0 or beta_exp <= 0:
         raise ParameterError("exponents must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -601,6 +607,7 @@ def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
     come back NaN; callers choose how to treat uncovered cells.
     """
     _require(deco)
+    _scale_index("k_max", k_max)
     if alpha_exp <= 0 or beta_exp <= 0:
         raise ParameterError("exponents must be positive")
     pts = np.asarray(points, dtype=np.float64)
@@ -630,6 +637,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     window are excluded and counted, keeping truncation bias visible.
     """
     _require(deco)
+    _scale_index("k", k)
     if r <= 0:
         raise ParameterError("r must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -708,6 +716,7 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
     the flatness columns is decided once per (level, k).
     """
     _require(deco)
+    _scale_index("k_max", k_max)
     n = deco.sigma.ambient_dim
     stride = max(1, stride)
     rows = 0

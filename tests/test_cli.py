@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from urlab import elliptic
 from urlab.cli import ExperimentConfig, main, run
 from urlab.elliptic import read_field
-from urlab.exceptions import InputError
-from urlab.geometry import load_measure
+from urlab.exceptions import DomainError, InputError
+from urlab.geometry import load_measure, make_plane_set
 
 
 def _manifest(outdir):
@@ -425,3 +426,119 @@ def test_ur_sum_sweep_reads_each_key_from_its_value(tmp_path):
         assert run("ur-sum", alone, out) == 0
         body = (out / "ur_sum.csv").read_text().splitlines()[1]
         assert body.split(",")[1:] == row.split(",")[1:]
+
+
+_GRID_BALL = {"center": [0.1, 0.0, 0.0], "radius": 0.64, "snap": False}
+_GRID_CONFIGS = {
+    "solve": {"generator": _PLANE, "data": {"kind": "constant"}},
+    "hm": {"generator": _PLANE, "hm": {"pole": [0.0, 0.25, 0.0]}},
+    "ainfty": {"generator": _PLANE, "ball": _GRID_BALL},
+    "sn": {"generator": _PLANE, "ball": _GRID_BALL},
+}
+_GIVEN_BOX = {"center": [0.2, 0.1, 0.0], "side": 2.4}
+_GIVEN_H = 0.015                        # below r/32 = 0.02, as sn requires
+
+
+@pytest.mark.parametrize("box", [None, _GIVEN_BOX], ids=["no-box", "box"])
+@pytest.mark.parametrize("h", [None, _GIVEN_H], ids=["no-h", "h"])
+@pytest.mark.parametrize("subcommand", sorted(_GRID_CONFIGS))
+def test_subcommands_choose_their_grid_by_the_default_rules(
+        tmp_path, monkeypatch, subcommand, box, h):
+    """The (center, side, h) each elliptic subcommand assembles on: a given
+    elliptic.box and elliptic.h win; otherwise solve and hm take the hull
+    box (1.5 times the longest extent), ainfty (c, 7.5r) and sn
+    (c, 4r + 8h); h is side/96, except for sn (r/32) and solve, which
+    requires it."""
+    calls = []
+
+    def recording_assemble(sigma, box, h, config=None):
+        calls.append((np.asarray(box[0], dtype=float), float(box[1]), h))
+        raise DomainError("grid recorded")
+
+    monkeypatch.setattr(elliptic, "assemble", recording_assemble)
+    config = json.loads(json.dumps(_GRID_CONFIGS[subcommand]))
+    elliptic_cfg = config.setdefault("elliptic", {})
+    if box is not None:
+        elliptic_cfg["box"] = box
+    if h is not None:
+        elliptic_cfg["h"] = h
+    assert run(subcommand, config, tmp_path) == 1
+    if subcommand == "solve" and h is None:
+        assert calls == []
+        record = _error(tmp_path)
+        assert record["error"] == "InputError"
+        assert "elliptic.h" in record["message"]
+        return
+    assert _error(tmp_path)["message"] == "grid recorded"
+
+    sigma = make_plane_set(3, 1, 1.0, 0.05)
+    lo, hi = sigma.points.min(axis=0), sigma.points.max(axis=0)
+    c, r = np.array(_GRID_BALL["center"]), _GRID_BALL["radius"]
+    if box is not None:
+        want_box = (np.array(box["center"]), box["side"])
+    elif subcommand in ("solve", "hm"):
+        want_box = (0.5 * (lo + hi), 1.5 * float((hi - lo).max()))
+    elif subcommand == "ainfty":
+        want_box = (c, 7.5 * r)
+    else:
+        want_box = (c, 4.0 * r + 8.0 * (r / 32.0 if h is None else h))
+    if h is not None:
+        want_h = h
+    elif subcommand == "sn":
+        want_h = r / 32.0
+    else:
+        want_h = want_box[1] / 96.0
+    [(center, side, step)] = calls
+    assert np.allclose(center, want_box[0], rtol=0, atol=1e-15)
+    assert side == pytest.approx(want_box[1], rel=1e-15)
+    assert step == pytest.approx(want_h, rel=1e-15)
+
+
+_ALPHA = {"generator": _PLANE, "balls": {"count": 1, "radii": [0.25]},
+          "wasserstein": {"cap": 60, "resolution": 8, "refine": False}}
+
+
+@pytest.mark.parametrize("subcommand, config, key", [
+    ("ahlfors", {"generator": _PLANE, "seed": -1}, "seed"),
+    ("alpha", {**_ALPHA, "wasserstein": {**_ALPHA["wasserstein"],
+                                         "seed": -1}}, "wasserstein.seed"),
+    ("whitney", {**_WHITNEY, "whitney": {**_WHITNEY["whitney"],
+                                         "alpha_seed": -1}},
+     "whitney.alpha_seed"),
+    ("ainfty", {**_RERUN_CONFIGS["ainfty"][0], "scatter": {"seed": -1}},
+     "scatter.seed"),
+], ids=["seed", "wasserstein.seed", "whitney.alpha_seed", "scatter.seed"])
+def test_negative_seed_is_an_input_error(tmp_path, subcommand, config, key):
+    """A negative seed ends in an InputError record naming the key, not a
+    numpy traceback or a run that ignores it."""
+    assert run(subcommand, config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert repr(key) in record["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("override", [{"balls": {"count": 0}},
+                                      {"balls": {"count": -3}},
+                                      {"wasserstein": {"cap": 0}},
+                                      {"wasserstein": {"cap": 2}}],
+                         ids=["count-0", "count-negative", "cap-0", "cap-2"])
+def test_alpha_ball_count_and_cap_are_checked(tmp_path, override):
+    """No balls, or a cap that leaves fewer than d + 1 support atoms beside
+    the flat sample, ends in a ParameterError record and writes no table."""
+    config = json.loads(json.dumps(_ALPHA))
+    for section, values in override.items():
+        config[section].update(values)
+    assert run("alpha", config, tmp_path) == 1
+    assert _error(tmp_path)["error"] == "ParameterError"
+    assert not (tmp_path / "alpha.csv").exists()
+
+
+def test_manifest_lists_unread_config_keys(tmp_path):
+    """A misspelt key is run with the default, and the manifest says so."""
+    config = json.loads(json.dumps(_CARLESON))
+    config["carleson"]["refien"] = True
+    assert run("carleson", config, tmp_path) == 0
+    man = _manifest(tmp_path)
+    assert man["unread"] == ["carleson.refien"]
+    assert man["config"]["carleson"]["refine"] is False

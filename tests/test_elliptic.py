@@ -235,7 +235,7 @@ def test_constant_data_is_exact_with_reflecting_walls(sys48):
 
 def test_half_line_symmetry(line3d, sys48, pole_above):
     e = line3d.points[:, 0] > 0
-    hm = harmonic_measure(line3d, e, pole_above, system=sys48)
+    hm = harmonic_measure(sys48, e, pole_above)
     assert abs(hm.value - 0.5) <= 1e-8
     assert hm.mass_gap <= 1e-10
     assert -1e-7 <= hm.value <= 1 + 1e-7
@@ -245,7 +245,7 @@ def test_half_line_symmetry(line3d, sys48, pole_above):
 def test_representer_matches_direct_solves(line3d, sys48, pole_above):
     e = line3d.points[:, 0] > 0.3
     pw = sys48.pole_weights(pole_above)
-    hm = harmonic_measure(line3d, e, pole_above, system=sys48)
+    hm = harmonic_measure(sys48, e, pole_above)
     assert abs(pw.value(e) - hm.value) <= 1e-6
     assert abs(pw.weights.sum() - 1.0) <= 1e-6
     assert pw.weights.min() >= -1e-8
@@ -259,9 +259,9 @@ def test_additivity_monotonicity_max_principle(line3d, sys48, pole_above):
     x = line3d.points[:, 0]
     e1 = x > 0.3
     e2 = (x <= 0.3) & (x > -0.4)
-    h1 = harmonic_measure(line3d, e1, pole_above, system=sys48)
-    h2 = harmonic_measure(line3d, e2, pole_above, system=sys48)
-    h12 = harmonic_measure(line3d, e1 | e2, pole_above, system=sys48)
+    h1 = harmonic_measure(sys48, e1, pole_above)
+    h2 = harmonic_measure(sys48, e2, pole_above)
+    h12 = harmonic_measure(sys48, e1 | e2, pole_above)
     assert abs(h1.value + h2.value - h12.value) <= 1e-7
     assert h12.value >= h1.value - 1e-8
     assert h12.value >= h2.value - 1e-8
@@ -272,18 +272,13 @@ def test_additivity_monotonicity_max_principle(line3d, sys48, pole_above):
 def test_pole_guards(line3d, sys48):
     e = line3d.points[:, 0] > 0
     with pytest.raises(DomainError):
-        harmonic_measure(line3d, e, np.array([0.0, 0.05, 0.0]), system=sys48)
+        harmonic_measure(sys48, e, np.array([0.0, 0.05, 0.0]))
     with pytest.raises(DomainError):
         sys48.pole_weights(np.array([0.0, 5.0, 0.0]))
     with pytest.raises(InputError):
         sys48.pole_weights(np.array([0.0, 0.25]))
     with pytest.raises(InputError):
-        harmonic_measure(line3d, e[:50], np.array([0.0, 0.25, 0.0]),
-                         system=sys48)
-    other = make_plane_set(3, 1, 0.5, 0.01)
-    with pytest.raises(InputError):
-        harmonic_measure(other, np.ones(len(other.points), bool),
-                         np.array([0.0, 0.25, 0.0]), system=sys48)
+        harmonic_measure(sys48, e[:50], np.array([0.0, 0.25, 0.0]))
 
 
 def test_pole_weights_value_reads_an_atom_set(line3d, sys48, pole_above):
@@ -299,25 +294,6 @@ def test_pole_weights_value_reads_an_atom_set(line3d, sys48, pole_above):
     for bad in ([-1], [n], [0, n + 5]):
         with pytest.raises(InputError):
             pw.value(bad)
-
-
-def test_a_given_system_refuses_a_box_or_another_config(line3d, sys48,
-                                                         pole_above):
-    """A given system fixes the grid and the solver: a different config or
-    any box beside it is refused, not silently ignored."""
-    e = line3d.points[:, 0] > 0.3
-    with pytest.raises(InputError):
-        harmonic_measure(line3d, e, pole_above,
-                         SolverConfig(outer="dirichlet0"), system=sys48)
-    with pytest.raises(InputError):
-        harmonic_measure(line3d, e, pole_above, box=(np.zeros(3), 3.0),
-                         system=sys48)
-    with pytest.raises(InputError):
-        ainfty_scatter(line3d, Ball(line3d.points[100], 0.5),
-                       SolverConfig(tol=1e-6), system=sys48)
-    with pytest.raises(InputError):
-        sn_check(line3d, Ball(line3d.points[100], 2.0), SolverConfig(),
-                 np.ones(len(line3d)), box=(np.zeros(3), 3.0), system=sys48)
 
 
 def test_harnack_style_pole_moves(line3d, sys48):
@@ -352,7 +328,7 @@ def test_absorbing_walls_measure_truncation_bias(line3d, pole_above):
     bias_value = res.field.interp(pole_above)
     assert 0.6 <= bias_value <= 0.95
     e = line3d.points[:, 0] > 0
-    hm = harmonic_measure(line3d, e, pole_above, system=sysd)
+    hm = harmonic_measure(sysd, e, pole_above)
     # the two indicator solves still sum to the biased constant solution
     assert abs(hm.mass_gap - (1.0 - bias_value)) <= 1e-6
 
@@ -363,9 +339,9 @@ def test_refinement_keeps_symmetry_value(line3d):
     e = line3d.points[:, 0] > 0
     pole = np.array([0.0, 0.55, 0.0])
     sys24 = assemble(line3d, (np.zeros(3), 3.0), 3.0 / 24, SolverConfig())
-    hm_coarse = harmonic_measure(line3d, e, pole, system=sys24)
-    hm_fine = harmonic_measure(line3d, e, pole,
-                               box=(np.zeros(3), 3.0), h=3.0 / 48)
+    hm_coarse = harmonic_measure(sys24, e, pole)
+    hm_fine = harmonic_measure(
+        assemble(line3d, (np.zeros(3), 3.0), 3.0 / 48), e, pole)
     assert abs(hm_coarse.value - hm_fine.value) <= 0.05
 
 
@@ -376,8 +352,7 @@ def test_four_dimensional_ambient_smoke(plane4d):
     assert res.iterations == 0
     assert np.array_equal(res.field.values, np.ones(sysp.shape))
     e = plane4d.points[:, 0] > 0
-    hm = harmonic_measure(plane4d, e, np.array([0.0, 0.0, 0.1, 0.0]),
-                          system=sysp)
+    hm = harmonic_measure(sysp, e, np.array([0.0, 0.0, 0.1, 0.0]))
     assert abs(hm.value - 0.5) <= 1e-6
     assert hm.mass_gap <= 1e-8
 
@@ -577,8 +552,8 @@ def test_scatter_rows_and_envelopes(line3d, tmp_path):
     ball = Ball(c, 0.4)
     single = np.zeros(len(line3d.points), dtype=bool)
     single[np.argmin(np.linalg.norm(line3d.points - c[None, :], axis=1))] = True
-    res = ainfty_scatter(line3d, ball, n_sets=16, seed=1,
-                         box=(c, 3.0), h=3.0 / 64,
+    res = ainfty_scatter(assemble(line3d, (c, 3.0), 3.0 / 64), ball,
+                         n_sets=16, seed=1,
                          extra_sets=[single, np.zeros(len(line3d.points), bool)])
     assert res.pairs.shape == (19, 2)
     assert res.descriptors[0] == "full"
@@ -606,12 +581,12 @@ def test_scatter_rows_and_envelopes(line3d, tmp_path):
     assert float(first[0]) == 1.0 and float(first[1]) == 1.0
 
 
-def test_scatter_guards(line3d):
+def test_scatter_guards(line3d, sys48):
     c = line3d.points[0]
     with pytest.raises(ParameterError):
-        ainfty_scatter(line3d, Ball(c, 0.4), n_sets=0)
+        ainfty_scatter(sys48, Ball(c, 0.4), n_sets=0)
     with pytest.raises(DegenerateInputError):
-        ainfty_scatter(line3d, Ball(np.array([0.0, 2.0, 0.0]), 0.05),
+        ainfty_scatter(sys48, Ball(np.array([0.0, 2.0, 0.0]), 0.05),
                        n_sets=4)
 
 
@@ -620,22 +595,19 @@ def test_scatter_guards(line3d):
 
 def test_sn_guards(line3d, sys48):
     ball = Ball(line3d.points[100], 0.64)
-    with pytest.raises(InputError):
-        sn_check(line3d, ball, h=0.02)
+    ones = sys48.solve(np.ones(200))
     with pytest.raises(ResolutionError):
-        sn_check(line3d, ball, SolverConfig(), np.ones(200), h=0.04)
+        sn_check(sys48, ball, ones)
     # the shared 48^3 grid cannot cover 2B for an edge ball (radius chosen
     # so r/32 equals the grid step and the resolution guard stays quiet)
     edge_ball = Ball(line3d.points[np.argmax(line3d.points[:, 0])], 2.0)
     with pytest.raises(DomainError):
-        sn_check(line3d, edge_ball, SolverConfig(), np.ones(200),
-                 system=sys48)
+        sn_check(sys48, edge_ball, ones)
     # a solution from a different grid is rejected
     other = assemble(line3d, (np.zeros(3), 1.5), 1.5 / 24, SolverConfig())
     sol = other.solve(1.0)
     with pytest.raises(InputError):
-        sn_check(line3d, Ball(np.zeros(3), 2.0), SolverConfig(),
-                 system=sys48, solution=sol)
+        sn_check(sys48, Ball(np.zeros(3), 2.0), sol)
 
 
 @pytest.fixture(scope="module")
@@ -645,15 +617,11 @@ def sys24(line3d):
 
 
 def test_sn_h_must_be_the_given_systems(line3d, sys24):
-    """An explicit h cannot override a given system's cell size, which
-    would bypass the r/32 rule and misreport the grid step."""
+    """The r/32 rule applies to the system's own cell size."""
     ball = Ball(line3d.points[100], 0.3)
-    with pytest.raises(InputError):
-        sn_check(line3d, ball, SolverConfig(), np.ones(200), h=0.005,
-                 system=sys24)
-    # the rule applies to the system's own step: 1/16 > 0.3/32
+    # 1/16 > 0.3/32
     with pytest.raises(ResolutionError):
-        sn_check(line3d, ball, SolverConfig(), np.ones(200), system=sys24)
+        sn_check(sys24, ball, sys24.solve(np.ones(200)))
 
 
 def test_sn_refuses_a_solution_with_another_cell_size(line3d, sys24):
@@ -664,7 +632,7 @@ def test_sn_refuses_a_solution_with_another_cell_size(line3d, sys24):
     assert np.array_equal(other.box_lo, sys24.box_lo)
     sol = other.solve(1.0)
     with pytest.raises(InputError):
-        sn_check(line3d, Ball(np.zeros(3), 2.0), system=sys24, solution=sol)
+        sn_check(sys24, Ball(np.zeros(3), 2.0), sol)
     assert not sys24.same_grid(sol.field) and other.same_grid(sol.field)
 
 
@@ -673,7 +641,8 @@ def test_sn_single_ball_ratios_and_cone_domination(line3d):
     ball = Ball(c, 0.64)
     g = (line3d.points[:, 0] > c[0]).astype(float)
     cfg = SolverConfig(collar=1.5, tol=1e-6)
-    res = sn_check(line3d, ball, cfg, g, h=0.02)
+    system = assemble(line3d, (c, 4.0 * ball.radius + 8.0 * 0.02), 0.02, cfg)
+    res = sn_check(system, ball, system.solve(g))
     assert res.square_fn > 0
     assert 0.3 <= res.sup_ratio() <= 1.5
     assert 0.25 <= res.nt_ratio() <= 1.5
@@ -699,8 +668,9 @@ def test_sn_single_ball_ratios_and_cone_domination(line3d):
 
 def test_sn_constant_data_has_zero_square_function(line3d):
     ball = Ball(line3d.points[100], 0.64)
-    res = sn_check(line3d, ball, SolverConfig(collar=1.5, tol=1e-6),
-                   np.ones(200), h=0.02)
+    system = assemble(line3d, (ball.center, 4.0 * ball.radius + 8.0 * 0.02),
+                      0.02, SolverConfig(collar=1.5, tol=1e-6))
+    res = sn_check(system, ball, system.solve(np.ones(200)))
     assert res.square_fn == 0.0
     assert res.sup_sq == pytest.approx(line3d.mass_in_ball(ball.center,
                                                            ball.radius))
@@ -791,7 +761,7 @@ def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
     5 planes that do not divide the 128-plane window."""
     sigma, ball, system, sol = sn128
     monkeypatch.setattr(elliptic, "_EVAL_SLAB", 5 * 128 * 128 + 7)
-    got = sn_check(sigma, ball, system=system, solution=sol)
+    got = sn_check(system, ball, sol)
     want = _sn_check_oracle(sigma, ball, system, sol)
     assert got.square_fn > 0 and got.n_cells > 100_000
     for f in dataclasses.fields(SNResult):
@@ -805,7 +775,7 @@ def test_sn_ratios_of_zero_data_are_nan(sn128):
     sigma, ball, system, _ = sn128
     sol = system.solve(np.zeros(len(sigma)))
     assert sol.iterations == 0
-    res = sn_check(sigma, ball, system=system, solution=sol)
+    res = sn_check(system, ball, sol)
     assert res.square_fn == res.sup_sq == res.nt_sq == 0.0
     assert math.isnan(res.sup_ratio()) and math.isnan(res.nt_ratio())
 
@@ -840,7 +810,7 @@ def test_phase_peaks_stay_near_the_working_set(line3d, sn128, monkeypatch):
         _, solve_peak = _peak_grid_arrays(system.n_cells, system.solve, g)
     sigma, ball, big, sol = sn128
     _, sn_peak = _peak_grid_arrays(
-        big.n_cells, lambda: sn_check(sigma, ball, system=big, solution=sol))
+        big.n_cells, lambda: sn_check(big, ball, sol))
     peaks = {"assemble": assemble_peak, "solve": solve_peak,
              "sn_check": sn_peak}
     bounds = {"assemble": 10.6, "solve": 4.5, "sn_check": 4.4}

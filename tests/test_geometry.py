@@ -195,3 +195,9 @@ def test_save_measure_bytes_match_per_atom_writer(tmp_path, request,
     save_measure(sigma, str(got))
     _save_measure_oracle(sigma, str(want))
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_ball_family_needs_a_ball(line3d, count):
+    with pytest.raises(ParameterError):
+        support_ball_family(line3d, count, np.random.default_rng(0))

@@ -83,6 +83,11 @@ def test_config_keys_are_the_distinct_keys_read():
         "{section}.kind", "seed"}
 
 
+def test_the_seed_reader_reads_a_key():
+    source = 'def f(cfg):\n    return cfg.seed("scatter.seed")\n'
+    assert loc.config_keys(source) == {"scatter.seed"}
+
+
 def test_main_reports_deltas_against_a_revision(tmp_path, capsys):
     _package(tmp_path, {"geometry.py": _GEOMETRY, "cli.py": _CLI})
 

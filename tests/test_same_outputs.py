@@ -1,0 +1,72 @@
+"""tools/same_outputs.py: the comparison of two run directories and the
+reading of the rerun configs, on synthetic inputs (no CLI runs)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "same_outputs",
+    Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+
+def _run_dir(path, files, config=None, summary=None):
+    path.mkdir()
+    for name, body in files.items():
+        (path / name).write_bytes(body)
+    if config is not None:
+        man = {"config": config, "summary": summary, "wall_time_s": 1.0,
+               "unread": []}
+        (path / "manifest.json").write_text(json.dumps(man))
+    return path
+
+
+_CONFIG = {"outdir": "a", "seed": 0, "elliptic": {"h": None, "tol": 1e-6}}
+_SUMMARY = {"value": 0.5, "iterations": [3, 4]}
+
+
+def test_identical_runs_compare_the_same_despite_outdir_and_timing(tmp_path):
+    files = {"hm.csv": b"value\n0.5\n", "field.bin": b"\x00\x01"}
+    a = _run_dir(tmp_path / "a", files, _CONFIG, _SUMMARY)
+    b = _run_dir(tmp_path / "b", files, {**_CONFIG, "outdir": "b"},
+                 _SUMMARY)
+    man = json.loads((b / "manifest.json").read_text())
+    man["wall_time_s"] = 2.0
+    man["unread"] = ["x.y"]
+    (b / "manifest.json").write_text(json.dumps(man))
+    assert same_outputs.compare_runs(a, b) == []
+
+
+def test_every_kind_of_difference_is_reported(tmp_path):
+    a = _run_dir(tmp_path / "a", {"hm.csv": b"0.5\n", "extra.csv": b""},
+                 _CONFIG, _SUMMARY)
+    b = _run_dir(tmp_path / "b", {"hm.csv": b"0.50000001\n"},
+                 {**_CONFIG, "seed": 1}, {**_SUMMARY, "value": 0.6})
+    assert same_outputs.compare_runs(a, b) == [
+        "only in one run: extra.csv", "hm.csv: sha256 differs",
+        "manifest.json: config differs", "manifest.json: summary differs"]
+
+
+def test_error_records_are_compared_and_a_missing_manifest_counts(tmp_path):
+    err = b'{"error": "InputError", "message": "x"}\n'
+    a = _run_dir(tmp_path / "a", {"error.json": err})
+    b = _run_dir(tmp_path / "b", {"error.json": err})
+    assert same_outputs.compare_runs(a, b) == []
+    c = _run_dir(tmp_path / "c", {"error.json": err.replace(b"x", b"y")})
+    assert same_outputs.compare_runs(a, c) == ["error.json: sha256 differs"]
+    d = _run_dir(tmp_path / "d", {"error.json": err}, _CONFIG, _SUMMARY)
+    assert same_outputs.compare_runs(a, d) == [
+        "only in one run: manifest.json"]
+
+
+def test_rerun_configs_are_read_as_literals(tmp_path):
+    module = tmp_path / "test_x.py"
+    module.write_text(
+        "import os\n"
+        "_OTHER = os.getcwd()\n"
+        "_RERUN_CONFIGS = {'hm': ({'seed': 1, 'h': [0.1, None]},\n"
+        "                         ['hm.csv'])}\n")
+    assert same_outputs.rerun_configs(module) == {
+        "hm": ({"seed": 1, "h": [0.1, None]}, ["hm.csv"])}

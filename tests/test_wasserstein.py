@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from urlab import wasserstein
-from urlab.exceptions import DegenerateInputError, InputError
+from urlab.exceptions import DegenerateInputError, InputError, ParameterError
 from urlab.geometry import Ball, DiscreteMeasure, make_cantor_set
 from urlab.wasserstein import (
     FlatMeasure,
@@ -307,6 +307,14 @@ def test_alpha_recovers_offset_plane(line3d):
 def test_alpha_degenerate_ball(line3d):
     with pytest.raises(DegenerateInputError):
         alpha_number(line3d, Ball(np.array([0.0, 0.5, 0.0]), 0.01))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_alpha_cap_must_leave_room_for_a_plane(line3d, cap):
+    """At cap 2 or less the flat sample leaves at most one support atom,
+    and a line through one atom is no fit (d = 1 needs two)."""
+    with pytest.raises(ParameterError):
+        alpha_number(line3d, Ball(line3d.points[100], 0.25), cap=cap)
 
 
 def test_alpha_cantor_floor():

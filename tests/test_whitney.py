@@ -481,3 +481,24 @@ def test_dump_cubes_matches_per_cube_writer(tmp_path, deco_small, kw):
     assert got.read_bytes() == want.read_bytes()
     # the decomposition still iterates, through __getitem__
     assert sum(1 for _ in deco_small) == len(deco_small)
+
+
+def test_negative_scale_index_is_refused(tmp_path, deco_small):
+    """k = -1 is not a scale of the ladder: every entry point refuses it
+    instead of pricing a smaller ball, dropping the k = 0 term or writing
+    no flatness columns."""
+    x = np.zeros(3)
+    cube = deco_small[0]
+    calls = [
+        lambda: alpha_qk(deco_small, cube, -1),
+        lambda: ur_square_sum(deco_small, x, 0.1, -1),
+        lambda: a_x(deco_small, cube.center, 1.0, 1.0, k_max=-1),
+        lambda: a_x_field(deco_small, cube.center[None, :], 1.0, 1.0,
+                          k_max=-1),
+        lambda: dump_cubes(deco_small, tmp_path / "cubes.csv", k_max=-1,
+                           include_alpha=True),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+    assert not (tmp_path / "cubes.csv").exists()

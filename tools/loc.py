@@ -10,11 +10,11 @@ name nor its class's name starts with ``_``; nested functions are not
 counted.
 
 A last line counts the distinct config keys that ``cli`` reads: the first
-argument of a ``get``/``has`` call on the config (a name in CONFIG_NAMES),
-and every dotted argument of another call that is handed the config, such
-as ``_point(cfg, "ball.center", sigma)``.  Only string literals and
-f-strings count; an f-string's fields read as ``{name}``, so
-``f"{section}.kind"`` is one key.
+argument of a reader call (``get``, ``has``, ``seed``) on the config (a
+name in CONFIG_NAMES), and every dotted argument of another call that is
+handed the config, such as ``_point(cfg, "ball.center", sigma)``.  Only
+string literals and f-strings count; an f-string's fields read as
+``{name}``, so ``f"{section}.kind"`` is one key.
 
 Usage (from the repository root):
 
@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/urlab"
 KINDS = ("code", "docstring", "comment", "blank", "options")
 CONFIG_NAMES = ("cfg", "sub")
+READERS = ("get", "has", "seed")
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -107,7 +108,7 @@ def config_keys(source: str) -> set[str]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("get", "has") \
+        if isinstance(func, ast.Attribute) and func.attr in READERS \
                 and isinstance(func.value, ast.Name) \
                 and func.value.id in CONFIG_NAMES and node.args:
             key = _key_text(node.args[0])

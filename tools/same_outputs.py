@@ -1,0 +1,142 @@
+"""Check that the command line gives the same outputs at a git revision and
+in the working tree.
+
+Usage (from the repository root):
+
+    python tools/same_outputs.py REV
+
+``git archive REV src`` is extracted to a temporary directory.  Two sets of
+configs then run on both trees, each in a fresh ``python -m urlab`` process
+with one BLAS thread:
+
+* every config of ``_RERUN_CONFIGS`` in tests/test_cli.py, read with
+  ``ast.literal_eval`` rather than by importing the test module;
+* every input variant of every workload in perfbench/workloads.py (seeds
+  0 to VARIANTS - 1 of a seeded workload, one run of an unseeded one),
+  imported without writing bytecode.
+
+Two runs are the same when they leave the same files with the same sha256,
+``manifest.json`` aside, and their manifests hold the same ``config``
+(``outdir`` aside) and ``summary``.  One line is printed per run; the exit
+status is 1 if any run differs, else 0.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = "manifest.json"
+
+
+def rerun_configs(test_file: Path) -> dict:
+    """``_RERUN_CONFIGS`` of a test module: name -> (config, artifacts)."""
+    for node in ast.parse(test_file.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_RERUN_CONFIGS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no _RERUN_CONFIGS in {test_file}")
+
+
+def workload_runs(workloads_file: Path) -> list[tuple[str, str, dict]]:
+    """(run name, subcommand, config) of every workload variant."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("_workloads",
+                                                  workloads_file)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod        # its dataclasses look it up
+    spec.loader.exec_module(mod)
+    runs = []
+    for w in mod.WORKLOADS.values():
+        for seed in range(mod.VARIANTS if w.seeded else 1):
+            runs.append((f"{w.name}/seed={seed}", w.subcommand,
+                         w.config(seed)))
+    return runs
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _manifest_view(run_dir: Path) -> dict | None:
+    """The compared part of a run's manifest, None without a manifest."""
+    path = run_dir / MANIFEST
+    if not path.is_file():
+        return None
+    man = json.loads(path.read_text())
+    config = dict(man.get("config", {}))
+    config.pop("outdir", None)
+    return {"config": config, "summary": man.get("summary")}
+
+
+def compare_runs(a: Path, b: Path) -> list[str]:
+    """The differences between two run directories, empty when the same."""
+    files_a = {p.name for p in a.iterdir() if p.name != MANIFEST}
+    files_b = {p.name for p in b.iterdir() if p.name != MANIFEST}
+    out = [f"only in one run: {name}" for name in sorted(files_a ^ files_b)]
+    out += [f"{name}: sha256 differs" for name in sorted(files_a & files_b)
+            if _sha256(a / name) != _sha256(b / name)]
+    view_a, view_b = _manifest_view(a), _manifest_view(b)
+    if (view_a is None) != (view_b is None):
+        out.append(f"only in one run: {MANIFEST}")
+    elif view_a is not None:
+        out += [f"{MANIFEST}: {key} differs" for key in ("config", "summary")
+                if view_a[key] != view_b[key]]
+    return out
+
+
+def _run(src: Path, subcommand: str, config: dict, run_dir: Path) -> None:
+    """One CLI run of the package under src in a fresh process."""
+    run_dir.mkdir(parents=True)
+    cfg_file = run_dir.parent / f"{run_dir.name}.json"
+    cfg_file.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "urlab", subcommand, "-c",
+                    str(cfg_file), "-o", str(run_dir)], cwd=run_dir.parent,
+                   env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=False)
+
+
+def main(argv: list[str], root: Path = ROOT) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    runs = [(f"rerun/{name}", name, config) for name, (config, _)
+            in sorted(rerun_configs(root / "tests/test_cli.py").items())]
+    runs += workload_runs(root / "perfbench/workloads.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = tmp / "src.tar"
+        with open(archive, "wb") as fh:
+            subprocess.run(["git", "archive", argv[0], "src"], cwd=root,
+                           stdout=fh, check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        trees = {"rev": tmp / "rev" / "src", "tree": root / "src"}
+        n_diff = 0
+        for i, (name, subcommand, config) in enumerate(runs):
+            dirs = {}
+            for side, src in trees.items():
+                dirs[side] = tmp / side / "runs" / str(i)
+                _run(src, subcommand, config, dirs[side])
+            diffs = compare_runs(dirs["rev"], dirs["tree"])
+            n_diff += bool(diffs)
+            print(f"{'DIFF' if diffs else 'same'}  {name}"
+                  + "".join(f"\n      {d}" for d in diffs), flush=True)
+    print(f"{len(runs) - n_diff} of {len(runs)} runs the same")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
