@@ -307,8 +307,9 @@ def _system(cfg: ExperimentConfig, sigma, default_box,
 
     The box is ``elliptic.box``, else ``default_box(step)`` of the chosen
     cell size; the cell size is ``elliptic.h``, else h, else the box side
-    / 96.  The manifest records ``elliptic.box`` and ``elliptic.h`` as
-    given (null when absent), the solver knobs with their defaults.
+    / 96 raised to the collar's floor (``SolverConfig.min_h``).  The
+    manifest records ``elliptic.box`` and ``elliptic.h`` as given (null
+    when absent), the solver knobs with their defaults.
     """
     config = _elliptic.SolverConfig(
         beta=cfg.get("elliptic.beta", 2.0, float),
@@ -323,7 +324,7 @@ def _system(cfg: ExperimentConfig, sigma, default_box,
     if box is None:
         box = default_box(step)
     if step is None:
-        step = box[1] / 96.0
+        step = max(box[1] / 96.0, config.min_h(sigma.spacing))
     return _elliptic.assemble(sigma, box, step, config)
 
 
@@ -604,14 +605,12 @@ def _cmd_hm(cfg, rng, outdir):
     pole = _point(cfg, "hm.pole", sigma)
     system = _system(cfg, sigma, lambda _: _hull_box(sigma))
     res = _elliptic.harmonic_measure(system, e, pole)
-    it_set, it_comp = res.iterations
     _write_csv(outdir / "hm.csv",
-               ["value", "complement_value", "mass_gap", "iterations_set",
-                "iterations_complement"],
+               ["value", "complement_value", "mass_gap", "iterations"],
                [[_fmt(res.value), _fmt(res.complement_value),
-                 _fmt(res.mass_gap), it_set, it_comp]])
+                 _fmt(res.mass_gap), res.iterations]])
     return {"value": res.value, "complement_value": res.complement_value,
-            "mass_gap": res.mass_gap, "iterations": list(res.iterations),
+            "mass_gap": res.mass_gap, "iterations": res.iterations,
             "set_size": int(e.sum())}, ["hm.csv"]
 
 

@@ -20,17 +20,19 @@ The resulting matrix A is symmetric positive definite and block-diagonal
 between pinned and free cells, so one conjugate-gradient solve per boundary
 datum suffices.  The per-atom data g enter only through the right-hand side
 C g of one sparse boundary-coupling list C (see ``EllipticSystem``).
-Symmetry then gives a *representer* shortcut: a value s . A^-1 C g observed
-through an interpolation stencil s equals (C^T A^-1 s) . g, so one solve
-with s as right-hand side, then C^T, yields for every support atom at once
-the weight with which its datum enters the observed value.  Those weights
-evaluate hitting probabilities of arbitrary subsets of the support without
-further solves, which is what the scatter diagnostic exploits.
+Symmetry then gives a *representer*: a value s . A^-1 C g observed through
+the interpolation stencil s of a pole X equals (C^T v) . g with v = A^-1 s.
+That v is the discrete Green function G(X, .) (``EllipticSystem.green``),
+and C^T v holds, for every support atom at once, the weight with which its
+datum enters the value at X (``EllipticSystem.pole_weights``).  A hitting
+probability is a sum of those weights, so one solve per pole prices every
+subset of the support: ``harmonic_measure`` and ``ainfty_scatter`` both read
+it, and no indicator-data solve is made for them.
 
 Resolution contract: collar pinning keeps every evaluated face midpoint at
 distance at least ``(collar - 0.5) * h`` from the support, and the distance
 kernel refuses probes below twice the atom spacing, so ``assemble`` requires
-``(collar - 0.5) * h >= 2 * spacing`` up front.
+``(collar - 0.5) * h >= 2 * spacing`` up front (``SolverConfig.min_h``).
 
 Memory: an assembled system keeps about 5.3 float64 grid arrays resident
 (``diag``, its inverse, one padded conductance array per axis, and the int8
@@ -170,6 +172,12 @@ class SolverConfig:
         if self.maxiter is not None and self.maxiter < 1:
             raise ParameterError("maxiter must be positive when given")
 
+    def min_h(self, spacing: float) -> float:
+        """Smallest cell size the collar allows on a support of the given
+        atom spacing: face midpoints stay ``(collar - 0.5) * h`` from the
+        support, and the distance kernel needs them two spacings away."""
+        return 2.0 * spacing / (self.collar - 0.5)
+
 
 @dataclass
 class GridField:
@@ -243,9 +251,8 @@ class HarmonicMeasureResult:
     complement_value: float
     mass_gap: float
     pole: np.ndarray
-    iterations: tuple
+    iterations: int
     residual: float
-    field: GridField
 
 
 @dataclass(frozen=True)
@@ -491,7 +498,10 @@ class EllipticSystem:
         else:
             x0 = b.copy()
             x0[~self.collar] = float(gs.mean())
-        x, iters, residual = self._cg(b, x0)
+        return self._solve_result(*self._cg(b, x0))
+
+    def _solve_result(self, x: np.ndarray, iters: int,
+                      residual: float) -> SolveResult:
         fld = GridField(self.box_lo.copy(), self.h,
                         x.reshape(self.shape),
                         self.mask.reshape(self.shape).copy())
@@ -508,23 +518,34 @@ class EllipticSystem:
                 f"(gap {gap:.3g} < {4 * self.h:.3g})")
         return pole
 
-    def pole_weights(self, pole) -> PoleWeights:
-        """Weights of each atom's datum in the solution value at the pole.
+    def green(self, pole) -> SolveResult:
+        """The discrete Green function G(pole, .): the representer solve
+        A v = s with the pole's interpolation stencil s as right-hand side.
 
-        One symmetric solve with the interpolation stencil as right-hand
-        side; afterwards any subset's hitting probability is a plain sum.
+        Not cached, so a family of poles holds no grid array per pole.  It
+        is zero on collar cells, and the field at Y read from G(X, .)
+        equals the one at X read from G(Y, .) up to the CG tolerance.
+        """
+        pole = self.check_pole(pole)
+        b = np.zeros(self.n_cells)
+        for flat, wt in _stencil(self.box_lo, self.h, self.shape,
+                                 pole[None, :]):
+            b[flat] += wt
+        return self._solve_result(*self._cg(b, np.zeros(self.n_cells)))
+
+    def pole_weights(self, pole) -> PoleWeights:
+        """Weights of each atom's datum in the solution value at the pole:
+        C^T of ``green(pole)``, cached per pole, so afterwards any subset's
+        hitting probability is a plain sum.
         """
         pole = self.check_pole(pole)
         key = pole.tobytes()
         hit = self._pole_cache.get(key)
         if hit is not None:
             return hit
-        b = np.zeros(self.n_cells)
-        for flat, wt in _stencil(self.box_lo, self.h, self.shape,
-                                 pole[None, :]):
-            b[flat] += wt
-        v, iters, residual = self._cg(b, np.zeros(self.n_cells))
-        out = PoleWeights(pole, self._collar_functional(v), iters, residual)
+        g = self.green(pole)
+        out = PoleWeights(pole, self._collar_functional(g.field.values.ravel()),
+                          g.iterations, g.residual)
         self._pole_cache[key] = out
         return out
 
@@ -600,8 +621,8 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
             f"solver (got d={d}, n={n})")
     if h <= 0:
         raise ParameterError("cell size h must be positive")
-    floor_h = 2.0 * sigma.spacing / (config.collar - 0.5)
-    if (config.collar - 0.5) * h < 2.0 * sigma.spacing * (1.0 - 1e-9):
+    floor_h = config.min_h(sigma.spacing)
+    if h < floor_h * (1.0 - 1e-9):
         raise ResolutionError(
             f"face midpoints would sit closer than two spacings to the "
             f"support; need h >= {floor_h:.4g} at collar={config.collar:g}")
@@ -726,21 +747,22 @@ def harmonic_measure(system: EllipticSystem, e, pole
     """Hitting probability of the atom set e of ``system.sigma`` seen from
     the pole, on the system's grid and solver.
 
-    Solves with indicator data for e and for its complement; the two values
-    summing to one (under reflecting walls) is reported as ``mass_gap``.
+    ``value`` and ``complement_value`` are the pole weights of e and of its
+    complement (``EllipticSystem.pole_weights``), so a system makes one
+    representer solve per pole, however many sets are priced there.
+    ``iterations`` and ``residual`` are that solve's.  ``mass_gap`` is the
+    mass the walls absorb, 1 - u(pole) with u the solution for the
+    constant datum 1.  Under reflecting walls that solve takes no
+    iteration and the gap is 0 up to the rounding of the interpolation;
+    under absorbing walls it is the truncation bias.  The representer's
+    own accuracy is its ``residual``.
     """
     emask = _e_mask(e, system.sigma.points.shape[0])
-    pole = system.check_pole(pole)
-    res_e = system.solve(emask.astype(np.float64))
-    res_c = system.solve((~emask).astype(np.float64))
-    value = res_e.field.interp(pole)
-    cvalue = res_c.field.interp(pole)
+    pw = system.pole_weights(pole)
     return HarmonicMeasureResult(
-        value=float(value), complement_value=float(cvalue),
-        mass_gap=abs(value + cvalue - 1.0), pole=pole,
-        iterations=(res_e.iterations, res_c.iterations),
-        residual=max(res_e.residual, res_c.residual),
-        field=res_e.field)
+        value=pw.value(emask), complement_value=pw.value(~emask),
+        mass_gap=1.0 - system.solve(1.0).field.interp(pw.pole),
+        pole=pw.pole, iterations=pw.iterations, residual=pw.residual)
 
 
 # -- scatter diagnostic ------------------------------------------------------

@@ -256,6 +256,11 @@ _RERUN_CONFIGS = {
                 "elliptic": {"h": 0.1, "collar": 3.0, "tol": 1e-6},
                 "scatter": {"n_sets": 8}},
                ["scatter.csv"]),
+    "hm": ({"generator": {"kind": "plane", "spacing": 0.05},
+            "set": {"kind": "halfspace", "axis": 0, "threshold": 0.3},
+            "hm": {"pole": [0.0, 0.5, 0.0]},
+            "elliptic": {"h": 0.1, "collar": 3.0, "tol": 1e-6}},
+           ["hm.csv"]),
     "carleson": ({"generator": {"kind": "graph", "spacing": 0.02},
                   "balls": {"count": 1, "radii": [0.64]},
                   "field": {"kind": "gradient", "beta": 2.0},
@@ -428,6 +433,20 @@ def test_ur_sum_sweep_reads_each_key_from_its_value(tmp_path):
         assert body.split(",")[1:] == row.split(",")[1:]
 
 
+@pytest.mark.parametrize("subcommand, section", [
+    ("hm", {"hm": {"pole": [0.0, 0.25, 0.0]}}),
+    ("ainfty", {"ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5}}),
+])
+def test_default_cell_size_respects_the_collar_floor(tmp_path, subcommand,
+                                                     section):
+    """Without elliptic.h, a coarse plane (spacing 0.05, collar 3, floor
+    h = 0.04) runs on the floor instead of failing below it at side/96."""
+    config = {"generator": {"kind": "plane", "spacing": 0.05},
+              "elliptic": {"collar": 3.0, "tol": 1e-6}, **section}
+    assert run(subcommand, config, tmp_path) == 0
+    assert _manifest(tmp_path)["config"]["elliptic"]["h"] is None
+
+
 _GRID_BALL = {"center": [0.1, 0.0, 0.0], "radius": 0.64, "snap": False}
 _GRID_CONFIGS = {
     "solve": {"generator": _PLANE, "data": {"kind": "constant"}},
@@ -447,7 +466,8 @@ def test_subcommands_choose_their_grid_by_the_default_rules(
     """The (center, side, h) each elliptic subcommand assembles on: a given
     elliptic.box and elliptic.h win; otherwise solve and hm take the hull
     box (1.5 times the longest extent), ainfty (c, 7.5r) and sn
-    (c, 4r + 8h); h is side/96, except for sn (r/32) and solve, which
+    (c, 4r + 8h); h is side/96 raised to the collar floor
+    2 spacing/(collar - 0.5), except for sn (r/32) and solve, which
     requires it."""
     calls = []
 
@@ -487,7 +507,7 @@ def test_subcommands_choose_their_grid_by_the_default_rules(
     elif subcommand == "sn":
         want_h = r / 32.0
     else:
-        want_h = want_box[1] / 96.0
+        want_h = max(want_box[1] / 96.0, 2.0 * sigma.spacing / (1.5 - 0.5))
     [(center, side, step)] = calls
     assert np.allclose(center, want_box[0], rtol=0, atol=1e-15)
     assert side == pytest.approx(want_box[1], rel=1e-15)

@@ -75,6 +75,14 @@ def _cg_oracle(system, b, x0, tol):
     return x, iters
 
 
+def _harmonic_measure_oracle(system, e, pole):
+    """The replaced two-solve hitting probability, kept as a reference:
+    (value, complement value) at the pole of the indicator-data solves of
+    the atom set e and of its complement."""
+    return tuple(system.solve(ind.astype(float)).field.interp(pole)
+                 for ind in (e, ~e))
+
+
 @pytest.fixture(scope="module")
 def sys48(line3d):
     """Shared 48^3 system on the standard line, reflecting walls."""
@@ -239,14 +247,17 @@ def test_half_line_symmetry(line3d, sys48, pole_above):
     assert abs(hm.value - 0.5) <= 1e-8
     assert hm.mass_gap <= 1e-10
     assert -1e-7 <= hm.value <= 1 + 1e-7
-    assert hm.iterations[0] > 0
+    assert hm.iterations > 0
 
 
 def test_representer_matches_direct_solves(line3d, sys48, pole_above):
     e = line3d.points[:, 0] > 0.3
     pw = sys48.pole_weights(pole_above)
     hm = harmonic_measure(sys48, e, pole_above)
-    assert abs(pw.value(e) - hm.value) <= 1e-6
+    want = _harmonic_measure_oracle(sys48, e, pole_above)
+    assert abs(pw.value(e) - want[0]) <= 1e-6
+    assert abs(hm.value - want[0]) <= 1e-6
+    assert abs(hm.complement_value - want[1]) <= 1e-6
     assert abs(pw.weights.sum() - 1.0) <= 1e-6
     assert pw.weights.min() >= -1e-8
     # per-pole cache returns the identical object
@@ -265,8 +276,67 @@ def test_additivity_monotonicity_max_principle(line3d, sys48, pole_above):
     assert abs(h1.value + h2.value - h12.value) <= 1e-7
     assert h12.value >= h1.value - 1e-8
     assert h12.value >= h2.value - 1e-8
-    fv = h12.field.values
+    fv = sys48.solve((e1 | e2).astype(float)).field.values
     assert fv.min() >= -1e-7 and fv.max() <= 1.0 + 1e-7
+
+
+@pytest.mark.parametrize("name", ["sys48", "sys48d"])
+def test_one_solve_matches_the_two_solve_oracle(name, line3d, pole_above,
+                                                request):
+    system = request.getfixturevalue(name)
+    e = line3d.points[:, 0] > 0
+    hm = harmonic_measure(system, e, pole_above)
+    value, cvalue = _harmonic_measure_oracle(system, e, pole_above)
+    assert abs(hm.value - value) <= 1e-6
+    assert abs(hm.complement_value - cvalue) <= 1e-6
+
+
+def test_hitting_probabilities_at_one_pole_share_one_solve(
+        line3d, sys48, pole_above, monkeypatch):
+    calls = []
+    green = sys48.green
+
+    def counting_green(pole):
+        calls.append(pole)
+        return green(pole)
+
+    monkeypatch.setattr(sys48, "green", counting_green)
+    monkeypatch.setattr(sys48, "_pole_cache", {})
+    # the set is checked before any solve
+    with pytest.raises(InputError):
+        harmonic_measure(sys48, np.ones(5, dtype=bool), pole_above)
+    assert calls == []
+    x = line3d.points[:, 0]
+    for e in (x > 0, x > 0.3, np.abs(x) < 0.2):
+        harmonic_measure(sys48, e, pole_above)
+    assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def green_above(sys48, pole_above):
+    return sys48.green(pole_above)
+
+
+def test_green_function_is_symmetric(sys48, pole_above, green_above):
+    y = np.array([0.3, 0.1, 0.35])
+    g_xy = green_above.field.interp(y)
+    g_yx = sys48.green(y).field.interp(pole_above)
+    assert g_xy > 0
+    assert abs(g_xy - g_yx) <= 1e-6 * g_xy
+
+
+def test_green_function_is_nonnegative_and_vanishes_on_the_collar(
+        sys48, green_above):
+    v = green_above.field.values.ravel()
+    assert v.min() >= 0.0
+    assert not v[sys48.collar].any()
+
+
+def test_pole_weights_are_the_collar_functional_of_green(
+        sys48, pole_above, green_above):
+    assert np.array_equal(
+        sys48._collar_functional(green_above.field.values.ravel()),
+        sys48.pole_weights(pole_above).weights)
 
 
 def test_pole_guards(line3d, sys48):
@@ -352,9 +422,13 @@ def test_four_dimensional_ambient_smoke(plane4d):
     assert res.iterations == 0
     assert np.array_equal(res.field.values, np.ones(sysp.shape))
     e = plane4d.points[:, 0] > 0
-    hm = harmonic_measure(sysp, e, np.array([0.0, 0.0, 0.1, 0.0]))
+    pole = np.array([0.0, 0.0, 0.1, 0.0])
+    hm = harmonic_measure(sysp, e, pole)
     assert abs(hm.value - 0.5) <= 1e-6
     assert hm.mass_gap <= 1e-8
+    value, cvalue = _harmonic_measure_oracle(sysp, e, pole)
+    assert abs(hm.value - value) <= 1e-6
+    assert abs(hm.complement_value - cvalue) <= 1e-6
 
 
 def test_warm_start_changes_nothing_but_iterations(line3d, sys48):
