@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import distance
 
 from .exceptions import (
@@ -276,6 +275,11 @@ def shell_oracle(d: int, n: int, r: float, s0: float, s1: float) -> float:
     integrand behaves like 1/t near the plane, so s0 = 0 diverges; callers
     choose the inner cutoff (half the atomic spacing is where a discrete
     set stops looking like a continuum).
+
+    The integral is elementary: with u = sqrt(1 - t^2/r^2), p = d + 1 and
+    q = p mod 2 it is r^d (F(s0) - F(s1)), where F(t) = G_q - sum over
+    k = p - 1, p - 3, ..., q + 1 of u^k / k, G_1 = -ln(t/r) and
+    G_0 = ln(1 + u) - ln(t/r).
     """
     if not 0 <= d < n:
         raise ParameterError("need 0 <= d < n")
@@ -284,9 +288,15 @@ def shell_oracle(d: int, n: int, r: float, s0: float, s1: float) -> float:
     s1 = min(s1, r)
     if s1 <= s0:
         return 0.0
+    p = d + 1
+
+    def anti(t: float) -> float:
+        u = math.sqrt(1.0 - (t / r) ** 2)
+        g = -math.log(t / r) + (math.log1p(u) if p % 2 == 0 else 0.0)
+        return g - sum(u ** k / k for k in range(p - 1, p % 2, -2))
+
     front = _sphere_area(n - d) * _ball_volume(d)
-    val, _ = quad(lambda t: (r * r - t * t) ** (d / 2.0) / t, s0, s1)
-    return front * val
+    return front * r ** d * (anti(s0) - anti(s1))
 
 
 # -- Carleson norms ----------------------------------------------------------

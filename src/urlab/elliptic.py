@@ -37,14 +37,18 @@ kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 Memory: an assembled system keeps about 5.3 float64 grid arrays resident
 (``diag``, its inverse, one padded conductance array per axis, and the int8
 mask with its collar flags) plus the boundary-coupling list, whose length
-follows the collar, not the grid.  Work that touches every cell (face
-midpoints and their kernel sums, warm-start interpolation) runs in slabs of
-``_EVAL_SLAB`` cells; the collar search only visits cells within a few
-cells of an atom; ``sn_check`` walks its window in slabs of leading-axis
-planes.  So the largest transient is the conjugate-gradient working set of
-four grid vectors (``_cg`` reuses the right-hand side and the initial guess
-it is given), and the peak of assemble, solve and sn_check stays near the
-system plus a few grid arrays.
+follows the collar, not the grid; after its first ``harmonic_measure``
+call it also holds the solution for the constant datum, one more grid
+array with an int8 copy of the mask.  Work that touches every cell (face
+midpoints and their kernel sums, warm-start interpolation) runs in slabs
+of ``_EVAL_SLAB`` cells; the collar search only visits cells within a few
+cells of an atom; ``sn_check`` reads its window once, in slabs of
+leading-axis planes, and folds each slab's cone maxima into running
+maxima, so it builds no array over all of 2B's cells.  So the largest
+transient is the conjugate-gradient working set of four grid vectors
+(``_cg`` reuses the right-hand side and the initial guess it is given),
+and the peak of assemble, solve and sn_check stays near the system plus a
+few grid arrays.
 """
 
 from __future__ import annotations
@@ -345,6 +349,7 @@ class EllipticSystem:
         self.n_unknowns = self.n_cells - self.n_collar
         self._inv_diag = 1.0 / diag
         self._pole_cache: dict = {}
+        self._unit: GridField | None = None
         self._strides = [int(np.prod(shape[a + 1:]))
                          for a in range(len(shape))]
         self._work = np.empty(min(_BLOCK, self.n_cells))
@@ -436,9 +441,7 @@ class EllipticSystem:
 
     def _g_support(self, g) -> np.ndarray:
         npts = self.sigma.points.shape[0]
-        if callable(g):
-            vals = np.asarray(g(self.sigma.points), dtype=np.float64)
-        elif np.isscalar(g):
+        if np.isscalar(g):
             vals = np.full(npts, float(g))
         else:
             vals = np.asarray(g, dtype=np.float64)
@@ -486,7 +489,8 @@ class EllipticSystem:
         return out
 
     def solve(self, g, warm_start: GridField | None = None) -> SolveResult:
-        """Solve for the field with the given per-atom boundary data.
+        """Solve for the field with the boundary data g: one value per
+        support atom, or a scalar for constant data.
 
         ``warm_start`` seeds the iteration with another field (typically a
         coarser solve of the same data); it never changes the answer."""
@@ -506,6 +510,13 @@ class EllipticSystem:
                         x.reshape(self.shape),
                         self.mask.reshape(self.shape).copy())
         return SolveResult(fld, iters, residual, self.n_unknowns)
+
+    def _unit_field(self) -> GridField:
+        """The solution for the constant datum 1, solved once per system
+        and cached."""
+        if self._unit is None:
+            self._unit = self.solve(1.0).field
+        return self._unit
 
     def check_pole(self, pole) -> np.ndarray:
         pole = np.asarray(pole, dtype=np.float64)
@@ -653,7 +664,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     unknown = (maskn != MASK_COLLAR)
     if not unknown.any():
         raise DomainError("the collar fills the whole box; enlarge the box")
-    _, ncomp = ndimage.label(unknown)
+    ncomp = ndimage.label(unknown)[1]           # the label grid is not kept
     if ncomp > 1:
         raise TopologyError(
             f"the collar splits the box into {ncomp} components; enlarge "
@@ -694,12 +705,12 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         nz = i_fr[uu | uc | cu]
         if nz.size:
             wp[nz] = _face_weights(nz, a)
-        diag += np.bincount(i_fr[uu], weights=w[uu], minlength=ncells)
-        diag += np.bincount(i_bk[uu], weights=w[uu], minlength=ncells)
-        if uc.any():
-            diag += np.bincount(i_fr[uc], weights=w[uc], minlength=ncells)
-        if cu.any():
-            diag += np.bincount(i_bk[cu], weights=w[cu], minlength=ncells)
+        del nz
+        # the cells of one call are distinct, so each add is the bincount's
+        np.add.at(diag, i_fr[uu], w[uu])
+        np.add.at(diag, i_bk[uu], w[uu])
+        np.add.at(diag, i_fr[uc], w[uc])
+        np.add.at(diag, i_bk[cu], w[cu])
         coupling += [(i_fr[uc], near(i_bk[uc]), w[uc]),
                      (i_bk[cu], near(i_fr[cu]), w[cu])]
         w[~uu] = 0.0
@@ -712,9 +723,8 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
                 sl = _axis_slice(n, a, edge)
                 cells = idx3[sl][unknown[sl]].ravel()
                 if cells.size:
-                    diag += np.bincount(
-                        cells, weights=_face_weights(cells, a, shift, "wall"),
-                        minlength=ncells)
+                    np.add.at(diag, cells,
+                              _face_weights(cells, a, shift, "wall"))
 
     diag[coll_cells] = 1.0
     if np.any(diag <= 0):
@@ -752,16 +762,16 @@ def harmonic_measure(system: EllipticSystem, e, pole
     representer solve per pole, however many sets are priced there.
     ``iterations`` and ``residual`` are that solve's.  ``mass_gap`` is the
     mass the walls absorb, 1 - u(pole) with u the solution for the
-    constant datum 1.  Under reflecting walls that solve takes no
-    iteration and the gap is 0 up to the rounding of the interpolation;
-    under absorbing walls it is the truncation bias.  The representer's
-    own accuracy is its ``residual``.
+    constant datum 1, solved once per system.  Under reflecting walls
+    that solve takes no iteration and the gap is 0 up to the rounding of
+    the interpolation; under absorbing walls it is the truncation bias.
+    The representer's own accuracy is its ``residual``.
     """
     emask = _e_mask(e, system.sigma.points.shape[0])
     pw = system.pole_weights(pole)
     return HarmonicMeasureResult(
         value=pw.value(emask), complement_value=pw.value(~emask),
-        mass_gap=1.0 - system.solve(1.0).field.interp(pw.pole),
+        mass_gap=1.0 - system._unit_field().interp(pw.pole),
         pole=pw.pole, iterations=pw.iterations, residual=pw.residual)
 
 
@@ -868,6 +878,11 @@ def sn_check(system: EllipticSystem, ball: Ball,
     comparisons hold per ball for one fixed solution, so one solve may be
     shared across balls: only the ball-local sums are computed here.
 
+    The window around 2B is read once, in slabs of leading-axis planes.
+    Each slab makes one support query for its 2B cells and folds their
+    cone maxima (``carleson.ntmax_family``) and |u| into running maxima,
+    so no array spans all of 2B's cells.
+
     Refused: a system coarser than r/32 (``ResolutionError``), a solution
     that does not live on the system's grid (``EllipticSystem.same_grid``;
     ``InputError``) and a grid that does not cover 2B (``DomainError``).
@@ -889,6 +904,12 @@ def sn_check(system: EllipticSystem, ball: Ball,
         raise DomainError("the grid does not cover the doubled ball")
     n = sigma.ambient_dim
     d = sigma.intrinsic_dim
+    verts = np.flatnonzero(
+        np.linalg.norm(sigma.points - ball.center[None, :], axis=1) <= 2.0 * r)
+    if not verts.size:
+        raise DomainError("no support atoms inside 2B")
+    cones = carleson.ConeFamily(sigma.points[verts], 2.0,
+                                Ball(ball.center, 2.0 * r))
 
     # restrict to the sub-grid spanning 2B (plus one neighbor layer for
     # the differences) so sharing one big solve across balls stays cheap
@@ -905,10 +926,14 @@ def sn_check(system: EllipticSystem, ball: Ball,
     sq_off = [(x - c) ** 2 for x, c in zip(sub.axes(), ball.center)]
 
     # walk the window in slabs of leading-axis planes; with one halo plane
-    # on each side a slab's masked gradient equals the whole window's
+    # on each side a slab's masked gradient equals the whole window's, and
+    # the suprema over 2B are running maxima of the slabs' own
     plane = int(np.prod(sub.shape[1:]))
     step = max(1, _EVAL_SLAB // plane)
-    g2_b, idx_b, idx_2b, u_2b = [], [], [], []
+    g2_b, idx_b = [], []
+    sup = 0.0
+    nvals = np.zeros(len(cones))
+    empty = np.ones(len(cones), dtype=bool)
     for i0 in range(0, sub.shape[0], step):
         i1 = min(i0 + step, sub.shape[0])
         h0, h1 = max(0, i0 - 1), min(sub.shape[0], i1 + 1)
@@ -925,8 +950,14 @@ def sn_check(system: EllipticSystem, ball: Ball,
         g2_b.append(grad2[in_b])
         idx_b.append(np.flatnonzero(in_b) + i0 * plane)
         in_2b = dist2 <= 4.0 * r * r
-        u_2b.append(vals[in_2b])
-        idx_2b.append(np.flatnonzero(in_2b) + i0 * plane)
+        u_2b = vals[in_2b]
+        sup = max(sup, float(np.abs(u_2b).max(initial=0.0)))
+        cells = _cell_centers(sub.box_lo, sub.h, sub.shape,
+                              np.flatnonzero(in_2b) + i0 * plane)
+        s_vals, s_empty = carleson.ntmax_family(
+            (cells, u_2b), sigma, cones, dists=sigma.dist_to_support(cells))
+        np.maximum(nvals, s_vals, out=nvals)
+        empty &= s_empty
 
     # one sum over B's cells in C order keeps the whole-window bits
     idx_b = np.concatenate(idx_b)
@@ -942,28 +973,10 @@ def sn_check(system: EllipticSystem, ball: Ball,
     else:
         square_fn = 0.0
 
-    sup = float(np.max([np.abs(u).max(initial=0.0) for u in u_2b]))
-    mass_b = sigma.mass_in_ball(ball.center, r)
-    sup_sq = sup * sup * mass_b
-
-    idx_2b = np.concatenate(idx_2b)
-    u_2b = np.concatenate(u_2b)
-    cells_2b = np.empty((idx_2b.size, n))
-    for c0 in range(0, idx_2b.size, _EVAL_SLAB):
-        c1 = min(c0 + _EVAL_SLAB, idx_2b.size)
-        cells_2b[c0:c1] = _cell_centers(sub.box_lo, sub.h, sub.shape,
-                                        idx_2b[c0:c1])
-    del idx_2b
-    vert_gap = np.linalg.norm(sigma.points - ball.center[None, :], axis=1)
-    verts = np.flatnonzero(vert_gap <= 2.0 * r)
-    if not verts.size:
-        raise DomainError("no support atoms inside 2B")
-    cones = carleson.ConeFamily(sigma.points[verts], 2.0,
-                                Ball(ball.center, 2.0 * r))
-    nvals, empty = carleson.ntmax_family((cells_2b, u_2b), sigma, cones)
+    sup_sq = sup * sup * sigma.mass_in_ball(ball.center, r)
     nt_sq = float(np.sum(sigma.weights[verts] * nvals ** 2))
 
-    return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball,
+    return SNResult(square_fn, sup_sq, nt_sq, sup, ball,
                     float(system.h), solution.iterations, solution.residual,
                     int(idx_b.size), int(empty.sum()), fld)
 

@@ -1,13 +1,15 @@
 """Cutoffs and shell sets, Carleson norms with bias accounting, cone
 maxima, and the two-sided embedding consistency check."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from urlab import carleson
+from urlab import carleson, geometry
 from urlab.carleson import (
     ConeFamily,
     carleson_norm,
@@ -386,6 +388,31 @@ def test_evaluator_bugs_propagate_instead_of_skipping_cells(graph2d, ball2):
         embedding_check(buggy, _ones, graph2d, ball2, h, cm1=1.0)
     with pytest.raises(AttributeError):
         embedding_check(_ones, buggy, graph2d, ball2, h, cm1=1.0)
+
+
+def _shell_integral_oracle(d, r, s0, s1):
+    """The replaced quadrature of (r^2 - t^2)^{d/2} / t over [s0, s1],
+    kept as a reference; t = e^s removes the 1/t, and the tolerance is
+    2e-14 relative."""
+    val, _ = quad(lambda s: (r * r - math.exp(2.0 * s)) ** (d / 2.0),
+                  math.log(s0), math.log(s1), epsabs=0.0, epsrel=2e-14,
+                  limit=200)
+    return val
+
+
+def test_shell_oracle_matches_the_quadrature_oracle():
+    """The antiderivative against the quadrature for d = 0..4, n up to 6,
+    four radii and five shells, the outer edge clipped to r."""
+    for d, r in itertools.product(range(5), (0.05, 0.25, 0.64, 1.0)):
+        for s0, s1 in ((0.0025, 0.1), (1e-4, 2e-4), (0.01, 0.02),
+                       (0.05, 1.0), (0.2, 0.3)):
+            if s0 >= r:
+                continue
+            want = _shell_integral_oracle(d, r, s0, min(s1, r))
+            for n in range(d + 1, 7):
+                front = geometry._sphere_area(n - d) * geometry._ball_volume(d)
+                assert shell_oracle(d, n, r, s0, s1) == pytest.approx(
+                    front * want, rel=1e-12), (d, n, r, s0, s1)
 
 
 def test_shell_oracle_closed_form_and_guards():

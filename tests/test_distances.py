@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 from urlab import distances
@@ -103,13 +104,22 @@ def test_kernel_constant_reference_values():
     assert kernel_constant(1, 3.0) == pytest.approx(math.pi / 2.0, rel=1e-8)
 
 
+def _kernel_constant_oracle(d, beta):
+    """The replaced radial quadrature, kept as a reference: the area of
+    the unit (d-1)-sphere times a 1-D integral decaying like
+    rho^{-1-beta}, at relative tolerance 1e-10."""
+    expo = (d + beta) / 2.0
+    val, err = quad(lambda rho: rho ** (d - 1) * (1.0 + rho * rho) ** (-expo),
+                    0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+    assert err <= 1e-10 * val
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * val
+
+
 def test_kernel_constant_gamma_closed_form():
-    # oracle: pi^{d/2} Gamma(beta/2) / Gamma((d+beta)/2), via the Beta integral
-    for d in (1, 2, 3):
-        for beta in (0.5, 1.0, 1.7, 2.0, 3.0):
-            want = math.pi ** (d / 2.0) * math.gamma(beta / 2.0) \
-                / math.gamma((d + beta) / 2.0)
-            assert kernel_constant(d, beta) == pytest.approx(want, rel=1e-8)
+    for d in (1, 2, 3, 4):
+        for beta in (0.5, 1.0, 1.7, 2.0, 3.0, 5.0):
+            want = _kernel_constant_oracle(d, beta)
+            assert kernel_constant(d, beta) == pytest.approx(want, rel=1e-12)
 
 
 def test_kernel_constant_recursion():

@@ -70,3 +70,24 @@ def test_rerun_configs_are_read_as_literals(tmp_path):
         "                         ['hm.csv'])}\n")
     assert same_outputs.rerun_configs(module) == {
         "hm": ({"seed": 1, "h": [0.1, None]}, ["hm.csv"])}
+
+
+def test_differing_columns_of_same_shape_csvs_are_named(tmp_path):
+    head = b"name,value,bias,count\r\n"
+    a = _run_dir(tmp_path / "a", {
+        "c.csv": head + b"b0,0.5,1e-3,7\r\nb1,0.25,2e-3,8\r\n",
+        "d.csv": b"x\n1\n"}, _CONFIG, _SUMMARY)
+    b = _run_dir(tmp_path / "b", {
+        "c.csv": head + b"b0,0.5,1.0000000000001e-3,7\r\nb1,0.25,2e-3,9\r\n",
+        "d.csv": b"x\n1\n2\n"}, _CONFIG, _SUMMARY)
+    got = same_outputs.compare_runs(a, b)
+    assert got[:2] == ["c.csv: sha256 differs",
+                       "c.csv: column bias: largest relative difference 1e-13"]
+    assert got[2] == "c.csv: column count: largest relative difference 0.111"
+    # another row count: the file is only reported as differing
+    assert got[3:] == ["d.csv: sha256 differs"]
+    e = _run_dir(tmp_path / "e", {"c.csv": b"name\r\nb0\r\n"})
+    f = _run_dir(tmp_path / "f", {"c.csv": b"name\r\nb1\r\n"})
+    assert same_outputs.compare_runs(e, f) == [
+        "c.csv: sha256 differs",
+        "c.csv: column name: largest relative difference inf"]

@@ -18,15 +18,20 @@ with one BLAS thread:
 Two runs are the same when they leave the same files with the same sha256,
 ``manifest.json`` aside, and their manifests hold the same ``config``
 (``outdir`` aside) and ``summary``.  One line is printed per run; the exit
-status is 1 if any run differs, else 0.
+status is 1 if any run differs, else 0.  When two differing CSVs share
+their header and row count, each column that differs is named with its
+largest relative difference (inf where a differing cell is not a number),
+so a rounding-level change can be told from a real one.
 """
 
 from __future__ import annotations
 
 import ast
+import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,13 +84,44 @@ def _manifest_view(run_dir: Path) -> dict | None:
     return {"config": config, "summary": man.get("summary")}
 
 
+def _rel_diff(x: str, y: str) -> float:
+    """Relative difference of two differing CSV cells."""
+    try:
+        fx, fy = float(x), float(y)
+    except ValueError:
+        return math.inf
+    scale = max(abs(fx), abs(fy))
+    return abs(fx - fy) / scale if scale > 0 else 0.0
+
+
+def column_diffs(a: Path, b: Path) -> list[str]:
+    """Each differing column of two CSVs with one header and row count,
+    with its largest relative difference; empty when their shapes differ."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if (not rows_a or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]
+            or any(len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b))):
+        return []
+    worst = {}
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        for col, x, y in zip(rows_a[0], ra, rb):
+            if x != y:
+                worst[col] = max(worst.get(col, 0.0), _rel_diff(x, y))
+    return [f"column {col}: largest relative difference {worst[col]:.3g}"
+            for col in rows_a[0] if col in worst]
+
+
 def compare_runs(a: Path, b: Path) -> list[str]:
     """The differences between two run directories, empty when the same."""
     files_a = {p.name for p in a.iterdir() if p.name != MANIFEST}
     files_b = {p.name for p in b.iterdir() if p.name != MANIFEST}
     out = [f"only in one run: {name}" for name in sorted(files_a ^ files_b)]
-    out += [f"{name}: sha256 differs" for name in sorted(files_a & files_b)
-            if _sha256(a / name) != _sha256(b / name)]
+    for name in sorted(files_a & files_b):
+        if _sha256(a / name) != _sha256(b / name):
+            out.append(f"{name}: sha256 differs")
+            if name.endswith(".csv"):
+                out += [f"{name}: {d}" for d in column_diffs(a / name,
+                                                             b / name)]
     view_a, view_b = _manifest_view(a), _manifest_view(b)
     if (view_a is None) != (view_b is None):
         out.append(f"only in one run: {MANIFEST}")
