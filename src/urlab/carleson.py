@@ -47,7 +47,6 @@ __all__ = [
     "ntmax_family",
     "embedding_check",
     "shell_oracle",
-    "cm1_ball_family",
     "write_carleson",
 ]
 
@@ -515,13 +514,6 @@ def ntmax(u, sigma: DiscreteMeasure, x: np.ndarray, *,
 # -- Carleson embedding check -------------------------------------------------
 
 
-def cm1_ball_family(sigma: DiscreteMeasure, *, count: int = 32,
-                    seed: int = 0) -> list[Ball]:
-    """Default supremum family: seeded support centers, dyadic radii."""
-    return support_ball_family(sigma, count,
-                               np.random.default_rng(seed))
-
-
 def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
                     aperture: float = 2.0, cm1: float | None = None,
                     seed: int = 0) -> EmbeddingResult:
@@ -546,7 +538,7 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     uvals, bad_u = _evaluate_field(u, cells)
     lhs = float(np.sum(uvals * fvals * dist ** (d - n))) * h ** n
     if cm1 is None:
-        fam = cm1_ball_family(sigma, seed=seed)
+        fam = support_ball_family(sigma, 32, np.random.default_rng(seed))
         cm1 = carleson_norm(f, sigma, fam, min(h, min(
             b.radius for b in fam) / 32.0), squared=False,
             refine=False).supremum

@@ -438,6 +438,8 @@ def _cmd_ur_sum(cfg, rng, outdir):
     sweep_values = cfg.get("sweep.values", [None], [None])
     if sweep_key is None and sweep_values != [None]:
         raise InputError("sweep.values requires sweep.key")
+    if not sweep_values:
+        raise InputError("sweep.values must not be empty")
     rows = []
     sums = []
     for value in sweep_values:
@@ -451,7 +453,7 @@ def _cmd_ur_sum(cfg, rng, outdir):
         # pruning to B(x, 2r) keeps every cube the sum can select
         deco = _decomposition(sub, sigma, focus=(x, 2.0 * r))
         res = _whitney.ur_square_sum(deco, x, r, sub.get("query.k", 0, int),
-                                     lam=lam, details=True)
+                                     lam=lam)
         sums.append(res.value)
         rows.append(["" if value is None else value, _fmt(res.value),
                      res.n_cubes, res.n_excluded, res.n_anchors])

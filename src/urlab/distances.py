@@ -25,13 +25,10 @@ from .geometry import DiscreteMeasure
 
 __all__ = [
     "FieldSample",
-    "BVPair",
     "kernel_constant",
     "regularized_distance",
     "riesz_field",
     "distance_gradient",
-    "smoothed_density",
-    "field_decomposition",
     "ratio_gradient",
     "evaluate_fields",
     "fd_gradient_check",
@@ -52,17 +49,6 @@ class FieldSample:
     gradient: np.ndarray        # (M, n) gradient of the regularized distance
     support_gap: np.ndarray     # (M,) true distance to the support
     reliable: np.ndarray        # (M,) bool, gap >= 2*spacing
-
-
-@dataclass
-class BVPair:
-    """Split of the exponent-alpha field into b*grad(D) + V, times D^-alpha."""
-
-    b: np.ndarray               # (M,) scalar coefficient
-    v: np.ndarray               # (M, n) remainder vector
-    s: np.ndarray               # (M,) smoothed density used for b
-    alpha: float
-    beta: float
 
 
 # -- kernel normalizing constant -------------------------------------------
@@ -190,12 +176,6 @@ def _gradient(s: dict, v: dict, d: int, beta: float) -> tuple:
     return dval, grad
 
 
-def _density(s: dict, d: int) -> np.ndarray:
-    """Smoothed density D_1 / D_{1/2}, calibrated to 1 on a unit plane."""
-    return kernel_constant(d, 1.0) / kernel_constant(d, 0.5) ** 2 \
-        * _distance(s, d, 1.0) / _distance(s, d, 0.5)
-
-
 def regularized_distance(sigma: DiscreteMeasure, x, beta: float):
     """Inverse-beta-root of the kernel sum; comparable to dist(x, support)."""
     probes, single = _as_batch(x, beta)
@@ -225,42 +205,6 @@ def distance_gradient(sigma: DiscreteMeasure, x, beta: float):
     s, v, _ = _kernel_bundle(sigma, probes, (d + beta,), (d + beta + 1.0,))
     _, out = _gradient(s, v, d, beta)
     return out[0] if single else out
-
-
-def smoothed_density(sigma: DiscreteMeasure, x):
-    """Density surrogate, exactly 1 on a unit-density plane.
-
-    Built from the ratio of the beta=1 and beta=1/2 regularized distances;
-    the kernel constants calibrate the plane value to 1.
-    """
-    probes, single = _as_batch(x)
-    d = sigma.intrinsic_dim
-    s, _, _ = _kernel_bundle(sigma, probes, (d + 1.0, d + 0.5))
-    out = _density(s, d)
-    return float(out[0]) if single else out
-
-
-def field_decomposition(sigma: DiscreteMeasure, x, alpha: float,
-                        beta: float) -> BVPair:
-    """Split field(alpha) = (b*grad D_beta + V) * D_beta^-alpha.
-
-    The scalar b is the exact constant for a flat measure of the probed
-    density, so V measures the deviation from flatness; V vanishes
-    identically when sigma is a plane.
-    """
-    probes, _ = _as_batch(x, alpha, beta)
-    d = sigma.intrinsic_dim
-    s, v, _ = _kernel_bundle(
-        sigma, probes,
-        (d + alpha, d + beta, d + 1.0, d + 0.5),
-        (d + alpha, d + beta + 1.0))
-    dbeta, grad = _gradient(s, v, d, beta)
-    sdens = _density(s, d)
-    coeff = (beta * kernel_constant(d, alpha + 1.0)
-             / ((d + beta) * kernel_constant(d, beta + 2.0)))
-    b = coeff * (kernel_constant(d, beta) * sdens) ** ((beta + 1.0 - alpha) / beta)
-    vrem = (dbeta ** alpha)[:, None] * v[d + alpha] - b[:, None] * grad
-    return BVPair(b, vrem, sdens, alpha, beta)
 
 
 def ratio_gradient(sigma: DiscreteMeasure, x, alpha: float, beta: float):

@@ -53,6 +53,7 @@ few grid arrays.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -1029,9 +1030,13 @@ def read_field(json_path) -> GridField:
 
 
 def write_scatter(result: ScatterResult, csv_path):
-    """CSV dump of the ratio pairs, one row per sampled set."""
-    lines = ["omega_ratio,sigma_ratio,descriptor"]
-    for (om, sg), desc in zip(result.pairs, result.descriptors):
-        lines.append(f"{om:.17g},{sg:.17g},{desc}")
-    with open(str(csv_path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV dump of the ratio pairs, one row per sampled set.
+
+    Descriptors hold commas, so the csv writer quotes them; each line ends
+    in a bare newline.
+    """
+    with open(str(csv_path), "w", encoding="utf-8", newline="") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        wr.writerow(["omega_ratio", "sigma_ratio", "descriptor"])
+        for (om, sg), desc in zip(result.pairs, result.descriptors):
+            wr.writerow([f"{om:.17g}", f"{sg:.17g}", desc])

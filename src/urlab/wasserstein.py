@@ -39,19 +39,12 @@ from .geometry import Ball, DiscreteMeasure, _ball_volume, _lattice
 
 __all__ = [
     "FlatMeasure",
-    "WassersteinResult",
     "AlphaResult",
-    "EnvelopeResult",
-    "ScaleCheck",
     "flat_sample",
     "local_wasserstein",
     "alpha_number",
     "flat_distance",
-    "flat_pair_envelope",
-    "scale_monotonicity",
 ]
-
-_ENVELOPE_FACTOR = 32.0         # two-sided slack of the closed-form envelope
 
 
 @dataclass
@@ -86,16 +79,6 @@ class FlatMeasure:
 
 
 @dataclass
-class WassersteinResult:
-    value: float                # normalized distance r^{-d-1} * optimum
-    optimum: float              # raw LP optimum
-    iterations: int
-    n_samples: int
-    subsampled: bool
-    seed: int
-
-
-@dataclass
 class AlphaResult:
     value: float
     flat: FlatMeasure
@@ -105,23 +88,6 @@ class AlphaResult:
     n_flat: int
     nm_iterations: int
     truncated: bool             # ball radius left the resolution window
-
-
-@dataclass
-class EnvelopeResult:
-    lower: float
-    upper: float
-    case: str                   # 'graph' | 'steep' | 'orthogonal'
-    tilt: float                 # |a|, largest singular value (graph case)
-    shift: float                # |b| at the projected ball center (graph case)
-
-
-@dataclass
-class ScaleCheck:
-    numerator: float
-    denominator: float
-    ratio: float
-    exact_equality: bool
 
 
 # -- sampling ---------------------------------------------------------------
@@ -236,27 +202,22 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
 
 
 def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
-                      *, cap: int = 300, seed: int = 0,
-                      details: bool = False):
+                      *, cap: int = 300, seed: int = 0) -> float:
     """Normalized ball-localized Wasserstein-1 distance between two clouds.
 
     The value is r^{-d-1} times the optimum of the transport LP in which
     the sphere is a ground node (see the module docstring); it equals the
     supremum over potentials supported in the closed ball.
     Weight-proportional subsampling (seeded) keeps the combined sample
-    count at or below `cap`.  With details=True the result's `iterations`
-    counts the HiGHS iterations of that primal LP (0 when no LP runs).
+    count at or below `cap`.
     """
     if mu.intrinsic_dim != nu.intrinsic_dim:
         raise InputError("measures must share the intrinsic dimension")
     d = mu.intrinsic_dim
-    opt, nit, m, sub = _transport_lp(mu.points, mu.weights, nu.points,
-                                     nu.weights, ball.center, ball.radius,
-                                     cap=cap, seed=seed)
-    value = opt / ball.radius ** (d + 1)
-    if details:
-        return WassersteinResult(value, opt, nit, m, sub, seed)
-    return value
+    opt, _, _, _ = _transport_lp(mu.points, mu.weights, nu.points,
+                                 nu.weights, ball.center, ball.radius,
+                                 cap=cap, seed=seed)
+    return opt / ball.radius ** (d + 1)
 
 
 # -- alpha numbers ------------------------------------------------------------
@@ -272,6 +233,12 @@ def _sign_fix(rows: np.ndarray) -> np.ndarray:
 def _orthonormalize(w: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(w.T)
     return (q * np.sign(np.diag(r))).T
+
+
+def _null_space(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal complement rows of a (d, n) orthonormal row basis."""
+    _, _, vh = np.linalg.svd(basis, full_matrices=True)
+    return vh[basis.shape[0]:]
 
 
 def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
@@ -384,81 +351,3 @@ def flat_distance(sigma: DiscreteMeasure, flat: FlatMeasure, ball: Ball, *,
     opt, _, _, _ = _transport_lp(fpts, fw, pts, w, ball.center, r,
                                  cap=cap, seed=seed)
     return opt / r ** (d + 1)
-
-
-# -- closed-form envelopes ------------------------------------------------
-
-
-def flat_pair_envelope(mu1: FlatMeasure, mu2: FlatMeasure,
-                       ball: Ball) -> EnvelopeResult:
-    """Two-sided closed-form envelope for the distance of two flat measures.
-
-    Both planes must meet B(center, r/2).  After normalizing so the denser
-    plane is the reference and writing the other as a graph x -> x*a + b
-    over it (coordinates anchored at the projected ball center), the
-    comparison quantity is
-
-        steep or orthogonal:  c1           (resp. c1 + c2)
-        graph, |a| <= 1:      c1*(|a| + |b|/r) + (c1 - c2)
-
-    and the envelope is (X/32, 32*X).  |a| is the largest singular value.
-    """
-    r = ball.radius
-    for mu in (mu1, mu2):
-        if float(mu.distance(ball.center)) > r / 2.0 + 1e-12:
-            raise InputError("both planes must meet B(center, r/2)")
-    if mu1.dim != mu2.dim:
-        raise InputError("planes must share the dimension")
-    if mu2.c > mu1.c:
-        mu1, mu2 = mu2, mu1
-    c1, c2 = mu1.c, mu2.c
-
-    u1 = mu1.basis
-    v1 = _sign_fix(_null_space(u1))
-    origin = mu1.project(ball.center)
-
-    m = mu2.basis @ u1.T                        # d x d
-    smin = np.linalg.svd(m, compute_uv=False).min()
-    if smin < 1e-8:
-        x, case, tilt, shift = c1 + c2, "orthogonal", math.inf, math.nan
-    else:
-        a = np.linalg.solve(m, mu2.basis @ v1.T)    # d x (n-d) graph matrix
-        tilt = float(np.linalg.norm(a, 2))
-        xi0 = (mu2.offset - origin) @ u1.T
-        eta0 = (mu2.offset - origin) @ v1.T
-        shift = float(np.linalg.norm(eta0 - xi0 @ a))
-        if tilt >= 1.0:
-            x, case = c1, "steep"
-        else:
-            x, case = c1 * (tilt + shift / r) + (c1 - c2), "graph"
-    return EnvelopeResult(x / _ENVELOPE_FACTOR, _ENVELOPE_FACTOR * x, case,
-                          tilt, shift)
-
-
-def _null_space(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal complement rows of a (d, n) orthonormal row basis."""
-    _, _, vh = np.linalg.svd(basis, full_matrices=True)
-    return vh[basis.shape[0]:]
-
-
-def scale_monotonicity(mu1: FlatMeasure, mu2: FlatMeasure, center, radius,
-                       k: int, *, resolution: int = 16, cap: int = 300,
-                       seed: int = 0) -> ScaleCheck:
-    """Distance ratio between scale 2^k * r and scale r (LP at both scales).
-
-    A pair of flat measures can only look flatter at large scale when it
-    looked flat at small scale; the ratio is bounded.  Identical measures
-    make the denominator vanish: reported as the exact-equality case.
-    """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    values = []
-    for rad in (radius, (2.0 ** k) * radius):
-        ball = Ball(center, rad)
-        s1 = flat_sample(mu1, ball, resolution)
-        s2 = flat_sample(mu2, ball, resolution)
-        values.append(local_wasserstein(s1, s2, ball, cap=cap, seed=seed))
-    small, big = values[0], values[1]
-    if small < 1e-12:
-        return ScaleCheck(big, small, math.nan, True)
-    return ScaleCheck(big, small, big / small, False)

@@ -57,7 +57,6 @@ __all__ = [
     "a_x",
     "a_x_field",
     "ur_square_sum",
-    "neighbor_count_max",
     "dump_cubes",
 ]
 
@@ -629,7 +628,7 @@ def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
 
 def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
                   k: int = 0, *, lam: float = SCALE_FACTOR,
-                  refine: bool = False, details: bool = False):
+                  refine: bool = False) -> URSumResult:
     """Normalized square sum of flatness numbers over cubes near a ball.
 
     Cubes enter when their 2-dilate meets B(x, r); each contributes
@@ -670,37 +669,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
         total += ell ** d * float(np.sum(vals[inv] ** 2))
         n_cubes += count
         anchors += len(uniq)
-    value = total / r ** d
-    if details:
-        return URSumResult(value, n_cubes, n_excluded, anchors, r, k)
-    return value
-
-
-def neighbor_count_max(deco: WhitneyDecomposition, *,
-                       max_level_gap: int | None = 2) -> int:
-    """Largest number of cubes whose 2-dilates meet a given cube's 2-dilate.
-
-    The count includes the cube itself.  Touching dilates force comparable
-    sides: were the side ratio 4 or more, the smaller cube's parent already
-    violated retention within reach of the larger cube's center, beating
-    the larger cube's own clearance — so level gaps above 1 are impossible
-    and the default scan window of 2 is already conservative.  Pass
-    max_level_gap=None to scan every pair regardless.
-    """
-    _require(deco)
-    keys = list(deco.levels)
-    trees = {k: cKDTree(deco.levels[k].centers) for k in keys}
-    counts = {k: np.zeros(len(deco.levels[k].packed), dtype=np.int64)
-              for k in keys}
-    for a in keys:
-        for b in keys:
-            if max_level_gap is not None and abs(b - a) > max_level_gap:
-                continue
-            lev_b = deco.levels[b]
-            counts[b] += trees[a].query_ball_point(
-                lev_b.centers, deco.levels[a].side + lev_b.side, p=np.inf,
-                return_length=True)
-    return int(max(arr.max() for arr in counts.values()))
+    return URSumResult(total / r ** d, n_cubes, n_excluded, anchors, r, k)
 
 
 def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
@@ -711,14 +680,15 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
 
     Flatness and flat-measure columns are optional (they trigger LP work
     per distinct anchor ball) and window violations render as empty cells.
-    ``stride`` keeps every stride-th cube of the global cube order; only
-    the flat-measure columns build per-cube views, and a window refusal of
-    the flatness columns is decided once per (level, k).
+    ``stride`` (at least 1) keeps every stride-th cube of the global cube
+    order; only the flat-measure columns build per-cube views, and a
+    window refusal of the flatness columns is decided once per (level, k).
     """
     _require(deco)
     _scale_index("k_max", k_max)
     n = deco.sigma.ambient_dim
-    stride = max(1, stride)
+    if stride < 1:
+        raise ParameterError(f"stride must be at least 1, got {stride}")
     rows = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -13,7 +13,6 @@ from urlab import carleson, geometry
 from urlab.carleson import (
     ConeFamily,
     carleson_norm,
-    cm1_ball_family,
     cutoff_gradient_check,
     cutoff_phi,
     e_sets_indicator,
@@ -562,7 +561,7 @@ def test_embedding_battery_bounded_and_stable(graph2d):
         "const": _ones,
         "dist": lambda p: graph2d.dist_to_support(p) / geom.radius,
     }
-    fam = cm1_ball_family(graph2d, count=8, seed=0)
+    fam = geometry.support_ball_family(graph2d, 8, np.random.default_rng(0))
     h_fam = min(b.radius for b in fam) / 32.0
     cm1 = {name: carleson_norm(f, graph2d, fam, h_fam, squared=False,
                                refine=False).supremum

@@ -405,6 +405,29 @@ def test_config_value_of_the_wrong_type_is_an_input_error(
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("stride", [0, -4])
+def test_whitney_stride_below_one_is_a_parameter_error(tmp_path, stride):
+    """A stride below 1 is refused, not read as 1 with every cube written."""
+    config = json.loads(json.dumps(_WHITNEY))
+    config["whitney"]["stride"] = stride
+    assert run("whitney", config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "ParameterError"
+    assert "stride" in record["message"]
+    assert not (tmp_path / "cubes.csv").exists()
+
+
+def test_ur_sum_empty_sweep_is_an_input_error(tmp_path):
+    """An empty sweep ends in an InputError record, not a traceback."""
+    config = {"generator": _PLANE, "query": {"radius": 0.3},
+              "sweep": {"key": "query.radius", "values": []}}
+    assert run("ur-sum", config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert "sweep.values" in record["message"]
+    assert not (tmp_path / "ur_sum.csv").exists()
+
+
 def test_manifest_records_the_typed_value(tmp_path):
     config = json.loads(json.dumps(_WHITNEY))
     config["whitney"]["max_depth"] = 6.0

@@ -13,12 +13,10 @@ from urlab.distances import (
     divergence_check,
     evaluate_fields,
     fd_gradient_check,
-    field_decomposition,
     kernel_constant,
     ratio_gradient,
     regularized_distance,
     riesz_field,
-    smoothed_density,
 )
 from urlab.exceptions import ParameterError, ResolutionError
 from urlab.geometry import DiscreteMeasure, make_plane_set
@@ -220,35 +218,7 @@ def test_divergence_free_middle_exponent(line3d, graph02):
             assert rep["ratio"] <= 1e-3
 
 
-# -- smoothed density and decompositions -------------------------------------
-
-def test_smoothed_density_near_one_on_long_line(longline3d):
-    vals = smoothed_density(longline3d, _ring_probes(10, 0.025, x_range=0.5))
-    assert np.all(np.abs(vals - 1.0) <= 0.03)
-
-
-def test_decomposition_identity_exact(line3d, graph02):
-    # field(alpha) * D^alpha == b*grad(D_beta) + V by independent evaluation
-    alpha, beta = 1.0, 2.0
-    for sigma in (line3d, graph02):
-        probes = _ring_probes(10, 0.09, seed=10) + np.array([0.0, 0.05, 0.0])
-        pair = field_decomposition(sigma, probes, alpha, beta)
-        h = riesz_field(sigma, probes, alpha)
-        dval = regularized_distance(sigma, probes, beta)
-        grad = distance_gradient(sigma, probes, beta)
-        lhs = h * (dval ** alpha)[:, None]
-        rhs = pair.b[:, None] * grad + pair.v
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-
-def test_remainder_small_on_plane(longline3d):
-    alpha, beta = 1.0, 2.0
-    probes = _ring_probes(10, 0.025, x_range=0.5, seed=11)
-    pair = field_decomposition(longline3d, probes, alpha, beta)
-    grad = distance_gradient(longline3d, probes, beta)
-    scale = np.abs(pair.b) * np.linalg.norm(grad, axis=1)
-    assert np.all(np.linalg.norm(pair.v, axis=1) <= 0.05 * scale)
-
+# -- ratio field -------------------------------------------------------------
 
 def test_ratio_gradient_small_on_plane(longline3d):
     probes = _ring_probes(10, 0.025, x_range=0.5, seed=12)

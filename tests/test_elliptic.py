@@ -2,6 +2,7 @@
 probabilities and their invariants, the scatter diagnostic, and the
 square-function comparisons."""
 
+import csv
 import dataclasses
 import itertools
 import math
@@ -677,6 +678,24 @@ def test_scatter_rows_and_envelopes(line3d, tmp_path):
     assert len(lines) == 20
     first = lines[1].split(",")
     assert float(first[0]) == 1.0 and float(first[1]) == 1.0
+
+
+def test_scatter_csv_quotes_descriptors(line3d, sys48, tmp_path):
+    # union descriptors hold commas; csv.reader must see three fields
+    c = line3d.points[np.argmin(np.linalg.norm(line3d.points, axis=1))]
+    single = np.zeros(len(line3d.points), dtype=bool)
+    single[0] = True
+    res = ainfty_scatter(sys48, Ball(c, 0.4), n_sets=4, seed=1,
+                         extra_sets=[single])
+    assert any("," in desc for desc in res.descriptors)
+    path = tmp_path / "scatter.csv"
+    write_scatter(res, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["omega_ratio", "sigma_ratio", "descriptor"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[2] for row in rows[1:]] == list(res.descriptors)
+    assert b"\r" not in path.read_bytes()
 
 
 def test_scatter_guards(line3d, sys48):

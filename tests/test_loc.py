@@ -1,5 +1,6 @@
-"""tools/loc.py: line kinds, public defaulted parameters and cli config keys,
-counted on a small synthetic package and diffed against a git revision."""
+"""tools/loc.py: line kinds, public defaulted parameters, public names and
+cli config keys, counted on a small synthetic package and diffed against a
+git revision."""
 
 import importlib.util
 import subprocess
@@ -111,6 +112,33 @@ def test_main_reports_deltas_against_a_revision(tmp_path, capsys):
     assert out[-1].split()[-2:] == ["5", "(-1)"]
     assert loc.main([], root=tmp_path) == 0
     assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "5"
+
+
+def test_public_names_are_the_all_entries_a_module_defines():
+    # a re-exported import and a dunder are not the module's own names
+    source = ('from .geometry import Ball\n'
+              '__all__ = ["Ball", "build", "Shape", "__version__"]\n')
+    assert loc.public_names(source) == 2
+    assert loc.public_names(_GEOMETRY) == 0      # no __all__
+
+
+def test_main_reports_public_names_with_deltas(tmp_path, capsys):
+    names = '__all__ = ["build", "Shape", "area"]\n'
+    _package(tmp_path, {"geometry.py": _GEOMETRY + names,
+                        "__init__.py": 'from .geometry import build\n'
+                                       '__all__ = ["build"]\n'})
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "b"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+    _package(tmp_path, {"geometry.py": _GEOMETRY + names.replace(
+        ', "area"', "")})
+    assert loc.main(["HEAD"], root=tmp_path) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index(f"{'module':16}{'public names':>16}")
+    table = {line.split()[0]: line.split()[1:] for line in out[start + 1:-1]}
+    assert table == {"__init__.py": ["0", "(+0)"],
+                     "geometry.py": ["2", "(-1)"],
+                     "total": ["2", "(-1)"]}
 
 
 def test_main_rejects_extra_arguments(capsys):

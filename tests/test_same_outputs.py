@@ -46,7 +46,10 @@ def test_every_kind_of_difference_is_reported(tmp_path):
                  {**_CONFIG, "seed": 1}, {**_SUMMARY, "value": 0.6})
     assert same_outputs.compare_runs(a, b) == [
         "only in one run: extra.csv", "hm.csv: sha256 differs",
-        "manifest.json: config differs", "manifest.json: summary differs"]
+        "manifest.json: config differs",
+        "manifest.json: key config.seed: largest relative difference 1",
+        "manifest.json: summary differs",
+        "manifest.json: key summary.value: largest relative difference 0.167"]
 
 
 def test_error_records_are_compared_and_a_missing_manifest_counts(tmp_path):
@@ -55,7 +58,9 @@ def test_error_records_are_compared_and_a_missing_manifest_counts(tmp_path):
     b = _run_dir(tmp_path / "b", {"error.json": err})
     assert same_outputs.compare_runs(a, b) == []
     c = _run_dir(tmp_path / "c", {"error.json": err.replace(b"x", b"y")})
-    assert same_outputs.compare_runs(a, c) == ["error.json: sha256 differs"]
+    assert same_outputs.compare_runs(a, c) == [
+        "error.json: sha256 differs",
+        "error.json: key message: largest relative difference inf"]
     d = _run_dir(tmp_path / "d", {"error.json": err}, _CONFIG, _SUMMARY)
     assert same_outputs.compare_runs(a, d) == [
         "only in one run: manifest.json"]
@@ -91,3 +96,38 @@ def test_differing_columns_of_same_shape_csvs_are_named(tmp_path):
     assert same_outputs.compare_runs(e, f) == [
         "c.csv: sha256 differs",
         "c.csv: column name: largest relative difference inf"]
+
+
+def test_differing_json_keys_are_named(tmp_path):
+    """JSON artifacts and manifest sections are compared on dotted paths;
+    a list value reports its largest entry-wise difference."""
+    body = {"max_bias": 0.5, "per_ball": {"values": [1.0, 2.0], "n": 3},
+            "kind": "gradient", "flag": None}
+    other = {"max_bias": 0.5 * (1 + 5e-16), "kind": "gradient",
+             "per_ball": {"values": [1.0, 2.2], "n": 3}, "extra": 1}
+    a = _run_dir(tmp_path / "a", {"s.json": json.dumps(body).encode()},
+                 _CONFIG, _SUMMARY)
+    b = _run_dir(tmp_path / "b", {"s.json": json.dumps(other).encode()},
+                 _CONFIG, {**_SUMMARY, "iterations": [3, 5]})
+    assert same_outputs.compare_runs(a, b) == [
+        "s.json: sha256 differs",
+        "s.json: key max_bias: largest relative difference 4.44e-16",
+        "s.json: key per_ball.values: largest relative difference 0.0909",
+        "s.json: key flag: only in one run",
+        "s.json: key extra: only in one run",
+        "manifest.json: summary differs",
+        "manifest.json: key summary.iterations: "
+        "largest relative difference 0.2"]
+
+
+def test_json_values_that_are_not_numbers(tmp_path):
+    """Strings, nulls and lists of another length differ by inf; a JSON
+    file that differs only in layout names no key."""
+    assert same_outputs.key_diffs({"a": "x", "b": None, "c": [1]},
+                                  {"a": "y", "b": 0.0, "c": [1, 2]}) == [
+        "key a: largest relative difference inf",
+        "key b: largest relative difference inf",
+        "key c: largest relative difference inf"]
+    a = _run_dir(tmp_path / "a", {"s.json": b'{"a": [1, 2]}'})
+    b = _run_dir(tmp_path / "b", {"s.json": b'{\n  "a": [1, 2]\n}\n'})
+    assert same_outputs.compare_runs(a, b) == ["s.json: sha256 differs"]

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from urlab.exceptions import (
     DomainError,
@@ -29,7 +30,6 @@ from urlab.whitney import (
     decompose,
     dump_cubes,
     mu_q,
-    neighbor_count_max,
     ur_square_sum,
 )
 
@@ -131,6 +131,31 @@ def test_sandwich_band_over_the_plane(deco_line):
         h = np.linalg.norm(lev.centers[core, 1:], axis=1)  # height over axis
         ratio = lev.side / h
         assert ratio.min() >= lo and ratio.max() <= hi
+
+
+def neighbor_count_max(deco, *, max_level_gap=2):
+    """Largest number of cubes whose 2-dilates meet a given cube's 2-dilate.
+
+    The count includes the cube itself.  Touching dilates force comparable
+    sides: were the side ratio 4 or more, the smaller cube's parent already
+    violated retention within reach of the larger cube's center, beating
+    the larger cube's own clearance — so level gaps above 1 are impossible
+    and the default scan window of 2 is already conservative.  Pass
+    max_level_gap=None to scan every pair regardless.
+    """
+    keys = list(deco.levels)
+    trees = {k: cKDTree(deco.levels[k].centers) for k in keys}
+    counts = {k: np.zeros(len(deco.levels[k].packed), dtype=np.int64)
+              for k in keys}
+    for a in keys:
+        for b in keys:
+            if max_level_gap is not None and abs(b - a) > max_level_gap:
+                continue
+            lev_b = deco.levels[b]
+            counts[b] += trees[a].query_ball_point(
+                lev_b.centers, deco.levels[a].side + lev_b.side, p=np.inf,
+                return_length=True)
+    return int(max(arr.max() for arr in counts.values()))
 
 
 def test_neighbor_count_invariant_across_depths():
@@ -339,10 +364,8 @@ def test_ur_sum_plane_refinement_trend(deco_line, line3d_fine):
     # below half (measured 3.17 -> 1.09); the classical all-scale limit is
     # unreachable here because the window floor pins the deepest ball size
     deco_fine = decompose(line3d_fine, max_depth=8)
-    coarse = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0, lam=2.0,
-                           details=True)
-    fine = ur_square_sum(deco_fine, np.zeros(3), 0.25, k=0, lam=2.0,
-                         details=True)
+    coarse = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0, lam=2.0)
+    fine = ur_square_sum(deco_fine, np.zeros(3), 0.25, k=0, lam=2.0)
     assert coarse.n_excluded == 0 and fine.n_excluded == 0
     assert fine.value <= 0.5 * coarse.value
     assert coarse.value < 5.0
@@ -352,7 +375,7 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
     focused = decompose(line3d, max_depth=8, focus=(np.zeros(3), 0.3))
     full = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0, lam=2.0)
     part = ur_square_sum(focused, np.zeros(3), 0.25, k=0, lam=2.0)
-    assert part == pytest.approx(full, rel=1e-12)
+    assert part.value == pytest.approx(full.value, rel=1e-12)
     with pytest.raises(ParameterError):
         ur_square_sum(focused, np.zeros(3), 0.35, k=0, lam=2.0)
     # the focus that `urlab ur-sum` always uses, (x, 2r), prunes no cube
@@ -361,8 +384,8 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
     cli_focus = decompose(line3d, max_depth=8, focus=(x, 2.0 * r))
     assert cli_focus.pruned > 0
     for k in (0, 1):
-        want = ur_square_sum(deco_line, x, r, k=k, lam=3.0, details=True)
-        got = ur_square_sum(cli_focus, x, r, k=k, lam=3.0, details=True)
+        want = ur_square_sum(deco_line, x, r, k=k, lam=3.0)
+        got = ur_square_sum(cli_focus, x, r, k=k, lam=3.0)
         assert want.n_cubes > 0
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
@@ -374,7 +397,8 @@ def test_ur_sum_k_growth_is_linearly_stable():
                                  0.00125)
     x = sigma.points[int(np.argmin(np.linalg.norm(sigma.points, axis=1)))]
     deco = decompose(sigma, max_depth=12, focus=(x, 0.45))
-    vals = [ur_square_sum(deco, x, 0.2, k=k, lam=3.0) for k in (0, 1, 2)]
+    vals = [ur_square_sum(deco, x, 0.2, k=k, lam=3.0).value
+            for k in (0, 1, 2)]
     assert all(v > 0 for v in vals)
     assert max(vals) <= 2.0 * min(vals)
     slope = float(np.polyfit([0, 1, 2], vals, 1)[0])
@@ -389,8 +413,7 @@ def test_ur_sum_grows_on_cantor_refinement():
         sigma = make_cantor_set(m)
         deco = decompose(sigma, box=CANTOR_BOX, max_depth=depth,
                          focus=(np.zeros(3), 0.13))
-        out = ur_square_sum(deco, np.zeros(3), 0.1, k=0, lam=4.0,
-                            details=True)
+        out = ur_square_sum(deco, np.zeros(3), 0.1, k=0, lam=4.0)
         vals[m] = out
     assert vals[3].n_excluded > 0       # below-floor levels stay visible
     assert vals[5].value >= 1.5 * vals[3].value
@@ -430,6 +453,14 @@ def test_dump_cubes_stride(tmp_path, deco_small):
     path = tmp_path / "cubes.csv"
     rows = dump_cubes(deco_small, path, stride=7)
     assert rows == math.ceil(len(deco_small) / 7)
+
+
+@pytest.mark.parametrize("stride", [0, -4])
+def test_dump_cubes_refuses_stride_below_one(tmp_path, deco_small, stride):
+    path = tmp_path / "cubes.csv"
+    with pytest.raises(ParameterError):
+        dump_cubes(deco_small, path, stride=stride)
+    assert not path.exists()
 
 
 def _dump_cubes_oracle(deco, path, *, k_max=0, lam=8.0, eps=0.3,

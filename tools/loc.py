@@ -9,6 +9,10 @@ non-blank line is code.  A function or method is public when neither its
 name nor its class's name starts with ``_``; nested functions are not
 counted.
 
+A second table counts each module's public names: the ``__all__`` entries
+it defines itself.  Names it imports (re-exports such as the package's
+``__init__``) and dunders such as ``__version__`` are not counted.
+
 A last line counts the distinct config keys that ``cli`` reads: the first
 argument of a reader call (``get``, ``has``, ``seed``) on the config (a
 name in CONFIG_NAMES), and every dotted argument of another call that is
@@ -65,6 +69,24 @@ def _options(tree: ast.Module) -> int:
                 total += len(f.args.defaults) + sum(
                     d is not None for d in f.args.kw_defaults)
     return total
+
+
+def public_names(source: str) -> int:
+    """The public names a module defines (see the module docstring)."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    names: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names = [e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)]
+    return sum(not name.startswith("__") and name not in imported
+               for name in names)
 
 
 def count(source: str) -> dict[str, int]:
@@ -164,6 +186,15 @@ def main(argv: list[str], root: Path = ROOT) -> int:
     print(f"{'total':16}" + "".join(
         f"{_cell(total_now[k], None if then is None else total_then[k]):>16}"
         for k in KINDS))
+    names_now = {name: public_names(text) for name, text in now_src.items()}
+    names_then = None if then_src is None else {
+        name: public_names(text) for name, text in then_src.items()}
+    print(f"{'module':16}{'public names':>16}")
+    for name in sorted(set(names_now) | set(names_then or {})):
+        b = None if names_then is None else names_then.get(name, 0)
+        print(f"{name:16}{_cell(names_now.get(name, 0), b):>16}")
+    b = None if names_then is None else sum(names_then.values())
+    print(f"{'total':16}{_cell(sum(names_now.values()), b):>16}")
     keys_now = len(config_keys(now_src.get("cli.py", "")))
     keys_then = None if then_src is None else len(
         config_keys(then_src.get("cli.py", "")))

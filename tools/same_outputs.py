@@ -21,7 +21,10 @@ Two runs are the same when they leave the same files with the same sha256,
 status is 1 if any run differs, else 0.  When two differing CSVs share
 their header and row count, each column that differs is named with its
 largest relative difference (inf where a differing cell is not a number),
-so a rounding-level change can be told from a real one.
+so a rounding-level change can be told from a real one.  Differing JSON
+files and manifest sections are compared key by key on dotted paths
+(``summary.envelopes.0.05``): each differing key is named with its largest
+relative difference, taken over the entries of a list value.
 """
 
 from __future__ import annotations
@@ -84,14 +87,46 @@ def _manifest_view(run_dir: Path) -> dict | None:
     return {"config": config, "summary": man.get("summary")}
 
 
-def _rel_diff(x: str, y: str) -> float:
-    """Relative difference of two differing CSV cells."""
+def _rel_diff(x, y) -> float:
+    """Largest relative difference of two differing CSV cells or JSON
+    values, lists entry by entry; inf where an entry is not a number or
+    has no counterpart."""
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return math.inf
+        return max((_rel_diff(a, b) for a, b in zip(x, y)), default=0.0)
     try:
         fx, fy = float(x), float(y)
-    except ValueError:
-        return math.inf
+    except (TypeError, ValueError):
+        return 0.0 if x == y else math.inf
+    if fx == fy or (math.isnan(fx) and math.isnan(fy)):
+        return 0.0
     scale = max(abs(fx), abs(fy))
-    return abs(fx - fy) / scale if scale > 0 else 0.0
+    return abs(fx - fy) / scale if math.isfinite(scale) else math.inf
+
+
+def _flatten(obj, prefix: str = "") -> dict:
+    """Nested JSON objects as one dict keyed by dotted paths."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    out = {}
+    for key, value in obj.items():
+        out.update(_flatten(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def key_diffs(a, b) -> list[str]:
+    """Each differing dotted key of two JSON values, with its largest
+    relative difference."""
+    flat_a, flat_b = _flatten(a), _flatten(b)
+    out = []
+    for key in [*flat_a, *(k for k in flat_b if k not in flat_a)]:
+        if key not in flat_a or key not in flat_b:
+            out.append(f"key {key}: only in one run")
+        elif json.dumps(flat_a[key]) != json.dumps(flat_b[key]):
+            out.append(f"key {key}: largest relative difference "
+                       f"{_rel_diff(flat_a[key], flat_b[key]):.3g}")
+    return out
 
 
 def column_diffs(a: Path, b: Path) -> list[str]:
@@ -122,12 +157,19 @@ def compare_runs(a: Path, b: Path) -> list[str]:
             if name.endswith(".csv"):
                 out += [f"{name}: {d}" for d in column_diffs(a / name,
                                                              b / name)]
+            elif name.endswith(".json"):
+                out += [f"{name}: {d}" for d in key_diffs(
+                    json.loads((a / name).read_text()),
+                    json.loads((b / name).read_text()))]
     view_a, view_b = _manifest_view(a), _manifest_view(b)
     if (view_a is None) != (view_b is None):
         out.append(f"only in one run: {MANIFEST}")
     elif view_a is not None:
-        out += [f"{MANIFEST}: {key} differs" for key in ("config", "summary")
-                if view_a[key] != view_b[key]]
+        for key in ("config", "summary"):
+            if view_a[key] != view_b[key]:
+                out.append(f"{MANIFEST}: {key} differs")
+                out += [f"{MANIFEST}: {d}" for d in key_diffs(
+                    {key: view_a[key]}, {key: view_b[key]})]
     return out
 
 
