@@ -566,8 +566,8 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
 
 
 def write_carleson(est: CarlesonEstimate, csv_path: str,
-                   json_path: str | None = None) -> None:
-    """Per-ball CSV table plus an optional JSON summary."""
+                   json_path: str) -> None:
+    """Per-ball CSV table plus a JSON summary."""
     n = est.balls[0].center.shape[0]
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -578,8 +578,6 @@ def write_carleson(est: CarlesonEstimate, csv_path: str,
                          f"{b.radius:.17g}", f"{est.values[i]:.17g}",
                          f"{est.bias[i]:.17g}", int(est.skipped[i]),
                          int(est.n_cells[i])])
-    if json_path is None:
-        return
     with open(json_path, "w") as fh:
         json.dump(est.summary(), fh, indent=2)
         fh.write("\n")

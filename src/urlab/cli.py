@@ -436,12 +436,13 @@ def _cmd_whitney(cfg, rng, outdir):
 def _cmd_ur_sum(cfg, rng, outdir):
     sweep_key = cfg.get("sweep.key", None, str)
     sweep_values = cfg.get("sweep.values", [None], [None])
-    if sweep_key is None and sweep_values != [None]:
-        raise InputError("sweep.values requires sweep.key")
+    if (sweep_key is None) != (sweep_values == [None]):
+        raise InputError("sweep.key and sweep.values must be given together")
     if not sweep_values:
         raise InputError("sweep.values must not be empty")
     rows = []
     sums = []
+    lams = set()
     for value in sweep_values:
         sub = ExperimentConfig(copy.deepcopy(cfg.data))
         if sweep_key is not None:
@@ -450,6 +451,7 @@ def _cmd_ur_sum(cfg, rng, outdir):
         x = _point(sub, "query.point", sigma)
         r = sub.get("query.radius", kind=float)
         lam = sub.get("whitney.lam", _whitney.SCALE_FACTOR, float)
+        lams.add(lam)
         # pruning to B(x, 2r) keeps every cube the sum can select
         deco = _decomposition(sub, sigma, focus=(x, 2.0 * r))
         res = _whitney.ur_square_sum(deco, x, r, sub.get("query.k", 0, int),
@@ -458,10 +460,20 @@ def _cmd_ur_sum(cfg, rng, outdir):
         rows.append(["" if value is None else value, _fmt(res.value),
                      res.n_cubes, res.n_excluded, res.n_anchors])
         cfg.consumed.update(sub.consumed)
+        if sweep_key is not None and not any(
+                (p + ".").startswith(sweep_key + ".") for p in sub.consumed):
+            raise InputError(f"sweep.key {sweep_key!r} is never read")
+    if sweep_key is not None:
+        # the swept key, and every path under it, is recorded once, as the
+        # list of the key's values
+        cfg.consumed = {p: v for p, v in cfg.consumed.items()
+                        if not (p + ".").startswith(sweep_key + ".")}
+        cfg.consumed[sweep_key] = sweep_values
     _write_csv(outdir / "ur_sum.csv",
                ["sweep_value", "square_sum", "n_cubes", "n_excluded",
                 "n_anchors"], rows)
-    summary = {"lookback_scale": lam, "values": sums}
+    summary = {"lookback_scale": lam if len(lams) == 1 else None,
+               "values": sums}
     if len(sums) > 1 and sums[0] > 0:
         summary["ratio_last_over_first"] = sums[-1] / sums[0]
     return summary, ["ur_sum.csv"]

@@ -246,17 +246,16 @@ def evaluate_fields(sigma: DiscreteMeasure, x, beta: float) -> FieldSample:
 # -- verification helpers ------------------------------------------------
 
 
-def fd_gradient_check(sigma: DiscreteMeasure, x, beta: float,
-                      step: float | None = None) -> dict:
+def fd_gradient_check(sigma: DiscreteMeasure, x, beta: float) -> dict:
     """Central-difference check of the gradient identity at one probe.
 
-    Step defaults to gap/100; a half-step Richardson pass must not degrade
-    the agreement (quadratic convergence, until rounding noise floors it).
+    The step is gap/100; a half-step Richardson pass must not degrade the
+    agreement (quadratic convergence, until rounding noise floors it).
     """
     x = np.asarray(x, dtype=np.float64)
     n = sigma.ambient_dim
     gap = float(sigma.dist_to_support(x))
-    h = gap / 100.0 if step is None else step
+    h = gap / 100.0
     grad = distance_gradient(sigma, x, beta)
 
     def central(hh: float) -> np.ndarray:

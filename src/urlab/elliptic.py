@@ -779,8 +779,8 @@ def harmonic_measure(system: EllipticSystem, e, pole
 # -- scatter diagnostic ------------------------------------------------------
 
 
-def ainfty_scatter(system: EllipticSystem, ball: Ball, n_sets: int = 64,
-                   seed: int = 0, *,
+def ainfty_scatter(system: EllipticSystem, ball: Ball, n_sets: int,
+                   seed: int, *,
                    extra_sets: Sequence | None = None) -> ScatterResult:
     """Hitting-probability ratio vs mass ratio for random subsets of a ball
     on ``system.sigma``, priced on the system's grid and solver.
@@ -985,16 +985,9 @@ def sn_check(system: EllipticSystem, ball: Ball,
 # -- persistence -------------------------------------------------------------
 
 
-def write_field(fld: GridField, bin_path, json_path=None, mask_path=None):
+def write_field(fld: GridField, bin_path, json_path, mask_path):
     """Flat float64 dump of the values plus an int8 mask dump and a JSON
     sidecar describing the grid."""
-    bin_path = str(bin_path)
-    if json_path is None:
-        json_path = bin_path + ".json"
-    json_path = str(json_path)
-    if mask_path is None:
-        mask_path = bin_path + ".mask"
-    mask_path = str(mask_path)
     fld.values.astype("<f8").ravel().tofile(bin_path)
     fld.mask.astype("int8").ravel().tofile(mask_path)
     base = os.path.dirname(os.path.abspath(json_path))

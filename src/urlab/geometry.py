@@ -271,7 +271,7 @@ def make_cantor_set(m: int) -> DiscreteMeasure:
     return DiscreteMeasure(3, 1, out, w, 4.0 ** (-m), f"cantor m={m}")
 
 
-def sawtooth_profile(lam: float, period: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
+def sawtooth_profile(lam: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
     """Triangle-wave graph profile with exact Lipschitz constant lam.
 
     Output lands in the first codimension coordinate; for d>1 the per-axis
@@ -286,7 +286,7 @@ def sawtooth_profile(lam: float, period: float = 0.5) -> Callable[[np.ndarray], 
     return fn
 
 
-def sine_profile(lam: float, period: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def sine_profile(lam: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
     """Smooth sine graph profile with Lipschitz constant lam."""
     k = 2.0 * math.pi / period
 

@@ -43,7 +43,6 @@ __all__ = [
     "flat_sample",
     "local_wasserstein",
     "alpha_number",
-    "flat_distance",
 ]
 
 
@@ -328,26 +327,3 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
     n_flat = len(flat_sample(flat, ball, m_res))
     return AlphaResult(best, flat, f0, refined, pts.shape[0], n_flat,
                        nit, truncated)
-
-
-def flat_distance(sigma: DiscreteMeasure, flat: FlatMeasure, ball: Ball, *,
-                  resolution: int = 16, cap: int = 300,
-                  seed: int = 0) -> float:
-    """Normalized transport distance between sigma and one flat measure.
-
-    Same functional alpha_number minimizes, evaluated at a given flat
-    measure instead of the best one.  A flat measure that misses the ball
-    contributes nothing inside it, so only the sigma side enters the LP.
-    """
-    d = sigma.intrinsic_dim
-    r = ball.radius
-    pts, w = sigma.restrict_to_ball(ball)
-    try:
-        samp = flat_sample(flat, ball, resolution)
-        fpts, fw = samp.points, samp.weights
-    except InputError:          # plane misses the ball entirely
-        fpts = np.zeros((0, sigma.ambient_dim))
-        fw = np.zeros(0)
-    opt, _, _, _ = _transport_lp(fpts, fw, pts, w, ball.center, r,
-                                 cap=cap, seed=seed)
-    return opt / r ** (d + 1)

@@ -41,7 +41,8 @@ from .wasserstein import (
     FlatMeasure,
     _null_space,
     alpha_number,
-    flat_distance,
+    flat_sample,
+    local_wasserstein,
 )
 
 __all__ = [
@@ -107,14 +108,12 @@ class MuResult:
     anchor_gap: float           # dist(anchor, plane)
     checks: dict
     flagged: bool
-    eps: float
 
 
 @dataclass
 class AXResult:
     value: float
     tail: float                 # certified bound on dropped/remaining terms
-    n_terms: int
     skipped: tuple
     flagged: bool               # probe was not inside the cube used
     level: int
@@ -127,8 +126,6 @@ class URSumResult:
     n_cubes: int
     n_excluded: int
     n_anchors: int
-    radius: float
-    k: int
 
 
 class WhitneyCube:
@@ -169,15 +166,9 @@ class WhitneyCube:
         """Support point attached to the cube (inside its 60-dilate)."""
         return self.deco.sigma.points[self.anchor_index]
 
-    def box(self, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    def box(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * scale * self.side
         return self.center - half, self.center + half
-
-    def alpha(self, k: int = 0, **kw) -> AlphaResult:
-        return alpha_qk(self.deco, self, k, **kw)
-
-    def mu(self, **kw) -> MuResult:
-        return mu_q(self.deco, self, **kw)
 
     def __repr__(self) -> str:
         c = ",".join(str(v) for v in self.corner)
@@ -369,23 +360,21 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
 
 
 def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
-             lam: float = SCALE_FACTOR, refine: bool = False,
-             window: str = "raise") -> AlphaResult:
-    """Flatness number of the support on B(anchor, lam * 2^k * diam(Q)).
+             lam: float = SCALE_FACTOR) -> AlphaResult:
+    """Flatness number of the support on B(anchor, lam * 2^k * diam(Q)),
+    from the PCA initialization of ``alpha_number`` (no refinement).
 
-    Memoized by (anchor, radius, refine): rings of cubes sharing an anchor
-    ball resolve to a single LP.  window='raise' turns resolution-window
-    violations into errors; 'flag' lets the underlying evaluation run and
-    mark itself truncated.
+    Memoized by (anchor, radius): rings of cubes sharing an anchor ball
+    resolve to a single LP.  A radius outside the data window is refused
+    with a TruncationError or ResolutionError.
     """
     _require(deco)
     _scale_index("k", k)
     radius = lam * 2.0 ** k * cube.diameter
-    if window == "raise":
-        refusal = _window_refusal(deco.sigma, radius, cube.level, k)
-        if refusal is not None:
-            raise refusal
-    return _anchor_alpha(deco, cube.anchor_index, radius, refine)
+    refusal = _window_refusal(deco.sigma, radius, cube.level, k)
+    if refusal is not None:
+        raise refusal
+    return _anchor_alpha(deco, cube.anchor_index, radius)
 
 
 def _scale_index(name: str, k: int) -> None:
@@ -415,15 +404,16 @@ def _window_refusal(sigma: DiscreteMeasure, radius: float, level: int,
 
 
 def _anchor_alpha(deco: WhitneyDecomposition, anchor_index: int,
-                  radius: float, refine: bool) -> AlphaResult:
-    """alpha_number on B(sigma.points[anchor_index], radius), memoized."""
-    key = (int(anchor_index), float(radius), bool(refine))
+                  radius: float) -> AlphaResult:
+    """Unrefined alpha_number on B(sigma.points[anchor_index], radius),
+    memoized."""
+    key = (int(anchor_index), float(radius))
     hit = deco.alpha_cache.get(key)
     if hit is None:
         sigma = deco.sigma
         hit = alpha_number(sigma, Ball(sigma.points[anchor_index], radius),
                            resolution=deco.alpha_resolution,
-                           cap=deco.alpha_cap, refine=refine,
+                           cap=deco.alpha_cap, refine=False,
                            seed=deco.alpha_seed)
         deco.alpha_cache[key] = hit
     return hit
@@ -441,7 +431,7 @@ def _box_plane_gap(lo: np.ndarray, hi: np.ndarray, flat: FlatMeasure) -> float:
 
 
 def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
-                   eps: float, lam: float, refine: bool):
+                   eps: float, lam: float):
     """(flat, branch, alpha, atilde) without the geometric post-checks.
 
     The optimal branch reuses the minimizing flat of the flatness LP, whose
@@ -451,7 +441,7 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     """
     sigma = deco.sigma
     d = sigma.intrinsic_dim
-    a_res = alpha_qk(deco, cube, 0, lam=lam, refine=refine)
+    a_res = alpha_qk(deco, cube, 0, lam=lam)
     if a_res.value <= eps:
         return a_res.flat, "optimal", a_res.value, a_res.value
     xi = cube.anchor
@@ -463,20 +453,21 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
         raise AssertionError("anchor inside the 20-dilate (internal)")
     rows = _null_space((normal / norm)[None, :])
     flat = FlatMeasure(xi.copy(), rows[:d], 1.0)
-    key = ("sep", cube.level, cube.index, float(eps), float(lam),
-           bool(refine))
+    key = ("sep", cube.level, cube.index, float(eps), float(lam))
     atilde = deco.alpha_cache.get(key)
     if atilde is None:
-        atilde = flat_distance(sigma, flat, Ball(xi, lam * cube.diameter),
-                               resolution=deco.alpha_resolution,
-                               cap=deco.alpha_cap, seed=deco.alpha_seed)
+        # the plane passes through the ball's centre, so the sample is
+        # never empty
+        ball = Ball(xi, lam * cube.diameter)
+        atilde = local_wasserstein(
+            flat_sample(flat, ball, deco.alpha_resolution), sigma, ball,
+            cap=deco.alpha_cap, seed=deco.alpha_seed)
         deco.alpha_cache[key] = atilde
     return flat, "separating", a_res.value, atilde
 
 
 def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
-         eps: float = _EPS_DEFAULT, lam: float = SCALE_FACTOR,
-         refine: bool = True) -> MuResult:
+         eps: float = _EPS_DEFAULT, lam: float = SCALE_FACTOR) -> MuResult:
     """Flat measure attached to a cube, with separation post-checks.
 
     Small flatness number: reuse the minimizing flat measure (its distance
@@ -488,13 +479,13 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     anchor offset, and the density band; failures flag the cube loudly.
     """
     _require(deco)
-    ck = (cube.level, cube.index, float(eps), float(lam), bool(refine))
+    ck = (cube.level, cube.index, float(eps), float(lam))
     hit = deco._mu_cache.get(ck)
     if hit is not None:
         return hit
     sigma = deco.sigma
     flat, branch, alpha, atilde = _attached_flat(deco, cube, eps=eps,
-                                                 lam=lam, refine=refine)
+                                                 lam=lam)
     xi = cube.anchor
     lo2, hi2 = cube.box(2.0)
     gap_2q = _box_plane_gap(lo2, hi2, flat)
@@ -506,7 +497,7 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
         "density_band": 1e-2 <= flat.c <= 1e2,
     }
     out = MuResult(flat, branch, alpha, atilde, gap_2q, anchor_gap,
-                   checks, not all(checks.values()), eps)
+                   checks, not all(checks.values()))
     deco._mu_cache[ck] = out
     return out
 
@@ -523,7 +514,7 @@ def _alpha_upper_bound(sigma: DiscreteMeasure, center: np.ndarray,
 
 def a_x(deco: WhitneyDecomposition, x: np.ndarray, alpha_exp: float,
         beta_exp: float, *, k_max: int = 8, eps: float = _EPS_DEFAULT,
-        lam: float = SCALE_FACTOR, refine: bool = False) -> AXResult:
+        lam: float = SCALE_FACTOR) -> AXResult:
     """Multiscale flatness sum at a point: the cube term plus the
     geometrically damped ladder over growing balls.
 
@@ -543,40 +534,32 @@ def a_x(deco: WhitneyDecomposition, x: np.ndarray, alpha_exp: float,
     flagged = cube is None
     if flagged:
         cube = deco.nearest_cube(x)
-    value, tail, n_terms, skipped = _a_x_cube(
-        deco, cube, min(alpha_exp, beta_exp), k_max=k_max, eps=eps,
-        lam=lam, refine=refine)
-    return AXResult(value, tail, n_terms, skipped, flagged,
-                    cube.level, cube.index)
+    value, tail, skipped = _a_x_cube(deco, cube, min(alpha_exp, beta_exp),
+                                     k_max=k_max, eps=eps, lam=lam)
+    return AXResult(value, tail, skipped, flagged, cube.level, cube.index)
 
 
 def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
-              k_max: int, eps: float, lam: float,
-              refine: bool) -> tuple:
-    """Memoized per-cube body of a_x: (value, tail, n_terms, skipped)."""
+              k_max: int, eps: float, lam: float) -> tuple:
+    """Memoized per-cube body of a_x: (value, tail, skipped)."""
     sigma = deco.sigma
     d = sigma.intrinsic_dim
-    ck = (cube.level, cube.index, k_max, float(m), float(eps), float(lam),
-          bool(refine))
+    ck = (cube.level, cube.index, k_max, float(m), float(eps), float(lam))
     hit = deco._ax_cache.get(ck)
     if hit is None:
         skipped = []
         total = 0.0
-        n_terms = 0
         try:
-            total = _attached_flat(deco, cube, eps=eps, lam=lam,
-                                   refine=refine)[3]
-            n_terms = 1
+            total = _attached_flat(deco, cube, eps=eps, lam=lam)[3]
         except (TruncationError, ResolutionError):
             skipped.append(-1)
         for k in range(k_max + 1):
             try:
-                a_res = alpha_qk(deco, cube, k, lam=lam, refine=refine)
+                a_res = alpha_qk(deco, cube, k, lam=lam)
             except (TruncationError, ResolutionError):
                 skipped.append(k)
                 continue
             total += 2.0 ** (-k * m) * a_res.value
-            n_terms += 1
         tail = 0.0
         for k in skipped:       # scale -1 is the attachment term (k=0 ball)
             r_k = lam * 2.0 ** max(k, 0) * cube.diameter
@@ -588,15 +571,15 @@ def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
         tail += (2.0 ** (-k_max * m) * _alpha_upper_bound(sigma, cube.anchor,
                                                           r_top)
                  * q / (1.0 - q))
-        hit = (total, tail, n_terms, tuple(skipped))
+        hit = (total, tail, tuple(skipped))
         deco._ax_cache[ck] = hit
     return hit
 
 
 def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
               alpha_exp: float, beta_exp: float, *, k_max: int = 8,
-              eps: float = _EPS_DEFAULT, lam: float = SCALE_FACTOR,
-              refine: bool = False) -> np.ndarray:
+              eps: float = _EPS_DEFAULT,
+              lam: float = SCALE_FACTOR) -> np.ndarray:
     """a_x evaluated at many points in one sweep.
 
     Points are matched to cubes in one vectorized lookup, so cost scales
@@ -619,16 +602,15 @@ def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
     cubes, inv = np.unique(np.stack([level[found], index[found]], axis=1),
                            axis=0, return_inverse=True)
     vals = np.array([_a_x_cube(deco, WhitneyCube(deco, int(k), int(j)), m,
-                               k_max=k_max, eps=eps, lam=lam,
-                               refine=refine)[0] for k, j in cubes])
+                               k_max=k_max, eps=eps, lam=lam)[0]
+                     for k, j in cubes])
     out = np.full(pts.shape[0], np.nan)
     out[found] = vals[inv.reshape(-1)]
     return out
 
 
 def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
-                  k: int = 0, *, lam: float = SCALE_FACTOR,
-                  refine: bool = False) -> URSumResult:
+                  k: int = 0, *, lam: float = SCALE_FACTOR) -> URSumResult:
     """Normalized square sum of flatness numbers over cubes near a ball.
 
     Cubes enter when their 2-dilate meets B(x, r); each contributes
@@ -664,12 +646,12 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
             continue
         aidx = lev.anchor_idx[sel]
         uniq, inv = np.unique(aidx, return_inverse=True)
-        vals = np.array([_anchor_alpha(deco, a_i, radius, refine).value
+        vals = np.array([_anchor_alpha(deco, a_i, radius).value
                          for a_i in uniq])
         total += ell ** d * float(np.sum(vals[inv] ** 2))
         n_cubes += count
         anchors += len(uniq)
-    return URSumResult(total / r ** d, n_cubes, n_excluded, anchors, r, k)
+    return URSumResult(total / r ** d, n_cubes, n_excluded, anchors)
 
 
 def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
@@ -723,14 +705,14 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
                         continue
                     try:
                         alpha = _anchor_alpha(deco, lev.anchor_idx[i],
-                                              radius, False).value
+                                              radius).value
                         row.append(f"{alpha:.17g}")
                     except (TruncationError, ResolutionError):
                         row.append("")
                 if include_mu:
                     try:
                         mu = mu_q(deco, WhitneyCube(deco, level, int(i)),
-                                  eps=eps, lam=lam, refine=False)
+                                  eps=eps, lam=lam)
                         row += [mu.branch, f"{mu.flat.c:.17g}",
                                 f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
                                 str(mu.flagged)]

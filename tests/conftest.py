@@ -31,7 +31,8 @@ def plane4d():
 @pytest.fixture(scope="session")
 def graph02():
     """lam=0.2 sawtooth graph over a line in R^3."""
-    return make_lipschitz_graph(3, 1, sawtooth_profile(0.2), 0.2, 1.0, 0.01)
+    return make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
+                                0.01)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,8 @@ from urlab.geometry import Ball, make_lipschitz_graph, sawtooth_profile
 
 @pytest.fixture(scope="module")
 def graph2d():
-    return make_lipschitz_graph(2, 1, sawtooth_profile(0.2), 0.2, 1.0, 0.005)
+    return make_lipschitz_graph(2, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
+                                0.005)
 
 
 def _origin_point(sigma):

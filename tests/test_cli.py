@@ -271,6 +271,11 @@ _RERUN_CONFIGS = {
                                          "stop": [0.3, 0.5, 0.2],
                                          "count": 16}}},
                     ["fields.csv"]),
+    "whitney": ({"generator": {"kind": "graph", "spacing": 0.02},
+                 "whitney": {"max_depth": 8, "lam": 3.0, "k_max": 1,
+                             "eps": 0.15, "include_alpha": True,
+                             "include_mu": True, "stride": 2003}},
+                ["cubes.csv"]),
     "solve": ({"generator": {"kind": "plane"},
                "data": {"kind": "halfspace", "axis": 0, "threshold": 0.0},
                "elliptic": {"box": {"center": [0.0, 0.0, 0.0], "side": 3.0},
@@ -436,6 +441,48 @@ def test_manifest_records_the_typed_value(tmp_path):
     got = _manifest(tmp_path)["config"]["whitney"]
     assert got["max_depth"] == 6 and type(got["max_depth"]) is int
     assert got["lam"] == 4.0 and type(got["lam"]) is float
+
+
+_UR_PLANE = {"generator": _PLANE,
+             "query": {"point": [0.0, 0.0, 0.0], "radius": 0.3},
+             "whitney": {"max_depth": 7}}
+
+
+@pytest.mark.parametrize("key, values", [
+    ("whitney.lam", [2.0, 3.0]),
+    ("whitney.box", [{"center": [0.0, 0.0, 0.0], "side": 4.0},
+                     {"center": [0.0, 0.0, 0.0], "side": 5.0}]),
+])
+def test_ur_sum_sweep_records_every_value_of_the_swept_key(tmp_path, key,
+                                                          values):
+    """The manifest records a swept key as the list of its values, not as
+    the last one, and the summary gives no single lookback scale when the
+    sweep varies it."""
+    config = json.loads(json.dumps(_UR_PLANE))
+    config["sweep"] = {"key": key, "values": values}
+    assert run("ur-sum", config, tmp_path) == 0
+    man = _manifest(tmp_path)
+    section, name = key.split(".")
+    assert man["config"][section][name] == values
+    assert man["summary"]["lookback_scale"] == (
+        None if key == "whitney.lam" else 8.0)
+    assert man["unread"] == []
+
+
+@pytest.mark.parametrize("sweep, named", [
+    ({"key": "whitney.lam"}, "sweep.values"),
+    ({"key": "query.radiu", "values": [0.2, 0.3]}, "query.radiu"),
+], ids=["no-values", "unread-key"])
+def test_ur_sum_sweep_that_cannot_sweep_is_an_input_error(tmp_path, sweep,
+                                                         named):
+    """A sweep key without values, or one no sub-run reads, is refused
+    instead of writing null into the key or repeating one row."""
+    config = {**_UR_PLANE, "sweep": sweep}
+    assert run("ur-sum", config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert named in record["message"]
+    assert not (tmp_path / "ur_sum.csv").exists()
 
 
 def test_ur_sum_sweep_reads_each_key_from_its_value(tmp_path):

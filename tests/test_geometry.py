@@ -147,7 +147,8 @@ def test_plane_requires_margin():
 
 def test_lipschitz_spot_check_fires():
     with pytest.raises(InputError):
-        make_lipschitz_graph(3, 1, sawtooth_profile(0.2), 0.05, 1.0, 0.01)
+        make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.05, 1.0,
+                             0.01)
 
 
 def test_flat_graph_matches_plane(line3d):

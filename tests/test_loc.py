@@ -119,7 +119,17 @@ def test_public_names_are_the_all_entries_a_module_defines():
     source = ('from .geometry import Ball\n'
               '__all__ = ["Ball", "build", "Shape", "__version__"]\n')
     assert loc.public_names(source) == 2
-    assert loc.public_names(_GEOMETRY) == 0      # no __all__
+
+
+def test_public_names_without_all_are_the_top_level_definitions():
+    """A module without __all__ counts its public top-level classes and
+    functions, as an error taxonomy that defines only classes."""
+    source = ('class LabError(Exception):\n    """Base."""\n\n\n'
+              'class InputError(LabError, ValueError):\n    pass\n\n\n'
+              'class _Hidden(LabError):\n    pass\n')
+    assert loc.public_names(source) == 2
+    # build and Shape; _helper and _Private are private
+    assert loc.public_names(_GEOMETRY) == 2
 
 
 def test_main_reports_public_names_with_deltas(tmp_path, capsys):
@@ -139,6 +149,35 @@ def test_main_reports_public_names_with_deltas(tmp_path, capsys):
     assert table == {"__init__.py": ["0", "(+0)"],
                      "geometry.py": ["2", "(-1)"],
                      "total": ["2", "(-1)"]}
+
+
+_CALLERS = '''from .geometry import Shape, build
+
+
+def run(shape, opts):
+    build(3, 2)
+    build(3, tag="x")
+    shape.area(2.0)
+    shape.grow(*opts)
+    return helper(verbose=True)
+
+
+def helper(verbose=False, depth=0):
+    return depth
+'''
+
+
+def test_unset_options_are_the_defaults_no_call_passes():
+    """A call sets a parameter by keyword or by position (a method's
+    receiver is not an argument); a call with *args sets them all."""
+    shapes = _GEOMETRY.replace(
+        "    def area(self, scale=1.0):",
+        "    def grow(self, by=1, times=2):\n        return by\n\n"
+        "    def area(self, scale=1.0, unit='m'):")
+    got = loc.unset_options({"geometry.py": shapes, "cli.py": _CALLERS})
+    assert sorted(got) == [("cli.py", "helper", "depth"),
+                           ("geometry.py", "Shape.area", "unit"),
+                           ("geometry.py", "build", "spacing")]
 
 
 def test_main_rejects_extra_arguments(capsys):

@@ -197,7 +197,7 @@ def test_alpha_plane_discretization_bound(deco_line, line3d):
     for level in (7, 8):
         cube = _interior_cube(deco_line, level)
         radius = 2.0 * cube.diameter
-        a = cube.alpha(0, lam=2.0)
+        a = alpha_qk(deco_line, cube, 0, lam=2.0)
         assert a.value <= 5.0 * line3d.spacing / radius
         # sharper expected scale: grid pitch of the data and of the flat sample
         assert a.value <= 1.5 * (line3d.spacing / radius + 1.0 / 12.0)
@@ -208,7 +208,7 @@ def test_alpha_uniform_mass_bound(deco_line, deco_graph):
     for deco in (deco_line, deco_graph):
         cube = _interior_cube(deco, 8)
         for k in (0, 1):
-            a = cube.alpha(k, lam=2.0)
+            a = alpha_qk(deco, cube, k, lam=2.0)
             cap = _alpha_upper_bound(deco.sigma, cube.anchor,
                                      2.0 * 2.0 ** k * cube.diameter)
             assert a.value <= cap * (1 + 1e-9)
@@ -221,8 +221,10 @@ def test_alpha_cache_collapses_shared_anchors(deco_line):
         owners.setdefault(int(a), []).append(i)
     twins = next(v for v in owners.values() if len(v) >= 2)
     before = len(deco_line.alpha_cache)
-    r1 = WhitneyCube(deco_line, 8, twins[0]).alpha(0, lam=1.9)
-    r2 = WhitneyCube(deco_line, 8, twins[1]).alpha(0, lam=1.9)
+    r1 = alpha_qk(deco_line, WhitneyCube(deco_line, 8, twins[0]), 0,
+                  lam=1.9)
+    r2 = alpha_qk(deco_line, WhitneyCube(deco_line, 8, twins[1]), 0,
+                  lam=1.9)
     assert len(deco_line.alpha_cache) == before + 1
     assert r1 is r2
 
@@ -230,13 +232,11 @@ def test_alpha_cache_collapses_shared_anchors(deco_line):
 def test_alpha_window_errors_and_flag(deco_line):
     cube = _interior_cube(deco_line, 8)
     with pytest.raises(TruncationError):
-        cube.alpha(2, lam=2.0)          # ball outgrows the data
+        alpha_qk(deco_line, cube, 2, lam=2.0)   # ball outgrows the data
     with pytest.raises(ResolutionError):
-        cube.alpha(0, lam=0.5)          # ball under-resolves the spacing
-    flagged = cube.alpha(0, lam=0.5, window="flag")
-    assert flagged.value >= 0.0
+        alpha_qk(deco_line, cube, 0, lam=0.5)   # ball under-resolves
     with pytest.raises(ParameterError):
-        cube.alpha(-1, lam=2.0)
+        alpha_qk(deco_line, cube, -1, lam=2.0)
 
 
 def test_alpha_floor_on_cantor_dust():
@@ -251,7 +251,7 @@ def test_alpha_floor_on_cantor_dust():
             continue
         n = len(lev.packed)
         for idx in (0, n // 2, n - 1):
-            a = WhitneyCube(deco, level, idx).alpha(0, lam=1.0)
+            a = alpha_qk(deco, WhitneyCube(deco, level, idx), 0, lam=1.0)
             assert a.value >= 0.05
             sampled += 1
     assert sampled >= 9
@@ -262,7 +262,7 @@ def test_alpha_floor_on_cantor_dust():
 
 def test_mu_plane_recovers_true_plane(deco_line, line3d):
     cube = _interior_cube(deco_line, 8)
-    m = cube.mu(lam=2.0)
+    m = mu_q(deco_line, cube, lam=2.0)
     assert m.branch == "optimal"
     assert all(m.checks.values()) and not m.flagged
     assert m.anchor_gap <= line3d.spacing
@@ -288,7 +288,7 @@ def test_mu_graph_sweep_calibration(deco_graph):
         n = len(deco_graph.levels[level].packed)
         for frac in (0.15, 0.5, 0.85):
             cube = WhitneyCube(deco_graph, level, int(frac * n))
-            m = cube.mu(lam=2.0)
+            m = mu_q(deco_graph, cube, lam=2.0)
             assert all(m.checks.values()), (level, frac, m.checks)
             ratios.append(m.atilde / max(m.alpha_q, 1e-12))
     assert max(ratios) <= 2.0           # measured 1.0 on this sweep
@@ -296,7 +296,7 @@ def test_mu_graph_sweep_calibration(deco_graph):
 
 def test_mu_is_cached(deco_line):
     cube = _interior_cube(deco_line, 8)
-    assert cube.mu(lam=2.0) is cube.mu(lam=2.0)
+    assert mu_q(deco_line, cube, lam=2.0) is mu_q(deco_line, cube, lam=2.0)
 
 
 # -- the multiscale sum at a point -------------------------------------------
@@ -393,7 +393,7 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
 def test_ur_sum_k_growth_is_linearly_stable():
     # coarse scales leave the window as k grows; the sum wobbles but stays
     # within a band rather than growing faster than linearly in k
-    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.2), 0.2, 1.0,
+    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
                                  0.00125)
     x = sigma.points[int(np.argmin(np.linalg.norm(sigma.points, axis=1)))]
     deco = decompose(sigma, max_depth=12, focus=(x, 0.45))
@@ -492,7 +492,7 @@ def _dump_cubes_oracle(deco, path, *, k_max=0, lam=8.0, eps=0.3,
                         row.append("")
             if include_mu:
                 try:
-                    mu = mu_q(deco, cube, eps=eps, lam=lam, refine=False)
+                    mu = mu_q(deco, cube, eps=eps, lam=lam)
                     row += [mu.branch, f"{mu.flat.c:.17g}",
                             f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
                             str(mu.flagged)]

@@ -9,9 +9,18 @@ non-blank line is code.  A function or method is public when neither its
 name nor its class's name starts with ``_``; nested functions are not
 counted.
 
-A second table counts each module's public names: the ``__all__`` entries
-it defines itself.  Names it imports (re-exports such as the package's
-``__init__``) and dunders such as ``__version__`` are not counted.
+A second table lists the options no run sets: each public defaulted
+parameter that no call under src/urlab passes, by keyword or by position.
+Calls are matched to definitions by name alone (``x.solve(...)`` is a
+call of every public ``solve``), and a call with ``*args`` or ``**kw``
+sets every parameter, so the list is approximate.  It is a report of the
+working tree, not a gate.
+
+A third table counts each module's public names: the ``__all__`` entries
+it defines itself, or, in a module without ``__all__``, its public
+top-level classes and functions.  Names it imports (re-exports such as
+the package's ``__init__``) and dunders such as ``__version__`` are not
+counted.
 
 A last line counts the distinct config keys that ``cli`` reads: the first
 argument of a reader call (``get``, ``has``, ``seed``) on the config (a
@@ -29,6 +38,7 @@ Usage (from the repository root):
 from __future__ import annotations
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -55,20 +65,70 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return out
 
 
-def _options(tree: ast.Module) -> int:
-    """Defaulted parameters of the public functions and methods."""
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    total = 0
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_functions(tree: ast.Module):
+    """(class name or None, function node) of each public function and
+    method."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            members = node.body
+            owner, members = node.name, node.body
         else:
-            members = [node]
+            owner, members = None, [node]
         for f in members:
-            if isinstance(f, funcs) and not f.name.startswith("_"):
-                total += len(f.args.defaults) + sum(
-                    d is not None for d in f.args.kw_defaults)
-    return total
+            if isinstance(f, _FUNCS) and not f.name.startswith("_"):
+                yield owner, f
+
+
+def _options(tree: ast.Module) -> int:
+    """Defaulted parameters of the public functions and methods."""
+    return sum(len(f.args.defaults) + sum(d is not None
+                                          for d in f.args.kw_defaults)
+               for _, f in _public_functions(tree))
+
+
+def _defaulted(owner: str | None, f: ast.AST) -> list[tuple[str, int | None]]:
+    """(name, position among the call's arguments, None if keyword-only)
+    of each defaulted parameter; a method's first parameter is its
+    receiver, which a call does not pass."""
+    args = f.args
+    positional = args.posonlyargs + args.args
+    skip = 0 if owner is None else 1
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional)
+           if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unset_options(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each option no run sets (see the
+    module docstring)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            # f(...) or x.f(...); other callees never match a name
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            spread = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (math.inf if spread else len(node.args),
+                 {k.arg for k in node.keywords}))
+    out = []
+    for module, tree in trees.items():
+        for owner, f in _public_functions(tree):
+            label = f.name if owner is None else f"{owner}.{f.name}"
+            for param, pos in _defaulted(owner, f):
+                if not any(n == math.inf or param in kw
+                           or (pos is not None and n > pos)
+                           for n, kw in calls.get(f.name, ())):
+                    out.append((module, label, param))
+    return out
 
 
 def public_names(source: str) -> int:
@@ -78,7 +138,9 @@ def public_names(source: str) -> int:
                 for node in tree.body
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    names: list[str] = []
+    names = [node.name for node in tree.body
+             if isinstance(node, (ast.ClassDef, *_FUNCS))
+             and not node.name.startswith("_")]
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
@@ -186,6 +248,11 @@ def main(argv: list[str], root: Path = ROOT) -> int:
     print(f"{'total':16}" + "".join(
         f"{_cell(total_now[k], None if then is None else total_then[k]):>16}"
         for k in KINDS))
+    unset = unset_options(now_src)
+    print(f"{'module':16}{'function':28}unset option")
+    for module, function, param in unset:
+        print(f"{module:16}{function:28}{param}")
+    print(f"{'total':16}{len(unset)}")
     names_now = {name: public_names(text) for name, text in now_src.items()}
     names_then = None if then_src is None else {
         name: public_names(text) for name, text in then_src.items()}
