@@ -50,11 +50,6 @@ from .geometry import (
     sine_profile,
     support_ball_family,
 )
-from . import carleson as _carleson
-from . import distances as _distances
-from . import elliptic as _elliptic
-from . import wasserstein as _wasserstein
-from . import whitney as _whitney
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -311,6 +306,7 @@ def _system(cfg: ExperimentConfig, sigma, default_box,
     manifest records ``elliptic.box`` and ``elliptic.h`` as given (null
     when absent), the solver knobs with their defaults.
     """
+    from . import elliptic as _elliptic
     config = _elliptic.SolverConfig(
         beta=cfg.get("elliptic.beta", 2.0, float),
         gamma=cfg.get("elliptic.gamma", 0.0, float),
@@ -341,7 +337,8 @@ def _atom_data(cfg: ExperimentConfig, sigma, section: str):
     if kind == "constant":
         return np.full(npts, cfg.get(f"{section}.value", 1.0, float))
     if kind == "indices":
-        return _elliptic._e_mask(
+        from .elliptic import _e_mask
+        return _e_mask(
             np.asarray(cfg.get(f"{section}.values", kind=[int]),
                        dtype=np.int64), npts)
     raise InputError(f"unknown {section}.kind {kind!r}")
@@ -349,6 +346,7 @@ def _atom_data(cfg: ExperimentConfig, sigma, section: str):
 
 def _decomposition(cfg: ExperimentConfig, sigma,
                    focus=None) -> "_whitney.WhitneyDecomposition":
+    from . import whitney as _whitney
     return _whitney.decompose(
         sigma, _box(cfg, "whitney", sigma),
         cfg.get("whitney.max_depth", 10, int),
@@ -388,6 +386,7 @@ def _cmd_ahlfors(cfg, rng, outdir):
 
 
 def _cmd_alpha(cfg, rng, outdir):
+    from . import wasserstein as _wasserstein
     sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
     resolution = cfg.get("wasserstein.resolution", 16, int)
@@ -418,6 +417,7 @@ def _cmd_alpha(cfg, rng, outdir):
 
 
 def _cmd_whitney(cfg, rng, outdir):
+    from . import whitney as _whitney
     sigma = _build_measure(cfg)
     deco = _decomposition(cfg, sigma)
     lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
@@ -434,6 +434,7 @@ def _cmd_whitney(cfg, rng, outdir):
 
 
 def _cmd_ur_sum(cfg, rng, outdir):
+    from . import whitney as _whitney
     sweep_key = cfg.get("sweep.key", None, str)
     sweep_values = cfg.get("sweep.values", [None], [None])
     if (sweep_key is None) != (sweep_values == [None]):
@@ -452,8 +453,8 @@ def _cmd_ur_sum(cfg, rng, outdir):
         r = sub.get("query.radius", kind=float)
         lam = sub.get("whitney.lam", _whitney.SCALE_FACTOR, float)
         lams.add(lam)
-        # pruning to B(x, 2r) keeps every cube the sum can select
-        deco = _decomposition(sub, sigma, focus=(x, 2.0 * r))
+        # pruning to B(x, r) keeps every cube the sum can select
+        deco = _decomposition(sub, sigma, focus=(x, r))
         res = _whitney.ur_square_sum(deco, x, r, sub.get("query.k", 0, int),
                                      lam=lam)
         sums.append(res.value)
@@ -499,6 +500,7 @@ def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
 
 
 def _cmd_dist_fields(cfg, rng, outdir):
+    from . import distances as _distances
     sigma = _build_measure(cfg)
     beta = cfg.get("distances.beta", 2.0, float)
     pts = _probe_points(cfg, sigma)
@@ -521,6 +523,7 @@ def _cmd_dist_fields(cfg, rng, outdir):
 
 
 def _cmd_verify_identities(cfg, rng, outdir):
+    from . import distances as _distances, wasserstein as _wasserstein
     sigma = _build_measure(cfg)
     d = sigma.intrinsic_dim
     beta = cfg.get("distances.beta", 2.0, float)
@@ -564,6 +567,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
 
 
 def _field_fn(cfg: ExperimentConfig, sigma):
+    from . import distances as _distances
     kind = cfg.get("field.kind", "one", str)
     if kind == "one":
         return lambda pts: np.ones(pts.shape[0])
@@ -579,6 +583,7 @@ def _field_fn(cfg: ExperimentConfig, sigma):
 
 
 def _cmd_carleson(cfg, rng, outdir):
+    from . import carleson as _carleson
     sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
     h = cfg.get("carleson.h", min(b.radius for b in balls) / 32.0, float)
@@ -593,6 +598,7 @@ def _cmd_carleson(cfg, rng, outdir):
 
 
 def _cmd_solve(cfg, rng, outdir):
+    from . import elliptic as _elliptic
     sigma = _build_measure(cfg)
     system = _system(cfg, sigma, lambda _: _hull_box(sigma),
                      cfg.get("elliptic.h", kind=float))
@@ -608,6 +614,7 @@ def _cmd_solve(cfg, rng, outdir):
 
 
 def _cmd_hm(cfg, rng, outdir):
+    from . import elliptic as _elliptic
     sigma = _build_measure(cfg)
     e = _atom_data(cfg, sigma, "set")
     if e.dtype != bool:
@@ -625,6 +632,7 @@ def _cmd_hm(cfg, rng, outdir):
 
 
 def _cmd_ainfty(cfg, rng, outdir):
+    from . import elliptic as _elliptic
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     n_sets = cfg.get("scatter.n_sets", 64, int)
@@ -642,6 +650,7 @@ def _cmd_ainfty(cfg, rng, outdir):
 
 
 def _cmd_sn(cfg, rng, outdir):
+    from . import elliptic as _elliptic
     sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)

@@ -261,8 +261,12 @@ class WhitneyDecomposition:
         return self[flat_idx]
 
 
-def _require(deco) -> None:
-    if not isinstance(deco, WhitneyDecomposition) or not len(deco):
+def _require(deco, *, empty_if_focused: bool = False) -> None:
+    """Refuse anything but a completed, non-empty decomposition; with
+    ``empty_if_focused`` a focused one may be empty, since its focus
+    pruned only branches that hold no cube the caller can select."""
+    if not isinstance(deco, WhitneyDecomposition) or not (
+            len(deco) or (empty_if_focused and deco.focus is not None)):
         raise StateError("a completed, non-empty decomposition is required")
 
 
@@ -276,9 +280,15 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
 
     Subdivision runs breadth-first; a cube is retained when the support
     stays sup-norm-further than 10 sides from its center, i.e. exactly
-    when its 20-dilate misses the discrete support.  Cubes still violating
-    at max_depth are counted as undecided and dropped, never clipped.
-    `box` is (center, side); the default box spans 2.5x the support.
+    when its 20-dilate misses the discrete support.  Each level makes one
+    Euclidean nearest-atom query d2: since the sup-norm distance lies in
+    [d2/sqrt(n), d2], a cube with d2 <= 10 sides violates and one with
+    d2 > 10 sqrt(n) sides is retained; only the band between takes the
+    exact sup-norm query.  The same query's nearest atom is the anchor,
+    unless it lies outside the 60-dilate, where the sup-norm nearest atom
+    replaces it.  Cubes still violating at max_depth are counted as
+    undecided and dropped, never clipped.  `box` is (center, side); the
+    default box spans 2.5x the support.
 
     `focus=(x, R)` prunes subdivision branches that can never produce a
     cube whose 2-dilate meets B(x, R): square sums at or inside (x, R)
@@ -315,6 +325,7 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
             raise ParameterError("focus radius must be positive")
 
     offsets = _child_offsets(n)
+    root_n = math.sqrt(n)
     levels: dict[int, _Level] = {}
     undecided = 0
     pruned = 0
@@ -322,21 +333,33 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     for k in range(max_depth + 1):
         side_k = side / 2.0 ** k
         centers = lo + (current + 0.5) * side_k
-        d_inf, i_inf = sigma.tree.query(centers, p=np.inf, workers=-1)
-        keep = d_inf > 10.0 * side_k
+        # d_inf lies in [d2/sqrt(n), d2], so d2 decides every cube outside
+        # the band between the two thresholds; the 1e-12 guard sends
+        # rounding-level ties to the exact sup-norm query
+        d2, aidx = sigma.tree.query(centers, workers=-1)
+        keep = d2 > 10.0 * root_n * side_k * (1 + 1e-12)
+        band = np.flatnonzero(~keep & (d2 > 10.0 * side_k * (1 - 1e-12)))
+        if band.size:
+            d_inf, _ = sigma.tree.query(centers[band], p=np.inf, workers=-1)
+            keep[band] = d_inf > 10.0 * side_k
         kept = current[keep]
         if kept.shape[0]:
-            # maximality gives the 60-dilate hit for free; verify anyway
-            if not np.all(d_inf[keep] <= 30.0 * side_k * (1 + 1e-12)):
-                raise AssertionError("60-dilate check failed (internal)")
             key = _pack(kept, n)
             order = np.argsort(key)
             kept, key = kept[order], key[order]
-            ctr = lo + (kept + 0.5) * side_k
-            _, aidx = sigma.tree.query(ctr, workers=-1)
-            # where the euclid-nearest atom left 60Q, the sup-norm nearest
-            bad = np.max(np.abs(pts[aidx] - ctr), axis=1) > 30.0 * side_k
-            aidx[bad] = i_inf[keep][order][bad]
+            ctr = centers[keep][order]
+            aidx = aidx[keep][order]
+            # where the euclid-nearest atom left 60Q, the sup-norm nearest;
+            # any other cube's 60-dilate already holds that atom
+            bad = np.flatnonzero(
+                np.max(np.abs(pts[aidx] - ctr), axis=1) > 30.0 * side_k)
+            if bad.size:
+                d_inf, i_inf = sigma.tree.query(ctr[bad], p=np.inf,
+                                                workers=-1)
+                # maximality gives the 60-dilate hit for free; verify anyway
+                if not np.all(d_inf <= 30.0 * side_k * (1 + 1e-12)):
+                    raise AssertionError("60-dilate check failed (internal)")
+                aidx[bad] = i_inf
             levels[k] = _Level(side_k, key, ctr, aidx.astype(np.int32))
         viol = current[~keep]
         if k == max_depth:
@@ -453,7 +476,8 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
         raise AssertionError("anchor inside the 20-dilate (internal)")
     rows = _null_space((normal / norm)[None, :])
     flat = FlatMeasure(xi.copy(), rows[:d], 1.0)
-    key = ("sep", cube.level, cube.index, float(eps), float(lam))
+    # the plane and its distance do not depend on eps, only the branch does
+    key = ("sep", cube.level, cube.index, float(lam))
     atilde = deco.alpha_cache.get(key)
     if atilde is None:
         # the plane passes through the ball's centre, so the sample is
@@ -616,8 +640,10 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     Cubes enter when their 2-dilate meets B(x, r); each contributes
     alpha^2 * diam^d.  Whole levels whose flatness balls leave the data
     window are excluded and counted, keeping truncation bias visible.
+    A decomposition focused on a ball holding B(x, r) may be empty: its
+    sum is 0 over no cube.
     """
-    _require(deco)
+    _require(deco, empty_if_focused=True)
     _scale_index("k", k)
     if r <= 0:
         raise ParameterError("r must be positive")

@@ -2,10 +2,15 @@
 error records."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urlab
 from urlab import elliptic
 from urlab.cli import ExperimentConfig, main, run
 from urlab.elliptic import read_field
@@ -16,6 +21,21 @@ from urlab.geometry import load_measure, make_plane_set
 def _manifest(outdir):
     with open(outdir / "manifest.json") as fh:
         return json.load(fh)
+
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    """The solver and LP modules load when a subcommand that uses them
+    runs, not when the command line starts."""
+    src = str(Path(urlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, urlab.cli; print(sorted(m for m "
+         "in ('scipy.optimize', 'scipy.ndimage', 'urlab.elliptic', "
+         "'urlab.whitney', 'urlab.wasserstein', 'urlab.carleson', "
+         "'urlab.distances') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_records_every_consumed_default(tmp_path):

@@ -217,6 +217,25 @@ def test_flat_measure_validates_basis():
         FlatMeasure(np.zeros(3), np.array([[1.0, 0.5, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("basis, ok", [
+    # off the diagonal the Gram matrix may miss 0 by atol = 1e-10
+    (np.array([[1.0, 0.0, 0.0], [0.5e-10, 1.0, 0.0]]), True),
+    (np.array([[1.0, 0.0, 0.0], [2e-10, 1.0, 0.0]]), False),
+    # on it, 1 by atol + rtol = 1e-10 + 1e-5
+    (np.array([[math.sqrt(1.0 + 0.5e-5), 0.0, 0.0]]), True),
+    (np.array([[math.sqrt(1.0 + 2e-5), 0.0, 0.0]]), False),
+    (np.array([[np.nan, 0.0, 0.0]]), False),
+], ids=["off-inside", "off-outside", "diag-inside", "diag-outside", "nan"])
+def test_flat_measure_basis_bound_is_allclose(basis, ok):
+    gram = basis @ basis.T
+    assert np.allclose(gram, np.eye(len(basis)), atol=1e-10) == ok
+    if ok:
+        FlatMeasure(np.zeros(3), basis, 1.0)
+    else:
+        with pytest.raises(InputError):
+            FlatMeasure(np.zeros(3), basis, 1.0)
+
+
 # -- parallel planes ----------------------------------------------------------
 
 def test_parallel_lines_small_offset():

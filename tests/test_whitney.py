@@ -20,8 +20,8 @@ from urlab.exceptions import (
     StateError,
     TruncationError,
 )
-from urlab.geometry import make_cantor_set, make_lipschitz_graph, \
-    make_plane_set, sawtooth_profile
+from urlab.geometry import DiscreteMeasure, make_cantor_set, \
+    make_lipschitz_graph, make_plane_set, sawtooth_profile
 from urlab.whitney import (
     WhitneyCube,
     a_x,
@@ -190,6 +190,96 @@ def test_undecided_cells_are_counted(deco_small):
     assert deco_small.undecided > 0
 
 
+def _oracle_decompose(sigma, lo, side, max_depth, focus):
+    """decompose's level loop with a sup-norm query over every centre:
+    (levels as (side, packed, centers, anchor_idx), undecided, pruned)."""
+    from urlab.whitney import _child_offsets, _dilate_gap2, _pack
+    pts, n = sigma.points, sigma.ambient_dim
+    offsets = _child_offsets(n)
+    levels, undecided, pruned = {}, 0, 0
+    current = np.zeros((1, n), dtype=np.int64)
+    for k in range(max_depth + 1):
+        side_k = side / 2.0 ** k
+        centers = lo + (current + 0.5) * side_k
+        d_inf, i_inf = sigma.tree.query(centers, p=np.inf)
+        keep = d_inf > 10.0 * side_k
+        kept = current[keep]
+        if kept.shape[0]:
+            key = _pack(kept, n)
+            order = np.argsort(key)
+            kept, key = kept[order], key[order]
+            ctr = lo + (kept + 0.5) * side_k
+            _, aidx = sigma.tree.query(ctr)
+            bad = np.max(np.abs(pts[aidx] - ctr), axis=1) > 30.0 * side_k
+            aidx[bad] = i_inf[keep][order][bad]
+            levels[k] = (side_k, key, ctr, aidx.astype(np.int32))
+        viol = current[~keep]
+        if k == max_depth:
+            undecided = viol.shape[0]
+            break
+        if focus is not None and viol.shape[0]:
+            live = (_dilate_gap2(lo + (viol + 0.5) * side_k, side_k, 1.0,
+                                 np.asarray(focus[0], dtype=np.float64))
+                    <= (focus[1] + side_k) ** 2)
+            pruned += int(np.count_nonzero(~live))
+            viol = viol[live]
+        if viol.shape[0] == 0:
+            break
+        current = (viol[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, n)
+    return levels, undecided, pruned
+
+
+def _random_atoms():
+    """40 uniform atoms in a cube: sparse enough that some cube's
+    Euclidean-nearest atom leaves its 60-dilate."""
+    pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(40, 3))
+    return DiscreteMeasure(3, 1, pts, np.full(40, 0.01), 0.01, "random")
+
+
+_ORACLE_SETS = {
+    "line": lambda: make_plane_set(3, 1, 1.0, 0.01),
+    "sawtooth": lambda: make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5),
+                                             0.5, 1.0, 0.01),
+    "cantor": lambda: make_cantor_set(5),
+    "plane4d": lambda: make_plane_set(4, 2, 0.5, 0.03125),
+    "random": _random_atoms,
+}
+
+
+@pytest.mark.parametrize("name, box, depth, focus", [
+    ("line", None, 7, None),
+    ("line", None, 9, ((0.1, 0.0, 0.0), 0.15)),
+    ("sawtooth", None, 7, None),
+    ("sawtooth", None, 9, ((0.0, 0.0, 0.0), 0.1)),
+    ("cantor", CANTOR_BOX, 7, None),
+    ("cantor", CANTOR_BOX, 10, ((0.0, 0.0, 0.0), 0.13)),
+    ("plane4d", None, 7, ((0.0, 0.0, 0.0, 0.0), 0.2)),
+    ("random", (np.zeros(3), 4.0), 9, ((0.0, 0.0, 0.0), 0.2)),
+])
+def test_decompose_equals_the_sup_norm_oracle(name, box, depth, focus):
+    # the Euclidean classification is exact: every level field, the
+    # undecided count and the pruned count equal the all-sup-norm loop's
+    sigma = _ORACLE_SETS[name]()
+    deco = decompose(sigma, box, depth, focus=focus)
+    levels, undecided, pruned = _oracle_decompose(
+        sigma, deco.box_lo, deco.box_side, depth, focus)
+    assert len(deco) > 0
+    assert list(deco.levels) == list(levels)
+    fallback = 0
+    for k, (side, packed, centers, anchor_idx) in levels.items():
+        lev = deco.levels[k]
+        assert lev.side == side
+        for got, want in ((lev.packed, packed), (lev.centers, centers),
+                          (lev.anchor_idx, anchor_idx)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        fallback += int(np.count_nonzero(
+            sigma.tree.query(centers)[1] != anchor_idx))
+    assert (deco.undecided, deco.pruned) == (undecided, pruned)
+    assert (focus is None) == (pruned == 0)
+    # the random atoms reach the sup-norm anchor fallback (9 cubes)
+    assert (fallback > 0) == (name == "random")
+
+
 # -- per-cube flatness -------------------------------------------------------
 
 
@@ -299,6 +389,31 @@ def test_mu_is_cached(deco_line):
     assert mu_q(deco_line, cube, lam=2.0) is mu_q(deco_line, cube, lam=2.0)
 
 
+def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
+    # the separating plane and its transport distance do not depend on
+    # eps, so a second eps on the same cube and lam runs no further LP
+    from scipy.optimize import linprog
+    from urlab import wasserstein
+    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
+                                 0.02)
+    deco = decompose(sigma, max_depth=8)
+    cube = next(c for c in (WhitneyCube(deco, 7, i)
+                            for i in range(0, len(deco.levels[7].packed), 7))
+                if alpha_qk(deco, c, 0, lam=3.0).value > 0.15)
+    seen = []
+
+    def spy(c, **kwargs):
+        seen.append(len(c))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "linprog", spy)
+    first = mu_q(deco, cube, eps=0.15, lam=3.0)
+    second = mu_q(deco, cube, eps=0.1, lam=3.0)
+    assert first.branch == second.branch == "separating"
+    assert len(seen) == 1
+    assert second.atilde == first.atilde
+
+
 # -- the multiscale sum at a point -------------------------------------------
 
 
@@ -378,10 +493,10 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
     assert part.value == pytest.approx(full.value, rel=1e-12)
     with pytest.raises(ParameterError):
         ur_square_sum(focused, np.zeros(3), 0.35, k=0, lam=2.0)
-    # the focus that `urlab ur-sum` always uses, (x, 2r), prunes no cube
+    # the focus that `urlab ur-sum` always uses, (x, r), prunes no cube
     # the sum selects: every result field equals the unfocused one exactly
     x, r = line3d.points[120], 0.25
-    cli_focus = decompose(line3d, max_depth=8, focus=(x, 2.0 * r))
+    cli_focus = decompose(line3d, max_depth=8, focus=(x, r))
     assert cli_focus.pruned > 0
     for k in (0, 1):
         want = ur_square_sum(deco_line, x, r, k=k, lam=3.0)
@@ -424,6 +539,19 @@ def test_ur_sum_parameter_guards(deco_small):
         ur_square_sum(deco_small, np.zeros(3), -0.1)
     with pytest.raises(StateError):
         ur_square_sum("nope", np.zeros(3), 0.1)
+
+
+def test_ur_sum_of_an_empty_focused_decomposition_is_zero(small_line):
+    # the focus proves no selectable cube was dropped, so an empty focused
+    # decomposition sums to 0; an empty unfocused one is still refused
+    focused = decompose(small_line, max_depth=4, focus=(np.zeros(3), 0.1))
+    assert len(focused) == 0 and focused.pruned > 0
+    got = ur_square_sum(focused, np.zeros(3), 0.1, lam=2.0)
+    assert dataclasses.astuple(got) == (0.0, 0, 0, 0)
+    with pytest.raises(StateError):
+        ur_square_sum(decompose(small_line, max_depth=4), np.zeros(3), 0.1)
+    with pytest.raises(StateError):
+        alpha_qk(focused, WhitneyCube(focused, 4, 0))
 
 
 # -- dumps ---------------------------------------------------------------------
