@@ -16,6 +16,17 @@ executes, and writes its artifacts into the run directory:
   time.  A manifest is therefore a complete recipe for reproducing the run;
   it is the only artifact allowed to differ between identical runs.
 
+A config with a ``sweep`` section (``sweep.key``, a dotted config path, and
+``sweep.values``, a nonempty list) runs once per value, for any subcommand.
+Run i goes into ``<out>/i`` as a complete ordinary run of the config with
+the ``sweep`` section removed and the key set to the i-th value: its
+artifacts are byte-identical to those of that config run alone, and its
+manifest records the key at its own value.  ``<out>/sweep.csv`` has one row
+per value: ``sweep_value`` (the value as JSON text), then the scalar
+entries of that run's summary.  ``<out>/manifest.json`` records the swept
+key, and every path under it, once, as the list of its values; its
+``unread`` lists the leaves that no sub-run read.
+
 All randomness flows from one generator seeded by the ``seed`` key; no
 operation touches ambient RNG state.  Any module error ends the run with a
 machine-readable record (``error.json`` plus one JSON line on stderr) and
@@ -126,10 +137,11 @@ class ExperimentConfig:
 
         ``kind`` is ``float``, ``int``, ``bool``, ``str``, ``[kind]`` for a
         list of such values, or None for no check.  A bool comes only from
-        a JSON boolean, a float only from a JSON number and an int only from
-        an integral one; anything else is an InputError naming the key.  A
-        missing key without a default is an InputError; with a None default
-        the key is optional and absence (or null) gives None.
+        a JSON boolean, a float only from a finite JSON number (not ``NaN``
+        or ``Infinity``) and an int only from an integral one; anything
+        else is an InputError naming the key.  A missing key without a
+        default is an InputError; with a None default the key is optional
+        and absence (or null) gives None.
         """
         found, node = self._lookup(path)
         if not found:
@@ -184,8 +196,8 @@ class ExperimentConfig:
         return out
 
 
-_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               str: "a string"}
+_KIND_NAMES = {float: "a finite number", int: "an integer",
+               bool: "true or false", str: "a string"}
 
 
 def _typed(path: str, value, kind):
@@ -200,8 +212,11 @@ def _typed(path: str, value, kind):
     if kind is bool or kind is str:
         ok = isinstance(value, kind)
     else:
+        # a float is finite, and so is an int read as a float
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and (kind is float or isinstance(value, int) or value.is_integer())
+            and (kind is int and isinstance(value, int)
+                 or abs(value) <= sys.float_info.max
+                 and (kind is float or value.is_integer()))
     if not ok:
         raise InputError(f"config key {path!r} must be {_KIND_NAMES[kind]}, "
                          f"got {value!r}")
@@ -419,15 +434,14 @@ def _cmd_alpha(cfg, rng, outdir):
 def _cmd_whitney(cfg, rng, outdir):
     from . import whitney as _whitney
     sigma = _build_measure(cfg)
-    deco = _decomposition(cfg, sigma)
     lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
-    rows = _whitney.dump_cubes(
-        deco, outdir / "cubes.csv",
-        k_max=cfg.get("whitney.k_max", 0, int), lam=lam,
-        eps=cfg.get("whitney.eps", _whitney._EPS_DEFAULT, float),
-        include_alpha=cfg.get("whitney.include_alpha", False, bool),
-        include_mu=cfg.get("whitney.include_mu", False, bool),
-        stride=cfg.get("whitney.stride", 1, int))
+    dump = dict(k_max=cfg.get("whitney.k_max", 0, int), lam=lam,
+                eps=cfg.get("whitney.eps", _whitney._EPS_DEFAULT, float),
+                include_alpha=cfg.get("whitney.include_alpha", False, bool),
+                include_mu=cfg.get("whitney.include_mu", False, bool),
+                stride=cfg.get("whitney.stride", 1, int))
+    deco = _decomposition(cfg, sigma)
+    rows = _whitney.dump_cubes(deco, outdir / "cubes.csv", **dump)
     return {"lookback_scale": lam, "n_cubes": len(deco),
             "n_levels": len(deco.levels), "rows_written": rows,
             "n_undecided": deco.undecided}, ["cubes.csv"]
@@ -435,49 +449,19 @@ def _cmd_whitney(cfg, rng, outdir):
 
 def _cmd_ur_sum(cfg, rng, outdir):
     from . import whitney as _whitney
-    sweep_key = cfg.get("sweep.key", None, str)
-    sweep_values = cfg.get("sweep.values", [None], [None])
-    if (sweep_key is None) != (sweep_values == [None]):
-        raise InputError("sweep.key and sweep.values must be given together")
-    if not sweep_values:
-        raise InputError("sweep.values must not be empty")
-    rows = []
-    sums = []
-    lams = set()
-    for value in sweep_values:
-        sub = ExperimentConfig(copy.deepcopy(cfg.data))
-        if sweep_key is not None:
-            sub.apply_override(f"{sweep_key}={json.dumps(value)}")
-        sigma = _build_measure(sub)
-        x = _point(sub, "query.point", sigma)
-        r = sub.get("query.radius", kind=float)
-        lam = sub.get("whitney.lam", _whitney.SCALE_FACTOR, float)
-        lams.add(lam)
-        # pruning to B(x, r) keeps every cube the sum can select
-        deco = _decomposition(sub, sigma, focus=(x, r))
-        res = _whitney.ur_square_sum(deco, x, r, sub.get("query.k", 0, int),
-                                     lam=lam)
-        sums.append(res.value)
-        rows.append(["" if value is None else value, _fmt(res.value),
-                     res.n_cubes, res.n_excluded, res.n_anchors])
-        cfg.consumed.update(sub.consumed)
-        if sweep_key is not None and not any(
-                (p + ".").startswith(sweep_key + ".") for p in sub.consumed):
-            raise InputError(f"sweep.key {sweep_key!r} is never read")
-    if sweep_key is not None:
-        # the swept key, and every path under it, is recorded once, as the
-        # list of the key's values
-        cfg.consumed = {p: v for p, v in cfg.consumed.items()
-                        if not (p + ".").startswith(sweep_key + ".")}
-        cfg.consumed[sweep_key] = sweep_values
+    sigma = _build_measure(cfg)
+    x = _point(cfg, "query.point", sigma)
+    r = cfg.get("query.radius", kind=float)
+    k = cfg.get("query.k", 0, int)
+    lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
+    # pruning to B(x, r) keeps every cube the sum can select
+    deco = _decomposition(cfg, sigma, focus=(x, r))
+    res = _whitney.ur_square_sum(deco, x, r, k, lam=lam)
     _write_csv(outdir / "ur_sum.csv",
-               ["sweep_value", "square_sum", "n_cubes", "n_excluded",
-                "n_anchors"], rows)
-    summary = {"lookback_scale": lam if len(lams) == 1 else None,
-               "values": sums}
-    if len(sums) > 1 and sums[0] > 0:
-        summary["ratio_last_over_first"] = sums[-1] / sums[0]
-    return summary, ["ur_sum.csv"]
+               ["square_sum", "n_cubes", "n_excluded", "n_anchors"],
+               [[_fmt(res.value), res.n_cubes, res.n_excluded,
+                 res.n_anchors]])
+    return {"lookback_scale": lam, "square_sum": res.value}, ["ur_sum.csv"]
 
 
 def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
@@ -532,6 +516,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
         sigma.points - sigma.points.mean(axis=0)[None, :], axis=1)))]
     probe = center.copy()
     probe[-1] += gap
+    seed = cfg.seed("wasserstein.seed")
 
     rows = []
 
@@ -554,8 +539,7 @@ def _cmd_verify_identities(cfg, rng, outdir):
         check("middle-exponent-divergence-free", div["ratio"], 1e-3)
 
     r_alpha = min(sigma.window()[1], 25.0 * sigma.spacing)
-    res = _wasserstein.alpha_number(sigma, Ball(center, r_alpha),
-                                    seed=cfg.seed("wasserstein.seed"))
+    res = _wasserstein.alpha_number(sigma, Ball(center, r_alpha), seed=seed)
     check("flatness-vanishes-on-flat-sets", res.value,
           5.0 * sigma.spacing / r_alpha)
 
@@ -600,9 +584,9 @@ def _cmd_carleson(cfg, rng, outdir):
 def _cmd_solve(cfg, rng, outdir):
     from . import elliptic as _elliptic
     sigma = _build_measure(cfg)
+    g = _atom_data(cfg, sigma, "data").astype(np.float64)
     system = _system(cfg, sigma, lambda _: _hull_box(sigma),
                      cfg.get("elliptic.h", kind=float))
-    g = _atom_data(cfg, sigma, "data").astype(np.float64)
     sol = system.solve(g)
     _elliptic.write_field(sol.field, outdir / "field.bin",
                           outdir / "field.json", outdir / "field_mask.bin")
@@ -637,10 +621,10 @@ def _cmd_ainfty(cfg, rng, outdir):
     ball = _single_ball(cfg, sigma)
     n_sets = cfg.get("scatter.n_sets", 64, int)
     seed = cfg.seed("scatter.seed")
+    deltas = cfg.get("scatter.deltas", [0.01, 0.05, 0.2], [float])
     system = _system(cfg, sigma, lambda _: (ball.center, 7.5 * ball.radius))
     res = _elliptic.ainfty_scatter(system, ball, n_sets, seed)
     _elliptic.write_scatter(res, outdir / "scatter.csv")
-    deltas = cfg.get("scatter.deltas", [0.01, 0.05, 0.2], [float])
     # an envelope with no row below its threshold is NaN: JSON null
     return {"envelopes": {str(t): _json_number(res.envelope(t))
                           for t in deltas},
@@ -710,35 +694,49 @@ def _error_record(subcommand: str, exc: LabError, outdir=None) -> int:
     return 1
 
 
-def run(subcommand: str, config, outdir=None) -> int:
-    """Execute one subcommand against a configuration.
+def _sweep(subcommand: str, cfg: ExperimentConfig, out: Path) -> tuple:
+    """Each value of ``sweep.values`` at ``sweep.key`` run into ``out/i``,
+    and their scalar summaries written to ``out/sweep.csv``."""
+    key = cfg.get("sweep.key", None, str)
+    values = cfg.get("sweep.values", None, [None])
+    if key is None or not values:
+        raise InputError("a sweep needs sweep.key and a nonempty sweep.values")
+    read, summaries = {}, []
+    for i, value in enumerate(values):
+        sub = ExperimentConfig(copy.deepcopy(cfg.data))
+        del sub.data["sweep"]
+        sub.apply_override(f"{key}={json.dumps(value)}")
+        summaries.append(_run_into(subcommand, sub, out / str(i)))
+        read.update(sub.consumed)
+    under = [p for p in read if (p + ".").startswith(key + ".")]
+    if not under:
+        raise InputError(f"sweep.key {key!r} is never read")
+    # the swept key, and every path under it, is recorded once, as the
+    # list of the key's values
+    cfg.consumed = {**{p: read[p] for p in read if p not in under},
+                    **cfg.consumed, key: values}
+    cols = [k for k in summaries[0] if not any(
+        isinstance(s.get(k), (dict, list)) for s in summaries)]
+    _write_csv(out / "sweep.csv", ["sweep_value", *cols],
+               [[json.dumps(value), *(_fmt(v) if isinstance(v, float) else v
+                                      for v in map(s.get, cols))]
+                for value, s in zip(values, summaries)])
+    return {"sweep_key": key, "n_runs": len(values)}, \
+        ["sweep.csv", *map(str, range(len(values)))]
 
-    ``config`` may be an ExperimentConfig, a plain dict, or a path to a
-    JSON file.  Returns the process exit status: 0 on success, 1 with a
-    machine-readable error record on any module error, 2 on usage errors.
-    """
-    if subcommand not in _COMMANDS:
-        print(f"unknown subcommand {subcommand!r}; choose from "
-              f"{', '.join(_COMMANDS)}", file=sys.stderr)
-        return 2
+
+def _run_into(subcommand: str, cfg: ExperimentConfig, out: Path) -> dict:
+    """Run cfg into the directory out, write its manifest and return its
+    summary; a config with a sweep section runs as a sweep."""
     t0 = time.monotonic()
-    out = None
-    try:
-        if isinstance(config, ExperimentConfig):
-            cfg = config
-        elif isinstance(config, dict):
-            cfg = ExperimentConfig(copy.deepcopy(config))
-        else:
-            cfg = ExperimentConfig.from_file(config)
-        out = Path(outdir) if outdir is not None \
-            else Path(cfg.get("outdir", "runs/latest", str))
-        out.mkdir(parents=True, exist_ok=True)
-        cfg.consumed["outdir"] = str(out)
-        seed = cfg.seed("seed")
-        rng = np.random.default_rng(seed)
-        summary, artifacts = _COMMANDS[subcommand](cfg, rng, out)
-    except LabError as exc:
-        return _error_record(subcommand, exc, out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.consumed["outdir"] = str(out)
+    seed = cfg.seed("seed")
+    if cfg.has("sweep.key") or cfg.has("sweep.values"):
+        summary, artifacts = _sweep(subcommand, cfg, out)
+    else:
+        summary, artifacts = _COMMANDS[subcommand](
+            cfg, np.random.default_rng(seed), out)
     manifest = {
         "subcommand": subcommand,
         "status": "ok",
@@ -753,6 +751,37 @@ def run(subcommand: str, config, outdir=None) -> int:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+    return summary
+
+
+def run(subcommand: str, config, outdir=None) -> int:
+    """Execute one subcommand against a configuration.
+
+    ``config`` may be an ExperimentConfig, a plain dict, or a path to a
+    JSON file.  A ``sweep`` section makes the run a sweep (see the module
+    docstring): one complete sub-run per value in ``<out>/0``, ``<out>/1``,
+    ..., with ``sweep.csv`` and a manifest for the whole sweep in ``<out>``.
+    Returns the process exit status: 0 on success, 1 with a
+    machine-readable error record on any module error (a sub-run's error
+    ends the sweep), 2 on usage errors.
+    """
+    if subcommand not in _COMMANDS:
+        print(f"unknown subcommand {subcommand!r}; choose from "
+              f"{', '.join(_COMMANDS)}", file=sys.stderr)
+        return 2
+    out = None
+    try:
+        if isinstance(config, ExperimentConfig):
+            cfg = config
+        elif isinstance(config, dict):
+            cfg = ExperimentConfig(copy.deepcopy(config))
+        else:
+            cfg = ExperimentConfig.from_file(config)
+        out = Path(outdir) if outdir is not None \
+            else Path(cfg.get("outdir", "runs/latest", str))
+        _run_into(subcommand, cfg, out)
+    except LabError as exc:
+        return _error_record(subcommand, exc, out)
     return 0
 
 

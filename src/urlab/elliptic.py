@@ -164,13 +164,13 @@ class SolverConfig:
     outer: str = "neumann"
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError("beta must be positive")
         if not -1.0 < self.gamma < 1.0:
             raise ParameterError("gamma must lie strictly between -1 and 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ParameterError("tol must be positive")
-        if self.collar < 1.0:
+        if not self.collar >= 1.0:
             raise ParameterError("collar must be at least one cell")
         if self.outer not in ("neumann", "dirichlet0"):
             raise ParameterError("outer must be 'neumann' or 'dirichlet0'")

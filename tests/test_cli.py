@@ -1,7 +1,9 @@
 """Experiment runner: config resolution, artifacts, determinism, and
 error records."""
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import urlab
-from urlab import elliptic
+from urlab import distances, elliptic, whitney
 from urlab.cli import ExperimentConfig, main, run
 from urlab.elliptic import read_field
 from urlab.exceptions import DomainError, InputError
@@ -21,6 +23,12 @@ from urlab.geometry import load_measure, make_plane_set
 def _manifest(outdir):
     with open(outdir / "manifest.json") as fh:
         return json.load(fh)
+
+
+def _sweep_rows(outdir):
+    """sweep.csv as one dict per row, keyed by column."""
+    with open(outdir / "sweep.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_importing_the_cli_loads_no_subcommand_module():
@@ -146,12 +154,12 @@ def test_ur_sum_cantor_growth_recorded(tmp_path):
         "sweep": {"key": "generator.m", "values": [3, 5]},
     }
     assert run("ur-sum", config, tmp_path) == 0
-    man = _manifest(tmp_path)
-    assert man["summary"]["ratio_last_over_first"] >= 1.5
-    assert man["summary"]["lookback_scale"] == 8.0
-    lines = (tmp_path / "ur_sum.csv").read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert lines[1].startswith("3,") and lines[2].startswith("5,")
+    rows = _sweep_rows(tmp_path)
+    assert [r["sweep_value"] for r in rows] == ["3", "5"]
+    assert float(rows[1]["square_sum"]) >= 1.5 * float(rows[0]["square_sum"])
+    for i in range(2):
+        assert _manifest(tmp_path / str(i))["summary"]["lookback_scale"] \
+            == 8.0
 
 
 def test_dist_fields_table(tmp_path):
@@ -412,13 +420,23 @@ _WHITNEY = {"generator": {"kind": "cantor", "m": 2},
     ("carleson", _CARLESON, 'balls.radii=[0.64, "a"]', "balls.radii"),
     ("whitney", _WHITNEY, "whitney.max_depth=10.5", "whitney.max_depth"),
     ("whitney", _WHITNEY, "whitney.stride=true", "whitney.stride"),
+    ("solve", _RERUN_CONFIGS["solve"][0], "elliptic.tol=NaN", "elliptic.tol"),
+    ("ur-sum", _RERUN_CONFIGS["ur-sum"][0], "query.radius=NaN",
+     "query.radius"),
+    ("ahlfors", {"generator": _PLANE}, "balls.radii=[NaN]", "balls.radii"),
+    ("ahlfors", {"generator": _PLANE}, "balls.radii=[Infinity]",
+     "balls.radii"),
+    ("ahlfors", {"generator": _PLANE}, f"balls.radii=[{10 ** 400}]",
+     "balls.radii"),
 ], ids=["bool-from-string", "float-from-string", "list-with-a-string",
-        "int-from-fraction", "int-from-bool"])
+        "int-from-fraction", "int-from-bool", "nan-tol", "nan-radius",
+        "nan-in-a-list", "infinity-in-a-list", "int-beyond-float-range"])
 def test_config_value_of_the_wrong_type_is_an_input_error(
         tmp_path, capsys, subcommand, config, override, key):
     """A value is never coerced: "False" is not a bool, "abc" not a number
-    and 10.5 not an int.  The run ends in an InputError record naming the
-    key, not a misread value or a traceback."""
+    and 10.5 not an int; NaN and Infinity, which JSON reads, are not
+    numbers a config takes.  The run ends in an InputError record naming
+    the key, not a misread value or a traceback."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -428,6 +446,30 @@ def test_config_value_of_the_wrong_type_is_an_input_error(
     assert record["error"] == "InputError"
     assert key in record["message"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("subcommand, config, module, spied, key", [
+    ("ainfty", {**_RERUN_CONFIGS["ainfty"][0], "scatter": {"deltas": ["a"]}},
+     elliptic, "assemble", "scatter.deltas"),
+    ("solve", {**_RERUN_CONFIGS["solve"][0], "data": {"kind": "x"}},
+     elliptic, "assemble", "data.kind"),
+    ("whitney", {**_WHITNEY, "whitney": {**_WHITNEY["whitney"],
+                                         "stride": "x"}},
+     whitney, "decompose", "whitney.stride"),
+    ("verify-identities", {"generator": _PLANE, "wasserstein": {"seed": -1}},
+     distances, "fd_gradient_check", "wasserstein.seed"),
+], ids=["ainfty", "solve", "whitney", "verify-identities"])
+def test_config_is_read_before_the_first_costly_call(
+        tmp_path, monkeypatch, subcommand, config, module, spied, key):
+    """A bad key that a subcommand reads for its output is refused before
+    the assembly, decomposition or check it would otherwise follow."""
+    calls = []
+    monkeypatch.setattr(module, spied, lambda *a, **k: calls.append(a))
+    assert run(subcommand, config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert key in record["message"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("stride", [0, -4])
@@ -443,14 +485,19 @@ def test_whitney_stride_below_one_is_a_parameter_error(tmp_path, stride):
 
 
 def test_ur_sum_empty_sweep_is_an_input_error(tmp_path):
-    """An empty sweep ends in an InputError record, not a traceback."""
-    config = {"generator": _PLANE, "query": {"radius": 0.3},
-              "sweep": {"key": "query.radius", "values": []}}
-    assert run("ur-sum", config, tmp_path) == 1
-    record = _error(tmp_path)
-    assert record["error"] == "InputError"
-    assert "sweep.values" in record["message"]
-    assert not (tmp_path / "ur_sum.csv").exists()
+    """An empty sweep ends in an InputError record, not a traceback, for
+    ur-sum as for any subcommand."""
+    for subcommand, config in [
+            ("ur-sum", {"generator": _PLANE, "query": {"radius": 0.3},
+                        "sweep": {"key": "query.radius", "values": []}}),
+            ("ahlfors", {"generator": _PLANE,
+                         "sweep": {"key": "balls.count", "values": []}})]:
+        out = tmp_path / subcommand
+        assert run(subcommand, config, out) == 1
+        record = _error(out)
+        assert record["error"] == "InputError"
+        assert "sweep.values" in record["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_manifest_records_the_typed_value(tmp_path):
@@ -475,52 +522,121 @@ _UR_PLANE = {"generator": _PLANE,
 ])
 def test_ur_sum_sweep_records_every_value_of_the_swept_key(tmp_path, key,
                                                           values):
-    """The manifest records a swept key as the list of its values, not as
-    the last one, and the summary gives no single lookback scale when the
-    sweep varies it."""
+    """The sweep's manifest records a swept key as the list of its values,
+    not as the last one; each sub-run's manifest records its own value,
+    and its lookback scale is its own lambda."""
     config = json.loads(json.dumps(_UR_PLANE))
     config["sweep"] = {"key": key, "values": values}
     assert run("ur-sum", config, tmp_path) == 0
     man = _manifest(tmp_path)
     section, name = key.split(".")
     assert man["config"][section][name] == values
-    assert man["summary"]["lookback_scale"] == (
-        None if key == "whitney.lam" else 8.0)
     assert man["unread"] == []
+    assert man["artifacts"] == ["sweep.csv", "0", "1"]
+    for i, value in enumerate(values):
+        sub = _manifest(tmp_path / str(i))
+        assert sub["config"][section][name] == value
+        assert "sweep" not in sub["config"] and sub["unread"] == []
+        assert sub["summary"]["lookback_scale"] == (
+            value if key == "whitney.lam" else 8.0)
 
 
-@pytest.mark.parametrize("sweep, named", [
-    ({"key": "whitney.lam"}, "sweep.values"),
-    ({"key": "query.radiu", "values": [0.2, 0.3]}, "query.radiu"),
-], ids=["no-values", "unread-key"])
-def test_ur_sum_sweep_that_cannot_sweep_is_an_input_error(tmp_path, sweep,
-                                                         named):
-    """A sweep key without values, or one no sub-run reads, is refused
-    instead of writing null into the key or repeating one row."""
-    config = {**_UR_PLANE, "sweep": sweep}
-    assert run("ur-sum", config, tmp_path) == 1
+_AHLFORS = {"generator": _PLANE, "balls": {"count": 3}}
+
+
+@pytest.mark.parametrize("subcommand, sweep, named", [
+    ("ur-sum", {"key": "whitney.lam"}, "sweep.values"),
+    ("ur-sum", {"key": "query.radiu", "values": [0.2, 0.3]}, "query.radiu"),
+    ("ur-sum", {"values": [2.0, 3.0]}, "sweep.key"),
+    ("ahlfors", {"key": "balls.count"}, "sweep.values"),
+    ("ahlfors", {"key": "balls.cont", "values": [2, 4]}, "balls.cont"),
+    ("ahlfors", {"values": [2, 4]}, "sweep.key"),
+], ids=["no-values", "unread-key", "no-key", "ahlfors-no-values",
+        "ahlfors-unread-key", "ahlfors-no-key"])
+def test_ur_sum_sweep_that_cannot_sweep_is_an_input_error(
+        tmp_path, subcommand, sweep, named):
+    """A sweep key without values, values without a key, or a key no
+    sub-run reads, is refused for any subcommand instead of writing null
+    into the key or repeating one row."""
+    base = _UR_PLANE if subcommand == "ur-sum" else _AHLFORS
+    assert run(subcommand, {**base, "sweep": sweep}, tmp_path) == 1
     record = _error(tmp_path)
     assert record["error"] == "InputError"
     assert named in record["message"]
-    assert not (tmp_path / "ur_sum.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def _assert_sweep_runs_alone(tmp_path, subcommand, base, artifacts, section,
+                             name, values):
+    """A sweep of base over section.name: each sub-run leaves the artifact
+    bytes and the resolved config of base run alone with that value, and
+    sweep.csv holds each value in order."""
+    config = json.loads(json.dumps(base))
+    config["sweep"] = {"key": f"{section}.{name}", "values": values}
+    assert run(subcommand, config, tmp_path / "sweep") == 0
+    rows = _sweep_rows(tmp_path / "sweep")
+    assert [r["sweep_value"] for r in rows] == [json.dumps(v) for v in values]
+    for i, value in enumerate(values):
+        alone = json.loads(json.dumps(base))
+        alone.setdefault(section, {})[name] = value
+        out = tmp_path / f"alone{i}"
+        assert run(subcommand, alone, out) == 0
+        sub = tmp_path / "sweep" / str(i)
+        for artifact in artifacts:
+            assert (sub / artifact).read_bytes() \
+                == (out / artifact).read_bytes(), (value, artifact)
+        assert _manifest(sub)["config"] == {**_manifest(out)["config"],
+                                            "outdir": str(sub)}
+    return rows
 
 
 def test_ur_sum_sweep_reads_each_key_from_its_value(tmp_path):
-    """A sweep over query.radius runs each radius, and each row equals the
-    run of that radius alone."""
-    config = json.loads(json.dumps(_RERUN_CONFIGS["ur-sum"][0]))
-    config["sweep"] = {"key": "query.radius", "values": [0.2, 0.3]}
-    assert run("ur-sum", config, tmp_path / "sweep") == 0
-    rows = (tmp_path / "sweep" / "ur_sum.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[0] for r in rows] == ["0.2", "0.3"]
-    assert rows[0].split(",")[1:] != rows[1].split(",")[1:]
-    for radius, row in zip((0.2, 0.3), rows):
-        alone = json.loads(json.dumps(_RERUN_CONFIGS["ur-sum"][0]))
-        alone["query"]["radius"] = radius
-        out = tmp_path / f"r{radius}"
-        assert run("ur-sum", alone, out) == 0
-        body = (out / "ur_sum.csv").read_text().splitlines()[1]
-        assert body.split(",")[1:] == row.split(",")[1:]
+    """A sweep over query.radius runs each radius, and each sub-run equals
+    the run of that radius alone."""
+    rows = _assert_sweep_runs_alone(tmp_path, "ur-sum",
+                                    *_RERUN_CONFIGS["ur-sum"], "query",
+                                    "radius", [0.2, 0.3])
+    assert rows[0]["square_sum"] != rows[1]["square_sum"]
+    body = (tmp_path / "alone1" / "ur_sum.csv").read_text().splitlines()[1]
+    assert body.split(",")[0] == rows[1]["square_sum"]
+
+
+def test_ainfty_sweep_over_gamma_equals_each_gamma_alone(tmp_path):
+    """The sweep lives in the runner: an elliptic subcommand sweeps over
+    the operator family -div D^{d+1+gamma-n} grad as ur-sum does."""
+    rows = _assert_sweep_runs_alone(tmp_path, "ainfty",
+                                    *_RERUN_CONFIGS["ainfty"], "elliptic",
+                                    "gamma", [-0.5, 0.5])
+    assert rows[0]["omega_ball"] != rows[1]["omega_ball"]
+    assert "envelopes" not in rows[0]
+
+
+def test_ahlfors_sweep_over_the_ball_count_equals_each_count_alone(tmp_path):
+    """A seeded subcommand sweeps too; sweep.csv takes every scalar entry
+    of the sub-run summaries as a column."""
+    base = {**_AHLFORS, "seed": 4}
+    rows = _assert_sweep_runs_alone(tmp_path, "ahlfors", base,
+                                    ["ahlfors.csv"], "balls", "count", [2, 5])
+    assert [r["n_balls"] for r in rows] == ["2", "5"]
+    assert list(rows[0]) == ["sweep_value", "constant", "dimension",
+                             "n_balls", "n_excluded", "ratio_min",
+                             "ratio_max"]
+
+
+def test_a_failing_sub_run_ends_the_sweep(tmp_path):
+    """A value the sub-run refuses (NaN is not a number a config takes)
+    ends the sweep with one error record; it is not skipped."""
+    config = {**_AHLFORS, "sweep": {"key": "balls.radii",
+                                    "values": [[0.2], [math.nan], [0.3]]}}
+    assert run("ahlfors", config, tmp_path) == 1
+    record = _error(tmp_path)
+    assert record["error"] == "InputError"
+    assert "balls.radii" in record["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "0", "1", "error.json"]
+    assert (tmp_path / "0" / "manifest.json").is_file()
+    assert not (tmp_path / "1" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("subcommand, section", [

@@ -99,6 +99,10 @@ def pole_above():
 
 
 def test_config_guards():
+    # NaN fails every comparison, so no guard may pass it by failing one
+    for knob in ("beta", "gamma", "tol", "collar"):
+        with pytest.raises(ParameterError):
+            SolverConfig(**{knob: float("nan")})
     with pytest.raises(ParameterError):
         SolverConfig(beta=0.0)
     with pytest.raises(ParameterError):

@@ -49,7 +49,7 @@ _CLI = '''def _point(cfg, path, sigma):
 def _cmd(cfg, sub, section):
     a = cfg.get("gen.kind", kind=str)
     b = cfg.get("gen.n", 3, int)
-    c = sub.get("gen.n", 3, int)
+    c = sub.get("sub.only", 3, int)
     if cfg.has("probes.line"):
         d = _point(cfg, "probes.line.start", None)
     e = cfg.get(f"{section}.kind", "x", str)
@@ -77,8 +77,9 @@ def test_counts_line_kinds_and_public_options():
 
 
 def test_config_keys_are_the_distinct_keys_read():
-    # "gen.n" is read twice (through cfg and a sub-config); a key handed to
-    # a helper with the config counts; a plain dict's get does not
+    # "gen.n" is read twice and counts once; a key handed to a helper with
+    # the config counts; a plain dict's get, or a read through another
+    # name than cfg, does not
     assert loc.config_keys(_CLI) == {
         "gen.kind", "gen.n", "probes.line", "probes.line.start",
         "{section}.kind", "seed"}

@@ -131,3 +131,33 @@ def test_json_values_that_are_not_numbers(tmp_path):
     a = _run_dir(tmp_path / "a", {"s.json": b'{"a": [1, 2]}'})
     b = _run_dir(tmp_path / "b", {"s.json": b'{\n  "a": [1, 2]\n}\n'})
     assert same_outputs.compare_runs(a, b) == ["s.json: sha256 differs"]
+
+
+def test_sweep_sub_runs_are_compared_as_runs(tmp_path):
+    """A sweep's sub-run directories are compared recursively, each
+    difference prefixed with the sub-run's name."""
+    sweep = b"sweep_value,square_sum\n0.2,1\n0.3,2\n"
+    a = _run_dir(tmp_path / "a", {"sweep.csv": sweep}, _CONFIG, _SUMMARY)
+    b = _run_dir(tmp_path / "b", {"sweep.csv": sweep}, _CONFIG, _SUMMARY)
+    for i, tail in enumerate((b"1\n", b"2\n")):
+        _run_dir(a / str(i), {"ur_sum.csv": b"square_sum\n" + tail},
+                 _CONFIG, _SUMMARY)
+    _run_dir(b / "0", {"ur_sum.csv": b"square_sum\n1\n"}, _CONFIG,
+             _SUMMARY)
+    _run_dir(b / "1", {"ur_sum.csv": b"square_sum\n2.5\n"},
+             {**_CONFIG, "seed": 1}, _SUMMARY)
+    assert same_outputs.compare_runs(a, b) == [
+        "1/ur_sum.csv: sha256 differs",
+        "1/ur_sum.csv: column square_sum: largest relative difference 0.2",
+        "1/manifest.json: config differs",
+        "1/manifest.json: key config.seed: largest relative difference 1"]
+    (b / "1" / "ur_sum.csv").write_bytes(b"square_sum\n2\n")
+    (b / "1" / "manifest.json").write_bytes((a / "1" / "manifest.json")
+                                            .read_bytes())
+    assert same_outputs.compare_runs(a, b) == []
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "0").write_bytes(b"")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "0").mkdir()
+    assert same_outputs.compare_runs(tmp_path / "c", tmp_path / "d") == [
+        "0: a directory in one run only"]

@@ -46,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/urlab"
 KINDS = ("code", "docstring", "comment", "blank", "options")
-CONFIG_NAMES = ("cfg", "sub")
+CONFIG_NAMES = ("cfg",)
 READERS = ("get", "has", "seed")
 
 

@@ -24,7 +24,9 @@ largest relative difference (inf where a differing cell is not a number),
 so a rounding-level change can be told from a real one.  Differing JSON
 files and manifest sections are compared key by key on dotted paths
 (``summary.envelopes.0.05``): each differing key is named with its largest
-relative difference, taken over the entries of a list value.
+relative difference, taken over the entries of a list value.  A sweep's
+sub-run directories (``0``, ``1``, ...) are compared as runs, each of their
+differences prefixed with the directory name (``0/ur_sum.csv: ...``).
 """
 
 from __future__ import annotations
@@ -147,12 +149,18 @@ def column_diffs(a: Path, b: Path) -> list[str]:
 
 
 def compare_runs(a: Path, b: Path) -> list[str]:
-    """The differences between two run directories, empty when the same."""
+    """The differences between two run directories, empty when the same;
+    a directory within both is compared as a run of its own."""
     files_a = {p.name for p in a.iterdir() if p.name != MANIFEST}
     files_b = {p.name for p in b.iterdir() if p.name != MANIFEST}
     out = [f"only in one run: {name}" for name in sorted(files_a ^ files_b)]
     for name in sorted(files_a & files_b):
-        if _sha256(a / name) != _sha256(b / name):
+        dirs = (a / name).is_dir(), (b / name).is_dir()
+        if all(dirs):
+            out += [f"{name}/{d}" for d in compare_runs(a / name, b / name)]
+        elif any(dirs):
+            out.append(f"{name}: a directory in one run only")
+        elif _sha256(a / name) != _sha256(b / name):
             out.append(f"{name}: sha256 differs")
             if name.endswith(".csv"):
                 out += [f"{name}: {d}" for d in column_diffs(a / name,
