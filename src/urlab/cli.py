@@ -24,8 +24,9 @@ artifacts are byte-identical to those of that config run alone, and its
 manifest records the key at its own value.  ``<out>/sweep.csv`` has one row
 per value: ``sweep_value`` (the value as JSON text), then the scalar
 entries of that run's summary.  ``<out>/manifest.json`` records the swept
-key, and every path under it, once, as the list of its values; its
-``unread`` lists the leaves that no sub-run read.
+key, and every path under it, once, as the list of its values (so does
+its ``seed`` field when the key is ``seed``); its ``unread`` lists the
+leaves that no sub-run read.
 
 All randomness flows from one generator seeded by the ``seed`` key; no
 operation touches ambient RNG state.  Any module error ends the run with a
@@ -734,6 +735,8 @@ def _run_into(subcommand: str, cfg: ExperimentConfig, out: Path) -> dict:
     seed = cfg.seed("seed")
     if cfg.has("sweep.key") or cfg.has("sweep.values"):
         summary, artifacts = _sweep(subcommand, cfg, out)
+        # a sweep over the seed records it as the list of its values
+        seed = cfg.consumed["seed"]
     else:
         summary, artifacts = _COMMANDS[subcommand](
             cfg, np.random.default_rng(seed), out)

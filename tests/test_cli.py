@@ -624,6 +624,20 @@ def test_ahlfors_sweep_over_the_ball_count_equals_each_count_alone(tmp_path):
                              "ratio_max"]
 
 
+def test_seed_sweep_manifest_records_every_seed(tmp_path):
+    """A sweep over the seed writes the list of seeds into the top
+    manifest's seed field, as into its config, and each sub-run's own
+    seed into its manifest."""
+    config = {**_AHLFORS, "seed": 2,
+              "sweep": {"key": "seed", "values": [1, 2]}}
+    assert run("ahlfors", config, tmp_path) == 0
+    man = _manifest(tmp_path)
+    assert man["seed"] == man["config"]["seed"] == [1, 2]
+    for i, seed in enumerate([1, 2]):
+        sub = _manifest(tmp_path / str(i))
+        assert sub["seed"] == sub["config"]["seed"] == seed
+
+
 def test_a_failing_sub_run_ends_the_sweep(tmp_path):
     """A value the sub-run refuses (NaN is not a number a config takes)
     ends the sweep with one error record; it is not skipped."""

@@ -22,3 +22,12 @@ def test_rows_count_the_work_of_each_layer():
     assert got[2][1] == want.n_anchors == len(deco.alpha_cache)
     line = layers.format_row(*got[2])
     assert line.startswith("transport_lp") and line.endswith("LPs/s")
+
+
+def test_cantor_row_counts_the_lps_of_one_alpha():
+    name, count, secs = layers.cantor_row(m=4, repeats=1)
+    assert name == "transport_lp cantor m=4" and secs > 0
+    # the PCA start, then Nelder-Mead over 5 parameters (tilt and offset
+    # in the 2 normal directions, log-density): more than one simplex
+    assert count > 6
+    assert layers.format_row(name, count, secs).endswith("LPs/s")

@@ -8,7 +8,12 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from urlab import wasserstein
-from urlab.exceptions import DegenerateInputError, InputError, ParameterError
+from urlab.exceptions import (
+    DegenerateInputError,
+    InputError,
+    NumericError,
+    ParameterError,
+)
 from urlab.geometry import Ball, DiscreteMeasure, make_cantor_set
 from urlab.wasserstein import (
     FlatMeasure,
@@ -81,12 +86,14 @@ def _dual_lp_oracle(pts_a, w_a, pts_b, w_b, center, radius):
 
 
 def _lp_columns(monkeypatch):
-    """Record the column count of every LP the transport core solves."""
+    """Record the column count of every LP the transport core solves; the
+    shipped solver, captured before patching, still solves each one."""
     seen = []
+    solve = wasserstein.linprog
 
     def spy(c, **kwargs):
         seen.append(len(c))
-        return linprog(c, **kwargs)
+        return solve(c, **kwargs)
 
     monkeypatch.setattr(wasserstein, "linprog", spy)
     return seen
@@ -155,6 +162,88 @@ def test_transport_lp_single_atom():
     assert got[0] == pytest.approx(
         _dual_lp_oracle(p, [0.7], np.zeros((0, 3)), np.zeros(0),
                         np.zeros(3), 1.0), rel=1e-9)
+
+
+def _transport_inputs(rng, n_lo, n_hi, coincide=False):
+    """Random _transport_lp arguments with n_lo..n_hi atoms a side."""
+    na, nb = rng.integers(n_lo, n_hi + 1, size=2)
+    a = rng.normal(size=(na, 3)) * 0.5
+    b = rng.normal(size=(nb, 3)) * 0.5
+    if coincide:
+        h = min(na, nb) // 2
+        b[:h] = a[:h]
+    return (a, rng.uniform(0.1, 1.0, size=na), b,
+            rng.uniform(0.1, 1.0, size=nb), rng.normal(size=3) * 0.1,
+            float(rng.uniform(0.8, 1.2)))
+
+
+def test_linprog_matches_scipy_linprog_on_transport_lps(monkeypatch):
+    # the LPs _transport_lp builds: about 60 rows as in ursum_sawtooth and
+    # about 200 as in alpha_cantor, with coincident atoms, plus LPs whose
+    # every pair is pruned; HiGHS runs the same dual simplex on each
+    rng = np.random.default_rng(31)
+    inputs = [_transport_inputs(rng, 38, 48) for _ in range(8)]
+    inputs += [_transport_inputs(rng, 38, 48, True) for _ in range(4)]
+    inputs += [_transport_inputs(rng, 130, 150) for _ in range(5)]
+    inputs += [_transport_inputs(rng, 130, 150, True) for _ in range(2)]
+    inputs += [_transport_inputs(rng, 1, 6) for _ in range(3)]
+    for n in (5, 12):           # opposite poles: ground columns only
+        inputs.append((np.array([0.9, 0.0, 0.0])
+                       + rng.uniform(-0.03, 0.03, size=(n, 3)),
+                       rng.uniform(0.1, 1.0, size=n),
+                       np.array([-0.9, 0.0, 0.0])
+                       + rng.uniform(-0.03, 0.03, size=(n + 3, 3)),
+                       rng.uniform(0.1, 1.0, size=n + 3), np.zeros(3), 1.0))
+    seen = []
+    solve = wasserstein.linprog
+
+    def spy(c, **kwargs):
+        seen.append((c, kwargs))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "linprog", spy)
+    for args in inputs:
+        _transport_lp(*args, cap=None)
+    assert len(seen) >= 20
+    rows = np.array([kw["A_eq"].shape[0] for _, kw in seen])
+    assert np.sum((rows >= 40) & (rows <= 80)) >= 8
+    assert np.sum((rows >= 140) & (rows <= 250)) >= 6
+    assert sum(len(c) == kw["A_eq"].shape[0] for c, kw in seen) == 2
+    for c, kw in seen:
+        got = solve(c, **kw)
+        want = linprog(c, A_eq=kw["A_eq"], b_eq=kw["b_eq"], method="highs",
+                       options={"presolve": False})
+        assert got.status == want.status == 0
+        assert (got.fun, got.nit) == (want.fun, want.nit)
+
+
+def test_linprog_reports_failure_with_the_model_status(monkeypatch):
+    c, a_eq = np.ones(1), sp.csc_array(np.ones((1, 1)))
+    got = wasserstein.linprog(c, A_eq=a_eq, b_eq=-np.ones(1))
+    want = linprog(c, A_eq=a_eq, b_eq=-np.ones(1), method="highs",
+                   options={"presolve": False})
+    assert got.status == want.status == 2
+    assert "Infeasible" in got.message
+    # an optimum outside the feasibility bound is a failure as well
+    monkeypatch.setattr(wasserstein, "_FEAS_TOL", -1.0)
+    got = wasserstein.linprog(c, A_eq=a_eq, b_eq=np.ones(1))
+    assert got.status == 4 and "constraints" in got.message
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "unchecked"])
+def test_transport_lp_raises_when_the_lp_fails(monkeypatch, failure):
+    a, b = np.array([[0.1, 0.0, 0.0]]), np.array([[-0.1, 0.0, 0.0]])
+    if failure == "infeasible":
+        # every LP handed on comes back as the infeasible system x = -1
+        solve = wasserstein.linprog
+        monkeypatch.setattr(
+            wasserstein, "linprog", lambda c, *, A_eq, b_eq: solve(
+                np.ones(1), A_eq=sp.csc_array(np.ones((1, 1))),
+                b_eq=-np.ones(1)))
+    else:
+        monkeypatch.setattr(wasserstein, "_FEAS_TOL", -1.0)
+    with pytest.raises(NumericError, match="LP failed"):
+        _transport_lp(a, [1.0], b, [1.0], np.zeros(3), 1.0, cap=None)
 
 
 def test_identical_inputs_vanish(line3d):

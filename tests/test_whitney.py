@@ -392,7 +392,6 @@ def test_mu_is_cached(deco_line):
 def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
     # the separating plane and its transport distance do not depend on
     # eps, so a second eps on the same cube and lam runs no further LP
-    from scipy.optimize import linprog
     from urlab import wasserstein
     sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
                                  0.02)
@@ -401,10 +400,11 @@ def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
                             for i in range(0, len(deco.levels[7].packed), 7))
                 if alpha_qk(deco, c, 0, lam=3.0).value > 0.15)
     seen = []
+    solve = wasserstein.linprog
 
     def spy(c, **kwargs):
         seen.append(len(c))
-        return linprog(c, **kwargs)
+        return solve(c, **kwargs)
 
     monkeypatch.setattr(wasserstein, "linprog", spy)
     first = mu_q(deco, cube, eps=0.15, lam=3.0)

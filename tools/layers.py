@@ -11,7 +11,12 @@ Each row is the best of three runs:
   alpha_cap 120, alpha_resolution 12, alpha_seed 0).  One untimed sum
   records the arguments of every ``wasserstein._transport_lp`` call; the
   timed runs solve them again, so a row times the LP build and HiGHS and
-  nothing else.
+  nothing else;
+* ``transport_lp cantor`` in LPs/s over the few large LPs (m about 200)
+  of the ``alpha_cantor`` workload: ``alpha_number`` on the m = 6 Cantor
+  set in one r = 0.3 ball about the support point that ``urlab alpha``
+  draws at seed 0, with cap 220, resolution 16 and at most 10
+  Nelder-Mead iterations, recorded and solved again in the same way.
 
 Usage (from the repository root; BLAS runs on one thread):
 
@@ -34,7 +39,12 @@ if __name__ == "__main__":     # before numpy loads its BLAS
 import numpy as np  # noqa: E402
 
 from urlab import wasserstein, whitney  # noqa: E402
-from urlab.geometry import make_lipschitz_graph, sawtooth_profile  # noqa: E402
+from urlab.geometry import (  # noqa: E402
+    make_cantor_set,
+    make_lipschitz_graph,
+    sawtooth_profile,
+    support_ball_family,
+)
 
 QUERY = (np.zeros(3), 0.1)
 LAM = 3.0
@@ -56,8 +66,8 @@ def best_of(fn, repeats: int) -> tuple:
     return out, best
 
 
-def lp_calls(deco, x, r: float, lam: float) -> list[tuple]:
-    """(args, kwargs) of every transport LP ``ur_square_sum`` runs."""
+def lp_calls(fn) -> list[tuple]:
+    """(args, kwargs) of every transport LP that ``fn()`` runs."""
     calls = []
     solve = wasserstein._transport_lp
 
@@ -67,10 +77,16 @@ def lp_calls(deco, x, r: float, lam: float) -> list[tuple]:
 
     wasserstein._transport_lp = record
     try:
-        whitney.ur_square_sum(deco, x, r, lam=lam)
+        fn()
     finally:
         wasserstein._transport_lp = solve
     return calls
+
+
+def lp_row(name: str, calls: list[tuple], repeats: int) -> tuple:
+    _, secs = best_of(lambda: [wasserstein._transport_lp(*a, **k)
+                               for a, k in calls], repeats)
+    return name, len(calls), secs
 
 
 def rows(sigma, depths=(9, 11), query=QUERY, lam: float = LAM,
@@ -88,15 +104,22 @@ def rows(sigma, depths=(9, 11), query=QUERY, lam: float = LAM,
         lambda: whitney.decompose(sigma, None, focused, focus=query), repeats)
     out.append((f"decompose depth {focused} focus r={query[1]:g}", len(deco),
                 secs))
-    calls = lp_calls(deco, query[0], query[1], lam)
-    _, secs = best_of(lambda: [wasserstein._transport_lp(*a, **k)
-                               for a, k in calls], repeats)
-    out.append(("transport_lp", len(calls), secs))
+    calls = lp_calls(lambda: whitney.ur_square_sum(deco, *query, lam=lam))
+    out.append(lp_row("transport_lp", calls, repeats))
     return out
 
 
+def cantor_row(m: int = 6, repeats: int = 3) -> tuple[str, int, float]:
+    """The ``transport_lp cantor`` row, on the level-m Cantor set."""
+    sigma = make_cantor_set(m)
+    ball = support_ball_family(sigma, 1, np.random.default_rng(0), [0.3])[0]
+    calls = lp_calls(lambda: wasserstein.alpha_number(
+        sigma, ball, resolution=16, cap=220, refine_maxiter=10, xatol=1e-4))
+    return lp_row(f"transport_lp cantor m={m}", calls, repeats)
+
+
 def format_row(name: str, count: int, secs: float) -> str:
-    unit = "LPs" if name == "transport_lp" else "cubes"
+    unit = "LPs" if name.startswith("transport_lp") else "cubes"
     return (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
             f"{count / secs:>14.1f} {unit}/s")
 
@@ -104,6 +127,7 @@ def format_row(name: str, count: int, secs: float) -> str:
 def main() -> int:
     for row in rows(workload_measure()):
         print(format_row(*row), flush=True)
+    print(format_row(*cantor_row()), flush=True)
     return 0
 
 
