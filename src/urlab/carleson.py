@@ -31,8 +31,8 @@ from .exceptions import (
     NumericError,
     ParameterError,
 )
-from .geometry import (Ball, DiscreteMeasure, _ball_volume, _lattice,
-                       _sphere_area, support_ball_family)
+from .geometry import (Ball, DiscreteMeasure, _as_points, _ball_volume,
+                       _lattice, _sphere_area, support_ball_family)
 
 __all__ = [
     "ConeFamily",
@@ -161,15 +161,6 @@ def _ball_gap(points: np.ndarray, ball: Ball) -> np.ndarray:
     return np.maximum(gap, 0.0)
 
 
-def _as_points(points: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != n:
-        raise ParameterError(f"points must have shape (m, {n})")
-    return pts, single
-
-
 def _cutoff(sigma: DiscreteMeasure, ball: Ball, eps: float,
             pts: np.ndarray) -> tuple:
     """The cutoff at an (m, n) point batch from one support query:
@@ -185,7 +176,7 @@ def _cutoff(sigma: DiscreteMeasure, ball: Ball, eps: float,
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
+    dist_g = sigma.dist_to_support(pts)
     dist_b = _ball_gap(pts, ball)
     r = ball.radius
     on_support = dist_g <= 0.0
@@ -207,11 +198,11 @@ def cutoff_phi(sigma: DiscreteMeasure, ball: Ball, eps: float,
     Equals 1 for points inside the ball at least eps from the support;
     vanishes once dist(X,B) exceeds 20 dist(X,support), outside the
     2-dilate, or below distance eps/2.  Points on the support itself get
-    0 (the function lives on the complement).
+    0 (the function lives on the complement).  One value per row of the
+    (m, n) batch.
     """
-    pts, single = _as_points(points, sigma.ambient_dim)
-    phi = _cutoff(sigma, ball, eps, pts)[0]
-    return float(phi[0]) if single else phi
+    return _cutoff(sigma, ball, eps,
+                   _as_points(points, sigma.ambient_dim))[0]
 
 
 def e_sets_indicator(sigma: DiscreteMeasure, ball: Ball, eps: float,
@@ -220,11 +211,11 @@ def e_sets_indicator(sigma: DiscreteMeasure, ball: Ball, eps: float,
     (see ``_cutoff``), all inside the 2-dilate of the ball.
 
     The cutoff's gradient is supported on their union, with norm at most
-    100/dist(X,support) there.
+    100/dist(X,support) there.  A tuple of three (m,) bool arrays over the
+    (m, n) batch.
     """
-    pts, single = _as_points(points, sigma.ambient_dim)
-    sets = _cutoff(sigma, ball, eps, pts)[1]
-    return tuple(bool(s[0]) for s in sets) if single else sets
+    return _cutoff(sigma, ball, eps,
+                   _as_points(points, sigma.ambient_dim))[1]
 
 
 def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
@@ -238,7 +229,7 @@ def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
     over the whole stencil and the distance takes the stencil minimum.
     Each of the 2n+1 stencil point sets costs one support query.
     """
-    pts, _ = _as_points(points, sigma.ambient_dim)
+    pts = _as_points(points, sigma.ambient_dim)
     if step is None:
         step = 1e-3 * min(eps, ball.radius)
     if step <= 0:

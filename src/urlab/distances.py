@@ -10,6 +10,11 @@ are processed in chunks whose (atoms, probes) blocks stay cache-resident
 and reuse a few preallocated buffers.  Probes closer to the support than
 twice its spacing are refused: there the kernel sum is dominated by the
 nearest atom and the values are meaningless.
+
+Every evaluator takes one (m, n) batch of probes and returns arrays over
+it: (m,) for a scalar field, (m, n) for a vector field.  A single point
+is a batch of one, ``x[None, :]``; a 1-D point is a ParameterError, so no
+evaluator has a second return type.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.spatial import distance
 
 from .exceptions import ParameterError, ResolutionError
-from .geometry import DiscreteMeasure
+from .geometry import DiscreteMeasure, _as_points
 
 __all__ = [
     "FieldSample",
@@ -71,15 +76,12 @@ def kernel_constant(d: int, beta: float) -> float:
 # -- kernel sums -------------------------------------------------------------
 
 
-def _as_batch(x, *exps: float) -> tuple[np.ndarray, bool]:
-    """(M, n) probe batch and single-point flag; refuses exponents <= 0."""
+def _as_batch(sigma: DiscreteMeasure, x, *exps: float) -> np.ndarray:
+    """(M, n) probe batch; refuses exponents <= 0 and any other shape."""
     if any(e <= 0 for e in exps):
         raise ParameterError("beta must be positive" if len(exps) == 1
                              else "exponents must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+    return _as_points(x, sigma.ambient_dim)
 
 
 def _neg_half_pow(r2: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
@@ -176,47 +178,44 @@ def _gradient(s: dict, v: dict, d: int, beta: float) -> tuple:
     return dval, grad
 
 
-def regularized_distance(sigma: DiscreteMeasure, x, beta: float):
+def regularized_distance(sigma: DiscreteMeasure, x,
+                         beta: float) -> np.ndarray:
     """Inverse-beta-root of the kernel sum; comparable to dist(x, support)."""
-    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
-    s, _, _ = _kernel_bundle(sigma, probes, (d + beta,))
-    out = _distance(s, d, beta)
-    return float(out[0]) if single else out
+    s, _, _ = _kernel_bundle(sigma, _as_batch(sigma, x, beta), (d + beta,))
+    return _distance(s, d, beta)
 
 
-def riesz_field(sigma: DiscreteMeasure, x, beta: float):
+def riesz_field(sigma: DiscreteMeasure, x, beta: float) -> np.ndarray:
     """Vector kernel sum w*r^-(d+beta+1)*(X-p); |field| <= distance^-beta."""
-    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
-    _, v, _ = _kernel_bundle(sigma, probes, (), (d + beta,))
-    out = v[d + beta]
-    return out[0] if single else out
+    _, v, _ = _kernel_bundle(sigma, _as_batch(sigma, x, beta), (),
+                             (d + beta,))
+    return v[d + beta]
 
 
-def distance_gradient(sigma: DiscreteMeasure, x, beta: float):
+def distance_gradient(sigma: DiscreteMeasure, x, beta: float) -> np.ndarray:
     """Gradient of the regularized distance, via the field identity.
 
     grad D = ((d+beta)/beta) * D^{beta+1} * field(beta+1); no finite
     differences on the primary path.
     """
-    probes, single = _as_batch(x, beta)
     d = sigma.intrinsic_dim
-    s, v, _ = _kernel_bundle(sigma, probes, (d + beta,), (d + beta + 1.0,))
-    _, out = _gradient(s, v, d, beta)
-    return out[0] if single else out
+    s, v, _ = _kernel_bundle(sigma, _as_batch(sigma, x, beta), (d + beta,),
+                             (d + beta + 1.0,))
+    return _gradient(s, v, d, beta)[1]
 
 
-def ratio_gradient(sigma: DiscreteMeasure, x, alpha: float, beta: float):
+def ratio_gradient(sigma: DiscreteMeasure, x, alpha: float,
+                   beta: float) -> np.ndarray:
     """dist(X, support) * |grad of the ratio D_beta/D_alpha|.
 
     The gradient is assembled from the two field identities, so the flat
     case cancels exactly; the scale factor makes the quantity dimensionless.
     """
-    probes, single = _as_batch(x, alpha, beta)
     d = sigma.intrinsic_dim
     s, v, gap = _kernel_bundle(
-        sigma, probes,
+        sigma, _as_batch(sigma, x, alpha, beta),
         (d + alpha, d + beta),
         (d + alpha + 1.0, d + beta + 1.0))
     # grad log D_e = grad D_e / D_e = ((d+e)/e) * field(e+1) / S_e
@@ -224,8 +223,7 @@ def ratio_gradient(sigma: DiscreteMeasure, x, alpha: float, beta: float):
                     for e in (beta, alpha))
     ratio = _distance(s, d, beta) / _distance(s, d, alpha)
     grad = ratio[:, None] * (log_b - log_a)
-    out = gap * np.linalg.norm(grad, axis=1)
-    return float(out[0]) if single else out
+    return gap * np.linalg.norm(grad, axis=1)
 
 
 def evaluate_fields(sigma: DiscreteMeasure, x, beta: float) -> FieldSample:
@@ -234,7 +232,7 @@ def evaluate_fields(sigma: DiscreteMeasure, x, beta: float) -> FieldSample:
     Unlike the individual evaluators this does not refuse near-support
     probes; it flags them, so sweeps can report coverage.
     """
-    probes, _ = _as_batch(x, beta)
+    probes = _as_batch(sigma, x, beta)
     d = sigma.intrinsic_dim
     s, v, gap = _kernel_bundle(
         sigma, probes, (d + beta,), (d + beta, d + beta + 1.0), check=False)
@@ -256,7 +254,7 @@ def fd_gradient_check(sigma: DiscreteMeasure, x, beta: float) -> dict:
     n = sigma.ambient_dim
     gap = float(sigma.dist_to_support(x))
     h = gap / 100.0
-    grad = distance_gradient(sigma, x, beta)
+    grad = distance_gradient(sigma, x[None, :], beta)[0]
 
     def central(hh: float) -> np.ndarray:
         probes = np.concatenate([x + hh * np.eye(n), x - hh * np.eye(n)])
@@ -294,8 +292,8 @@ def divergence_check(sigma: DiscreteMeasure, x) -> dict:
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        fp = riesz_field(sigma, x + e, beta)[j]
-        fm = riesz_field(sigma, x - e, beta)[j]
+        fp = riesz_field(sigma, (x + e)[None, :], beta)[0, j]
+        fm = riesz_field(sigma, (x - e)[None, :], beta)[0, j]
         div += (fp - fm) / (2.0 * h)
     s, _, _ = _kernel_bundle(sigma, x[None, :], (float(n),))
     scale = n * float(s[float(n)][0])

@@ -34,9 +34,9 @@ distance at least ``(collar - 0.5) * h`` from the support, and the distance
 kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 ``(collar - 0.5) * h >= 2 * spacing`` up front (``SolverConfig.min_h``).
 
-Memory: an assembled system keeps about 5.3 float64 grid arrays resident
-(``diag``, its inverse, one padded conductance array per axis, and the int8
-mask with its collar flags) plus the boundary-coupling list, whose length
+Memory: an assembled system keeps about 4.3 float64 grid arrays resident
+(``diag``, one padded conductance array per axis, and the int8 mask with
+its collar flags) plus the boundary-coupling list, whose length
 follows the collar, not the grid; after its first ``harmonic_measure``
 call it also holds the solution for the constant datum, one more grid
 array with an int8 copy of the mask.  Work that touches every cell (face
@@ -168,8 +168,10 @@ class SolverConfig:
             raise ParameterError("beta must be positive")
         if not -1.0 < self.gamma < 1.0:
             raise ParameterError("gamma must lie strictly between -1 and 1")
-        if not self.tol > 0:
-            raise ParameterError("tol must be positive")
+        if not self.tol >= np.finfo(float).eps:
+            raise ParameterError(
+                f"tol must be at least the float64 precision "
+                f"{np.finfo(float).eps:.3g}; got {self.tol!r}")
         if not self.collar >= 1.0:
             raise ParameterError("collar must be at least one cell")
         if self.outer not in ("neumann", "dirichlet0"):
@@ -210,20 +212,18 @@ class GridField:
         return _cell_centers(self.box_lo, self.h, self.shape,
                              np.arange(self.values.size))
 
-    def interp(self, x):
-        """Multilinear interpolation at points strictly inside the
-        cell-center hull."""
+    def interp(self, x) -> np.ndarray:
+        """Multilinear interpolation at an (m, n) batch of points strictly
+        inside the cell-center hull; one value per point."""
         pts = np.asarray(x, dtype=np.float64)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.ambient_dim:
-            raise InputError("point dimension does not match the grid")
+        if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
+            raise InputError("points must be an (m, n) batch matching the "
+                             "grid dimension")
         vals = self.values.ravel()
         out = np.zeros(pts.shape[0])
         for flat, wt in _stencil(self.box_lo, self.h, self.shape, pts):
             out += wt * vals[flat]
-        return float(out[0]) if single else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,6 @@ class EllipticSystem:
         self.collar = mask == MASK_COLLAR
         self.n_collar = int(self.collar.sum())
         self.n_unknowns = self.n_cells - self.n_collar
-        self._inv_diag = 1.0 / diag
         self._pole_cache: dict = {}
         self._unit: GridField | None = None
         self._strides = [int(np.prod(shape[a + 1:]))
@@ -415,7 +414,10 @@ class EllipticSystem:
         iters = 0
         rnorm = math.sqrt(float(r @ r))
         if rnorm > stop:
-            z = np.multiply(r, self._inv_diag, out=ap)
+            # z = (1/diag) r, the reciprocal formed in z at each use so
+            # that no grid array of it stays resident
+            z = np.divide(1.0, self.diag, out=ap)
+            z *= r
             p = z.copy()
             rz = float(r @ z)
             for iters in range(1, maxiter + 1):
@@ -426,7 +428,8 @@ class EllipticSystem:
                 rnorm = math.sqrt(float(r @ r))
                 if rnorm <= stop:
                     break
-                np.multiply(r, self._inv_diag, out=z)
+                np.divide(1.0, self.diag, out=z)
+                z *= r
                 rz_new = float(r @ z)
                 np.multiply(p, rz_new / rz, out=p)
                 p += z
@@ -772,7 +775,7 @@ def harmonic_measure(system: EllipticSystem, e, pole
     pw = system.pole_weights(pole)
     return HarmonicMeasureResult(
         value=pw.value(emask), complement_value=pw.value(~emask),
-        mass_gap=1.0 - system._unit_field().interp(pw.pole),
+        mass_gap=1.0 - system._unit_field().interp(pw.pole[None, :])[0],
         pole=pw.pole, iterations=pw.iterations, residual=pw.residual)
 
 

@@ -160,6 +160,16 @@ class CorkscrewResult:
     constant: float             # radius / dist, the two-sided constant
 
 
+def _as_points(points, n: int) -> np.ndarray:
+    """The (m, n) float64 point batch every point evaluator takes; any
+    other shape, a single 1-D point included, is a ParameterError."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ParameterError(
+            f"points must have shape (m, {n}), got {pts.shape}")
+    return pts
+
+
 def _sphere_area(k: int) -> float:
     """Surface measure of the unit (k-1)-sphere in R^k."""
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)

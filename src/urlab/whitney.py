@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import lsq_linear
-from scipy.spatial import cKDTree
 
 from .exceptions import (
     DomainError,
@@ -35,7 +34,7 @@ from .exceptions import (
     StateError,
     TruncationError,
 )
-from .geometry import Ball, DiscreteMeasure
+from .geometry import Ball, DiscreteMeasure, _as_points
 from .wasserstein import (
     AlphaResult,
     FlatMeasure,
@@ -56,7 +55,6 @@ __all__ = [
     "alpha_qk",
     "mu_q",
     "a_x",
-    "a_x_field",
     "ur_square_sum",
     "dump_cubes",
 ]
@@ -112,12 +110,15 @@ class MuResult:
 
 @dataclass
 class AXResult:
-    value: float
-    tail: float                 # certified bound on dropped/remaining terms
-    skipped: tuple
-    flagged: bool               # probe was not inside the cube used
-    level: int
-    index: int
+    """a_x over a point batch, one entry per point; a point that no
+    retained cube holds reads NaN value and tail, level and index -1 and
+    no skipped scale."""
+
+    value: np.ndarray           # (m,)
+    tail: np.ndarray            # (m,) certified bound on the dropped terms
+    skipped: tuple              # per point, the tuple of skipped scales
+    level: np.ndarray           # (m,) int
+    index: np.ndarray           # (m,) int
 
 
 @dataclass
@@ -203,7 +204,6 @@ class WhitneyDecomposition:
         self._starts = np.concatenate(
             [[0], np.cumsum([len(self.levels[k].packed)
                              for k in self._level_keys])])
-        self._center_tree = None
 
     def __len__(self) -> int:
         return int(self._starts[-1])
@@ -253,13 +253,6 @@ class WhitneyDecomposition:
             return None
         return WhitneyCube(self, int(level[0]), int(index[0]))
 
-    def nearest_cube(self, x: np.ndarray) -> WhitneyCube:
-        if self._center_tree is None:
-            centers = np.vstack([lev.centers for lev in self.levels.values()])
-            self._center_tree = cKDTree(centers)
-        _, flat_idx = self._center_tree.query(np.asarray(x, dtype=np.float64))
-        return self[flat_idx]
-
 
 def _require(deco, *, empty_if_focused: bool = False) -> None:
     """Refuse anything but a completed, non-empty decomposition; with
@@ -293,8 +286,9 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     `focus=(x, R)` prunes subdivision branches that can never produce a
     cube whose 2-dilate meets B(x, R): square sums at or inside (x, R)
     are unchanged while deep levels stay tractable on fractal supports.
-    Pruned branch counts are recorded; cube_at outside the focus region
-    reports holes as missing cubes, so point queries there are unsafe.
+    Pruned branch counts are recorded; outside the focus region cube_at
+    and a_x report holes as missing cubes (None; NaN with level -1), so
+    point queries there are unsafe.
     """
     pts = sigma.points
     n = sigma.ambient_dim
@@ -536,31 +530,39 @@ def _alpha_upper_bound(sigma: DiscreteMeasure, center: np.ndarray,
     return mass / radius ** sigma.intrinsic_dim
 
 
-def a_x(deco: WhitneyDecomposition, x: np.ndarray, alpha_exp: float,
+def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
         beta_exp: float, *, k_max: int = 8, eps: float = _EPS_DEFAULT,
         lam: float = SCALE_FACTOR) -> AXResult:
-    """Multiscale flatness sum at a point: the cube term plus the
-    geometrically damped ladder over growing balls.
+    """Multiscale flatness sum at each point of an (m, n) batch: the cube
+    term plus the geometrically damped ladder over growing balls.
 
-    The value is constant on each cube, so results memoize per cube.
-    Scales whose balls leave the data window are skipped and covered,
-    together with the k > k_max remainder, by a certified tail bound
-    built from the mass-based uniform bound on flatness numbers; a cube
-    so deep that even its own attachment ball is sub-resolution has that
-    term tail-bounded too, recorded as skipped scale -1.
+    The value is constant on each cube, so points are matched to cubes in
+    one vectorized lookup and each distinct cube is priced once through a
+    per-cube memo.  Scales whose balls leave the data window are skipped
+    and covered, together with the k > k_max remainder, by a certified
+    tail bound built from the mass-based uniform bound on flatness
+    numbers; a cube so deep that even its own attachment ball is
+    sub-resolution has that term tail-bounded too, recorded as skipped
+    scale -1.  Points that no retained cube holds (on the support, in
+    pruned or undecided cells, or outside the box) read NaN with level -1.
     """
     _require(deco)
     _scale_index("k_max", k_max)
     if alpha_exp <= 0 or beta_exp <= 0:
         raise ParameterError("exponents must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    cube = deco.cube_at(x)
-    flagged = cube is None
-    if flagged:
-        cube = deco.nearest_cube(x)
-    value, tail, skipped = _a_x_cube(deco, cube, min(alpha_exp, beta_exp),
-                                     k_max=k_max, eps=eps, lam=lam)
-    return AXResult(value, tail, skipped, flagged, cube.level, cube.index)
+    pts = _as_points(points, deco.sigma.ambient_dim)
+    m = min(alpha_exp, beta_exp)
+    level, index = deco._locate(pts)
+    found = np.flatnonzero(level >= 0)
+    cubes, inv = np.unique(np.stack([level[found], index[found]], axis=1),
+                           axis=0, return_inverse=True)
+    terms = [_a_x_cube(deco, WhitneyCube(deco, int(k), int(j)), m,
+                       k_max=k_max, eps=eps, lam=lam) for k, j in cubes]
+    value, tail = np.full((2, pts.shape[0]), np.nan)
+    skipped = [()] * pts.shape[0]
+    for i, c in zip(found, inv.reshape(-1)):
+        value[i], tail[i], skipped[i] = terms[c]
+    return AXResult(value, tail, tuple(skipped), level, index)
 
 
 def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
@@ -598,39 +600,6 @@ def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
         hit = (total, tail, tuple(skipped))
         deco._ax_cache[ck] = hit
     return hit
-
-
-def a_x_field(deco: WhitneyDecomposition, points: np.ndarray,
-              alpha_exp: float, beta_exp: float, *, k_max: int = 8,
-              eps: float = _EPS_DEFAULT,
-              lam: float = SCALE_FACTOR) -> np.ndarray:
-    """a_x evaluated at many points in one sweep.
-
-    Points are matched to cubes in one vectorized lookup, so cost scales
-    with the number of distinct cubes hit (each priced once through the
-    shared memo), not with the point count.  Points covered by no retained
-    cube — on unresolved cells, in pruned branches, or outside the box —
-    come back NaN; callers choose how to treat uncovered cells.
-    """
-    _require(deco)
-    _scale_index("k_max", k_max)
-    if alpha_exp <= 0 or beta_exp <= 0:
-        raise ParameterError("exponents must be positive")
-    pts = np.asarray(points, dtype=np.float64)
-    n = deco.sigma.ambient_dim
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ParameterError(f"points must have shape (m, {n})")
-    m = min(alpha_exp, beta_exp)
-    level, index = deco._locate(pts)
-    found = np.flatnonzero(level >= 0)
-    cubes, inv = np.unique(np.stack([level[found], index[found]], axis=1),
-                           axis=0, return_inverse=True)
-    vals = np.array([_a_x_cube(deco, WhitneyCube(deco, int(k), int(j)), m,
-                               k_max=k_max, eps=eps, lam=lam)[0]
-                     for k, j in cubes])
-    out = np.full(pts.shape[0], np.nan)
-    out[found] = vals[inv.reshape(-1)]
-    return out
 
 
 def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,

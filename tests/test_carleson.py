@@ -64,13 +64,13 @@ def test_cutoff_plateau_and_support(line3d):
     c0 = _origin_point(line3d)
     ball = Ball(c0, 0.25)
     eps = 0.01
-    assert cutoff_phi(line3d, ball, eps,
-                      c0 + np.array([0.1, 2 * eps, 0.0])) == 1.0
-    assert cutoff_phi(line3d, ball, eps,
-                      c0 + np.array([0.0, eps / 4.0, 0.0])) == 0.0
-    # far along the support: tiny boundary distance, large ball gap
-    assert cutoff_phi(line3d, ball, eps,
-                      c0 + np.array([0.6, 0.01, 0.0])) == 0.0
+    # plateau, below eps/2, and far along the support (tiny boundary
+    # distance, large ball gap)
+    probes = c0 + np.array([[0.1, 2 * eps, 0.0], [0.0, eps / 4.0, 0.0],
+                            [0.6, 0.01, 0.0]])
+    assert cutoff_phi(line3d, ball, eps, probes).tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ParameterError):
+        cutoff_phi(line3d, ball, eps, probes[0])
 
     rng = np.random.default_rng(11)
     pts = c0 + rng.uniform(-0.7, 0.7, size=(4000, 3))
@@ -100,26 +100,24 @@ def test_e_set_memberships(line3d):
     c0 = _origin_point(line3d)
     ball = Ball(c0, 0.25)
     # third shell membership at three quarters of eps (second overlaps here)
-    e1, e2, e3 = e_sets_indicator(line3d, ball, 0.01,
-                                  c0 + np.array([0.0, 0.0075, 0.0]))
-    assert (e1, e2, e3) == (False, True, True)
-    # interior plateau: inside the ball, above eps, below r/40
-    probe = c0 + np.array([0.05, 0.003, 0.0])
-    assert e_sets_indicator(line3d, ball, 0.002, probe) == (False, False,
-                                                            False)
-    assert cutoff_phi(line3d, ball, 0.002, probe) == 1.0
-    res = cutoff_gradient_check(line3d, ball, 0.002, probe[None, :])
-    assert float(res["grad_norm"][0]) <= 1e-12
-    # first shell: ball gap between 10 and 20 boundary distances
+    sets = e_sets_indicator(line3d, ball, 0.01,
+                            c0 + np.array([[0.0, 0.0075, 0.0]]))
+    assert [s.tolist() for s in sets] == [[False], [True], [True]]
+    # at eps = 0.002: the interior plateau (inside the ball, above eps,
+    # below r/40), the first shell (ball gap between 10 and 20 boundary
+    # distances) and a point beyond the 2-dilate, where everything is off
     y = 0.01
     x = math.sqrt(0.4 ** 2 - y ** 2)
-    e1, _, _ = e_sets_indicator(line3d, ball, 0.002,
-                                c0 + np.array([x, y, 0.0]))
-    assert e1
-    # beyond the 2-dilate everything is off
-    far = c0 + np.array([2 * ball.radius + 0.05, 0.001, 0.0])
-    assert e_sets_indicator(line3d, ball, 0.002, far) == (False, False,
-                                                          False)
+    probes = c0 + np.array([[0.05, 0.003, 0.0], [x, y, 0.0],
+                            [2 * ball.radius + 0.05, 0.001, 0.0]])
+    e1, e2, e3 = e_sets_indicator(line3d, ball, 0.002, probes)
+    assert e1.tolist() == [False, True, False]
+    assert not e2[[0, 2]].any() and not e3[[0, 2]].any()
+    assert cutoff_phi(line3d, ball, 0.002, probes)[0] == 1.0
+    res = cutoff_gradient_check(line3d, ball, 0.002, probes[:1])
+    assert float(res["grad_norm"][0]) <= 1e-12
+    with pytest.raises(ParameterError):
+        e_sets_indicator(line3d, ball, 0.002, probes[0])
 
 
 # The cutoff trio as written before the cutoff's geometry moved into one

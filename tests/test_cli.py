@@ -91,6 +91,26 @@ def test_gen_round_trips_measure(tmp_path):
         assert lib in man["versions"]
 
 
+def test_file_generator_reads_back_the_generated_measure(tmp_path):
+    """`urlab ahlfors` on the measure.txt that `urlab gen` wrote, through
+    generator.kind = "file", writes the direct generator run's
+    ahlfors.csv byte for byte."""
+    plane = ["--set", "generator.kind=plane",
+             "--set", "generator.spacing=0.02"]
+    assert main(["gen", "-o", str(tmp_path / "gen"), *plane]) == 0
+    measure = tmp_path / "gen" / "measure.txt"
+    sources = {"direct": plane,
+               "file": ["--set", "generator.kind=file",
+                        "--set", f"generator.path={measure}"]}
+    for name, source in sources.items():
+        assert main(["ahlfors", "-o", str(tmp_path / name), *source,
+                     "--set", "balls.count=4"]) == 0
+    assert _manifest(tmp_path / "file")["config"]["generator"] == {
+        "kind": "file", "path": str(measure)}
+    assert ((tmp_path / "file" / "ahlfors.csv").read_bytes()
+            == (tmp_path / "direct" / "ahlfors.csv").read_bytes())
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     assert run("warp", {}, tmp_path) == 2
     with pytest.raises(SystemExit) as exc:
@@ -109,6 +129,21 @@ def test_module_error_writes_machine_readable_record(tmp_path, capsys):
     stderr = capsys.readouterr().err
     assert json.loads(stderr.strip())["error"] == "InputError"
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_tolerance_below_float64_precision_is_an_error_record(tmp_path,
+                                                              capsys):
+    """A CG tolerance below the float64 precision is refused before any
+    solve, with exit status 1 and an error record, not a crash in CG."""
+    status = main([
+        "solve", "-o", str(tmp_path), "--set", "generator.kind=plane",
+        "--set", "generator.extent=0.5", "--set", "generator.spacing=0.02",
+        "--set", "elliptic.h=0.05",
+        "--set", 'elliptic.box={"center":[0,0,0],"side":0.6}',
+        "--set", "elliptic.tol=1e-300"])
+    assert status == 1
+    assert _error(tmp_path)["error"] == "ParameterError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
 def test_missing_config_file_is_reported(tmp_path, capsys):

@@ -237,7 +237,25 @@ def test_ratio_gradient_sees_graph_corners(graph02):
 
 def test_resolution_guard_fires(line3d):
     with pytest.raises(ResolutionError):
-        regularized_distance(line3d, np.array([0.0, 0.015, 0.0]), 2.0)
+        regularized_distance(line3d, np.array([[0.0, 0.015, 0.0]]), 2.0)
+
+
+def test_evaluators_take_one_batch_shape(line3d):
+    """Every evaluator returns arrays over an (m, n) batch, a batch of
+    one included, and refuses a 1-D point or a wrong width."""
+    probe = np.array([0.05, 0.07, -0.02])
+    evaluators = [
+        (lambda x: regularized_distance(line3d, x, 2.0), (1,)),
+        (lambda x: riesz_field(line3d, x, 2.0), (1, 3)),
+        (lambda x: distance_gradient(line3d, x, 2.0), (1, 3)),
+        (lambda x: ratio_gradient(line3d, x, 1.0, 2.0), (1,)),
+        (lambda x: evaluate_fields(line3d, x, 2.0).field, (1, 3)),
+    ]
+    for fn, shape in evaluators:
+        assert fn(probe[None, :]).shape == shape
+        for bad in (probe, probe[None, :2], probe[None, None, :]):
+            with pytest.raises(ParameterError):
+                fn(bad)
 
 
 def test_evaluate_fields_flags_instead(line3d):

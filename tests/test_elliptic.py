@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from urlab import carleson, elliptic
-from urlab.distances import kernel_constant
+from urlab.distances import kernel_constant, regularized_distance
 from urlab.elliptic import (
     MASK_COLLAR,
+    MASK_INTERIOR,
     Ball,
     GridField,
     ScatterResult,
@@ -36,7 +37,13 @@ from urlab.exceptions import (
     ResolutionError,
     TopologyError,
 )
-from urlab.geometry import DiscreteMeasure, make_plane_set
+from urlab.geometry import (
+    DiscreteMeasure,
+    make_cantor_set,
+    make_lipschitz_graph,
+    make_plane_set,
+    sawtooth_profile,
+)
 
 
 def _matvec_oracle(system, x):
@@ -80,8 +87,9 @@ def _harmonic_measure_oracle(system, e, pole):
     """The replaced two-solve hitting probability, kept as a reference:
     (value, complement value) at the pole of the indicator-data solves of
     the atom set e and of its complement."""
-    return tuple(system.solve(ind.astype(float)).field.interp(pole)
-                 for ind in (e, ~e))
+    return tuple(
+        system.solve(ind.astype(float)).field.interp(pole[None, :])[0]
+        for ind in (e, ~e))
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +125,17 @@ def test_config_guards():
         SolverConfig(outer="periodic")
     with pytest.raises(ParameterError):
         SolverConfig(maxiter=0)
+
+
+def test_config_refuses_a_tolerance_below_float64_precision():
+    """No float64 residual can meet a relative tolerance below the
+    machine epsilon: CG would divide by a vanished p.Ap or run to
+    maxiter, so the config refuses it."""
+    eps = np.finfo(float).eps
+    assert SolverConfig(tol=eps).tol == eps
+    for tol in (1e-300, 0.5 * eps):
+        with pytest.raises(ParameterError):
+            SolverConfig(tol=tol)
 
 
 def test_assemble_guards(line3d):
@@ -243,6 +262,63 @@ def test_constant_data_is_exact_with_reflecting_walls(sys48):
     assert res.residual <= 1e-12
 
 
+def _magic_residual(sigma, h: float, beta: float) -> float:
+    """Median over the cells whose 2n neighbours are all unknowns of
+    |(A d)_i| / sum_f w_f |d_i - d_nb|, with d = D_beta sampled at the
+    unknown cells of the 0.96-box grid of cell size h and 0 on the
+    collar: the interior residual of D_beta relative to its flux scale."""
+    system = assemble(sigma, (np.zeros(4), 0.96), h, SolverConfig(beta=beta))
+    shape = system.shape
+    cells = np.flatnonzero(~system.collar)
+    dval = np.zeros(system.n_cells)
+    dval[cells] = regularized_distance(
+        sigma, elliptic._cell_centers(system.box_lo, h, shape, cells), beta)
+    res = np.abs(system._matvec(dval)).reshape(shape)
+    d = dval.reshape(shape)
+    collar = system.collar.reshape(shape)
+    inner = system.mask.reshape(shape) == MASK_INTERIOR  # no wall neighbour
+    scale = np.zeros(shape)
+    for a, w in enumerate(system.w_faces):
+        fr = elliptic._axis_slice(4, a, np.s_[:-1])
+        bk = elliptic._axis_slice(4, a, np.s_[1:])
+        flux = w * np.abs(d[fr] - d[bk])
+        scale[fr] += flux
+        scale[bk] += flux
+        inner[fr] &= ~collar[bk]
+        inner[bk] &= ~collar[fr]
+    return float(np.median(res[inner] / scale[inner]))
+
+
+def test_magic_exponent_solves_the_assembled_operator():
+    """At gamma = 0 and beta = n - d - 2 (1 for a d = 1 set in R^4),
+    1/D_beta = sum_j w_j |x - y_j|^{2-n} is harmonic off the atoms, so
+    D_beta solves div(D^{d+1-n} grad u) = 0 exactly on any measure,
+    rectifiable or not (David, Engelstein & Mayboroda, Duke Math. J.
+    2021).  The assembled operator's interior residual on D_beta then
+    falls at the scheme's order as h halves, on a line, a sawtooth and
+    the Cantor set alike; at beta = 2, where D_beta is no solution, it
+    falls only about as fast as h.
+
+    Measured medians, h = 0.08 -> 0.04: line 1.66e-3 -> 1.49e-4 (11.1),
+    lam = 0.5 sawtooth 1.66e-3 -> 1.53e-4 (10.9), Cantor m = 3
+    2.9e-3 -> 3.0e-4 (9.7); the line at beta = 2 6.4e-3 -> 2.7e-3 (2.4).
+    """
+    line = make_plane_set(4, 1, 1.0, 0.02)
+    saw = make_lipschitz_graph(4, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
+                               0.02)
+    cantor3 = make_cantor_set(3)
+    lifted = np.zeros((len(cantor3), 4))
+    lifted[:, :3] = cantor3.points
+    lifted[:, :2] -= 0.5                # centre the unit square
+    cantor = DiscreteMeasure(4, 1, lifted, cantor3.weights,
+                             cantor3.spacing, "cantor m=3 in R^4")
+    for sigma in (line, saw, cantor):
+        coarse, fine = (_magic_residual(sigma, h, 1.0) for h in (0.08, 0.04))
+        assert coarse / fine >= 6.0 and fine <= 1e-3, sigma.descriptor
+    coarse, fine = (_magic_residual(line, h, 2.0) for h in (0.08, 0.04))
+    assert coarse / fine <= 4.0
+
+
 # -- hitting probabilities -----------------------------------------------------
 
 
@@ -337,7 +413,7 @@ def test_mass_gap_solves_the_constant_datum_once_per_system(line3d,
     got = [harmonic_measure(system, np.arange(100), p) for p in poles]
     assert len(calls) == 1 and calls[0].iterations > 0
     for hm, p in zip(got, poles):
-        assert hm.mass_gap == 1.0 - calls[0].field.interp(p)
+        assert hm.mass_gap == 1.0 - calls[0].field.interp(p[None, :])[0]
     assert got[1].mass_gap != got[0].mass_gap
 
 
@@ -348,8 +424,8 @@ def green_above(sys48, pole_above):
 
 def test_green_function_is_symmetric(sys48, pole_above, green_above):
     y = np.array([0.3, 0.1, 0.35])
-    g_xy = green_above.field.interp(y)
-    g_yx = sys48.green(y).field.interp(pole_above)
+    g_xy = green_above.field.interp(y[None, :])[0]
+    g_yx = sys48.green(y).field.interp(pole_above[None, :])[0]
     assert g_xy > 0
     assert abs(g_xy - g_yx) <= 1e-6 * g_xy
 
@@ -424,7 +500,7 @@ def test_absorbing_walls_measure_truncation_bias(line3d, pole_above):
                     SolverConfig(outer="dirichlet0"))
     res = sysd.solve(1.0)
     assert res.iterations > 0
-    bias_value = res.field.interp(pole_above)
+    bias_value = res.field.interp(pole_above[None, :])[0]
     assert 0.6 <= bias_value <= 0.95
     e = line3d.points[:, 0] > 0
     hm = harmonic_measure(sysd, e, pole_above)
@@ -494,10 +570,10 @@ def test_cross_grid_warm_start_interpolates_and_converges(line3d, sys48):
     b = sys48._rhs(g)
     gap = sys48._matvec((warm.field.values - cold.field.values).ravel())
     assert np.linalg.norm(gap) <= 2.0 * tol * np.linalg.norm(b)
-    # batched interpolation is the pointwise one
+    # batched interpolation is the one point at a time
     pts = np.random.default_rng(5).uniform(lo, hi, size=(300, 3))
     assert np.array_equal(coarse.interp(pts),
-                          [coarse.interp(p) for p in pts])
+                          [coarse.interp(p[None, :])[0] for p in pts])
 
 
 def _interp_oracle(fld, pts):
@@ -639,12 +715,14 @@ def test_grid_field_io_and_interp(tmp_path, sys48):
     assert back.h == fld.h
     assert np.allclose(back.box_lo, fld.box_lo)
     # multilinear interpolation is exact at cell centers
-    probe = fld.box_lo + (np.array([10, 20, 30]) + 0.5) * fld.h
-    assert fld.interp(probe) == pytest.approx(fld.values[10, 20, 30])
+    probe = fld.box_lo + (np.array([[10, 20, 30]]) + 0.5) * fld.h
+    assert fld.interp(probe) == pytest.approx([fld.values[10, 20, 30]])
     with pytest.raises(DomainError):
-        fld.interp(fld.box_lo - 1.0)
-    with pytest.raises(InputError):
-        fld.interp(np.zeros(2))
+        fld.interp(fld.box_lo[None, :] - 1.0)
+    # the batch contract: a dimension mismatch or a 1-D point
+    for bad in (np.zeros((1, 2)), probe[0]):
+        with pytest.raises(InputError):
+            fld.interp(bad)
 
 
 # -- scatter -------------------------------------------------------------------
@@ -938,7 +1016,7 @@ def _peak_grid_arrays(n_cells, fn, *args):
 def test_phase_peaks_stay_near_the_working_set(line3d, sn128, monkeypatch):
     """Traced allocation peaks of each phase, in float64 grid arrays.
 
-    Measured: assemble 8.67 on the 48^3 grid with 4096-cell slabs (5.3 of
+    Measured: assemble 8.67 on the 48^3 grid with 4096-cell slabs (4.3 of
     them the system it returns, most of the rest the face loop), solve 4.0
     (the four CG vectors), sn_check 1.99 on the 128^3 grid.  The bounds
     add 0.5 of headroom.  The whole-grid collar search, the seven-vector

@@ -23,9 +23,10 @@ from urlab.exceptions import (
 from urlab.geometry import DiscreteMeasure, make_cantor_set, \
     make_lipschitz_graph, make_plane_set, sawtooth_profile
 from urlab.whitney import (
+    _EPS_DEFAULT,
     WhitneyCube,
+    _a_x_cube,
     a_x,
-    a_x_field,
     alpha_qk,
     decompose,
     dump_cubes,
@@ -112,12 +113,9 @@ def test_points_on_support_lie_in_no_cube(deco_small, small_line):
         assert deco_small.cube_at(p) is None
 
 
-def test_cube_at_domain_and_nearest(deco_small):
+def test_cube_at_domain(deco_small):
     with pytest.raises(DomainError):
         deco_small.cube_at(np.array([50.0, 0.0, 0.0]))
-    cube = deco_small[10]
-    near = deco_small.nearest_cube(cube.center)
-    assert near.level == cube.level and near.index == cube.index
 
 
 def test_sandwich_band_over_the_plane(deco_line):
@@ -419,30 +417,37 @@ def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
 
 def test_a_x_plane_value_tail_and_flags(deco_line, line3d):
     cube = _interior_cube(deco_line, 8, frac=0.6)
-    out = a_x(deco_line, cube.center, 1.0, 1.0, k_max=4, lam=2.0)
-    assert not out.flagged
-    assert out.level == 8
-    assert out.value <= 10.0 * line3d.spacing / cube.diameter
-    assert out.value > 0.0
-    assert out.skipped == (2, 3, 4)     # those balls outgrow the data window
-    assert out.tail > 0.0
-    repeat = a_x(deco_line, cube.center, 1.0, 1.0, k_max=4, lam=2.0)
+    out = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4, lam=2.0)
+    assert (out.level[0], out.index[0]) == (8, cube.index)
+    assert out.value[0] <= 10.0 * line3d.spacing / cube.diameter
+    assert out.value[0] > 0.0
+    assert out.skipped == ((2, 3, 4),)  # those balls outgrow the data window
+    assert out.tail[0] > 0.0
+    repeat = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4,
+                 lam=2.0)
     assert repeat.value == out.value and len(deco_line._ax_cache) >= 1
 
 
 def test_a_x_fallback_flag_and_domain(deco_line):
-    out = a_x(deco_line, np.array([0.0, 0.07, 0.0]), 1.0, 1.0, k_max=2,
-              lam=2.0)
-    assert out.flagged                  # point sits below every retained cube
-    with pytest.raises(DomainError):
-        a_x(deco_line, np.array([40.0, 0.0, 0.0]), 1.0, 1.0)
+    """A point that no retained cube holds reads NaN value and tail with
+    level -1, below every retained cube and outside the box alike; a 1-D
+    point and a non-positive exponent are refused."""
+    pts = np.array([[0.0, 0.07, 0.0], [40.0, 0.0, 0.0]])
+    out = a_x(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
+    assert np.isnan(out.value).all() and np.isnan(out.tail).all()
+    assert out.level.tolist() == [-1, -1] and out.index.tolist() == [-1, -1]
+    assert out.skipped == ((), ())
     with pytest.raises(ParameterError):
-        a_x(deco_line, np.zeros(3), 0.0, 1.0)
+        a_x(deco_line, pts[0], 1.0, 1.0)
+    with pytest.raises(ParameterError):
+        a_x(deco_line, np.zeros((1, 3)), 0.0, 1.0)
 
 
-def test_a_x_field_matches_pointwise_a_x(deco_line, line3d):
-    """The batched sweep agrees with a_x wherever cube_at finds a cube and
-    is NaN on support points (no cube) and outside the box."""
+def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
+    """The batch agrees, tail and skipped scales included, with the
+    per-cube sum at the cube that cube_at finds and with a batch of one
+    per point, and is NaN on support points (no cube) and outside the
+    box."""
     rng = np.random.default_rng(7)
     cubes = [deco_line[int(i)]
              for i in rng.choice(len(deco_line), 20, replace=False)]
@@ -451,21 +456,31 @@ def test_a_x_field_matches_pointwise_a_x(deco_line, line3d):
              + rng.uniform(-0.45, 0.45, size=(20, 3)) * sides)
     outside = deco_line.box_lo - 1.0
     pts = np.vstack([inner, line3d.points[::40], outside])
-    got = a_x_field(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
-    assert got.shape == (pts.shape[0],)
+    batch = a_x(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
+    got = batch.value
+    assert got.shape == batch.tail.shape == (pts.shape[0],)
+    assert len(batch.skipped) == pts.shape[0]
     for i, x in enumerate(pts[:-1]):
         cube = deco_line.cube_at(x)
         if i < len(cubes):
             assert (cube.level, cube.index) == (cubes[i].level,
                                                 cubes[i].index)
         if cube is None:
-            assert np.isnan(got[i])
+            assert np.isnan(got[i]) and batch.level[i] == -1
         else:
-            want = a_x(deco_line, x, 1.0, 1.0, k_max=2, lam=2.0)
-            assert not want.flagged
-            assert got[i] == want.value
+            assert (batch.level[i], batch.index[i]) == (cube.level,
+                                                        cube.index)
+            # the per-cube body at the cube that cube_at finds
+            assert (got[i], batch.tail[i], batch.skipped[i]) == _a_x_cube(
+                deco_line, cube, 1.0, k_max=2, eps=_EPS_DEFAULT, lam=2.0)
+        one = a_x(deco_line, x[None, :], 1.0, 1.0, k_max=2, lam=2.0)
+        assert np.array_equal(one.value, got[i:i + 1], equal_nan=True)
+        assert np.array_equal(one.tail, batch.tail[i:i + 1],
+                              equal_nan=True)
+        assert one.skipped == batch.skipped[i:i + 1]
     assert np.isnan(got[len(cubes):-1]).all()     # support: in no cube
     assert np.isfinite(got[:len(cubes)]).all()
+    assert np.isfinite(batch.tail[:len(cubes)]).all()
     assert np.isnan(got[-1])
     with pytest.raises(DomainError):
         deco_line.cube_at(outside)
@@ -651,9 +666,7 @@ def test_negative_scale_index_is_refused(tmp_path, deco_small):
     calls = [
         lambda: alpha_qk(deco_small, cube, -1),
         lambda: ur_square_sum(deco_small, x, 0.1, -1),
-        lambda: a_x(deco_small, cube.center, 1.0, 1.0, k_max=-1),
-        lambda: a_x_field(deco_small, cube.center[None, :], 1.0, 1.0,
-                          k_max=-1),
+        lambda: a_x(deco_small, cube.center[None, :], 1.0, 1.0, k_max=-1),
         lambda: dump_cubes(deco_small, tmp_path / "cubes.csv", k_max=-1,
                            include_alpha=True),
     ]
