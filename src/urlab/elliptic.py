@@ -69,7 +69,8 @@ from . import carleson, distances
 from .exceptions import (DegenerateInputError, DomainError, InputError,
                          NumericError, ParameterError, ResolutionError,
                          TopologyError)
-from .geometry import Ball, CorkscrewResult, DiscreteMeasure, corkscrew_point
+from .geometry import (Ball, CorkscrewResult, DiscreteMeasure, _as_box,
+                       corkscrew_point)
 
 __all__ = [
     "MASK_INTERIOR", "MASK_COLLAR", "MASK_OUTER",
@@ -568,20 +569,6 @@ class EllipticSystem:
 # -- assembly ---------------------------------------------------------------
 
 
-def _normalize_box(box, n: int) -> tuple:
-    try:
-        center, side = box
-    except (TypeError, ValueError):
-        raise InputError("box must be a (center, side) pair") from None
-    center = np.asarray(center, dtype=np.float64)
-    side = float(side)
-    if center.shape != (n,):
-        raise InputError(f"box center must have dimension {n}")
-    if side <= 0:
-        raise ParameterError("box side must be positive")
-    return center, side
-
-
 def _collar_cells(sigma: DiscreteMeasure, lo: np.ndarray, h: float,
                   shape: tuple, collar: float) -> tuple:
     """(ascending flat collar cells, nearest atom of each): the cells whose
@@ -641,7 +628,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         raise ResolutionError(
             f"face midpoints would sit closer than two spacings to the "
             f"support; need h >= {floor_h:.4g} at collar={config.collar:g}")
-    center, side = _normalize_box(box, n)
+    center, side = _as_box(box, n)
     m = max(8, int(math.ceil(side / h - 1e-9)))
     if m ** n > _MAX_CELLS:
         raise ParameterError(f"grid of {m}^{n} cells is too large")

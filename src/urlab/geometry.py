@@ -62,12 +62,15 @@ class DiscreteMeasure:
             raise InputError("weights must match points")
         if not (0 < self.intrinsic_dim < n):
             raise ParameterError("need 0 < d < n")
-        if self.spacing <= 0:
-            raise ParameterError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ParameterError("spacing must be positive and finite")
         if self.points.shape[0] == 0:
             raise InputError("empty support")
-        if np.any(self.weights <= 0):
-            raise InputError("weights must be positive")
+        if not np.all(np.isfinite(self.points)):
+            raise InputError("points must be finite")
+        # written so that a NaN weight fails the check
+        if not np.all((self.weights > 0) & (self.weights < math.inf)):
+            raise InputError("weights must be positive and finite")
 
     # -- derived geometry ------------------------------------------------
 
@@ -170,6 +173,24 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
+def _as_box(box, n: int) -> tuple[np.ndarray, float]:
+    """The (center, side) of an axis cube in R^n: a finite (n,) center and
+    a positive finite side; anything else is refused."""
+    try:
+        center, side = box
+    except (TypeError, ValueError):
+        raise InputError("box must be a (center, side) pair") from None
+    center = np.asarray(center, dtype=np.float64)
+    side = float(side)
+    if center.shape != (n,):
+        raise InputError(f"box center must have dimension {n}")
+    if not np.all(np.isfinite(center)):
+        raise InputError("box center must be finite")
+    if not 0 < side < math.inf:
+        raise ParameterError("box side must be positive and finite")
+    return center, side
+
+
 def _sphere_area(k: int) -> float:
     """Surface measure of the unit (k-1)-sphere in R^k."""
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
@@ -200,6 +221,8 @@ def _base_grid(n: int, d: int, extent: float,
                spacing: float) -> tuple[np.ndarray, float]:
     if not (0 < d < n):
         raise ParameterError("need 0 < d < n")
+    if not spacing > 0:
+        raise ParameterError("spacing must be positive")
     if extent < 16 * spacing:
         raise ParameterError("extent must be at least 16*spacing")
     axis, h = _snapped_axis(extent, spacing)
@@ -287,6 +310,8 @@ def sawtooth_profile(lam: float, period: float) -> Callable[[np.ndarray], np.nda
     Output lands in the first codimension coordinate; for d>1 the per-axis
     waves are summed with a 1/sqrt(d) factor to keep the constant.
     """
+    if not period > 0:
+        raise ParameterError("period must be positive")
     def fn(base: np.ndarray) -> np.ndarray:
         base = np.atleast_2d(base)
         d = base.shape[1]
@@ -298,6 +323,8 @@ def sawtooth_profile(lam: float, period: float) -> Callable[[np.ndarray], np.nda
 
 def sine_profile(lam: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
     """Smooth sine graph profile with Lipschitz constant lam."""
+    if not period > 0:
+        raise ParameterError("period must be positive")
     k = 2.0 * math.pi / period
 
     def fn(base: np.ndarray) -> np.ndarray:
@@ -408,14 +435,17 @@ def save_measure(sigma: DiscreteMeasure, path: str) -> None:
 
 
 def load_measure(path: str) -> DiscreteMeasure:
-    """Inverse of save_measure; round-trips float64 exactly (17 sig digits)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise InputError(f"malformed header in {path}")
-        n, d, count = int(header[0]), int(header[1]), int(header[2])
-        spacing = float(header[3])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    """Inverse of save_measure; round-trips float64 exactly (17 sig digits).
+
+    A file that cannot be opened or parsed is an InputError naming it.
+    """
+    try:
+        with open(path) as fh:
+            n, d, count, spacing = fh.readline().split()
+            n, d, count, spacing = int(n), int(d), int(count), float(spacing)
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read a measure from {path}: {exc}") from None
     if data.shape != (count, n + 1):
         raise InputError(f"expected {count} rows of {n + 1} columns in {path}")
     return DiscreteMeasure(n, d, data[:, :n], data[:, n], spacing,

@@ -29,6 +29,14 @@ per-call Python around the solve: option checks, a per-column loop over
 the basis, input cleaning and a COO -> CSR -> CSC copy, none of which the
 solve needs.  `linprog` is also the one hook that the benchmark's tracer
 and the tests wrap to count and size the LPs.
+
+The LP contract: `linprog` returns the optimum and the simplex iteration
+count, and nothing else.  It raises NumericError itself when HiGHS ends
+without an optimum (the message names the HiGHS model status) and when
+the solution misses linprog's feasibility bound.  `_transport_lp` returns
+the optimum alone.  `alpha_number` prices its PCA start without catching
+anything, so a start whose flat sample is refused raises; inside
+Nelder-Mead a refused flat scores +inf, which no finite start loses to.
 """
 
 from __future__ import annotations
@@ -99,8 +107,6 @@ class AlphaResult:
     flat: FlatMeasure
     initial_value: float
     refined_value: float
-    n_support: int
-    n_flat: int
     nm_iterations: int
     truncated: bool             # ball radius left the resolution window
 
@@ -163,32 +169,20 @@ def _highs_options() -> _highs.HighsOptions:
 _OPTIONS = _highs_options()
 # the feasibility bound of scipy.optimize.linprog's result check (tol 1e-9)
 _FEAS_TOL = 10.0 * math.sqrt(1e-9)
-# linprog's status for each HiGHS model status: 1 iteration or time limit,
-# 2 infeasible (or a malformed model), 3 unbounded, 4 anything else
-_STATUS = {_highs.HighsModelStatus.kOptimal: 0,
-           _highs.HighsModelStatus.kIterationLimit: 1,
-           _highs.HighsModelStatus.kTimeLimit: 1,
-           _highs.HighsModelStatus.kInfeasible: 2,
-           _highs.HighsModelStatus.kModelError: 2,
-           _highs.HighsModelStatus.kUnbounded: 3}
 
 
 class LPResult(NamedTuple):
-    fun: float          # the optimum; meaningful only when status is 0
+    fun: float          # the optimum
     nit: int            # simplex iterations
-    status: int         # 0 solved; otherwise as scipy.optimize.linprog
-    message: str
 
 
 def linprog(c, *, A_eq, b_eq) -> LPResult:
     """min c.x subject to A_eq x = b_eq and x >= 0, in one HiGHS solve.
 
-    ``A_eq`` is a scipy.sparse CSC array.  Status 0 means HiGHS reported an
-    optimum and its solution satisfies x >= -tol and |b_eq - A_eq x| <= tol
-    with linprog's tol = 10 sqrt(1e-9).  As in scipy.optimize.linprog, an
-    optimum that misses either bound has status 4, and a solve that ends
-    without an optimum gets linprog's status for its HiGHS model status,
-    which the message names.
+    ``A_eq`` is a scipy.sparse CSC array.  A solve that ends without an
+    optimum raises NumericError naming its HiGHS model status, and so does
+    an optimum whose solution misses x >= -tol or |b_eq - A_eq x| <= tol,
+    with scipy.optimize.linprog's tol = 10 sqrt(1e-9).
     """
     m, n = A_eq.shape
     lp = _highs.HighsLp()
@@ -207,26 +201,24 @@ def linprog(c, *, A_eq, b_eq) -> LPResult:
     highs.passModel(lp)
     highs.run()
     model_status = highs.getModelStatus()
-    status = _STATUS.get(model_status, 4)
-    message = "model_status is " + highs.modelStatusToString(model_status)
+    if model_status != _highs.HighsModelStatus.kOptimal:
+        raise NumericError("LP failed: model_status is "
+                           + highs.modelStatusToString(model_status))
     info = highs.getInfo()
     fun = info.objective_function_value
-    if status == 0:
-        sol = highs.getSolution()
-        x, ax = np.asarray(sol.col_value), np.asarray(sol.row_value)
-        # written so that a NaN anywhere fails the check
-        if not (np.all(x >= -_FEAS_TOL)
-                and np.all(np.abs(b_eq - ax) <= _FEAS_TOL)
-                and not math.isnan(fun)):
-            status = 4
-            message = ("the solution misses the constraints by more than "
-                       f"{_FEAS_TOL:.2e}")
-    return LPResult(fun, info.simplex_iteration_count, status, message)
+    sol = highs.getSolution()
+    x, ax = np.asarray(sol.col_value), np.asarray(sol.row_value)
+    # written so that a NaN anywhere fails the check
+    if not (np.all(x >= -_FEAS_TOL) and np.all(np.abs(b_eq - ax) <= _FEAS_TOL)
+            and not math.isnan(fun)):
+        raise NumericError("LP failed: the solution misses the constraints "
+                           f"by more than {_FEAS_TOL:.2e}")
+    return LPResult(fun, info.simplex_iteration_count)
 
 
 def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
-                  cap=300, seed=0):
-    """Shared transport LP; returns (optimum, iterations, n, subsampled)."""
+                  cap=300, seed=0) -> float:
+    """Optimum of the shared transport LP (see the module docstring)."""
     center = np.asarray(center, dtype=np.float64)
 
     def _inside(pts, w):
@@ -236,10 +228,8 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     pts_a, w_a = _inside(np.asarray(pts_a, float), np.asarray(w_a, float))
     pts_b, w_b = _inside(np.asarray(pts_b, float), np.asarray(w_b, float))
 
-    subsampled = False
     total = pts_a.shape[0] + pts_b.shape[0]
     if cap is not None and total > cap:
-        subsampled = True
         rng = np.random.default_rng(seed)
         ta = max(1, round(cap * pts_a.shape[0] / total))
         tb = max(1, cap - ta)
@@ -251,7 +241,7 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     pts = np.concatenate([pts_a, pts_b], axis=0)
     coeff = np.concatenate([w_a, -w_b])
     if pts.shape[0] == 0:
-        return 0.0, 0, 0, subsampled
+        return 0.0
 
     # merge exactly coincident samples so identical inputs cancel exactly
     pts, inv = np.unique(pts, axis=0, return_inverse=True)
@@ -262,7 +252,7 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     pts, coeff = pts[live], merged[live]
     m = pts.shape[0]
     if m == 0:
-        return 0.0, 0, 0, subsampled
+        return 0.0
 
     bound = radius - np.linalg.norm(pts - center, axis=1)
     mass = np.abs(coeff)
@@ -270,7 +260,7 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     neg = np.flatnonzero(coeff < 0)
     if pos.size == 0 or neg.size == 0:
         # one sign (a single atom included): all mass goes to the sphere
-        return float(mass @ bound), 0, m, subsampled
+        return float(mass @ bound)
 
     # a pair no cheaper than both atoms' trips to the sphere never carries mass
     cost = np.linalg.norm(pts[pos, None] - pts[None, neg], axis=2)
@@ -283,11 +273,8 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
     a_eq = sp.csc_array(
         (np.ones(2 * k + m), np.concatenate([ends.ravel(), np.arange(m)]),
          starts), shape=(m, k + m))
-    res = linprog(np.concatenate([cost[pi, pj], bound]), A_eq=a_eq,
-                  b_eq=mass)
-    if res.status != 0:
-        raise NumericError(f"LP failed with status {res.status}: {res.message}")
-    return float(res.fun), int(res.nit), m, subsampled
+    return float(linprog(np.concatenate([cost[pi, pj], bound]), A_eq=a_eq,
+                         b_eq=mass).fun)
 
 
 def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
@@ -303,9 +290,8 @@ def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
     if mu.intrinsic_dim != nu.intrinsic_dim:
         raise InputError("measures must share the intrinsic dimension")
     d = mu.intrinsic_dim
-    opt, _, _, _ = _transport_lp(mu.points, mu.weights, nu.points,
-                                 nu.weights, ball.center, ball.radius,
-                                 cap=cap, seed=seed)
+    opt = _transport_lp(mu.points, mu.weights, nu.points, nu.weights,
+                        ball.center, ball.radius, cap=cap, seed=seed)
     return opt / ball.radius ** (d + 1)
 
 
@@ -341,7 +327,9 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
     density matched to the ball mass.  Refinement: Nelder-Mead over tilt,
     offset, and log-density (derivative-free; the LP value is piecewise
     linear in the parameters).  Both the initial and refined values are
-    reported; the result keeps the better one.
+    reported; the refined one is never larger, since the simplex holds the
+    start.  A start whose flat patch the sample refuses raises, refined or
+    not.
     """
     d = sigma.intrinsic_dim
     n = sigma.ambient_dim
@@ -388,19 +376,20 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         basis = _orthonormalize(u + tilt @ v)
         return FlatMeasure(bary + boff @ v, basis, c * c0)
 
+    def price(theta: np.ndarray) -> float:
+        samp = flat_sample(build(theta), ball, m_res)
+        return _transport_lp(samp.points, samp.weights, pts, w, ball.center,
+                             r, cap=None) / r ** (d + 1)
+
     def objective(theta: np.ndarray) -> float:
         try:
-            flat = build(theta)
-            samp = flat_sample(flat, ball, m_res)
+            return price(theta)
         except (InputError, ResolutionError):
-            return 10.0         # plane left the ball; alpha values are O(1)
-        opt, _, _, _ = _transport_lp(samp.points, samp.weights, pts, w,
-                                     ball.center, r, cap=None)
-        return opt / r ** (d + 1)
+            return math.inf     # no patch in the ball: never a best vertex
 
     npar = d * codim + codim + 1
     theta0 = np.zeros(npar)
-    f0 = objective(theta0)
+    f0 = price(theta0)
     # without refinement the PCA init is the result: an upper bound on the inf
     best_theta, best, refined, nit = theta0, f0, f0, 0
     if refine:
@@ -410,10 +399,7 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
                        options={"maxiter": refine_maxiter, "xatol": xatol,
                                 "fatol": 1e-5, "initial_simplex": np.vstack(
                                     [theta0, theta0 + np.diag(steps)])})
-        refined, nit = float(res.fun), int(res.nit)
-        if refined <= f0:   # refinement may not beat the init; keep init
-            best_theta, best = res.x, refined
-    flat = build(best_theta)
-    n_flat = len(flat_sample(flat, ball, m_res))
-    return AlphaResult(best, flat, f0, refined, pts.shape[0], n_flat,
-                       nit, truncated)
+        # the simplex holds the finite start, so its best is never worse
+        best_theta, best = res.x, float(res.fun)
+        refined, nit = best, int(res.nit)
+    return AlphaResult(best, build(best_theta), f0, refined, nit, truncated)

@@ -8,7 +8,16 @@ multi-indices packed into sorted int64 keys) because codimension-2 tubes
 produce millions of cubes at depth; `WhitneyCube` objects are lightweight
 views.  Flatness numbers are memoized by (anchor point, ball radius) —
 all cubes in a cross-sectional ring share their anchor ball, which
-collapses the LP count per level to the number of distinct anchors.
+collapses the LP count per level to the number of distinct anchors.  That
+memo, `alpha_cache`, is the only one, since it is the one that runs hit:
+on the `whitney` rerun config of tests/test_cli.py, 341 of its 441
+lookups hit, while per-cube memos of `mu_q` and of the separating-plane
+LP hit none of their 220 and 141 lookups.  So `mu_q` and `a_x` price
+again on each call.
+
+A cube's flatness ball at scale k has radius lam * 2^k * diam(Q); one
+rule (`_flatness_ball`) gives it with its refusal outside the data
+window, for every caller.
 
 Scale caveat: the classical construction evaluates flatness on balls
 B(anchor, SCALE_FACTOR * 2^k * diam(Q)) with an enormous SCALE_FACTOR.
@@ -29,12 +38,13 @@ from scipy.optimize import lsq_linear
 
 from .exceptions import (
     DomainError,
+    InputError,
     ParameterError,
     ResolutionError,
     StateError,
     TruncationError,
 )
-from .geometry import Ball, DiscreteMeasure, _as_points
+from .geometry import Ball, DiscreteMeasure, _as_box, _as_points
 from .wasserstein import (
     AlphaResult,
     FlatMeasure,
@@ -177,7 +187,7 @@ class WhitneyCube:
 
 
 class WhitneyDecomposition:
-    """Sequence of Whitney cubes plus shared caches.
+    """Sequence of Whitney cubes plus the shared flatness memo.
 
     Indexing is by level (ascending), then packed-corner order within the
     level, so iteration order is deterministic for a given input.
@@ -197,9 +207,7 @@ class WhitneyDecomposition:
         self.alpha_resolution = alpha_resolution
         self.alpha_cap = alpha_cap
         self.alpha_seed = alpha_seed
-        self.alpha_cache: dict = {}
-        self._mu_cache: dict = {}
-        self._ax_cache: dict = {}
+        self.alpha_cache: dict = {}     # (anchor index, radius) -> alpha
         self._level_keys = list(self.levels)
         self._starts = np.concatenate(
             [[0], np.cumsum([len(self.levels[k].packed)
@@ -303,7 +311,7 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
         center = 0.5 * (lo_pts + hi_pts)
         side = 2.5 * max(float(np.max(hi_pts - lo_pts)), 16.0 * sigma.spacing)
     else:
-        center, side = np.asarray(box[0], dtype=np.float64), float(box[1])
+        center, side = _as_box(box, n)
     lo = center - 0.5 * side
     margin = min(float(np.min(lo_pts - lo)),
                  float(np.min(lo + side - hi_pts)))
@@ -315,7 +323,9 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     if focus is not None:
         f_center = np.asarray(focus[0], dtype=np.float64)
         f_radius = float(focus[1])
-        if f_radius <= 0:
+        if f_center.shape != (n,) or not np.all(np.isfinite(f_center)):
+            raise InputError(f"focus center must be a finite point of R^{n}")
+        if not f_radius > 0:
             raise ParameterError("focus radius must be positive")
 
     offsets = _child_offsets(n)
@@ -387,8 +397,7 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
     """
     _require(deco)
     _scale_index("k", k)
-    radius = lam * 2.0 ** k * cube.diameter
-    refusal = _window_refusal(deco.sigma, radius, cube.level, k)
+    radius, refusal = _flatness_ball(deco, cube.level, k, lam)
     if refusal is not None:
         raise refusal
     return _anchor_alpha(deco, cube.anchor_index, radius)
@@ -400,24 +409,30 @@ def _scale_index(name: str, k: int) -> None:
         raise ParameterError(f"{name} must be nonnegative, got {k}")
 
 
-def _window_refusal(sigma: DiscreteMeasure, radius: float, level: int,
-                    k: int) -> TruncationError | ResolutionError | None:
-    """The error refusing a flatness ball radius outside the data window
-    (above its ceiling: truncation, below its floor: resolution), or None.
+def _flatness_ball(deco: WhitneyDecomposition, level: int, k: int,
+                   lam: float) -> tuple:
+    """(radius, refusal) of the flatness ball of a level's cubes at scale
+    k: radius lam * 2^k * diam(Q), and the error refusing it outside the
+    data window (above its ceiling: truncation, below its floor:
+    resolution), or None.
 
     The radius depends on a cube only through its level, so a refusal
     holds for a whole (level, k) column of cubes.
     """
+    sigma = deco.sigma
+    radius = lam * 2.0 ** k * (math.sqrt(sigma.ambient_dim)
+                                * deco.levels[level].side)
     floor_r, ceil_r = sigma.window()
+    refusal = None
     if radius > ceil_r:
-        return TruncationError(
+        refusal = TruncationError(
             f"flatness ball radius {radius:g} exceeds the data window "
             f"ceiling {ceil_r:g} (cube level {level}, k={k})")
-    if radius < floor_r:
-        return ResolutionError(
+    elif radius < floor_r:
+        refusal = ResolutionError(
             f"flatness ball radius {radius:g} below the resolution "
             f"floor {floor_r:g} (cube level {level}, k={k})")
-    return None
+    return radius, refusal
 
 
 def _anchor_alpha(deco: WhitneyDecomposition, anchor_index: int,
@@ -454,7 +469,7 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     The optimal branch reuses the minimizing flat of the flatness LP, whose
     transport distance IS the flatness value, so no extra LP runs and the
     result memoizes per anchor ball.  The separating branch constructs a
-    cube-specific plane and prices it with one LP per cube.
+    cube-specific plane and prices it with one LP per call.
     """
     sigma = deco.sigma
     d = sigma.intrinsic_dim
@@ -470,17 +485,12 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
         raise AssertionError("anchor inside the 20-dilate (internal)")
     rows = _null_space((normal / norm)[None, :])
     flat = FlatMeasure(xi.copy(), rows[:d], 1.0)
-    # the plane and its distance do not depend on eps, only the branch does
-    key = ("sep", cube.level, cube.index, float(lam))
-    atilde = deco.alpha_cache.get(key)
-    if atilde is None:
-        # the plane passes through the ball's centre, so the sample is
-        # never empty
-        ball = Ball(xi, lam * cube.diameter)
-        atilde = local_wasserstein(
-            flat_sample(flat, ball, deco.alpha_resolution), sigma, ball,
-            cap=deco.alpha_cap, seed=deco.alpha_seed)
-        deco.alpha_cache[key] = atilde
+    # the plane passes through the ball's centre, so the sample is never
+    # empty; alpha_qk above already refused a ball outside the window
+    ball = Ball(xi, _flatness_ball(deco, cube.level, 0, lam)[0])
+    atilde = local_wasserstein(
+        flat_sample(flat, ball, deco.alpha_resolution), sigma, ball,
+        cap=deco.alpha_cap, seed=deco.alpha_seed)
     return flat, "separating", a_res.value, atilde
 
 
@@ -497,10 +507,6 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     anchor offset, and the density band; failures flag the cube loudly.
     """
     _require(deco)
-    ck = (cube.level, cube.index, float(eps), float(lam))
-    hit = deco._mu_cache.get(ck)
-    if hit is not None:
-        return hit
     sigma = deco.sigma
     flat, branch, alpha, atilde = _attached_flat(deco, cube, eps=eps,
                                                  lam=lam)
@@ -514,10 +520,8 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
         "anchor_offset": anchor_gap <= 5.0 * cube.diameter + tol,
         "density_band": 1e-2 <= flat.c <= 1e2,
     }
-    out = MuResult(flat, branch, alpha, atilde, gap_2q, anchor_gap,
-                   checks, not all(checks.values()))
-    deco._mu_cache[ck] = out
-    return out
+    return MuResult(flat, branch, alpha, atilde, gap_2q, anchor_gap,
+                    checks, not all(checks.values()))
 
 
 # -- aggregates -----------------------------------------------------------------
@@ -537,13 +541,15 @@ def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
     term plus the geometrically damped ladder over growing balls.
 
     The value is constant on each cube, so points are matched to cubes in
-    one vectorized lookup and each distinct cube is priced once through a
-    per-cube memo.  Scales whose balls leave the data window are skipped
-    and covered, together with the k > k_max remainder, by a certified
-    tail bound built from the mass-based uniform bound on flatness
-    numbers; a cube so deep that even its own attachment ball is
-    sub-resolution has that term tail-bounded too, recorded as skipped
-    scale -1.  Points that no retained cube holds (on the support, in
+    one vectorized lookup and each distinct cube of the batch is priced
+    once.  Across calls only the per-anchor flatness numbers are memoized
+    (``deco.alpha_cache``); a cube's separating-plane LP and its sum run
+    again on each call, since no run calls a_x.  Scales whose balls leave
+    the data window are skipped and covered, together with the k > k_max
+    remainder, by a certified tail bound built from the mass-based uniform
+    bound on flatness numbers; a cube so deep that even its own attachment
+    ball is sub-resolution has that term tail-bounded too, recorded as
+    skipped scale -1.  Points that no retained cube holds (on the support, in
     pruned or undecided cells, or outside the box) read NaN with level -1.
     """
     _require(deco)
@@ -567,39 +573,34 @@ def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
 
 def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
               k_max: int, eps: float, lam: float) -> tuple:
-    """Memoized per-cube body of a_x: (value, tail, skipped)."""
+    """Per-cube body of a_x: (value, tail, skipped)."""
     sigma = deco.sigma
     d = sigma.intrinsic_dim
-    ck = (cube.level, cube.index, k_max, float(m), float(eps), float(lam))
-    hit = deco._ax_cache.get(ck)
-    if hit is None:
-        skipped = []
-        total = 0.0
+    skipped = []
+    total = 0.0
+    try:
+        total = _attached_flat(deco, cube, eps=eps, lam=lam)[3]
+    except (TruncationError, ResolutionError):
+        skipped.append(-1)
+    for k in range(k_max + 1):
         try:
-            total = _attached_flat(deco, cube, eps=eps, lam=lam)[3]
+            a_res = alpha_qk(deco, cube, k, lam=lam)
         except (TruncationError, ResolutionError):
-            skipped.append(-1)
-        for k in range(k_max + 1):
-            try:
-                a_res = alpha_qk(deco, cube, k, lam=lam)
-            except (TruncationError, ResolutionError):
-                skipped.append(k)
-                continue
-            total += 2.0 ** (-k * m) * a_res.value
-        tail = 0.0
-        for k in skipped:       # scale -1 is the attachment term (k=0 ball)
-            r_k = lam * 2.0 ** max(k, 0) * cube.diameter
-            tail += 2.0 ** (-max(k, 0) * m) * _alpha_upper_bound(
-                sigma, cube.anchor, r_k)
-        # k > k_max: bound_k decays like 2^{-kd} once the ball eats the data
-        r_top = lam * 2.0 ** k_max * cube.diameter
-        q = 2.0 ** (-(m + d))
-        tail += (2.0 ** (-k_max * m) * _alpha_upper_bound(sigma, cube.anchor,
-                                                          r_top)
-                 * q / (1.0 - q))
-        hit = (total, tail, tuple(skipped))
-        deco._ax_cache[ck] = hit
-    return hit
+            skipped.append(k)
+            continue
+        total += 2.0 ** (-k * m) * a_res.value
+    tail = 0.0
+    for k in skipped:           # scale -1 is the attachment term (k=0 ball)
+        r_k, _ = _flatness_ball(deco, cube.level, max(k, 0), lam)
+        tail += 2.0 ** (-max(k, 0) * m) * _alpha_upper_bound(
+            sigma, cube.anchor, r_k)
+    # k > k_max: bound_k decays like 2^{-kd} once the ball eats the data
+    r_top, _ = _flatness_ball(deco, cube.level, k_max, lam)
+    q = 2.0 ** (-(m + d))
+    tail += (2.0 ** (-k_max * m) * _alpha_upper_bound(sigma, cube.anchor,
+                                                      r_top)
+             * q / (1.0 - q))
+    return total, tail, tuple(skipped)
 
 
 def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
@@ -635,8 +636,8 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
         if count == 0:
             continue
         ell = math.sqrt(n) * lev.side
-        radius = lam * 2.0 ** k * ell
-        if _window_refusal(sigma, radius, lev_k, k) is not None:
+        radius, refusal = _flatness_ball(deco, lev_k, k, lam)
+        if refusal is not None:
             n_excluded += count
             continue
         aidx = lev.anchor_idx[sel]
@@ -687,8 +688,7 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
             # whole (level, k) column
             radii = []
             for k in range(k_max + 1 if include_alpha else 0):
-                radius = lam * 2.0 ** k * diam
-                refusal = _window_refusal(deco.sigma, radius, level, k)
+                radius, refusal = _flatness_ball(deco, level, k, lam)
                 radii.append(radius if refusal is None else None)
             anchors = deco.sigma.points[lev.anchor_idx[local]]
             for i, corner, anchor in zip(local, corners.tolist(), anchors):

@@ -111,6 +111,65 @@ def test_file_generator_reads_back_the_generated_measure(tmp_path):
             == (tmp_path / "direct" / "ahlfors.csv").read_bytes())
 
 
+@pytest.mark.parametrize("line, text, error", [
+    (2, "0.5 0 0 nan", "InputError"),
+    (2, "inf 0 0 0.25", "InputError"),
+    (0, "3 1 4 nan", "ParameterError"),
+], ids=["nan-weight", "inf-point", "nan-spacing"])
+def test_measure_file_with_a_non_finite_value_is_an_error_record(
+        tmp_path, line, text, error):
+    """A measure file holding a non-finite point, weight or spacing is
+    refused with an error record, not written to manifest.json as a
+    total_mass of NaN."""
+    rows = ["3 1 4 0.25", "0 0 0 0.25", "0.5 0 0 0.25", "1 0 0 0.25",
+            "1.5 0 0 0.25"]
+    rows[line] = text
+    path = tmp_path / "measure.txt"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    assert main(["gen", "-o", str(out), "--set", "generator.kind=file",
+                 "--set", f"generator.path={path}"]) == 1
+    assert _error(out)["error"] == error
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["generator.kind=plane", "generator.spacing=-0.1"],
+    ["generator.kind=plane", "generator.spacing=0"],
+    ["generator.kind=graph", "generator.profile=sine", "generator.period=0"],
+    ["generator.kind=graph", "generator.profile=sawtooth",
+     "generator.period=0"],
+], ids=["negative-spacing", "zero-spacing", "sine-period", "sawtooth-period"])
+def test_generator_refuses_a_nonpositive_spacing_or_period(tmp_path,
+                                                           overrides):
+    """A nonpositive spacing or period is a ParameterError record, where
+    it gave a one-atom plane, NaN coordinates or a ZeroDivisionError."""
+    args = [a for o in overrides for a in ("--set", o)]
+    assert main(["gen", "-o", str(tmp_path), *args]) == 1
+    assert _error(tmp_path)["error"] == "ParameterError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("text", [
+    None, "3 1 two 0.25\n0 0 0 0.25\n0.5 0 0 0.25\n",
+    "3 1 2 0.25\n0 0 0 0.25\n0.5 0 zero 0.25\n",
+], ids=["missing", "bad-header", "bad-row"])
+def test_unreadable_measure_file_is_an_input_error(tmp_path, text):
+    """A missing file, a header that is not 'n d N spacing' and a row
+    that is not numbers each end in an InputError record naming the file,
+    not in a traceback."""
+    path = tmp_path / "measure.txt"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["ahlfors", "-o", str(out), "--set", "generator.kind=file",
+                 "--set", f"generator.path={path}"]) == 1
+    record = _error(out)
+    assert record["error"] == "InputError"
+    assert str(path) in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     assert run("warp", {}, tmp_path) == 2
     with pytest.raises(SystemExit) as exc:

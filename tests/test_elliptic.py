@@ -151,6 +151,12 @@ def test_assemble_guards(line3d):
         assemble(line3d, (np.zeros(2), 3.0), 3.0 / 48)
     with pytest.raises(InputError):
         assemble(line3d, "not a box", 3.0 / 48)
+    # a non-finite side or center is refused as such
+    for side in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="box side"):
+            assemble(line3d, (np.zeros(3), side), 3.0 / 48)
+    with pytest.raises(InputError, match="box center must be finite"):
+        assemble(line3d, (np.array([0.0, np.nan, 0.0]), 3.0), 3.0 / 48)
     with pytest.raises(DomainError):
         assemble(line3d, (np.array([40.0, 40.0, 40.0]), 3.0), 3.0 / 48)
 

@@ -8,6 +8,7 @@ import pytest
 from urlab.exceptions import InputError, ParameterError, ResolutionError
 from urlab.geometry import (
     Ball,
+    DiscreteMeasure,
     ahlfors_constant,
     corkscrew_point,
     load_measure,
@@ -143,6 +144,21 @@ def test_corkscrew_resolution_guards(line3d):
 def test_plane_requires_margin():
     with pytest.raises(ParameterError):
         make_plane_set(3, 1, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field, error", [("points", InputError),
+                                          ("weights", InputError),
+                                          ("spacing", ParameterError)])
+def test_measure_refuses_non_finite_values(field, error, value):
+    args = {"points": np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]]),
+            "weights": np.ones(3), "spacing": 0.1}
+    if field == "spacing":
+        args["spacing"] = value
+    else:
+        args[field][1] = value
+    with pytest.raises(error):
+        DiscreteMeasure(3, 1, **args)
 
 
 def test_lipschitz_spot_check_fires():

@@ -1,6 +1,7 @@
 """Transport LP, flat sampling, and alpha numbers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from urlab.exceptions import (
     InputError,
     NumericError,
     ParameterError,
+    ResolutionError,
 )
 from urlab.geometry import Ball, DiscreteMeasure, make_cantor_set
 from urlab.wasserstein import (
@@ -113,7 +115,7 @@ def test_transport_lp_matches_dual_oracle(coincide):
         wb = rng.uniform(0.1, 1.0, size=nb)
         center = rng.normal(size=3) * 0.1
         r = float(rng.uniform(0.8, 1.2))
-        got = _transport_lp(a, wa, b, wb, center, r, cap=None)[0]
+        got = _transport_lp(a, wa, b, wb, center, r, cap=None)
         want = _dual_lp_oracle(a, wa, b, wb, center, r)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -129,8 +131,8 @@ def test_transport_lp_one_signed_runs_no_lp(monkeypatch):
                               cap=None),
                 _transport_lp(empty, np.zeros(0), a, wa, np.zeros(3), 1.0,
                               cap=None)):
-        assert got[:3] == (pytest.approx(float(wa @ bound), rel=1e-12), 0, 30)
-        assert got[0] == pytest.approx(
+        assert got == pytest.approx(float(wa @ bound), rel=1e-12)
+        assert got == pytest.approx(
             _dual_lp_oracle(a, wa, empty, np.zeros(0), np.zeros(3), 1.0),
             rel=1e-9)
     assert seen == []
@@ -144,7 +146,7 @@ def test_transport_lp_prunes_every_pair(monkeypatch):
     b = np.array([-0.9, 0.0, 0.0]) + rng.uniform(-0.03, 0.03, size=(9, 3))
     wa = rng.uniform(0.1, 1.0, size=12)
     wb = rng.uniform(0.1, 1.0, size=9)
-    got = _transport_lp(a, wa, b, wb, np.zeros(3), 1.0, cap=None)[0]
+    got = _transport_lp(a, wa, b, wb, np.zeros(3), 1.0, cap=None)
     assert seen == [21]         # ground flows only, no pair column
     bound = 1.0 - np.linalg.norm(np.concatenate([a, b]), axis=1)
     want = _dual_lp_oracle(a, wa, b, wb, np.zeros(3), 1.0)
@@ -158,8 +160,8 @@ def test_transport_lp_single_atom():
     got = _transport_lp(p, [0.7], np.zeros((0, 3)), np.zeros(0),
                         np.zeros(3), 1.0, cap=None)
     want = 0.7 * (1.0 - np.linalg.norm(p))
-    assert got == (pytest.approx(want, rel=1e-15), 0, 1, False)
-    assert got[0] == pytest.approx(
+    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(
         _dual_lp_oracle(p, [0.7], np.zeros((0, 3)), np.zeros(0),
                         np.zeros(3), 1.0), rel=1e-9)
 
@@ -213,21 +215,20 @@ def test_linprog_matches_scipy_linprog_on_transport_lps(monkeypatch):
         got = solve(c, **kw)
         want = linprog(c, A_eq=kw["A_eq"], b_eq=kw["b_eq"], method="highs",
                        options={"presolve": False})
-        assert got.status == want.status == 0
         assert (got.fun, got.nit) == (want.fun, want.nit)
 
 
 def test_linprog_reports_failure_with_the_model_status(monkeypatch):
     c, a_eq = np.ones(1), sp.csc_array(np.ones((1, 1)))
-    got = wasserstein.linprog(c, A_eq=a_eq, b_eq=-np.ones(1))
     want = linprog(c, A_eq=a_eq, b_eq=-np.ones(1), method="highs",
                    options={"presolve": False})
-    assert got.status == want.status == 2
-    assert "Infeasible" in got.message
+    assert want.status == 2     # infeasible for scipy as well
+    with pytest.raises(NumericError, match="model_status is Infeasible"):
+        wasserstein.linprog(c, A_eq=a_eq, b_eq=-np.ones(1))
     # an optimum outside the feasibility bound is a failure as well
     monkeypatch.setattr(wasserstein, "_FEAS_TOL", -1.0)
-    got = wasserstein.linprog(c, A_eq=a_eq, b_eq=np.ones(1))
-    assert got.status == 4 and "constraints" in got.message
+    with pytest.raises(NumericError, match="misses the constraints"):
+        wasserstein.linprog(c, A_eq=a_eq, b_eq=np.ones(1))
 
 
 @pytest.mark.parametrize("failure", ["infeasible", "unchecked"])
@@ -403,6 +404,44 @@ def test_alpha_cantor_floor():
     res = alpha_number(c6, Ball(center, 0.3), cap=200, seed=3)
     assert res.value >= 0.05
     assert res.truncated       # radius 0.3 exceeds extent/4 for [0,1]^2 data
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_alpha_refuses_a_pca_start_with_an_empty_patch(refine):
+    """Two atoms near the sphere put the PCA line 0.9996 from the centre:
+    its chord has radius 0.028, under one step of 1/16, so the start has
+    no flat sample to price, refined or not."""
+    sigma = _atoms([[0.9996, 0.001, 0.0], [0.9996, -0.001, 0.0],
+                    [3.0, 0.0, 0.0], [-3.0, 0.0, 0.0]], [0.01] * 4)
+    with pytest.raises(ResolutionError, match="under-resolved"):
+        alpha_number(sigma, Ball(np.zeros(3), 1.0), resolution=16,
+                     refine=refine)
+
+
+def test_alpha_refinement_never_returns_a_refused_flat(monkeypatch):
+    """Nelder-Mead's offset steps carry the line x = 0.95 out of the unit
+    ball; a refused flat scores +inf, so the result is a priced flat no
+    worse than the start, with no NaN arithmetic on the way."""
+    ys = np.linspace(-0.2, 0.2, 21)
+    sigma = _atoms(np.column_stack([np.full(21, 0.95), ys, np.zeros(21)]),
+                   np.full(21, 0.02))
+    refused = []
+    sample = wasserstein.flat_sample
+
+    def spy(*args):
+        try:
+            return sample(*args)
+        except (InputError, ResolutionError) as exc:
+            refused.append(exc)
+            raise
+
+    monkeypatch.setattr(wasserstein, "flat_sample", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = alpha_number(sigma, Ball(np.zeros(3), 1.0))
+    assert refused
+    assert math.isfinite(res.value)
+    assert res.value == res.refined_value <= res.initial_value
 
 
 def test_alpha_graph_scales_with_lambda(graph02):

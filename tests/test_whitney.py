@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 
 from urlab.exceptions import (
     DomainError,
+    InputError,
     ParameterError,
     ResolutionError,
     StateError,
@@ -182,6 +183,19 @@ def test_decompose_guards(small_line):
         decompose(small_line, max_depth=0)
     with pytest.raises(ParameterError):
         decompose(small_line, focus=(np.zeros(3), -1.0))
+    # the box and the focus are parsed as assemble parses its box: a wrong
+    # dimension, a non-finite value and a zero side are refused as such
+    for box, error in [(((0.0, 0.0), 5.0), InputError),
+                       (((np.nan, 0.0, 0.0), 5.0), InputError),
+                       (5.0, InputError),
+                       ((np.zeros(3), 0.0), ParameterError),
+                       ((np.zeros(3), np.nan), ParameterError)]:
+        with pytest.raises(error, match="box (center|side|must be a)"):
+            decompose(small_line, box=box, max_depth=4)
+    for focus, error in [(((0.0, 0.0), 0.5), InputError),
+                         ((np.zeros(3), np.nan), ParameterError)]:
+        with pytest.raises(error, match="focus"):
+            decompose(small_line, focus=focus, max_depth=4)
 
 
 def test_undecided_cells_are_counted(deco_small):
@@ -382,14 +396,10 @@ def test_mu_graph_sweep_calibration(deco_graph):
     assert max(ratios) <= 2.0           # measured 1.0 on this sweep
 
 
-def test_mu_is_cached(deco_line):
-    cube = _interior_cube(deco_line, 8)
-    assert mu_q(deco_line, cube, lam=2.0) is mu_q(deco_line, cube, lam=2.0)
-
-
-def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
-    # the separating plane and its transport distance do not depend on
-    # eps, so a second eps on the same cube and lam runs no further LP
+def test_separating_flat_is_priced_once_per_mu_q_call(monkeypatch):
+    # nothing memoizes the separating plane: each mu_q call on the cube runs
+    # its one LP (the anchor ball's alpha is already memoized), and the
+    # plane and its transport distance do not depend on eps
     from urlab import wasserstein
     sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
                                  0.02)
@@ -406,9 +416,10 @@ def test_separating_flat_is_priced_once_per_cube_and_lam(monkeypatch):
 
     monkeypatch.setattr(wasserstein, "linprog", spy)
     first = mu_q(deco, cube, eps=0.15, lam=3.0)
-    second = mu_q(deco, cube, eps=0.1, lam=3.0)
-    assert first.branch == second.branch == "separating"
     assert len(seen) == 1
+    second = mu_q(deco, cube, eps=0.1, lam=3.0)
+    assert len(seen) == 2
+    assert first.branch == second.branch == "separating"
     assert second.atilde == first.atilde
 
 
@@ -425,7 +436,7 @@ def test_a_x_plane_value_tail_and_flags(deco_line, line3d):
     assert out.tail[0] > 0.0
     repeat = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4,
                  lam=2.0)
-    assert repeat.value == out.value and len(deco_line._ax_cache) >= 1
+    assert repeat.value == out.value
 
 
 def test_a_x_fallback_flag_and_domain(deco_line):
