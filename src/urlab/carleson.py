@@ -174,7 +174,7 @@ def _cutoff(sigma: DiscreteMeasure, ball: Ball, eps: float,
       E2:  r/40 <= dist(X,support) <= 2r
       E3:  eps/2 <= dist(X,support) <= eps
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     dist_g = sigma.dist_to_support(pts)
     dist_b = _ball_gap(pts, ball)
@@ -232,7 +232,7 @@ def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
     pts = _as_points(points, sigma.ambient_dim)
     if step is None:
         step = 1e-3 * min(eps, ball.radius)
-    if step <= 0:
+    if not step > 0:
         raise ParameterError("step must be positive")
     grad = np.zeros_like(pts)
     _, sets, min_dist = _cutoff(sigma, ball, eps, pts)
@@ -273,7 +273,7 @@ def shell_oracle(d: int, n: int, r: float, s0: float, s1: float) -> float:
     """
     if not 0 <= d < n:
         raise ParameterError("need 0 <= d < n")
-    if s0 <= 0:
+    if not s0 > 0:
         raise ParameterError("inner radius must be positive (log divergence)")
     s1 = min(s1, r)
     if s1 <= s0:
@@ -391,7 +391,7 @@ def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
     balls = list(balls)
     if not balls:
         raise ParameterError("need at least one ball")
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("grid step must be positive")
     for b in balls:
         if h > b.radius / 32.0 + 1e-12 * b.radius:
@@ -517,7 +517,7 @@ def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
     cone vertices are the support points that can reach the ball (others
     have empty truncated cones and contribute nothing exactly).
     """
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("grid step must be positive")
     d, n = sigma.intrinsic_dim, sigma.ambient_dim
     empty = (np.zeros((0, n)), np.zeros(0))

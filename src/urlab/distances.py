@@ -6,10 +6,13 @@ is the sampling of the measure itself.  The sums are built from per-axis
 differences probe minus atom (r^2 by scipy's ``cdist``, which sums their
 squares in axis order), never from an expanded |x|^2 + |y|^2 - 2x.y
 product, so the values do not drift when the data are translated.  Probes
-are processed in chunks whose (atoms, probes) blocks stay cache-resident
-and reuse a few preallocated buffers.  Probes closer to the support than
-twice its spacing are refused: there the kernel sum is dominated by the
-nearest atom and the values are meaningless.
+are processed in chunks whose (atoms, probes) blocks stay cache-resident.
+The chunks are split over a thread pool of one worker per CPU
+(``_run_tasks``): each task is a contiguous run of whole chunks and
+reuses a few buffers it allocates once, so every chunk, and with it every
+value, is the same bits at any worker count.  Probes closer to the
+support than twice its spacing are refused: there the kernel sum is
+dominated by the nearest atom and the values are meaningless.
 
 Every evaluator takes one (m, n) batch of probes and returns arrays over
 it: (m,) for a scalar field, (m, n) for a vector field.  A single point
@@ -19,7 +22,11 @@ evaluator has a second return type.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 1 << 15         # floats per (atoms, probes) block: 256 KB
+_WORKERS = len(os.sched_getaffinity(0))
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_local = threading.local()          # ``in_task`` is set on pool threads
 
 
 @dataclass
@@ -56,6 +67,42 @@ class FieldSample:
     reliable: np.ndarray        # (M,) bool, gap >= 2*spacing
 
 
+# -- thread pool -------------------------------------------------------------
+
+
+def _mark_pool_thread() -> None:
+    _local.in_task = True
+
+
+def _run_tasks(fns) -> list:
+    """``[f() for f in fns]``, spread over one lazily created thread pool
+    of ``_WORKERS`` threads (the CPUs this process may run on).
+
+    The tasks run numpy and ``cdist`` kernels that release the GIL, so
+    they use every core.  They run inline when there is one worker or one
+    task, or when called from inside a task, so a nested call cannot
+    deadlock.  Every task has finished when this returns or raises; an
+    exception from a task is raised unchanged, the first one in task
+    order.  Callers fix what each task computes independently of the
+    worker count, so results never depend on it.  Pool threads do not
+    inherit the caller's ``contextvars``: a telemetry recorder held in a
+    ``ContextVar`` (the in-library recorder the ROADMAP plans) must count
+    in the caller or submit its tasks through
+    ``contextvars.copy_context()``.
+    """
+    fns = list(fns)
+    if _WORKERS == 1 or len(fns) <= 1 or getattr(_local, "in_task", False):
+        return [f() for f in fns]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS,
+                                       initializer=_mark_pool_thread)
+    futures = [_pool.submit(f) for f in fns]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 # -- kernel normalizing constant -------------------------------------------
 
 
@@ -67,7 +114,7 @@ def kernel_constant(d: int, beta: float) -> float:
     Gamma(d/2) Gamma(beta/2) / (2 Gamma((d+beta)/2)), which leaves
     pi^{d/2} Gamma(beta/2) / Gamma((d+beta)/2).
     """
-    if d < 1 or beta <= 0:
+    if d < 1 or not beta > 0:
         raise ParameterError("need d >= 1 and beta > 0")
     return math.pi ** (d / 2.0) * math.gamma(beta / 2.0) \
         / math.gamma((d + beta) / 2.0)
@@ -78,7 +125,7 @@ def kernel_constant(d: int, beta: float) -> float:
 
 def _as_batch(sigma: DiscreteMeasure, x, *exps: float) -> np.ndarray:
     """(M, n) probe batch; refuses exponents <= 0 and any other shape."""
-    if any(e <= 0 for e in exps):
+    if not all(e > 0 for e in exps):
         raise ParameterError("beta must be positive" if len(exps) == 1
                              else "exponents must be positive")
     return _as_points(x, sigma.ambient_dim)
@@ -108,14 +155,17 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     scalar_exps e: sums w*r^-e.  vector_exps e: sums w*r^-(e+1)*(X-p),
     i.e. unit direction times w*r^-e.  Returns (scalars, vectors, gap).
 
-    Each chunk of probes is laid out as (atoms, probes) blocks of at most
+    Probes are laid out in chunks of (atoms, probes) blocks of at most
     _CHUNK_BUDGET floats (256 KB, so a chunk's working set stays in a 2 MB
-    L2 cache): r^2 from one ``cdist`` call, a kernel and a work block,
-    and, only when vector sums are requested, per axis one block of
-    direct differences X-p and one of atom coordinates, all allocated once
-    per call.  The gap is the minimum of r^2 over the atom axis, the
-    scalar sums are w @ K and the vector sums contract w*r^-(e+1) against
-    each axis difference.
+    L2 cache).  The chunks are split into one contiguous run of whole
+    chunks per worker (``_run_tasks``), so every chunk holds the same
+    probes at any worker count and every value keeps its bits.  Each task
+    allocates its buffers once: an r^2 block from one ``cdist`` call and
+    a kernel block, plus, only when vector sums are requested, one block
+    of direct differences X-p, formed for one axis at a time.  The gap is
+    the minimum of r^2 over the atom axis, the scalar sums are w @ K and
+    the vector sums contract w against w*r^-(e+1) times each axis
+    difference.
     """
     pts = sigma.points
     w = sigma.weights
@@ -125,35 +175,37 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     vectors = {e: np.empty((m, n)) for e in vector_exps}
     gap = np.empty(m)
     chunk = max(1, _CHUNK_BUDGET // nsup)
-    size = nsup * min(chunk, m)
-    r2_buf, kern_buf, work_buf = np.empty(size), np.empty(size), np.empty(size)
-    if vector_exps:
-        diff = np.empty((n, size))
-        # atom coordinates repeated along the probe axis: subtracting two
-        # contiguous blocks is faster than broadcasting a column
-        atom_tiles = np.ascontiguousarray(
-            np.broadcast_to(pts.T[:, :, None], (n, nsup, min(chunk, m))))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        blk = (nsup, hi - lo)
-        r2, kern, work = (b[:nsup * (hi - lo)].reshape(blk)
-                          for b in (r2_buf, kern_buf, work_buf))
-        distance.cdist(pts, probes[lo:hi], "sqeuclidean", out=r2)
-        r2.min(axis=0, out=gap[lo:hi])
-        for e in scalar_exps:
-            scalars[e][lo:hi] = w @ _neg_half_pow(r2, e, kern)
-        if not vector_exps:
-            continue
-        dk = [diff[k, :r2.size].reshape(blk) for k in range(n)]
-        probe_rows = probes[lo:hi].T.copy()            # (n, chunk)
-        for k in range(n):
-            np.copyto(dk[k], probe_rows[k])
-            dk[k] -= atom_tiles[k, :, :hi - lo]
-        for e in vector_exps:
-            _neg_half_pow(r2, e + 1.0, kern)
-            for k in range(n):
-                np.multiply(kern, dk[k], out=work)
-                vectors[e][lo:hi, k] = w @ work
+    nchunk = -(-m // chunk)
+    tasks = min(_WORKERS, nchunk)
+
+    def run(c0: int, c1: int) -> None:
+        """The sums over chunks c0 <= c < c1."""
+        size = nsup * min(chunk, m - c0 * chunk)
+        r2_buf, kern_buf = np.empty(size), np.empty(size)
+        diff_buf = np.empty(size) if vector_exps else None
+        for lo in range(c0 * chunk, min(c1 * chunk, m), chunk):
+            hi = min(lo + chunk, m)
+            blk = (nsup, hi - lo)
+            r2, kern = (b[:nsup * (hi - lo)].reshape(blk)
+                        for b in (r2_buf, kern_buf))
+            distance.cdist(pts, probes[lo:hi], "sqeuclidean", out=r2)
+            r2.min(axis=0, out=gap[lo:hi])
+            for e in scalar_exps:
+                scalars[e][lo:hi] = w @ _neg_half_pow(r2, e, kern)
+            if not vector_exps:
+                continue
+            diff = diff_buf[:r2.size].reshape(blk)
+            probe_rows = probes[lo:hi].T.copy()            # (n, chunk)
+            for e in vector_exps:
+                _neg_half_pow(r2, e + 1.0, kern)
+                for k in range(n):
+                    np.subtract(probe_rows[k], pts[:, k, None], out=diff)
+                    diff *= kern
+                    vectors[e][lo:hi, k] = w @ diff
+
+    _run_tasks([functools.partial(run, nchunk * t // tasks,
+                                  nchunk * (t + 1) // tasks)
+                for t in range(tasks)])
     np.sqrt(gap, out=gap)
     if check:
         bad = gap < 2.0 * sigma.spacing

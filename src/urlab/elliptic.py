@@ -37,23 +37,31 @@ kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 Memory: an assembled system keeps about 4.3 float64 grid arrays resident
 (``diag``, one padded conductance array per axis, and the int8 mask with
 its collar flags) plus the boundary-coupling list, whose length
-follows the collar, not the grid; after its first ``harmonic_measure``
-call it also holds the solution for the constant datum, one more grid
-array with an int8 copy of the mask.  Work that touches every cell (face
-midpoints and their kernel sums, warm-start interpolation) runs in slabs
-of ``_EVAL_SLAB`` cells; the collar search only visits cells within a few
-cells of an atom; ``sn_check`` reads its window once, in slabs of
-leading-axis planes, and folds each slab's cone maxima into running
-maxima, so it builds no array over all of 2B's cells.  So the largest
-transient is the conjugate-gradient working set of four grid vectors
-(``_cg`` reuses the right-hand side and the initial guess it is given),
-and the peak of assemble, solve and sn_check stays near the system plus a
-few grid arrays.
+follows the collar, not the grid, and one ``_BLOCK``-cell buffer per
+worker; after its first ``harmonic_measure`` call it also holds the
+solution for the constant datum, one more grid array with an int8 copy
+of the mask.  Work that touches every cell (face midpoints and their
+kernel sums, warm-start interpolation) runs in slabs of ``_EVAL_SLAB``
+cells; the face loop finds its faces with ``np.flatnonzero`` of bool
+masks, so it keeps no int64 index grid; the collar search only visits
+cells within a few cells of an atom; ``sn_check`` reads its window once,
+in slabs of leading-axis planes, and folds each slab's cone maxima into
+running maxima, so it builds no array over all of 2B's cells.  So the
+largest transient is the conjugate-gradient working set of four grid
+vectors (``_cg`` reuses the right-hand side and the initial guess it is
+given), and the peak of assemble, solve and sn_check stays near the
+system plus a few grid arrays.
+
+Threads: the kernel sums and every CG pass run on all CPUs through
+``distances._run_tasks``, over work split into fixed blocks (whole
+kernel chunks; ``_RED``-cell partial-sum blocks), so no result depends on
+the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -63,7 +71,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.linalg.blas import daxpy
 
 from . import carleson, distances
 from .exceptions import (DegenerateInputError, DomainError, InputError,
@@ -87,6 +94,12 @@ MASK_OUTER = 2
 _MAX_CELLS = 2 ** 31 - 1
 _EVAL_SLAB = 1 << 18            # cells per evaluation slab: 6 MB of 3-D probes
 _BLOCK = 1 << 15                # cells per matvec block: 256 KB per array
+_RED = 1 << 18                  # cells per partial-sum block: 8 _BLOCKs
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v of two 1-D blocks by ``einsum``, which calls no BLAS."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def _axis_slice(n: int, axis: int, sl) -> tuple:
@@ -353,9 +366,56 @@ class EllipticSystem:
         self._unit: GridField | None = None
         self._strides = [int(np.prod(shape[a + 1:]))
                          for a in range(len(shape))]
-        self._work = np.empty(min(_BLOCK, self.n_cells))
+        # the partial-sum blocks of _RED cells, split into one fixed run of
+        # whole blocks per worker, each with its own _BLOCK buffer
+        red = [(lo, min(lo + _RED, self.n_cells))
+               for lo in range(0, self.n_cells, _RED)]
+        tasks = min(distances._WORKERS, len(red))
+        self._parts = [red[len(red) * t // tasks:len(red) * (t + 1) // tasks]
+                       for t in range(tasks)]
+        self._bufs = [np.empty(min(_BLOCK, self.n_cells))
+                      for _ in range(tasks)]
 
     # -- linear algebra ---------------------------------------------------
+
+    def _blockwise(self, fn) -> list:
+        """[fn(lo, hi, buf) for each partial-sum block [lo, hi) of cells],
+        in block order, run as one task per worker over its fixed run of
+        blocks, with ``buf`` that worker's _BLOCK-cell buffer."""
+        def task(part, buf):
+            return [fn(lo, hi, buf) for lo, hi in part]
+
+        out = distances._run_tasks([functools.partial(task, part, buf)
+                                    for part, buf in zip(self._parts,
+                                                         self._bufs)])
+        return [v for part in out for v in part]
+
+    def _inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        """u . v, from one ``einsum`` per partial-sum block (no BLAS)
+        combined by ``math.fsum``: the same bits at any worker count."""
+        return math.fsum(self._blockwise(lambda lo, hi, _: _dot(u[lo:hi],
+                                                                  v[lo:hi])))
+
+    def _matvec_cells(self, x: np.ndarray, out: np.ndarray, lo: int,
+                      hi: int, buf: np.ndarray) -> None:
+        """out[lo:hi] = (A x)[lo:hi], in _BLOCK-cell blocks through buf."""
+        nc = self.n_cells
+        for b_lo in range(lo, hi, _BLOCK):
+            b_hi = min(b_lo + _BLOCK, hi)
+            np.multiply(self.diag[b_lo:b_hi], x[b_lo:b_hi],
+                        out=out[b_lo:b_hi])
+            for w, s in zip(self.w_pad, self._strides):
+                f_hi = min(b_hi, nc - s)
+                if f_hi > b_lo:
+                    t = buf[:f_hi - b_lo]
+                    np.multiply(w[b_lo:f_hi], x[b_lo + s:f_hi + s], out=t)
+                    np.subtract(out[b_lo:f_hi], t, out=out[b_lo:f_hi])
+                k_lo = max(b_lo, s)
+                if b_hi > k_lo:
+                    t = buf[:b_hi - k_lo]
+                    np.multiply(w[k_lo - s:b_hi - s], x[k_lo - s:b_hi - s],
+                                out=t)
+                    np.subtract(out[k_lo:b_hi], t, out=out[k_lo:b_hi])
 
     def _matvec(self, x: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:
@@ -369,27 +429,15 @@ class EllipticSystem:
         w[i-s]*x[i-s].  Those are the products, in the same order, of a
         sweep of whole-grid slices over the face-shaped ``w_faces`` (the
         padding only subtracts exact zeros), so the result is bit-identical
-        to that sweep, but every array streams through the cache once and
-        the only temporary is one block-sized buffer.  ``out`` must not
-        alias ``x``.
+        to that sweep, whatever the blocks and however many workers share
+        them (``_blockwise``), but every array streams through the cache
+        once and the only temporaries are the workers' block buffers.
+        ``out`` must not alias ``x``.
         """
-        nc = self.n_cells
         if out is None:
-            out = np.empty(nc)
-        for lo in range(0, nc, _BLOCK):
-            hi = min(lo + _BLOCK, nc)
-            np.multiply(self.diag[lo:hi], x[lo:hi], out=out[lo:hi])
-            for w, s in zip(self.w_pad, self._strides):
-                f_hi = min(hi, nc - s)
-                if f_hi > lo:
-                    t = self._work[:f_hi - lo]
-                    np.multiply(w[lo:f_hi], x[lo + s:f_hi + s], out=t)
-                    np.subtract(out[lo:f_hi], t, out=out[lo:f_hi])
-                b_lo = max(lo, s)
-                if hi > b_lo:
-                    t = self._work[:hi - b_lo]
-                    np.multiply(w[b_lo - s:hi - s], x[b_lo - s:hi - s], out=t)
-                    np.subtract(out[b_lo:hi], t, out=out[b_lo:hi])
+            out = np.empty(self.n_cells)
+        self._blockwise(lambda lo, hi, buf: self._matvec_cells(
+            x, out, lo, hi, buf))
         return out
 
     def _cg(self, b: np.ndarray, x0: np.ndarray) -> tuple:
@@ -401,39 +449,70 @@ class EllipticSystem:
         and returned, and the residual r = b - A x0 overwrites ``b``.  The
         preconditioned residual z shares one buffer with A p, which it
         only occupies between matvecs, so the working set is four grid
-        vectors: x, r, A p (or z) and p.  The updates are in-place BLAS
-        axpy calls and ufuncs with ``out=``.  Stops once |r| <= tol * |b|.
+        vectors: x, r, A p (or z) and p.
+
+        Each iteration is three passes over the fixed partial-sum blocks,
+        one task per worker (``_blockwise``): A p with p . A p; then
+        x += alpha p and r -= alpha A p through the worker's block buffer,
+        r . r, z = r / diag and r . z; then p = z + beta p.  A dot product
+        is one ``einsum`` per block, which calls no BLAS, and the blocks'
+        partial sums are combined by ``math.fsum``.  So no pass allocates,
+        and the iterates, the iteration count and the residual are the
+        same bits at any worker count and any BLAS thread count.  Stops
+        once |r| <= tol * |b|.
         """
         maxiter = self.config.maxiter
         if maxiter is None:
             maxiter = max(2000, 60 * max(self.shape))
-        bnorm = math.sqrt(float(b @ b))
+        diag = self.diag
+        bnorm = math.sqrt(self._inner(b, b))
         stop = self.config.tol * bnorm
         x = x0
+        r = b
         ap = self._matvec(x)
-        r = np.subtract(b, ap, out=b)
+        np.subtract(b, ap, out=r)
         iters = 0
-        rnorm = math.sqrt(float(r @ r))
-        if rnorm > stop:
+        rnorm = math.sqrt(self._inner(r, r))
+
+        def precondition(lo, hi):
             # z = (1/diag) r, the reciprocal formed in z at each use so
             # that no grid array of it stays resident
-            z = np.divide(1.0, self.diag, out=ap)
-            z *= r
-            p = z.copy()
-            rz = float(r @ z)
+            z = np.divide(1.0, diag[lo:hi], out=ap[lo:hi])
+            z *= r[lo:hi]
+            return _dot(r[lo:hi], z)
+
+        def p_ap(lo, hi, buf):
+            self._matvec_cells(p, ap, lo, hi, buf)
+            return _dot(p[lo:hi], ap[lo:hi])
+
+        def step(lo, hi, buf):
+            for b_lo in range(lo, hi, _BLOCK):
+                b_hi = min(b_lo + _BLOCK, hi)
+                t = buf[:b_hi - b_lo]
+                xb, rb = x[b_lo:b_hi], r[b_lo:b_hi]
+                np.add(xb, np.multiply(p[b_lo:b_hi], alpha, out=t), out=xb)
+                np.subtract(rb, np.multiply(ap[b_lo:b_hi], alpha, out=t),
+                            out=rb)
+            return _dot(r[lo:hi], r[lo:hi]), precondition(lo, hi)
+
+        def new_p(lo, hi, _):
+            pb = p[lo:hi]
+            np.multiply(pb, beta, out=pb)
+            np.add(pb, ap[lo:hi], out=pb)
+
+        if rnorm > stop:
+            rz = math.fsum(self._blockwise(lambda lo, hi, _:
+                                           precondition(lo, hi)))
+            p = ap.copy()
             for iters in range(1, maxiter + 1):
-                self._matvec(p, out=ap)
-                alpha = rz / float(p @ ap)
-                x = daxpy(p, x, a=alpha)
-                r = daxpy(ap, r, a=-alpha)
-                rnorm = math.sqrt(float(r @ r))
+                alpha = rz / math.fsum(self._blockwise(p_ap))
+                rr, rz_new = zip(*self._blockwise(step))
+                rnorm = math.sqrt(math.fsum(rr))
                 if rnorm <= stop:
                     break
-                np.divide(1.0, self.diag, out=z)
-                z *= r
-                rz_new = float(r @ z)
-                np.multiply(p, rz_new / rz, out=p)
-                p += z
+                rz_new = math.fsum(rz_new)
+                beta = rz_new / rz
+                self._blockwise(new_p)
                 rz = rz_new
         residual = rnorm / bnorm if bnorm > 0 else rnorm
         if rnorm > stop and bnorm > 0:
@@ -621,7 +700,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         raise ParameterError(
             "support must have codimension at least 2 for the truncated "
             f"solver (got d={d}, n={n})")
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("cell size h must be positive")
     floor_h = config.min_h(sigma.spacing)
     if h < floor_h * (1.0 - 1e-9):
@@ -664,7 +743,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     expo = d + 1.0 + config.gamma - n
     scale = h ** (n - 2)
     diag = np.zeros(ncells)
-    idx3 = np.arange(ncells, dtype=np.int64).reshape(shape)
+    pinned = ~unknown
     w_pad = []
     # boundary-coupling list (cell, atom, weight), see EllipticSystem
     coupling = [(coll_cells, coll_near, np.ones(coll_cells.size))]
@@ -681,30 +760,40 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         out *= scale
         return out
 
+    def _cells(sl, where) -> np.ndarray:
+        """Ascending flat indices of the cells in the slice ``sl`` of the
+        grid at which the ``sl``-shaped bool array ``where`` holds."""
+        pad = np.zeros(shape, dtype=bool)
+        pad[sl] = where
+        return np.flatnonzero(pad)
+
     for a in range(n):
         fr = _axis_slice(n, a, np.s_[:-1])
         bk = _axis_slice(n, a, np.s_[1:])
-        uu = unknown[fr] & unknown[bk]
-        uc = unknown[fr] & ~unknown[bk]
-        cu = ~unknown[fr] & unknown[bk]
-        # face (cell, cell + e_a) lives at the cell's flat index; the last
-        # layer along a has no face and stays zero
-        i_fr = idx3[fr]
-        i_bk = idx3[bk]
+        # face (cell, cell + e_a) lives at the front cell's flat index f,
+        # its back cell is f + stride; the last layer along a has no face
+        # and stays zero
+        stride = ncells // m ** (a + 1)
         wp = np.zeros(ncells)
-        w = wp.reshape(shape)[fr]
-        nz = i_fr[uu | uc | cu]
+        nz = _cells(fr, ~(pinned[fr] & pinned[bk]))
         if nz.size:
             wp[nz] = _face_weights(nz, a)
         del nz
+        uu = _cells(fr, unknown[fr] & unknown[bk])
+        uc = _cells(fr, unknown[fr] & pinned[bk])
+        cu = _cells(fr, pinned[fr] & unknown[bk])
         # the cells of one call are distinct, so each add is the bincount's
-        np.add.at(diag, i_fr[uu], w[uu])
-        np.add.at(diag, i_bk[uu], w[uu])
-        np.add.at(diag, i_fr[uc], w[uc])
-        np.add.at(diag, i_bk[cu], w[cu])
-        coupling += [(i_fr[uc], near(i_bk[uc]), w[uc]),
-                     (i_bk[cu], near(i_fr[cu]), w[cu])]
-        w[~uu] = 0.0
+        w = wp[uu]
+        np.add.at(diag, uu, w)
+        np.add.at(diag, uu + stride, w)
+        del w
+        np.add.at(diag, uc, wp[uc])
+        np.add.at(diag, cu + stride, wp[cu])
+        coupling += [(uc, near(uc + stride), wp[uc]),
+                     (cu + stride, near(cu), wp[cu])]
+        del uu
+        wp[uc] = 0.0
+        wp[cu] = 0.0
         w_pad.append(wp)
 
     if config.outer == "dirichlet0":
@@ -712,7 +801,7 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
         for a in range(n):
             for edge, shift in ((0, -0.5), (m - 1, 0.5)):
                 sl = _axis_slice(n, a, edge)
-                cells = idx3[sl][unknown[sl]].ravel()
+                cells = _cells(sl, unknown[sl])
                 if cells.size:
                     np.add.at(diag, cells,
                               _face_weights(cells, a, shift, "wall"))

@@ -140,7 +140,7 @@ class Ball:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=np.float64))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ParameterError("ball radius must be positive")
 
 

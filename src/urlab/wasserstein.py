@@ -79,7 +79,7 @@ class FlatMeasure:
     def __post_init__(self) -> None:
         self.offset = np.asarray(self.offset, dtype=np.float64)
         self.basis = np.asarray(self.basis, dtype=np.float64)
-        if self.c <= 0:
+        if not self.c > 0:
             raise ParameterError("flat measure density must be positive")
         # np.allclose(gram, I, atol=1e-10) without its per-call overhead
         eye = np.eye(self.basis.shape[0])

@@ -554,7 +554,7 @@ def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
     """
     _require(deco)
     _scale_index("k_max", k_max)
-    if alpha_exp <= 0 or beta_exp <= 0:
+    if not (alpha_exp > 0 and beta_exp > 0):
         raise ParameterError("exponents must be positive")
     pts = _as_points(points, deco.sigma.ambient_dim)
     m = min(alpha_exp, beta_exp)
@@ -615,7 +615,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     """
     _require(deco, empty_if_focused=True)
     _scale_index("k", k)
-    if r <= 0:
+    if not r > 0:
         raise ParameterError("r must be positive")
     x = np.asarray(x, dtype=np.float64)
     if deco.focus is not None:

@@ -86,6 +86,25 @@ def test_cutoff_plateau_and_support(line3d):
     assert np.all(phi[outside] == 0.0)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s, b, p: cutoff_phi(s, b, _NAN, p), "eps"),
+    (lambda s, b, p: cutoff_gradient_check(s, b, 0.01, p, step=_NAN), "step"),
+    (lambda s, b, p: shell_oracle(1, 3, 0.25, _NAN, 0.1), "inner radius"),
+    (lambda s, b, p: carleson_norm(_ones, s, [b], _NAN), "grid step"),
+    (lambda s, b, p: embedding_check(_ones, _ones, s, b, _NAN), "grid step"),
+], ids=["cutoff-eps", "gradient-step", "shell-s0", "norm-h", "embedding-h"])
+def test_nan_is_refused_like_a_nonpositive_value(line3d, call, message):
+    """NaN fails every comparison, so each positivity guard is written as
+    ``not x > 0``; at ``x <= 0`` NaN passed it."""
+    c0 = _origin_point(line3d)
+    probes = c0 + np.array([[0.1, 0.02, 0.0]])
+    with pytest.raises(ParameterError, match=message):
+        call(line3d, Ball(c0, 0.25), probes)
+
+
 def test_cutoff_gradient_bound(line3d):
     c0 = _origin_point(line3d)
     ball = Ball(c0, 0.25)

@@ -1,6 +1,7 @@
 """Kernel constant, field evaluators, and the exact identities."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ def test_kernel_constant_rejects_bad_args():
         kernel_constant(0, 1.0)
     with pytest.raises(ParameterError):
         kernel_constant(1, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: kernel_constant(1, float("nan")),
+    lambda s: regularized_distance(s, np.array([[0.0, 0.5, 0.0]]),
+                                   float("nan")),
+], ids=["kernel_constant", "regularized_distance"])
+def test_nan_beta_is_refused(line3d, call):
+    """At ``beta <= 0`` a NaN beta gave a NaN constant and a bare
+    ``ValueError`` from the integer-exponent test."""
+    with pytest.raises(ParameterError):
+        call(line3d)
 
 
 # -- plane closed forms (beta=2: light tails, truncation negligible) ---------
@@ -294,6 +307,92 @@ def test_kernel_bundle_more_atoms_than_a_chunk(graph02, monkeypatch):
     got = distances._kernel_bundle(graph02, probes, _SCALARS, _VECTORS)
     want = _kernel_bundle_oracle(graph02, probes, _SCALARS, _VECTORS)
     _assert_bundles_match(got, want, 1e-12)
+
+
+def _bundle_at(workers, sigma, probes, monkeypatch):
+    """_kernel_bundle at the given worker count, and the task count of
+    each ``_run_tasks`` call it made."""
+    tasks = []
+    run_tasks = distances._run_tasks
+
+    def counting(fns):
+        fns = list(fns)
+        tasks.append(len(fns))
+        return run_tasks(fns)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(distances, "_WORKERS", workers)
+        mp.setattr(distances, "_run_tasks", counting)
+        out = distances._kernel_bundle(sigma, probes, _SCALARS, _VECTORS)
+    return out, tasks
+
+
+def _assert_bundles_equal(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[e], b[e]) for e in a)
+    assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_kernel_sums_keep_their_bits_at_any_worker_count(graph02, workers,
+                                                         monkeypatch):
+    """Each task is a run of whole chunks, so every value is the one-task
+    run's, bit for bit, whatever the split.  The probe count is not a
+    multiple of the chunk, and the chunk is not a multiple of 8, so the
+    last chunk and the column tails of ``w @ K`` are exercised."""
+    chunk = distances._CHUNK_BUDGET // graph02.points.shape[0]
+    probes = _ring_probes(1000, 0.1, seed=15) + np.array([0.0, 0.06, 0.0])
+    assert chunk % 8 and probes.shape[0] % chunk
+    one, tasks = _bundle_at(1, graph02, probes, monkeypatch)
+    assert tasks == [1]
+    got, tasks = _bundle_at(workers, graph02, probes, monkeypatch)
+    assert tasks == [workers]
+    _assert_bundles_equal(got, one)
+
+
+def test_a_failing_task_raises_unchanged_and_the_pool_recovers(
+        graph02, monkeypatch):
+    probes = _ring_probes(1000, 0.1, seed=16) + np.array([0.0, 0.06, 0.0])
+    want, _ = _bundle_at(1, graph02, probes, monkeypatch)
+    chunk = distances._CHUNK_BUDGET // graph02.points.shape[0]
+    # at two workers the second task starts at chunk nchunk // 2
+    second = probes[(-(-probes.shape[0] // chunk) // 2) * chunk]
+    boom = RuntimeError("cdist failed in the second task")
+    cdist_ = distances.distance.cdist
+
+    def failing(xa, xb, *args, **kwargs):
+        if np.array_equal(xb[0], second):
+            raise boom
+        return cdist_(xa, xb, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(distances.distance, "cdist", failing)
+        with pytest.raises(RuntimeError) as info:
+            _bundle_at(2, graph02, probes, monkeypatch)
+    assert info.value is boom
+    got, tasks = _bundle_at(2, graph02, probes, monkeypatch)
+    assert tasks == [2]
+    _assert_bundles_equal(got, want)
+
+
+def test_run_tasks_called_from_a_task_runs_inline(monkeypatch):
+    """Nested calls run in the calling pool thread, so the two outer tasks
+    cannot wait on pool threads that they themselves occupy."""
+    monkeypatch.setattr(distances, "_WORKERS", 2)
+
+    def outer():
+        me = threading.get_ident()
+        return me, distances._run_tasks([threading.get_ident] * 3)
+
+    result = []
+    caller = threading.Thread(target=lambda: result.append(
+        distances._run_tasks([outer, outer])))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(result) == 1
+    for me, inner in result[0]:
+        assert me != caller.ident and inner == [me] * 3
 
 
 @pytest.mark.parametrize("n, atoms", [(3, 32), (3, 320), (4, 320)])

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from urlab import carleson, elliptic
+from urlab import carleson, distances, elliptic
 from urlab.distances import kernel_constant, regularized_distance
 from urlab.elliptic import (
     MASK_COLLAR,
@@ -161,6 +161,12 @@ def test_assemble_guards(line3d):
         assemble(line3d, (np.array([40.0, 40.0, 40.0]), 3.0), 3.0 / 48)
 
 
+def test_assemble_refuses_a_nan_cell_size(line3d):
+    """At ``h <= 0`` a NaN h died in a bare ``ValueError``."""
+    with pytest.raises(ParameterError, match="cell size"):
+        assemble(line3d, (np.zeros(3), 3.0), float("nan"))
+
+
 def test_collar_wall_disconnects_box():
     # a dense 2-D sheet of atoms declared one-dimensional: the collar
     # becomes a slab across the whole box and splits it in two
@@ -215,6 +221,39 @@ def test_blocked_matvec_is_bit_identical(sys48, sys4, block, monkeypatch):
         assert system._matvec(x, out=out) is out
         assert np.array_equal(out, _matvec_oracle(system, x))
         assert np.array_equal(system._matvec(x), out)
+
+
+def _rebuilt(system):
+    """A new system over ``system``'s assembled arrays: the worker
+    partition is fixed when a system is built."""
+    return elliptic.EllipticSystem(
+        system.sigma, system.config, system.box_lo, system.h, system.shape,
+        system.mask, system.diag, system.w_pad, system.coupling)
+
+
+@pytest.mark.parametrize("red", [None, 8192])
+def test_solve_keeps_its_bits_at_any_worker_count(line3d, sys48, red,
+                                                  monkeypatch):
+    """Partial sums come from fixed blocks, so fields, iteration counts
+    and residuals do not depend on the worker count.  48^3 cells make one
+    block of the default size; 8192-cell blocks make 14, split 7/7 and
+    4/5/5, the last block half full."""
+    g = (line3d.points[:, 0] > 0).astype(float)
+    if red is not None:
+        monkeypatch.setattr(elliptic, "_BLOCK", 4096)
+        monkeypatch.setattr(elliptic, "_RED", red)
+    nblocks = -(-sys48.n_cells // elliptic._RED)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(distances, "_WORKERS", workers)
+        system = _rebuilt(sys48)
+        assert len(system._parts) == min(workers, nblocks)
+        runs.append(system.solve(g))
+    assert runs[0].iterations > 0
+    for res in runs[1:]:
+        assert res.iterations == runs[0].iterations
+        assert res.residual == runs[0].residual
+        assert np.array_equal(res.field.values, runs[0].field.values)
 
 
 def test_padded_faces_back_the_face_views(sys48):

@@ -139,6 +139,11 @@ def test_corkscrew_resolution_guards(line3d):
         corkscrew_point(line3d, Ball(np.zeros(3), 0.5), 0.1)  # r < 8*step
 
 
+def test_ball_refuses_a_nan_radius():
+    with pytest.raises(ParameterError, match="radius"):
+        Ball(np.zeros(3), float("nan"))
+
+
 # -- generator guards ---------------------------------------------------------
 
 def test_plane_requires_margin():

@@ -31,3 +31,20 @@ def test_cantor_row_counts_the_lps_of_one_alpha():
     # in the 2 normal directions, log-density): more than one simplex
     assert count > 6
     assert layers.format_row(name, count, secs).endswith("LPs/s")
+
+
+def test_sn_rows_time_kernel_sums_and_cg_at_each_worker_count():
+    sigma = layers.sn_measure()
+    workers = layers.distances._WORKERS
+    got = layers.sn_rows(sigma, box=(layers.SN_BOX[0], 0.64), h=0.04,
+                         repeats=1, workers=(1, 2))
+    assert layers.distances._WORKERS == workers
+    assert [name for name, _, _ in got] == [
+        "kernel sums, 1 worker(s)", "cg, 1 worker(s)",
+        "kernel sums, 2 worker(s)", "cg, 2 worker(s)"]
+    assert all(count > 0 and secs > 0 for _, count, secs in got)
+    # the same faces and the same iterations at either worker count
+    assert got[0][1] == got[2][1] and got[1][1] == got[3][1]
+    assert got[0][1] % len(sigma) == 0
+    assert layers.format_row(*got[0]).endswith("pairs/s")
+    assert layers.format_row(*got[1]).endswith("ms/iter")

@@ -396,6 +396,11 @@ def test_alpha_cap_must_leave_room_for_a_plane(line3d, cap):
         alpha_number(line3d, Ball(line3d.points[100], 0.25), cap=cap)
 
 
+def test_flat_measure_refuses_a_nan_density():
+    with pytest.raises(ParameterError, match="density"):
+        FlatMeasure(np.zeros(3), [[1.0, 0.0, 0.0]], float("nan"))
+
+
 def test_alpha_cantor_floor():
     # non-rectifiable contrast: alpha stays above the floor at a mid scale
     c6 = make_cantor_set(6)

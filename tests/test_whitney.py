@@ -198,6 +198,17 @@ def test_decompose_guards(small_line):
             decompose(small_line, focus=focus, max_depth=4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda deco: a_x(deco, np.array([[0.0, 0.05, 0.0]]), float("nan"), 2.0),
+    lambda deco: a_x(deco, np.array([[0.0, 0.05, 0.0]]), 1.0, float("nan")),
+    lambda deco: ur_square_sum(deco, np.zeros(3), float("nan")),
+], ids=["a_x-alpha", "a_x-beta", "ur_sum-r"])
+def test_nan_is_refused_like_a_nonpositive_value(deco_small, call):
+    """A NaN exponent or radius fails ``not x > 0``; ``x <= 0`` passed it."""
+    with pytest.raises(ParameterError, match="must be positive"):
+        call(deco_small)
+
+
 def test_undecided_cells_are_counted(deco_small):
     assert deco_small.undecided > 0
 

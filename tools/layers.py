@@ -16,7 +16,18 @@ Each row is the best of three runs:
   of the ``alpha_cantor`` workload: ``alpha_number`` on the m = 6 Cantor
   set in one r = 0.3 ball about the support point that ``urlab alpha``
   draws at seed 0, with cap 220, resolution 16 and at most 10
-  Nelder-Mead iterations, recorded and solved again in the same way.
+  Nelder-Mead iterations, recorded and solved again in the same way;
+* ``kernel sums`` in pairs/s, on the inputs of the ``sn_line`` workload
+  (the 32-atom line of spacing 0.02, a 128^3 grid of h = 0.02, collar 3):
+  the scalar kernel sums ``assemble`` makes at the midpoints of the faces
+  along axis 0 between two unknowns, in ``assemble``'s slabs;
+* ``cg`` in ms per iteration, with the iteration count, of the
+  ``sn_line`` solve (tol 1e-3, data 1 on the atoms with x > 0.125) on the
+  system ``assemble`` builds there.
+
+The last two rows are measured at one worker and at every worker the
+process may run on, by setting the library's private worker count (the
+CG partition is fixed when the system is assembled).
 
 Usage (from the repository root; BLAS runs on one thread):
 
@@ -38,10 +49,11 @@ if __name__ == "__main__":     # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 
-from urlab import wasserstein, whitney  # noqa: E402
+from urlab import distances, elliptic, wasserstein, whitney  # noqa: E402
 from urlab.geometry import (  # noqa: E402
     make_cantor_set,
     make_lipschitz_graph,
+    make_plane_set,
     sawtooth_profile,
     support_ball_family,
 )
@@ -118,8 +130,66 @@ def cantor_row(m: int = 6, repeats: int = 3) -> tuple[str, int, float]:
     return lp_row(f"transport_lp cantor m={m}", calls, repeats)
 
 
+SN_BOX = (np.array([0.13, 0.0, 0.0]), 2.56)
+SN_H = 0.02
+
+
+def sn_measure():
+    """The ``sn_line`` support."""
+    return make_plane_set(3, 1, 0.32, 0.02)
+
+
+def with_workers(workers: int, fn):
+    """fn() with the library's kernel and CG pool set to ``workers``."""
+    saved = distances._WORKERS
+    distances._WORKERS = workers
+    try:
+        return fn()
+    finally:
+        distances._WORKERS = saved
+
+
+def sn_rows(sigma, box=SN_BOX, h: float = SN_H, repeats: int = 3,
+            workers=None) -> list[tuple[str, int, float]]:
+    """(row name, work count, best seconds) of the ``kernel sums`` and
+    ``cg`` rows at each worker count (default: 1 and every CPU)."""
+    if workers is None:
+        workers = sorted({1, len(os.sched_getaffinity(0))})
+    config = elliptic.SolverConfig(beta=2.0, gamma=0.0, tol=1e-3,
+                                   collar=3.0)
+    g = (sigma.points[:, 0] > 0.125).astype(float)
+    out = []
+    for w in workers:
+        system = with_workers(w, lambda: elliptic.assemble(sigma, box, h,
+                                                           config))
+        cells = np.flatnonzero(system.w_pad[0])
+        slab = elliptic._EVAL_SLAB
+
+        def kernel_sums():
+            for s0 in range(0, cells.size, slab):
+                pts = elliptic._cell_centers(system.box_lo, h, system.shape,
+                                             cells[s0:s0 + slab], 0, 0.5)
+                distances.regularized_distance(sigma, pts, config.beta)
+
+        _, secs = with_workers(w, lambda: best_of(kernel_sums, repeats))
+        out.append((f"kernel sums, {w} worker(s)",
+                    cells.size * len(sigma), secs))
+        res, secs = with_workers(w, lambda: best_of(lambda: system.solve(g),
+                                                    repeats))
+        out.append((f"cg, {w} worker(s)", res.iterations, secs))
+        del system
+    return out
+
+
+_UNITS = {"transport_lp": "LPs", "kernel sums": "pairs", "cg": "iters"}
+
+
 def format_row(name: str, count: int, secs: float) -> str:
-    unit = "LPs" if name.startswith("transport_lp") else "cubes"
+    unit = next((u for k, u in _UNITS.items() if name.startswith(k)),
+                "cubes")
+    if unit == "iters":
+        return (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
+                f"{1e3 * secs / count:>14.2f} ms/iter")
     return (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
             f"{count / secs:>14.1f} {unit}/s")
 
@@ -128,6 +198,8 @@ def main() -> int:
     for row in rows(workload_measure()):
         print(format_row(*row), flush=True)
     print(format_row(*cantor_row()), flush=True)
+    for row in sn_rows(sn_measure()):
+        print(format_row(*row), flush=True)
     return 0
 
 
