@@ -7,10 +7,12 @@ differences probe minus atom (r^2 by scipy's ``cdist``, which sums their
 squares in axis order), never from an expanded |x|^2 + |y|^2 - 2x.y
 product, so the values do not drift when the data are translated.  Probes
 are processed in chunks whose (atoms, probes) blocks stay cache-resident.
-The chunks are split over a thread pool of one worker per CPU
+The chunks are split over a thread pool of one worker per usable CPU
 (``_run_tasks``): each task is a contiguous run of whole chunks and
 reuses a few buffers it allocates once, so every chunk, and with it every
-value, is the same bits at any worker count.  Probes closer to the
+value, is the same bits at any worker count; a batch gets no more tasks
+than its probe array can cover with buffers, so the extra memory is
+bounded by the batch, not by the worker count.  Probes closer to the
 support than twice its spacing are refused: there the kernel sum is
 dominated by the nearest atom and the values are meaningless.
 
@@ -48,8 +50,7 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 1 << 15         # floats per (atoms, probes) block: 256 KB
-_WORKERS = len(os.sched_getaffinity(0))
-_pool: ThreadPoolExecutor | None = None
+_pool: tuple[int, ThreadPoolExecutor] | None = None    # (threads, pool)
 _pool_lock = threading.Lock()
 _local = threading.local()          # ``in_task`` is set on pool threads
 
@@ -70,35 +71,84 @@ class FieldSample:
 # -- thread pool -------------------------------------------------------------
 
 
+def _cpu_count(root: str = "/") -> int:
+    """The CPUs this process can use: its affinity set, capped by the CPU
+    quota of its own cgroup when one is set (v2 ``cpu.max``, v1
+    ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``), rounded up.
+
+    Only files are read; a missing or unreadable one means no quota.
+    ``root`` prefixes every path.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(os.path.join(root, "proc/self/cgroup")) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return cpus
+    base = os.path.join(root, "sys/fs/cgroup")
+    for _, ctrl, path in entries:
+        if not ctrl:
+            files = [f"{base}{path}/cpu.max"]
+        elif "cpu" in ctrl.split(","):
+            files = [f"{base}/{ctrl}{path}/cpu.cfs_{f}_us"
+                     for f in ("quota", "period")]
+        else:
+            continue
+        try:
+            quota, period = " ".join(_read(f) for f in files).split()
+            if quota not in ("max", "-1"):
+                cpus = min(cpus, max(1, -(-int(quota) // int(period))))
+        except (OSError, ValueError):
+            continue
+    return cpus
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+_WORKERS = _cpu_count()
+
+
 def _mark_pool_thread() -> None:
     _local.in_task = True
 
 
-def _run_tasks(fns) -> list:
-    """``[f() for f in fns]``, spread over one lazily created thread pool
-    of ``_WORKERS`` threads (the CPUs this process may run on).
+def _run_tasks(units: int, fn, most: int | None = None) -> list:
+    """[fn(u0, u1) for each run], where ``range(units)`` is cut into one
+    contiguous run [u0, u1) per task, in run order.
 
-    The tasks run numpy and ``cdist`` kernels that release the GIL, so
-    they use every core.  They run inline when there is one worker or one
-    task, or when called from inside a task, so a nested call cannot
-    deadlock.  Every task has finished when this returns or raises; an
-    exception from a task is raised unchanged, the first one in task
-    order.  Callers fix what each task computes independently of the
-    worker count, so results never depend on it.  Pool threads do not
-    inherit the caller's ``contextvars``: a telemetry recorder held in a
-    ``ContextVar`` (the in-library recorder the ROADMAP plans) must count
-    in the caller or submit its tasks through
+    There are min(``_WORKERS``, ``units``, ``most``) tasks, at least one,
+    on one lazily created pool of ``_WORKERS`` threads (the CPUs this
+    process can use).  The tasks run numpy and ``cdist`` kernels that
+    release the GIL, so they use every core.  They run inline when there
+    is one task, or when called from inside a task, so a nested call
+    cannot deadlock.  Every task has finished when this returns or
+    raises; an exception from a task is raised unchanged, the first one
+    in run order.  Callers make what a unit computes independent of the
+    run it falls in, so results never depend on the worker count; a task
+    allocates its own buffers, so callers pass ``most`` to bound them.
+    Pool threads do not inherit the caller's ``contextvars``: a telemetry
+    recorder held in a ``ContextVar`` (the in-library recorder the
+    ROADMAP plans) must count in the caller or submit its tasks through
     ``contextvars.copy_context()``.
     """
-    fns = list(fns)
-    if _WORKERS == 1 or len(fns) <= 1 or getattr(_local, "in_task", False):
+    tasks = max(1, min(_WORKERS, units,
+                       units if most is None else most))
+    fns = [functools.partial(fn, units * t // tasks, units * (t + 1) // tasks)
+           for t in range(tasks)]
+    if tasks == 1 or getattr(_local, "in_task", False):
         return [f() for f in fns]
     global _pool
     with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS,
-                                       initializer=_mark_pool_thread)
-    futures = [_pool.submit(f) for f in fns]
+        if _pool is None or _pool[0] != _WORKERS:
+            if _pool is not None:        # ``_WORKERS`` was reset: resize
+                _pool[1].shutdown(wait=False)
+            _pool = (_WORKERS, ThreadPoolExecutor(
+                _WORKERS, initializer=_mark_pool_thread))
+        pool = _pool[1]
+    futures = [pool.submit(f) for f in fns]
     wait(futures)
     return [f.result() for f in futures]
 
@@ -158,11 +208,14 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     Probes are laid out in chunks of (atoms, probes) blocks of at most
     _CHUNK_BUDGET floats (256 KB, so a chunk's working set stays in a 2 MB
     L2 cache).  The chunks are split into one contiguous run of whole
-    chunks per worker (``_run_tasks``), so every chunk holds the same
+    chunks per task (``_run_tasks``), so every chunk holds the same
     probes at any worker count and every value keeps its bits.  Each task
     allocates its buffers once: an r^2 block from one ``cdist`` call and
     a kernel block, plus, only when vector sums are requested, one block
-    of direct differences X-p, formed for one axis at a time.  The gap is
+    of direct differences X-p, formed for one axis at a time.  A batch is
+    split only into tasks whose buffers weigh no more than their probes,
+    so all buffers together stay within the probe array, however many
+    workers there are.  The gap is
     the minimum of r^2 over the atom axis, the scalar sums are w @ K and
     the vector sums contract w against w*r^-(e+1) times each axis
     difference.
@@ -176,7 +229,8 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     gap = np.empty(m)
     chunk = max(1, _CHUNK_BUDGET // nsup)
     nchunk = -(-m // chunk)
-    tasks = min(_WORKERS, nchunk)
+    # a task's buffers never outweigh the probes it serves
+    task_floats = (3 if vector_exps else 2) * nsup * chunk
 
     def run(c0: int, c1: int) -> None:
         """The sums over chunks c0 <= c < c1."""
@@ -203,9 +257,7 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
                     diff *= kern
                     vectors[e][lo:hi, k] = w @ diff
 
-    _run_tasks([functools.partial(run, nchunk * t // tasks,
-                                  nchunk * (t + 1) // tasks)
-                for t in range(tasks)])
+    _run_tasks(nchunk, run, probes.size // task_floats)
     np.sqrt(gap, out=gap)
     if check:
         bad = gap < 2.0 * sigma.spacing

@@ -37,10 +37,9 @@ kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 Memory: an assembled system keeps about 4.3 float64 grid arrays resident
 (``diag``, one padded conductance array per axis, and the int8 mask with
 its collar flags) plus the boundary-coupling list, whose length
-follows the collar, not the grid, and one ``_BLOCK``-cell buffer per
-worker; after its first ``harmonic_measure`` call it also holds the
-solution for the constant datum, one more grid array with an int8 copy
-of the mask.  Work that touches every cell (face midpoints and their
+follows the collar, not the grid; after its first ``harmonic_measure``
+call it also holds the solution for the constant datum, one more grid
+array with an int8 copy of the mask.  Work that touches every cell (face midpoints and their
 kernel sums, warm-start interpolation) runs in slabs of ``_EVAL_SLAB``
 cells; the face loop finds its faces with ``np.flatnonzero`` of bool
 masks, so it keeps no int64 index grid; the collar search only visits
@@ -49,19 +48,20 @@ in slabs of leading-axis planes, and folds each slab's cone maxima into
 running maxima, so it builds no array over all of 2B's cells.  So the
 largest transient is the conjugate-gradient working set of four grid
 vectors (``_cg`` reuses the right-hand side and the initial guess it is
-given), and the peak of assemble, solve and sn_check stays near the
+given) plus one 256 KB ``_BLOCK``-cell buffer per partial-sum block in
+flight, and the peak of assemble, solve and sn_check stays near the
 system plus a few grid arrays.
 
-Threads: the kernel sums and every CG pass run on all CPUs through
-``distances._run_tasks``, over work split into fixed blocks (whole
-kernel chunks; ``_RED``-cell partial-sum blocks), so no result depends on
-the worker count.
+Threads: the kernel sums and every CG pass run on all usable CPUs
+through ``distances._run_tasks``, over work split into fixed blocks
+(whole kernel chunks; ``_RED``-cell partial-sum blocks), so no result
+depends on the worker count, and the buffers the tasks hold do not grow
+with it.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
@@ -366,40 +366,34 @@ class EllipticSystem:
         self._unit: GridField | None = None
         self._strides = [int(np.prod(shape[a + 1:]))
                          for a in range(len(shape))]
-        # the partial-sum blocks of _RED cells, split into one fixed run of
-        # whole blocks per worker, each with its own _BLOCK buffer
-        red = [(lo, min(lo + _RED, self.n_cells))
-               for lo in range(0, self.n_cells, _RED)]
-        tasks = min(distances._WORKERS, len(red))
-        self._parts = [red[len(red) * t // tasks:len(red) * (t + 1) // tasks]
-                       for t in range(tasks)]
-        self._bufs = [np.empty(min(_BLOCK, self.n_cells))
-                      for _ in range(tasks)]
 
     # -- linear algebra ---------------------------------------------------
 
     def _blockwise(self, fn) -> list:
-        """[fn(lo, hi, buf) for each partial-sum block [lo, hi) of cells],
-        in block order, run as one task per worker over its fixed run of
-        blocks, with ``buf`` that worker's _BLOCK-cell buffer."""
-        def task(part, buf):
-            return [fn(lo, hi, buf) for lo, hi in part]
+        """[fn(lo, hi) for each partial-sum block [lo, hi) of _RED cells],
+        in block order, run as one task per worker over a contiguous run
+        of whole blocks (``distances._run_tasks``)."""
+        nc = self.n_cells
 
-        out = distances._run_tasks([functools.partial(task, part, buf)
-                                    for part, buf in zip(self._parts,
-                                                         self._bufs)])
+        def task(b0, b1):
+            return [fn(lo, min(lo + _RED, nc))
+                    for lo in range(b0 * _RED, b1 * _RED, _RED)]
+
+        out = distances._run_tasks(-(-nc // _RED), task)
         return [v for part in out for v in part]
 
     def _inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """u . v, from one ``einsum`` per partial-sum block (no BLAS)
         combined by ``math.fsum``: the same bits at any worker count."""
-        return math.fsum(self._blockwise(lambda lo, hi, _: _dot(u[lo:hi],
-                                                                  v[lo:hi])))
+        return math.fsum(self._blockwise(lambda lo, hi: _dot(u[lo:hi],
+                                                               v[lo:hi])))
 
     def _matvec_cells(self, x: np.ndarray, out: np.ndarray, lo: int,
-                      hi: int, buf: np.ndarray) -> None:
-        """out[lo:hi] = (A x)[lo:hi], in _BLOCK-cell blocks through buf."""
+                      hi: int) -> None:
+        """out[lo:hi] = (A x)[lo:hi], in _BLOCK-cell blocks through one
+        _BLOCK-cell buffer."""
         nc = self.n_cells
+        buf = np.empty(min(_BLOCK, hi - lo))
         for b_lo in range(lo, hi, _BLOCK):
             b_hi = min(b_lo + _BLOCK, hi)
             np.multiply(self.diag[b_lo:b_hi], x[b_lo:b_hi],
@@ -431,13 +425,13 @@ class EllipticSystem:
         padding only subtracts exact zeros), so the result is bit-identical
         to that sweep, whatever the blocks and however many workers share
         them (``_blockwise``), but every array streams through the cache
-        once and the only temporaries are the workers' block buffers.
+        once and the only temporary is one _BLOCK-cell buffer per
+        partial-sum block in flight.
         ``out`` must not alias ``x``.
         """
         if out is None:
             out = np.empty(self.n_cells)
-        self._blockwise(lambda lo, hi, buf: self._matvec_cells(
-            x, out, lo, hi, buf))
+        self._blockwise(lambda lo, hi: self._matvec_cells(x, out, lo, hi))
         return out
 
     def _cg(self, b: np.ndarray, x0: np.ndarray) -> tuple:
@@ -453,11 +447,11 @@ class EllipticSystem:
 
         Each iteration is three passes over the fixed partial-sum blocks,
         one task per worker (``_blockwise``): A p with p . A p; then
-        x += alpha p and r -= alpha A p through the worker's block buffer,
-        r . r, z = r / diag and r . z; then p = z + beta p.  A dot product
-        is one ``einsum`` per block, which calls no BLAS, and the blocks'
-        partial sums are combined by ``math.fsum``.  So no pass allocates,
-        and the iterates, the iteration count and the residual are the
+        x += alpha p and r -= alpha A p through a _BLOCK-cell buffer, r . r,
+        z = r / diag and r . z; then p = z + beta p.  A dot product is one
+        ``einsum`` per block, which calls no BLAS, and the blocks' partial
+        sums are combined by ``math.fsum``.  So no pass allocates more than
+        one _BLOCK-cell buffer per block in flight, and the iterates, the iteration count and the residual are the
         same bits at any worker count and any BLAS thread count.  Stops
         once |r| <= tol * |b|.
         """
@@ -481,11 +475,12 @@ class EllipticSystem:
             z *= r[lo:hi]
             return _dot(r[lo:hi], z)
 
-        def p_ap(lo, hi, buf):
-            self._matvec_cells(p, ap, lo, hi, buf)
+        def p_ap(lo, hi):
+            self._matvec_cells(p, ap, lo, hi)
             return _dot(p[lo:hi], ap[lo:hi])
 
-        def step(lo, hi, buf):
+        def step(lo, hi):
+            buf = np.empty(min(_BLOCK, hi - lo))
             for b_lo in range(lo, hi, _BLOCK):
                 b_hi = min(b_lo + _BLOCK, hi)
                 t = buf[:b_hi - b_lo]
@@ -495,14 +490,13 @@ class EllipticSystem:
                             out=rb)
             return _dot(r[lo:hi], r[lo:hi]), precondition(lo, hi)
 
-        def new_p(lo, hi, _):
+        def new_p(lo, hi):
             pb = p[lo:hi]
             np.multiply(pb, beta, out=pb)
             np.add(pb, ap[lo:hi], out=pb)
 
         if rnorm > stop:
-            rz = math.fsum(self._blockwise(lambda lo, hi, _:
-                                           precondition(lo, hi)))
+            rz = math.fsum(self._blockwise(precondition))
             p = ap.copy()
             for iters in range(1, maxiter + 1):
                 alpha = rz / math.fsum(self._blockwise(p_ap))

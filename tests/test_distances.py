@@ -1,6 +1,7 @@
 """Kernel constant, field evaluators, and the exact identities."""
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -309,19 +310,25 @@ def test_kernel_bundle_more_atoms_than_a_chunk(graph02, monkeypatch):
     _assert_bundles_match(got, want, 1e-12)
 
 
-def _bundle_at(workers, sigma, probes, monkeypatch):
+# a 3000-float budget gives graph02's 200 atoms 15-probe chunks, so a few
+# thousand probes cover several tasks' buffers; 15 is not a multiple of 8
+_BUDGET = 3000
+
+
+def _bundle_at(workers, sigma, probes, monkeypatch, budget=_BUDGET):
     """_kernel_bundle at the given worker count, and the task count of
     each ``_run_tasks`` call it made."""
     tasks = []
     run_tasks = distances._run_tasks
 
-    def counting(fns):
-        fns = list(fns)
-        tasks.append(len(fns))
-        return run_tasks(fns)
+    def counting(units, fn, most=None):
+        out = run_tasks(units, fn, most)
+        tasks.append(len(out))
+        return out
 
     with monkeypatch.context() as mp:
         mp.setattr(distances, "_WORKERS", workers)
+        mp.setattr(distances, "_CHUNK_BUDGET", budget)
         mp.setattr(distances, "_run_tasks", counting)
         out = distances._kernel_bundle(sigma, probes, _SCALARS, _VECTORS)
     return out, tasks
@@ -341,8 +348,8 @@ def test_kernel_sums_keep_their_bits_at_any_worker_count(graph02, workers,
     run's, bit for bit, whatever the split.  The probe count is not a
     multiple of the chunk, and the chunk is not a multiple of 8, so the
     last chunk and the column tails of ``w @ K`` are exercised."""
-    chunk = distances._CHUNK_BUDGET // graph02.points.shape[0]
-    probes = _ring_probes(1000, 0.1, seed=15) + np.array([0.0, 0.06, 0.0])
+    chunk = _BUDGET // graph02.points.shape[0]
+    probes = _ring_probes(9001, 0.1, seed=15) + np.array([0.0, 0.06, 0.0])
     assert chunk % 8 and probes.shape[0] % chunk
     one, tasks = _bundle_at(1, graph02, probes, monkeypatch)
     assert tasks == [1]
@@ -351,11 +358,29 @@ def test_kernel_sums_keep_their_bits_at_any_worker_count(graph02, workers,
     _assert_bundles_equal(got, one)
 
 
+def test_kernel_tasks_buffers_stay_within_the_probes(graph02, monkeypatch):
+    """However many workers there are, a batch gets no more tasks than its
+    probe array can cover with their three (atoms, chunk) buffers, so the
+    extra memory is bounded by the batch."""
+    def inline(units, fn, most=None):
+        tasks = max(1, min(distances._WORKERS, units, most))
+        return [fn(units * t // tasks, units * (t + 1) // tasks)
+                for t in range(tasks)]
+
+    # 9000 floats of buffers per task; 3 floats per probe
+    for count, want in [(5, 1), (3000, 1), (5999, 1), (6000, 2), (9001, 3)]:
+        probes = _ring_probes(count, 0.1, seed=17) + np.array([0, 0.06, 0])
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_run_tasks", inline)
+            _, tasks = _bundle_at(64, graph02, probes, mp)
+        assert tasks == [want]
+
+
 def test_a_failing_task_raises_unchanged_and_the_pool_recovers(
         graph02, monkeypatch):
-    probes = _ring_probes(1000, 0.1, seed=16) + np.array([0.0, 0.06, 0.0])
+    probes = _ring_probes(9001, 0.1, seed=16) + np.array([0.0, 0.06, 0.0])
     want, _ = _bundle_at(1, graph02, probes, monkeypatch)
-    chunk = distances._CHUNK_BUDGET // graph02.points.shape[0]
+    chunk = _BUDGET // graph02.points.shape[0]
     # at two workers the second task starts at chunk nchunk // 2
     second = probes[(-(-probes.shape[0] // chunk) // 2) * chunk]
     boom = RuntimeError("cdist failed in the second task")
@@ -381,18 +406,68 @@ def test_run_tasks_called_from_a_task_runs_inline(monkeypatch):
     cannot wait on pool threads that they themselves occupy."""
     monkeypatch.setattr(distances, "_WORKERS", 2)
 
-    def outer():
+    def inner(u0, u1):
+        return threading.get_ident()
+
+    def outer(u0, u1):
         me = threading.get_ident()
-        return me, distances._run_tasks([threading.get_ident] * 3)
+        return me, distances._run_tasks(3, inner)
 
     result = []
     caller = threading.Thread(target=lambda: result.append(
-        distances._run_tasks([outer, outer])))
+        distances._run_tasks(2, outer)))
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(result) == 1
-    for me, inner in result[0]:
-        assert me != caller.ident and inner == [me] * 3
+    for me, nested in result[0]:
+        assert me != caller.ident and nested == [me, me]
+
+
+def test_run_tasks_splits_into_contiguous_runs_and_resizes_the_pool(
+        monkeypatch):
+    """Runs cover range(units) in order; a changed worker count gets a pool
+    of that many threads, so each task has its own thread."""
+    barrier = threading.Barrier(4, timeout=60)
+
+    def run(u0, u1):
+        barrier.wait()
+        return u0, u1, threading.get_ident()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(distances, "_WORKERS", 4)
+        got = distances._run_tasks(10, run)
+        mp.setattr(distances, "_WORKERS", 3)
+        assert [r[:2] for r in distances._run_tasks(10, lambda a, b: (a, b),
+                                                    most=2)] == [(0, 5),
+                                                                 (5, 10)]
+    assert [r[:2] for r in got] == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert len({r[2] for r in got}) == 4
+    assert distances._run_tasks(0, lambda a, b: (a, b)) == [(0, 0)]
+
+
+def test_cpu_count_caps_the_affinity_by_the_cgroup_quota(tmp_path):
+    cpus = len(os.sched_getaffinity(0))
+    cg = tmp_path / "sys/fs/cgroup"
+
+    def tree(cgroup, files):
+        (tmp_path / "proc/self").mkdir(parents=True, exist_ok=True)
+        (tmp_path / "proc/self/cgroup").write_text(cgroup)
+        for name, text in files.items():
+            (cg / name).parent.mkdir(parents=True, exist_ok=True)
+            (cg / name).write_text(text)
+        return distances._cpu_count(str(tmp_path))
+
+    assert distances._cpu_count(str(tmp_path)) == cpus     # no /proc file
+    # v2: a 1.5-CPU quota rounds up to 2; "max" is no quota
+    assert tree("0::/job\n", {"job/cpu.max": "150000 100000\n"}) \
+        == min(cpus, 2)
+    assert tree("0::/job\n", {"job/cpu.max": "max 100000\n"}) == cpus
+    # v1 with an unreadable v2 line beside it, as in hybrid hierarchies
+    assert tree("1:cpu,cpuacct:/a\n0::/b\n", {
+        "cpu,cpuacct/a/cpu.cfs_quota_us": "50000\n",
+        "cpu,cpuacct/a/cpu.cfs_period_us": "100000\n"}) == 1
+    assert tree("1:cpu,cpuacct:/a\n", {
+        "cpu,cpuacct/a/cpu.cfs_quota_us": "-1\n"}) == cpus
 
 
 @pytest.mark.parametrize("n, atoms", [(3, 32), (3, 320), (4, 320)])

@@ -223,14 +223,6 @@ def test_blocked_matvec_is_bit_identical(sys48, sys4, block, monkeypatch):
         assert np.array_equal(system._matvec(x), out)
 
 
-def _rebuilt(system):
-    """A new system over ``system``'s assembled arrays: the worker
-    partition is fixed when a system is built."""
-    return elliptic.EllipticSystem(
-        system.sigma, system.config, system.box_lo, system.h, system.shape,
-        system.mask, system.diag, system.w_pad, system.coupling)
-
-
 @pytest.mark.parametrize("red", [None, 8192])
 def test_solve_keeps_its_bits_at_any_worker_count(line3d, sys48, red,
                                                   monkeypatch):
@@ -243,12 +235,21 @@ def test_solve_keeps_its_bits_at_any_worker_count(line3d, sys48, red,
         monkeypatch.setattr(elliptic, "_BLOCK", 4096)
         monkeypatch.setattr(elliptic, "_RED", red)
     nblocks = -(-sys48.n_cells // elliptic._RED)
+    run_tasks = distances._run_tasks
     runs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(distances, "_WORKERS", workers)
-        system = _rebuilt(sys48)
-        assert len(system._parts) == min(workers, nblocks)
-        runs.append(system.solve(g))
+        tasks = set()
+
+        def counting(units, fn, most=None):
+            out = run_tasks(units, fn, most)
+            tasks.add(len(out))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_WORKERS", workers)
+            mp.setattr(distances, "_run_tasks", counting)
+            runs.append(sys48.solve(g))
+        assert tasks == {min(workers, nblocks)}
     assert runs[0].iterations > 0
     for res in runs[1:]:
         assert res.iterations == runs[0].iterations
@@ -1084,3 +1085,28 @@ def test_phase_peaks_stay_near_the_working_set(line3d, sn128, monkeypatch):
              "sn_check": sn_peak}
     bounds = {"assemble": 9.2, "solve": 4.5, "sn_check": 2.5}
     assert all(peaks[k] <= bounds[k] for k in bounds), peaks
+
+
+@pytest.mark.parametrize("slab", [4096, None])
+def test_assemble_peak_does_not_grow_with_the_workers(line3d, slab,
+                                                      monkeypatch):
+    """Kernel tasks hold buffers only as far as their slab's probes cover
+    them, so the extra peak at 8 workers is at most one slab's probe
+    array, and none with the phase test's 4096-cell slabs, where the
+    peak stays within that test's assemble bound."""
+    n_cells = 48 ** 3
+    peaks = []
+    for workers in (1, 8):
+        with monkeypatch.context() as mp:
+            if slab is not None:
+                mp.setattr(elliptic, "_EVAL_SLAB", slab)
+            mp.setattr(distances, "_WORKERS", workers)
+            _, peak = _peak_grid_arrays(
+                n_cells, assemble, line3d, (np.zeros(3), 3.0), 3.0 / 48,
+                SolverConfig())
+        peaks.append(peak)
+    probes = 3 * min(elliptic._EVAL_SLAB if slab is None else slab,
+                     48 * 48 * 47) / n_cells
+    if slab is not None:
+        assert peaks[1] <= 9.2 and peaks[1] - peaks[0] < 0.01, peaks
+    assert peaks[1] - peaks[0] <= probes, peaks

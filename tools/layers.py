@@ -152,32 +152,30 @@ def with_workers(workers: int, fn):
 def sn_rows(sigma, box=SN_BOX, h: float = SN_H, repeats: int = 3,
             workers=None) -> list[tuple[str, int, float]]:
     """(row name, work count, best seconds) of the ``kernel sums`` and
-    ``cg`` rows at each worker count (default: 1 and every CPU)."""
+    ``cg`` rows at each worker count (default: 1 and every usable CPU)."""
     if workers is None:
-        workers = sorted({1, len(os.sched_getaffinity(0))})
+        workers = sorted({1, distances._WORKERS})
     config = elliptic.SolverConfig(beta=2.0, gamma=0.0, tol=1e-3,
                                    collar=3.0)
     g = (sigma.points[:, 0] > 0.125).astype(float)
+    system = elliptic.assemble(sigma, box, h, config)
+    cells = np.flatnonzero(system.w_pad[0])
+    slab = elliptic._EVAL_SLAB
+
+    def kernel_sums():
+        for s0 in range(0, cells.size, slab):
+            pts = elliptic._cell_centers(system.box_lo, h, system.shape,
+                                         cells[s0:s0 + slab], 0, 0.5)
+            distances.regularized_distance(sigma, pts, config.beta)
+
     out = []
     for w in workers:
-        system = with_workers(w, lambda: elliptic.assemble(sigma, box, h,
-                                                           config))
-        cells = np.flatnonzero(system.w_pad[0])
-        slab = elliptic._EVAL_SLAB
-
-        def kernel_sums():
-            for s0 in range(0, cells.size, slab):
-                pts = elliptic._cell_centers(system.box_lo, h, system.shape,
-                                             cells[s0:s0 + slab], 0, 0.5)
-                distances.regularized_distance(sigma, pts, config.beta)
-
         _, secs = with_workers(w, lambda: best_of(kernel_sums, repeats))
         out.append((f"kernel sums, {w} worker(s)",
                     cells.size * len(sigma), secs))
         res, secs = with_workers(w, lambda: best_of(lambda: system.solve(g),
                                                     repeats))
         out.append((f"cg, {w} worker(s)", res.iterations, secs))
-        del system
     return out
 
 
