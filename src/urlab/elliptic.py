@@ -39,11 +39,11 @@ Memory: an assembled system keeps about 4.3 float64 grid arrays resident
 its collar flags) plus the boundary-coupling list, whose length
 follows the collar, not the grid; after its first ``harmonic_measure``
 call it also holds the solution for the constant datum, one more grid
-array with an int8 copy of the mask.  Work that touches every cell (face midpoints and their
-kernel sums, warm-start interpolation) runs in slabs of ``_EVAL_SLAB``
-cells; the face loop finds its faces with ``np.flatnonzero`` of bool
-masks, so it keeps no int64 index grid; the collar search only visits
-cells within a few cells of an atom; ``sn_check`` reads its window once,
+array with an int8 copy of the mask.  Work that touches every cell (face
+midpoints and their kernel sums, warm-start interpolation) runs in slabs
+of ``_EVAL_SLAB`` cells; the face loop finds its faces with
+``np.flatnonzero`` of bool masks, so it keeps no int64 index grid; the
+collar search only visits cells within a few cells of an atom; ``sn_check`` reads its window once,
 in slabs of leading-axis planes, and folds each slab's cone maxima into
 running maxima, so it builds no array over all of 2B's cells.  So the
 largest transient is the conjugate-gradient working set of four grid
@@ -451,9 +451,9 @@ class EllipticSystem:
         z = r / diag and r . z; then p = z + beta p.  A dot product is one
         ``einsum`` per block, which calls no BLAS, and the blocks' partial
         sums are combined by ``math.fsum``.  So no pass allocates more than
-        one _BLOCK-cell buffer per block in flight, and the iterates, the iteration count and the residual are the
-        same bits at any worker count and any BLAS thread count.  Stops
-        once |r| <= tol * |b|.
+        one _BLOCK-cell buffer per block in flight, and the iterates, the
+        iteration count and the residual are the same bits at any worker
+        count and any BLAS thread count.  Stops once |r| <= tol * |b|.
         """
         maxiter = self.config.maxiter
         if maxiter is None:
