@@ -2,19 +2,28 @@
 
 All field evaluations are direct kernel sums over the full support; no
 truncation or tree approximation, so the only error against the continuum
-is the sampling of the measure itself.  The sums are built from per-axis
-differences probe minus atom (r^2 by scipy's ``cdist``, which sums their
-squares in axis order), never from an expanded |x|^2 + |y|^2 - 2x.y
-product, so the values do not drift when the data are translated.  Probes
-are processed in chunks whose (atoms, probes) blocks stay cache-resident.
-The chunks are split over a thread pool of one worker per usable CPU
-(``_run_tasks``): each task is a contiguous run of whole chunks and
-reuses a few buffers it allocates once, so every chunk, and with it every
-value, is the same bits at any worker count; a batch gets no more tasks
-than its probe array can cover with buffers, so the extra memory is
-bounded by the batch, not by the worker count.  Probes closer to the
-support than twice its spacing are refused: there the kernel sum is
-dominated by the nearest atom and the values are meaningless.
+is the sampling of the measure itself.  r^2 comes from scipy's ``cdist``,
+which sums the squared differences probe minus atom in axis order, never
+from an expanded |x|^2 + |y|^2 - 2x.y product, so the values do not drift
+when the data are translated.  A vector sum at a probe X, the sum over
+the atoms p of w K (X - p), is taken as first moments about one probe o
+of X's chunk: (X - o) sum(w K) - sum(w K (p - o)), from one BLAS product
+of the kernel block with the moment matrix [w; w (p - o)].  The direct
+differences round at eps sum(w K |X - p|); this form rounds at
+eps sum(w K (|X - o| + |p - o|)) <= eps (1 + 2 diam/gap) sum(w K |X - p|),
+diam being the chunk's diameter and gap X's distance to the support.  It
+is still translation invariant, since o moves with the data.
+Probes are processed in chunks whose (atoms, probes) blocks stay
+cache-resident.  The chunks are split over a thread pool of one worker
+per usable CPU (``_run_tasks``): each task is a contiguous run of whole
+chunks and reuses a few buffers it allocates once, so every chunk, and
+with it every value, is the same bits at any worker count; a batch gets
+no more tasks than its probe array can cover with buffers, so the extra
+memory is bounded by the batch, not by the worker count.  ``cdist``,
+the kernel powers and the products all release the GIL, but ``cdist``
+scales poorly on blocks of few atoms (see ``_run_tasks``).  Probes closer
+to the support than twice its spacing are refused: there the kernel sum
+is dominated by the nearest atom and the values are meaningless.
 
 Every evaluator takes one (m, n) batch of probes and returns arrays over
 it: (m,) for a scalar field, (m, n) for a vector field.  A single point
@@ -49,7 +58,7 @@ __all__ = [
     "divergence_check",
 ]
 
-_CHUNK_BUDGET = 1 << 15         # floats per (atoms, probes) block: 256 KB
+_CHUNK_BUDGET = 1 << 16         # floats per (atoms, probes) block: 512 KB
 _pool: tuple[int, ThreadPoolExecutor] | None = None    # (threads, pool)
 _pool_lock = threading.Lock()
 _local = threading.local()          # ``in_task`` is set on pool threads
@@ -121,12 +130,15 @@ def _run_tasks(units: int, fn, most: int | None = None) -> list:
 
     There are min(``_WORKERS``, ``units``, ``most``) tasks, at least one,
     on one lazily created pool of ``_WORKERS`` threads (the CPUs this
-    process can use).  The tasks run numpy and ``cdist`` kernels that
-    release the GIL, so they use every core.  They run inline when there
-    is one task, or when called from inside a task, so a nested call
-    cannot deadlock.  Every task has finished when this returns or
-    raises; an exception from a task is raised unchanged, the first one
-    in run order.  Callers make what a unit computes independent of the
+    process can use).  The tasks use every core as far as their native
+    calls scale: numpy's ufuncs, BLAS products and scipy's ``cdist`` all
+    release the GIL, but on (32 atoms, 1024 probes) blocks two threads of
+    ``cdist`` ran only 1.0-1.1x as fast as one, against 1.7-2.4x from 64
+    atoms up (scipy 1.17.1, 2 vCPUs).  They run inline when there is one
+    task, or when called from inside a task, so a nested call cannot
+    deadlock.  Every task has finished when this returns or raises; an
+    exception from a task is raised unchanged, the first one in run
+    order.  Callers make what a unit computes independent of the
     run it falls in, so results never depend on the worker count; a task
     allocates its own buffers, so callers pass ``most`` to bound them.
     Pool threads do not inherit the caller's ``contextvars``: a telemetry
@@ -196,6 +208,14 @@ def _neg_half_pow(r2: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
+def _moment_sum(moments: np.ndarray, kern: np.ndarray,
+                offset: np.ndarray) -> np.ndarray:
+    """(chunk, n) vector sums of one chunk: with P = moments @ kern,
+    offset * P[0] - P[1:], offset being the probes minus the origin."""
+    prod = moments @ kern                               # (n+1, chunk)
+    return offset * prod[0][:, None] - prod[1:].T
+
+
 def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
                    scalar_exps: tuple[float, ...],
                    vector_exps: tuple[float, ...] = (),
@@ -206,19 +226,22 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     i.e. unit direction times w*r^-e.  Returns (scalars, vectors, gap).
 
     Probes are laid out in chunks of (atoms, probes) blocks of at most
-    _CHUNK_BUDGET floats (256 KB, so a chunk's working set stays in a 2 MB
+    _CHUNK_BUDGET floats (512 KB, so a chunk's working set stays in a 2 MB
     L2 cache).  The chunks are split into one contiguous run of whole
     chunks per task (``_run_tasks``), so every chunk holds the same
     probes at any worker count and every value keeps its bits.  Each task
-    allocates its buffers once: an r^2 block from one ``cdist`` call and
-    a kernel block, plus, only when vector sums are requested, one block
-    of direct differences X-p, formed for one axis at a time.  A batch is
-    split only into tasks whose buffers weigh no more than their probes,
-    so all buffers together stay within the probe array, however many
-    workers there are.  The gap is
-    the minimum of r^2 over the atom axis, the scalar sums are w @ K and
-    the vector sums contract w against w*r^-(e+1) times each axis
-    difference.
+    allocates two blocks once: r^2 from one ``cdist`` call and a kernel
+    block that every exponent overwrites in turn.  A batch is split only
+    into tasks whose buffers weigh no more than their probes (counted as
+    three blocks a task when vector sums are asked for, which leaves room
+    for the moment products), so all buffers together stay within the
+    probe array, however many workers there are.  The gap is the minimum of r^2 over the atom axis and the scalar
+    sums are w @ K.  The vector sums are one product of the moment
+    matrix [w; w*(p-o)], o the chunk's middle probe, with the kernel
+    block K: row 0 is w @ K and rows 1..n are the first moments about o,
+    so the sum is (X-o) * row 0 - rows 1..n.  When the scalar exponent e-1 is asked for
+    too, the vector kernel r^-(e+1) is its kernel divided by r^2, taken
+    before the next exponent overwrites the block.
     """
     pts = sigma.points
     w = sigma.weights
@@ -229,6 +252,9 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
     gap = np.empty(m)
     chunk = max(1, _CHUNK_BUDGET // nsup)
     nchunk = -(-m // chunk)
+    # a vector exponent e + 1 whose kernel r^-(e+2) is scalar e's over r^2
+    derived = {e: e + 1.0 for e in scalar_exps if e + 1.0 in vectors}
+    own = [e for e in vectors if e not in derived.values()]
     # a task's buffers never outweigh the probes it serves
     task_floats = (3 if vector_exps else 2) * nsup * chunk
 
@@ -236,26 +262,27 @@ def _kernel_bundle(sigma: DiscreteMeasure, probes: np.ndarray,
         """The sums over chunks c0 <= c < c1."""
         size = nsup * min(chunk, m - c0 * chunk)
         r2_buf, kern_buf = np.empty(size), np.empty(size)
-        diff_buf = np.empty(size) if vector_exps else None
+        moments = np.empty((n + 1, nsup))
+        moments[0] = w
         for lo in range(c0 * chunk, min(c1 * chunk, m), chunk):
             hi = min(lo + chunk, m)
-            blk = (nsup, hi - lo)
-            r2, kern = (b[:nsup * (hi - lo)].reshape(blk)
+            r2, kern = (b[:nsup * (hi - lo)].reshape(nsup, hi - lo)
                         for b in (r2_buf, kern_buf))
             distance.cdist(pts, probes[lo:hi], "sqeuclidean", out=r2)
             r2.min(axis=0, out=gap[lo:hi])
+            if vectors:
+                origin = probes[(lo + hi) // 2]
+                np.multiply((pts - origin).T, w, out=moments[1:])
+                offset = probes[lo:hi] - origin            # (chunk, n)
             for e in scalar_exps:
                 scalars[e][lo:hi] = w @ _neg_half_pow(r2, e, kern)
-            if not vector_exps:
-                continue
-            diff = diff_buf[:r2.size].reshape(blk)
-            probe_rows = probes[lo:hi].T.copy()            # (n, chunk)
-            for e in vector_exps:
-                _neg_half_pow(r2, e + 1.0, kern)
-                for k in range(n):
-                    np.subtract(probe_rows[k], pts[:, k, None], out=diff)
-                    diff *= kern
-                    vectors[e][lo:hi, k] = w @ diff
+                if e in derived:
+                    kern /= r2
+                    vectors[derived[e]][lo:hi] = _moment_sum(moments, kern,
+                                                             offset)
+            for e in own:
+                vectors[e][lo:hi] = _moment_sum(
+                    moments, _neg_half_pow(r2, e + 1.0, kern), offset)
 
     _run_tasks(nchunk, run, probes.size // task_floats)
     np.sqrt(gap, out=gap)

@@ -378,7 +378,7 @@ def corkscrew_point(sigma: DiscreteMeasure, ball: Ball,
     together scales the output exactly.  The winner must clear the support
     by at least grid_step, otherwise the resolution is too coarse.
     """
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ParameterError("grid_step must be positive")
     if ball.radius < 8.0 * grid_step:
         raise ParameterError("ball radius must be at least 8*grid_step")

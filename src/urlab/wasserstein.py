@@ -179,26 +179,22 @@ class LPResult(NamedTuple):
 def linprog(c, *, A_eq, b_eq) -> LPResult:
     """min c.x subject to A_eq x = b_eq and x >= 0, in one HiGHS solve.
 
-    ``A_eq`` is a scipy.sparse CSC array.  A solve that ends without an
-    optimum raises NumericError naming its HiGHS model status, and so does
+    ``A_eq`` is a scipy.sparse CSC array, handed to HiGHS as its arrays.
+    A model HiGHS refuses raises NumericError, a solve that ends without
+    an optimum raises it naming its HiGHS model status, and so does
     an optimum whose solution misses x >= -tol or |b_eq - A_eq x| <= tol,
     with scipy.optimize.linprog's tol = 10 sqrt(1e-9).
     """
     m, n = A_eq.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A_eq.indptr
-    lp.a_matrix_.index_ = A_eq.indices
-    lp.a_matrix_.value_ = A_eq.data
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
     highs = _highs._Highs()     # fresh: no basis carries over between LPs
     highs.passOptions(_OPTIONS)
-    highs.passModel(lp)
+    status = highs.passModel(
+        n, m, A_eq.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, c, np.zeros(n),
+        np.full(n, np.inf), b_eq, b_eq, A_eq.indptr, A_eq.indices, A_eq.data,
+        np.zeros(n, dtype=np.int32))    # integrality: continuous columns
+    if status == _highs.HighsStatus.kError:
+        raise NumericError("LP failed: HiGHS refused the model")
     highs.run()
     model_status = highs.getModelStatus()
     if model_status != _highs.HighsModelStatus.kOptimal:
@@ -381,15 +377,18 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         return _transport_lp(samp.points, samp.weights, pts, w, ball.center,
                              r, cap=None) / r ** (d + 1)
 
+    npar = d * codim + codim + 1
+    theta0 = np.zeros(npar)
+    f0 = price(theta0)
+
     def objective(theta: np.ndarray) -> float:
+        if np.array_equal(theta, theta0):
+            return f0           # the start is a simplex vertex: priced once
         try:
             return price(theta)
         except (InputError, ResolutionError):
             return math.inf     # no patch in the ball: never a best vertex
 
-    npar = d * codim + codim + 1
-    theta0 = np.zeros(npar)
-    f0 = price(theta0)
     # without refinement the PCA init is the result: an upper bound on the inf
     best_theta, best, refined, nit = theta0, f0, f0, 0
     if refine:

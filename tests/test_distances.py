@@ -310,6 +310,41 @@ def test_kernel_bundle_more_atoms_than_a_chunk(graph02, monkeypatch):
     _assert_bundles_match(got, want, 1e-12)
 
 
+def _spanning_probes(sigma, count, seed):
+    """Probes 4 to 30 spacings off the support, in random order along it,
+    so every chunk of a few hundred spans all of it.  (Closer probes
+    leave the oracle, whose r^2 is the expanded product, the larger
+    error.)"""
+    rng = np.random.default_rng(seed)
+    base = sigma.points[rng.integers(0, len(sigma), size=count)]
+    step = rng.normal(size=base.shape)
+    step *= rng.uniform(4.0, 30.0, size=(count, 1)) * sigma.spacing \
+        / np.linalg.norm(step, axis=1, keepdims=True)
+    probes = base + step
+    return probes[sigma.dist_to_support(probes) >= 4.0 * sigma.spacing]
+
+
+@pytest.mark.parametrize("scalar_exps, vector_exps", [
+    ((3.0,), (4.0,)),           # distance_gradient: r^-5 from r^-3 / r^2
+    ((3.0,), (3.0, 4.0)),       # evaluate_fields: r^-4 is formed on its own
+    ((2.0, 3.0), (3.0, 4.0)),   # ratio_gradient: each from its own scalar
+])
+def test_kernel_bundle_moments_about_a_chunk_probe(graph02, scalar_exps,
+                                                   vector_exps):
+    """The vector sums are first moments about one probe of the chunk; on
+    chunks that span the whole support they still match the direct
+    differences to 1e-12."""
+    probes = _spanning_probes(graph02, 1500, seed=18)
+    chunk = distances._CHUNK_BUDGET // graph02.points.shape[0]
+    assert probes.shape[0] > 2 * chunk
+    extent = np.ptp(graph02.points[:, 0])
+    for lo in range(0, probes.shape[0], chunk):
+        assert np.ptp(probes[lo:lo + chunk, 0]) > 0.9 * extent
+    got = distances._kernel_bundle(graph02, probes, scalar_exps, vector_exps)
+    want = _kernel_bundle_oracle(graph02, probes, scalar_exps, vector_exps)
+    _assert_bundles_match(got, want, 1e-12)
+
+
 # a 3000-float budget gives graph02's 200 atoms 15-probe chunks, so a few
 # thousand probes cover several tasks' buffers; 15 is not a multiple of 8
 _BUDGET = 3000

@@ -139,6 +139,12 @@ def test_corkscrew_resolution_guards(line3d):
         corkscrew_point(line3d, Ball(np.zeros(3), 0.5), 0.1)  # r < 8*step
 
 
+@pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+def test_corkscrew_refuses_a_step_that_is_not_positive(line3d, step):
+    with pytest.raises(ParameterError, match="grid_step"):
+        corkscrew_point(line3d, Ball(np.zeros(3), 0.5), step)
+
+
 def test_ball_refuses_a_nan_radius():
     with pytest.raises(ParameterError, match="radius"):
         Ball(np.zeros(3), float("nan"))

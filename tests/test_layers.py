@@ -48,3 +48,19 @@ def test_sn_rows_time_kernel_sums_and_cg_at_each_worker_count():
     assert got[0][1] % len(sigma) == 0
     assert layers.format_row(*got[0]).endswith("pairs/s")
     assert layers.format_row(*got[1]).endswith("ms/iter")
+
+
+def test_vector_rows_time_distance_gradients_at_each_worker_count():
+    sigma = layers.carleson_measure()
+    ball = layers.carleson_ball(sigma)
+    workers = layers.distances._WORKERS
+    got = layers.vector_rows(sigma, ball, h=0.025, repeats=1,
+                             workers=(1, 2))
+    assert layers.distances._WORKERS == workers
+    assert [name for name, _, _ in got] == [
+        "vector kernel sums, 1 worker(s)", "vector kernel sums, 2 worker(s)"]
+    assert all(count > 0 and secs > 0 for _, count, secs in got)
+    cells = sum(pts.shape[0] for pts, _ in
+                layers.carleson._far_cells(sigma, ball, 0.025))
+    assert got[0][1] == got[1][1] == cells * len(sigma)
+    assert layers.format_row(*got[0]).endswith("pairs/s")

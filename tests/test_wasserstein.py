@@ -229,6 +229,9 @@ def test_linprog_reports_failure_with_the_model_status(monkeypatch):
     monkeypatch.setattr(wasserstein, "_FEAS_TOL", -1.0)
     with pytest.raises(NumericError, match="misses the constraints"):
         wasserstein.linprog(c, A_eq=a_eq, b_eq=np.ones(1))
+    # a row bound HiGHS cannot take is refused before any solve
+    with pytest.raises(NumericError, match="refused the model"):
+        wasserstein.linprog(c, A_eq=a_eq, b_eq=np.full(1, np.inf))
 
 
 @pytest.mark.parametrize("failure", ["infeasible", "unchecked"])
@@ -371,6 +374,34 @@ def test_alpha_plane_is_small(line3d):
     assert res.value <= 5.0 * line3d.spacing / ball.radius
     assert res.refined_value <= res.initial_value + 1e-9
     assert not res.truncated
+
+
+def test_alpha_prices_the_start_once(graph02, monkeypatch):
+    """Nelder-Mead's first vertex is the start, whose price is reused, so
+    there is one LP per Nelder-Mead evaluation.  Pricing the start again
+    gives the same bits, so the search takes the path it took when it
+    priced the start twice."""
+    calls, runs = [], []
+    solve, minimize = wasserstein._transport_lp, wasserstein.minimize
+
+    def lp_spy(*args, **kwargs):
+        calls.append((args, kwargs, solve(*args, **kwargs)))
+        return calls[-1][2]
+
+    def nm_spy(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(wasserstein, "_transport_lp", lp_spy)
+    monkeypatch.setattr(wasserstein, "minimize", nm_spy)
+    ball = Ball(graph02.points[100], 0.25)
+    res = alpha_number(graph02, ball, refine_maxiter=20, seed=4)
+    assert len(runs) == 1 and len(calls) == runs[0].nfev > 1
+    args, kwargs, start = calls[0]
+    assert solve(*args, **kwargs) == start
+    assert res.initial_value == start / ball.radius ** 2
+    assert res.value == res.refined_value == runs[0].fun
+    assert res.nm_iterations == runs[0].nit
 
 
 def test_alpha_recovers_offset_plane(line3d):

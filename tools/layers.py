@@ -23,9 +23,14 @@ Each row is the best of three runs:
   along axis 0 between two unknowns, in ``assemble``'s slabs;
 * ``cg`` in ms per iteration, with the iteration count, of the
   ``sn_line`` solve (tol 1e-3, data 1 on the atoms with x > 0.125) on the
-  system ``assemble`` builds there.
+  system ``assemble`` builds there;
+* ``vector kernel sums`` in pairs/s, on the inputs of the
+  ``carleson_sawtooth`` workload (the sawtooth graph at spacing 0.00625,
+  320 atoms): ``distance_gradient`` (beta 2) over the 136,564 cells of
+  the r = 0.2 ball that ``urlab carleson`` draws at seed 2 (the variant
+  of benchmark seed 10) at h = 0.00625, in ``carleson_norm``'s slabs.
 
-The last two rows are measured at one worker and at every worker the
+The last three rows are measured at one worker and at every worker the
 process may run on, by setting the library's private worker count (the
 CG partition is fixed when the system is assembled).
 
@@ -49,7 +54,13 @@ if __name__ == "__main__":     # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 
-from urlab import distances, elliptic, wasserstein, whitney  # noqa: E402
+from urlab import (  # noqa: E402
+    carleson,
+    distances,
+    elliptic,
+    wasserstein,
+    whitney,
+)
 from urlab.geometry import (  # noqa: E402
     make_cantor_set,
     make_lipschitz_graph,
@@ -179,7 +190,40 @@ def sn_rows(sigma, box=SN_BOX, h: float = SN_H, repeats: int = 3,
     return out
 
 
-_UNITS = {"transport_lp": "LPs", "kernel sums": "pairs", "cg": "iters"}
+CARLESON_H = 0.00625
+
+
+def carleson_measure():
+    """The ``carleson_sawtooth`` support."""
+    return workload_measure(CARLESON_H)
+
+
+def carleson_ball(sigma, seed: int = 2):
+    """The r = 0.2 ball that ``urlab carleson`` draws at ``seed``."""
+    return support_ball_family(sigma, 1, np.random.default_rng(seed),
+                               [0.2])[0]
+
+
+def vector_rows(sigma, ball, h: float = CARLESON_H, repeats: int = 3,
+                workers=None) -> list[tuple[str, int, float]]:
+    """(row name, work count, best seconds) of the ``vector kernel sums``
+    row at each worker count (default: 1 and every usable CPU)."""
+    if workers is None:
+        workers = sorted({1, distances._WORKERS})
+    slabs = [pts for pts, _ in carleson._far_cells(sigma, ball, h)]
+    pairs = sum(pts.shape[0] for pts in slabs) * len(sigma)
+
+    def gradients():
+        for pts in slabs:
+            distances.distance_gradient(sigma, pts, 2.0)
+
+    return [(f"vector kernel sums, {w} worker(s)", pairs,
+             with_workers(w, lambda: best_of(gradients, repeats))[1])
+            for w in workers]
+
+
+_UNITS = {"transport_lp": "LPs", "kernel sums": "pairs",
+          "vector kernel sums": "pairs", "cg": "iters"}
 
 
 def format_row(name: str, count: int, secs: float) -> str:
@@ -197,6 +241,9 @@ def main() -> int:
         print(format_row(*row), flush=True)
     print(format_row(*cantor_row()), flush=True)
     for row in sn_rows(sn_measure()):
+        print(format_row(*row), flush=True)
+    sigma = carleson_measure()
+    for row in vector_rows(sigma, carleson_ball(sigma)):
         print(format_row(*row), flush=True)
     return 0
 
