@@ -254,7 +254,7 @@ def make_lipschitz_graph(n: int, d: int, fn: Callable[[np.ndarray], np.ndarray],
     constants downstream).  lam=0 reproduces the plane set translated by
     fn(0).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ParameterError("lam must be nonnegative")
     base, h = _base_grid(n, d, extent, spacing)
     vals = np.asarray(fn(base), dtype=np.float64)

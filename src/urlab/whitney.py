@@ -15,6 +15,12 @@ lookups hit, while per-cube memos of `mu_q` and of the separating-plane
 LP hit none of their 220 and 141 lookups.  So `mu_q` and `a_x` price
 again on each call.
 
+`decompose` sweeps each level in fixed chunks of `_CHUNK` cubes, so its
+memory is its output, plus one chunk, plus one level's sort of its keys;
+`ur_square_sum` scans the levels in the same chunks.  A child cube that
+its parent's atom already puts within 10 sides in the sup norm violates
+without a nearest-atom query.
+
 A cube's flatness ball at scale k has radius lam * 2^k * diam(Q); one
 rule (`_flatness_ball`) gives it with its refusal outside the data
 window, for every caller.
@@ -30,6 +36,7 @@ only renames constants.  Output headers echo the value in use.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +44,6 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .exceptions import (
-    DomainError,
     InputError,
     ParameterError,
     ResolutionError,
@@ -71,6 +77,7 @@ __all__ = [
 
 SCALE_FACTOR = 8.0              # default ball dilation factor (see header)
 _EPS_DEFAULT = 0.3              # calibrated branch threshold for mu_q
+_CHUNK = 2 ** 14                # cubes per chunk of the level sweeps
 
 
 def _pack_bits(n: int) -> int:
@@ -86,9 +93,66 @@ def _pack(corners: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    bits = _pack_bits(n)
+    shifts = bits * np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (keys[:, None] >> shifts) & ((1 << bits) - 1)
+
+
 def _child_offsets(n: int) -> np.ndarray:
     bits = np.arange(2 ** n)[:, None] >> np.arange(n)[None, ::-1]
     return (bits & 1).astype(np.int64)
+
+
+def _child_chunks(parents: np.ndarray, near: np.ndarray):
+    """The children of ``parents``, each parent's 2^n in offset order, in
+    chunks of _CHUNK cubes: (corners, the parent's atom of each child)."""
+    n = parents.shape[1]
+    offsets = _child_offsets(n)
+    total = parents.shape[0] << n
+    for s in range(0, total, _CHUNK):
+        i = np.arange(s, min(s + _CHUNK, total))
+        p = i >> n
+        yield parents[p] * 2 + offsets[i & ((1 << n) - 1)], near[p]
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sup-norm distance, rounded as the kd-tree rounds it."""
+    gap = np.abs(a - b)
+    return functools.reduce(np.maximum, gap.T)
+
+
+def _anchors(sigma, ctr: np.ndarray, aidx: np.ndarray,
+             side: float) -> np.ndarray:
+    """Anchors of retained cubes from their Euclidean-nearest atoms
+    ``aidx`` (overwritten): where that atom leaves the 60-dilate, the
+    sup-norm nearest; any other cube's 60-dilate already holds that
+    atom."""
+    bad = np.flatnonzero(_sup_gap(sigma.points[aidx], ctr) > 30.0 * side)
+    if bad.size:
+        d_inf, i_inf = sigma.tree.query(ctr[bad], p=np.inf, workers=-1)
+        # maximality gives the 60-dilate hit for free; verify anyway
+        if not np.all(d_inf <= 30.0 * side * (1 + 1e-12)):
+            raise AssertionError("60-dilate check failed (internal)")
+        aidx[bad] = i_inf
+    return aidx.astype(np.int32)
+
+
+def _sorted_level(keys: list, anchors: list, lo: np.ndarray,
+                  side: float) -> "_Level":
+    """One level from its chunks' packed keys and anchors: one sort, then
+    the centres rebuilt from the sorted keys a chunk at a time."""
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    key = key[order]
+    anchor_idx = np.concatenate(anchors)[order]
+    del order
+    n = lo.shape[0]
+    centers = np.empty((key.size, n))
+    for s in range(0, key.size, _CHUNK):
+        centers[s:s + _CHUNK] = lo + (_unpack(key[s:s + _CHUNK], n)
+                                      + 0.5) * side
+    return _Level(side, key, centers, anchor_idx)
 
 
 def _dilate_gap2(centers: np.ndarray, side: float, s: float,
@@ -251,16 +315,6 @@ class WhitneyDecomposition:
             open_idx = open_idx[~hit]
         return level, index
 
-    def cube_at(self, x: np.ndarray) -> WhitneyCube | None:
-        """The unique retained cube containing x, or None."""
-        x = np.asarray(x, dtype=np.float64)
-        if not self._inside(x):
-            raise DomainError("probe point outside the decomposed box")
-        level, index = self._locate(x[None, :])
-        if level[0] < 0:
-            return None
-        return WhitneyCube(self, int(level[0]), int(index[0]))
-
 
 def _require(deco, *, empty_if_focused: bool = False) -> None:
     """Refuse anything but a completed, non-empty decomposition; with
@@ -281,22 +335,34 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
 
     Subdivision runs breadth-first; a cube is retained when the support
     stays sup-norm-further than 10 sides from its center, i.e. exactly
-    when its 20-dilate misses the discrete support.  Each level makes one
-    Euclidean nearest-atom query d2: since the sup-norm distance lies in
-    [d2/sqrt(n), d2], a cube with d2 <= 10 sides violates and one with
-    d2 > 10 sqrt(n) sides is retained; only the band between takes the
-    exact sup-norm query.  The same query's nearest atom is the anchor,
-    unless it lies outside the 60-dilate, where the sup-norm nearest atom
-    replaces it.  Cubes still violating at max_depth are counted as
-    undecided and dropped, never clipped.  `box` is (center, side); the
-    default box spans 2.5x the support.
+    when its 20-dilate misses the discrete support.  Every violating cube
+    hands one atom to its children, and the sup-norm gap from a child's
+    centre to it bounds the child's sup-norm distance d_inf: a child with
+    that gap at most 10 sides violates without a query and hands the same
+    atom on (the root takes atom 0).  Every other child makes one
+    Euclidean nearest-atom query d2: since d_inf lies in [d2/sqrt(n), d2],
+    a cube with d2 <= 10 sides violates and one with d2 > 10 sqrt(n)
+    sides is retained.  In the band between, the new nearest atom's
+    sup-norm gap decides the cubes it puts within 10 sides, and only the
+    rest take the exact sup-norm query.  The Euclidean nearest atom is the
+    anchor, unless it lies outside the 60-dilate, where the sup-norm
+    nearest atom replaces it.  Cubes still violating at max_depth are
+    counted as undecided and dropped, never clipped.  `box` is (center,
+    side); the default box spans 2.5x the support.
+
+    Memory: each level is swept in chunks of _CHUNK cubes, and between
+    levels only the violating parents live on, as corners and atoms.  A
+    chunk returns its retained cubes' keys and anchors; a level then
+    makes one sort of its keys and rebuilds its centres from them, a
+    chunk at a time.  The peak is the output, plus one chunk, plus one
+    level's sort, and no level is ever held as a whole candidate array.
 
     `focus=(x, R)` prunes subdivision branches that can never produce a
     cube whose 2-dilate meets B(x, R): square sums at or inside (x, R)
     are unchanged while deep levels stay tractable on fractal supports.
-    Pruned branch counts are recorded; outside the focus region cube_at
-    and a_x report holes as missing cubes (None; NaN with level -1), so
-    point queries there are unsafe.
+    Pruned branch counts are recorded; outside the focus region a_x
+    reports holes as missing cubes (NaN with level -1), so point queries
+    there are unsafe.
     """
     pts = sigma.points
     n = sigma.ambient_dim
@@ -328,55 +394,54 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
         if not f_radius > 0:
             raise ParameterError("focus radius must be positive")
 
-    offsets = _child_offsets(n)
     root_n = math.sqrt(n)
     levels: dict[int, _Level] = {}
     undecided = 0
     pruned = 0
-    current = np.zeros((1, n), dtype=np.int64)
+    # any atom's sup-norm gap bounds a cube's d_inf, so atom 0 serves the root
+    chunks = [(np.zeros((1, n), dtype=np.int64), np.zeros(1, dtype=np.intp))]
     for k in range(max_depth + 1):
         side_k = side / 2.0 ** k
-        centers = lo + (current + 0.5) * side_k
-        # d_inf lies in [d2/sqrt(n), d2], so d2 decides every cube outside
-        # the band between the two thresholds; the 1e-12 guard sends
-        # rounding-level ties to the exact sup-norm query
-        d2, aidx = sigma.tree.query(centers, workers=-1)
-        keep = d2 > 10.0 * root_n * side_k * (1 + 1e-12)
-        band = np.flatnonzero(~keep & (d2 > 10.0 * side_k * (1 - 1e-12)))
-        if band.size:
-            d_inf, _ = sigma.tree.query(centers[band], p=np.inf, workers=-1)
-            keep[band] = d_inf > 10.0 * side_k
-        kept = current[keep]
-        if kept.shape[0]:
-            key = _pack(kept, n)
-            order = np.argsort(key)
-            kept, key = kept[order], key[order]
-            ctr = centers[keep][order]
-            aidx = aidx[keep][order]
-            # where the euclid-nearest atom left 60Q, the sup-norm nearest;
-            # any other cube's 60-dilate already holds that atom
-            bad = np.flatnonzero(
-                np.max(np.abs(pts[aidx] - ctr), axis=1) > 30.0 * side_k)
-            if bad.size:
-                d_inf, i_inf = sigma.tree.query(ctr[bad], p=np.inf,
+        keys, anchors, parents, nears = [], [], [], []
+        for cand, near in chunks:
+            ctr = lo + (cand + 0.5) * side_k
+            # the 1e-12 guards send rounding-level ties of d2 to the band;
+            # a sup-norm gap is rounded as the kd-tree rounds d_inf
+            ask = np.flatnonzero(_sup_gap(pts[near], ctr) > 10.0 * side_k)
+            keep = np.zeros(cand.shape[0], dtype=bool)
+            if ask.size:
+                d2, near[ask] = sigma.tree.query(ctr[ask], workers=-1)
+                kept = d2 > 10.0 * root_n * side_k * (1 + 1e-12)
+                band = ask[~kept & (d2 > 10.0 * side_k * (1 - 1e-12))]
+                band = band[_sup_gap(pts[near[band]], ctr[band])
+                            > 10.0 * side_k]
+                keep[ask[kept]] = True
+                if band.size:
+                    d_inf, _ = sigma.tree.query(ctr[band], p=np.inf,
                                                 workers=-1)
-                # maximality gives the 60-dilate hit for free; verify anyway
-                if not np.all(d_inf <= 30.0 * side_k * (1 + 1e-12)):
-                    raise AssertionError("60-dilate check failed (internal)")
-                aidx[bad] = i_inf
-            levels[k] = _Level(side_k, key, ctr, aidx.astype(np.int32))
-        viol = current[~keep]
+                    keep[band] = d_inf > 10.0 * side_k
+                keys.append(_pack(cand[keep], n))
+                anchors.append(_anchors(sigma, ctr[keep], near[keep],
+                                        side_k))
+            viol = np.flatnonzero(~keep)
+            if k == max_depth:
+                undecided += viol.size
+                continue
+            if focus is not None and viol.size:
+                live = (_dilate_gap2(ctr[viol], side_k, 1.0, f_center)
+                        <= (f_radius + side_k) ** 2)
+                pruned += int(np.count_nonzero(~live))
+                viol = viol[live]
+            parents.append(cand[viol])
+            nears.append(near[viol])
+        if any(key.size for key in keys):
+            levels[k] = _sorted_level(keys, anchors, lo, side_k)
         if k == max_depth:
-            undecided = viol.shape[0]
             break
-        if focus is not None and viol.shape[0]:
-            live = (_dilate_gap2(lo + (viol + 0.5) * side_k, side_k, 1.0,
-                                 f_center) <= (f_radius + side_k) ** 2)
-            pruned += int(np.count_nonzero(~live))
-            viol = viol[live]
-        if viol.shape[0] == 0:
+        parents = np.concatenate(parents)
+        if parents.shape[0] == 0:
             break
-        current = (viol[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, n)
+        chunks = _child_chunks(parents, np.concatenate(nears))
 
     return WhitneyDecomposition(sigma, lo, side, max_depth, levels, undecided,
                                 alpha_resolution, alpha_cap, alpha_seed,
@@ -631,8 +696,12 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     n_excluded = 0
     anchors = 0
     for lev_k, lev in deco.levels.items():
-        sel = _dilate_gap2(lev.centers, lev.side, 2.0, x) <= r * r
-        count = int(np.count_nonzero(sel))
+        aidx = np.concatenate([
+            lev.anchor_idx[s:s + _CHUNK][
+                _dilate_gap2(lev.centers[s:s + _CHUNK], lev.side, 2.0, x)
+                <= r * r]
+            for s in range(0, len(lev.packed), _CHUNK)])
+        count = aidx.size
         if count == 0:
             continue
         ell = math.sqrt(n) * lev.side
@@ -640,7 +709,6 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
         if refusal is not None:
             n_excluded += count
             continue
-        aidx = lev.anchor_idx[sel]
         uniq, inv = np.unique(aidx, return_inverse=True)
         vals = np.array([_anchor_alpha(deco, a_i, radius).value
                          for a_i in uniq])

@@ -178,6 +178,15 @@ def test_lipschitz_spot_check_fires():
                              0.01)
 
 
+@pytest.mark.parametrize("lam", [-0.5, float("nan")])
+def test_lipschitz_graph_refuses_a_lam_that_is_not_nonnegative(lam):
+    # a NaN lam made the spot check's tolerance NaN, so a slope-2 profile
+    # constructed
+    with pytest.raises(ParameterError, match="lam"):
+        make_lipschitz_graph(3, 1, sawtooth_profile(2.0, 0.5), lam, 1.0,
+                             0.01)
+
+
 def test_flat_graph_matches_plane(line3d):
     g = make_lipschitz_graph(3, 1, lambda b: np.zeros((b.shape[0], 2)),
                              0.0, 1.0, 0.01)

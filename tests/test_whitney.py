@@ -8,13 +8,14 @@ seeded constructions and asserted with stated headroom.
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from urlab import whitney
 from urlab.exceptions import (
-    DomainError,
     InputError,
     ParameterError,
     ResolutionError,
@@ -59,6 +60,16 @@ def deco_graph(graph02):
     return decompose(graph02, max_depth=8)
 
 
+def _cube_at(deco, x):
+    """The retained cube holding the point x, or None: a scan of every
+    level's centres, the single-point oracle for `_locate` and `a_x`."""
+    held = [(k, int(i)) for k, lev in deco.levels.items()
+            for i in np.flatnonzero(np.all(np.abs(lev.centers - x)
+                                           < 0.5 * lev.side, axis=1))]
+    assert len(held) <= 1
+    return WhitneyCube(deco, *held[0]) if held else None
+
+
 def _interior_cube(deco, level, frac=0.5, bound=0.3):
     lev = deco.levels[level]
     idx = np.where(np.abs(lev.centers[:, 0]) < bound)[0]
@@ -100,23 +111,17 @@ def test_partition_unique_containment(deco_small, rng):
     for i in picks:
         cube = deco_small[int(i)]
         x = cube.center + rng.uniform(-0.49, 0.49, 3) * cube.side
-        holders = 0
-        for k, lev in deco_small.levels.items():
-            inside = np.all(np.abs(lev.centers - x) < 0.5 * lev.side, axis=1)
-            holders += int(np.count_nonzero(inside))
-        assert holders == 1
-        got = deco_small.cube_at(x)
-        assert got.level == cube.level and got.index == cube.index
+        got = _cube_at(deco_small, x)
+        assert (got.level, got.index) == (cube.level, cube.index)
+        level, index = deco_small._locate(x[None, :])
+        assert (level[0], index[0]) == (cube.level, cube.index)
 
 
 def test_points_on_support_lie_in_no_cube(deco_small, small_line):
-    for p in small_line.points[::5]:
-        assert deco_small.cube_at(p) is None
-
-
-def test_cube_at_domain(deco_small):
-    with pytest.raises(DomainError):
-        deco_small.cube_at(np.array([50.0, 0.0, 0.0]))
+    pts = small_line.points[::5]
+    assert all(_cube_at(deco_small, p) is None for p in pts)
+    level, index = deco_small._locate(pts)
+    assert (level == -1).all() and (index == -1).all()
 
 
 def test_sandwich_band_over_the_plane(deco_line):
@@ -269,7 +274,7 @@ _ORACLE_SETS = {
 }
 
 
-@pytest.mark.parametrize("name, box, depth, focus", [
+_ORACLE_CASES = [
     ("line", None, 7, None),
     ("line", None, 9, ((0.1, 0.0, 0.0), 0.15)),
     ("sawtooth", None, 7, None),
@@ -278,7 +283,10 @@ _ORACLE_SETS = {
     ("cantor", CANTOR_BOX, 10, ((0.0, 0.0, 0.0), 0.13)),
     ("plane4d", None, 7, ((0.0, 0.0, 0.0, 0.0), 0.2)),
     ("random", (np.zeros(3), 4.0), 9, ((0.0, 0.0, 0.0), 0.2)),
-])
+]
+
+
+@pytest.mark.parametrize("name, box, depth, focus", _ORACLE_CASES)
 def test_decompose_equals_the_sup_norm_oracle(name, box, depth, focus):
     # the Euclidean classification is exact: every level field, the
     # undecided count and the pruned count equal the all-sup-norm loop's
@@ -301,6 +309,67 @@ def test_decompose_equals_the_sup_norm_oracle(name, box, depth, focus):
     assert (focus is None) == (pruned == 0)
     # the random atoms reach the sup-norm anchor fallback (9 cubes)
     assert (fallback > 0) == (name == "random")
+
+
+@pytest.mark.parametrize("case, chunk", [
+    pytest.param(i, chunk, id=f"{_ORACLE_CASES[i][0]}-{chunk}")
+    for i, chunk in ((1, 7), (3, 7), (5, 100), (6, 24), (7, 100))])
+def test_chunked_decompose_equals_the_sup_norm_oracle(monkeypatch, case,
+                                                      chunk):
+    # a few cubes per chunk, never a whole number of parents (2^n children
+    # each), so chunk edges cut through one parent's children and through
+    # every level past the first; the focused cases keep tiny chunks fast
+    monkeypatch.setattr(whitney, "_CHUNK", chunk)
+    test_decompose_equals_the_sup_norm_oracle(*_ORACLE_CASES[case])
+
+
+class _QuerySpy:
+    """A kd-tree stand-in counting the points of each norm's queries."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.points = {2: 0, np.inf: 0}
+
+    def query(self, x, *args, p=2, **kwargs):
+        self.points[p] += len(x)
+        return self.tree.query(x, *args, p=p, **kwargs)
+
+
+def test_atoms_decide_queries_without_changing_the_cubes(monkeypatch):
+    # the oracle queries every candidate cube once in the sup norm; a
+    # child that its parent's atom puts within 10 sides takes no query,
+    # and a band cube that its own nearest atom puts there takes no
+    # sup-norm query.  Measured: 2400 Euclidean and 1888 sup-norm points
+    # for 16009 candidates, where querying each candidate in the Euclidean
+    # norm and each band cube in the sup norm made 16009 and 3592
+    sigma = _ORACLE_SETS["sawtooth"]()
+    focus = ((0.0, 0.0, 0.0), 0.1)
+    spy = _QuerySpy(sigma.tree)
+    monkeypatch.setattr(sigma, "tree", spy)
+    deco = decompose(sigma, None, 9, focus=focus)
+    euclid, sup = spy.points[2], spy.points[np.inf]
+    spy.points = {2: 0, np.inf: 0}
+    _oracle_decompose(sigma, deco.box_lo, deco.box_side, 9, focus)
+    candidates = spy.points[np.inf]
+    assert euclid + sup <= 0.5 * candidates
+
+
+def test_decompose_peak_stays_near_its_output():
+    # the ursum_sawtooth graph and focus: the whole-level sweep peaked at
+    # 4.7 times the output; one chunk and one level's sort read 1.4
+    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
+                                 0.00125)
+    sigma.tree                  # built before tracing starts
+    tracemalloc.start()
+    try:
+        deco = decompose(sigma, None, 11, focus=(np.zeros(3), 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(lev.packed.nbytes + lev.centers.nbytes + lev.anchor_idx.nbytes
+              for lev in deco.levels.values())
+    assert len(deco) == 145312
+    assert peak <= 2.0 * out
 
 
 # -- per-cube flatness -------------------------------------------------------
@@ -467,9 +536,9 @@ def test_a_x_fallback_flag_and_domain(deco_line):
 
 def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
     """The batch agrees, tail and skipped scales included, with the
-    per-cube sum at the cube that cube_at finds and with a batch of one
-    per point, and is NaN on support points (no cube) and outside the
-    box."""
+    per-cube sum at the cube that the scan oracle finds and with a batch
+    of one per point, and is NaN on support points (no cube) and outside
+    the box."""
     rng = np.random.default_rng(7)
     cubes = [deco_line[int(i)]
              for i in rng.choice(len(deco_line), 20, replace=False)]
@@ -483,7 +552,7 @@ def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
     assert got.shape == batch.tail.shape == (pts.shape[0],)
     assert len(batch.skipped) == pts.shape[0]
     for i, x in enumerate(pts[:-1]):
-        cube = deco_line.cube_at(x)
+        cube = _cube_at(deco_line, x)
         if i < len(cubes):
             assert (cube.level, cube.index) == (cubes[i].level,
                                                 cubes[i].index)
@@ -492,7 +561,7 @@ def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
         else:
             assert (batch.level[i], batch.index[i]) == (cube.level,
                                                         cube.index)
-            # the per-cube body at the cube that cube_at finds
+            # the per-cube body at the cube that the oracle finds
             assert (got[i], batch.tail[i], batch.skipped[i]) == _a_x_cube(
                 deco_line, cube, 1.0, k_max=2, eps=_EPS_DEFAULT, lam=2.0)
         one = a_x(deco_line, x[None, :], 1.0, 1.0, k_max=2, lam=2.0)
@@ -503,9 +572,7 @@ def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
     assert np.isnan(got[len(cubes):-1]).all()     # support: in no cube
     assert np.isfinite(got[:len(cubes)]).all()
     assert np.isfinite(batch.tail[:len(cubes)]).all()
-    assert np.isnan(got[-1])
-    with pytest.raises(DomainError):
-        deco_line.cube_at(outside)
+    assert np.isnan(got[-1]) and _cube_at(deco_line, outside) is None
 
 
 # -- square sums ---------------------------------------------------------------
@@ -540,6 +607,18 @@ def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
         got = ur_square_sum(cli_focus, x, r, k=k, lam=3.0)
         assert want.n_cubes > 0
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def test_ur_sum_in_tiny_chunks_equals_the_whole_level_scan(monkeypatch,
+                                                          deco_line, line3d):
+    x, r = line3d.points[120], 0.25
+    monkeypatch.setattr(whitney, "_CHUNK", 2 ** 40)
+    want = [ur_square_sum(deco_line, x, r, k=k, lam=3.0) for k in (0, 3)]
+    monkeypatch.setattr(whitney, "_CHUNK", 7)
+    got = [ur_square_sum(deco_line, x, r, k=k, lam=3.0) for k in (0, 3)]
+    assert want[0].n_cubes > 0 and want[1].n_excluded > 0
+    assert [dataclasses.asdict(g) for g in got] == [
+        dataclasses.asdict(w) for w in want]
 
 
 def test_ur_sum_k_growth_is_linearly_stable():

@@ -12,6 +12,10 @@ Each row is the best of three runs:
   records the arguments of every ``wasserstein._transport_lp`` call; the
   timed runs solve them again, so a row times the LP build and HiGHS and
   nothing else;
+* ``decompose`` at depth 12 with focus ((0, 0, 0), 0.2), the ROADMAP's
+  size.  Each decompose row also prints the traced peak
+  (``tracemalloc``) of one more, untimed run in MiB: the output it
+  returns plus what the sweep held beside it;
 * ``transport_lp cantor`` in LPs/s over the few large LPs (m about 200)
   of the ``alpha_cantor`` workload: ``alpha_number`` on the m = 6 Cantor
   set in one r = 0.3 ball about the support point that ``urlab alpha``
@@ -46,6 +50,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import tracemalloc
 
 if __name__ == "__main__":     # before numpy loads its BLAS
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -70,6 +75,7 @@ from urlab.geometry import (  # noqa: E402
 )
 
 QUERY = (np.zeros(3), 0.1)
+WIDE = (12, (np.zeros(3), 0.2))         # the ROADMAP's depth and ball
 LAM = 3.0
 
 
@@ -87,6 +93,23 @@ def best_of(fn, repeats: int) -> tuple:
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return out, best
+
+
+def traced_peak(fn) -> float:
+    """Traced peak of one ``fn()`` call in MiB, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def decompose_row(name: str, fn, repeats: int) -> tuple:
+    """((name, cubes, best seconds, traced peak MiB), the last timed
+    decomposition) of a decompose call."""
+    deco, secs = best_of(fn, repeats)
+    return (name, len(deco), secs, traced_peak(fn)), deco
 
 
 def lp_calls(fn) -> list[tuple]:
@@ -112,23 +135,31 @@ def lp_row(name: str, calls: list[tuple], repeats: int) -> tuple:
     return name, len(calls), secs
 
 
-def rows(sigma, depths=(9, 11), query=QUERY, lam: float = LAM,
-         repeats: int = 3) -> list[tuple[str, int, float]]:
-    """(row name, work count, best seconds) of each layer row."""
-    out = []
+def rows(sigma, depths=(9, 11), query=QUERY, wide=WIDE, lam: float = LAM,
+         repeats: int = 3) -> list[tuple]:
+    """(row name, work count, best seconds[, traced peak MiB]) of each
+    layer row; the decompose rows carry the peak."""
     full, focused = depths
-    deco, secs = best_of(lambda: whitney.decompose(sigma, None, full),
-                         repeats)
-    out.append((f"decompose depth {full}", len(deco), secs))
-    del deco
+    wide_depth, wide_query = wide
+    out = [decompose_row(f"decompose depth {full}",
+                         lambda: whitney.decompose(sigma, None, full),
+                         repeats)[0]]
     # decompose's alpha defaults are the workload's: resolution 12, cap
     # 120, seed 0
-    deco, secs = best_of(
-        lambda: whitney.decompose(sigma, None, focused, focus=query), repeats)
-    out.append((f"decompose depth {focused} focus r={query[1]:g}", len(deco),
-                secs))
+    row, deco = decompose_row(
+        f"decompose depth {focused} focus r={query[1]:g}",
+        lambda: whitney.decompose(sigma, None, focused, focus=query),
+        repeats)
     calls = lp_calls(lambda: whitney.ur_square_sum(deco, *query, lam=lam))
-    out.append(lp_row("transport_lp", calls, repeats))
+    del deco
+    # the LPs are timed before the wide row: a freed depth-12
+    # decomposition left them 30% slower to solve again
+    out += [row, lp_row("transport_lp", calls, repeats),
+            decompose_row(f"decompose depth {wide_depth} focus "
+                          f"r={wide_query[1]:g}",
+                          lambda: whitney.decompose(sigma, None, wide_depth,
+                                                    focus=wide_query),
+                          repeats)[0]]
     return out
 
 
@@ -226,14 +257,16 @@ _UNITS = {"transport_lp": "LPs", "kernel sums": "pairs",
           "vector kernel sums": "pairs", "cg": "iters"}
 
 
-def format_row(name: str, count: int, secs: float) -> str:
+def format_row(name: str, count: int, secs: float,
+               peak: float | None = None) -> str:
     unit = next((u for k, u in _UNITS.items() if name.startswith(k)),
                 "cubes")
     if unit == "iters":
         return (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
                 f"{1e3 * secs / count:>14.2f} ms/iter")
-    return (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
+    line = (f"{name:34}{count:>10} {unit:5}{secs:>9.3f} s"
             f"{count / secs:>14.1f} {unit}/s")
+    return line if peak is None else f"{line}{peak:>9.1f} MiB peak"
 
 
 def main() -> int:
