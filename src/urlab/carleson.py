@@ -1,4 +1,4 @@
-"""Carleson-measure estimates, non-tangential cones, and boundary cutoffs.
+"""Carleson-measure estimates and non-tangential cones.
 
 Quantities of the form  integral over a ball of |f|^p dist(X, support)^{d-n}
 are priced by Riemann sums on uniform grids.  The weight blows up at the
@@ -9,8 +9,15 @@ the atomic spacing where the continuum model stops applying).  That keeps
 every reported number finite while making truncation bias visible instead
 of silently absorbed.
 
-The cutoff profile is piecewise linear: only its plateau, support, and
-slope bound enter any estimate here, so smoothness would buy nothing.
+Memory and threads: a ball's grid is swept in fixed slabs of leading-axis
+planes, ``_CHUNK`` cells of the ball's bounding cube each.  The slabs run
+as tasks through ``distances._run_tasks``, at most ``_SLAB_TASKS`` (four)
+in flight, each task over a contiguous run of slabs, and every slab
+returns partial sums that are combined in slab order.  So a ball holds a
+few slabs of cells at once, whatever its size and the worker count, and
+since the slab edges do not depend on the worker count, no result does.
+The field is called from pool threads, on several slabs at once; inside a
+slab task the kernel sums of ``distances`` run inline, one task a slab.
 """
 
 from __future__ import annotations
@@ -24,33 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import distance
 
-from .exceptions import (
-    DomainError,
-    InputError,
-    LabError,
-    NumericError,
-    ParameterError,
-)
-from .geometry import (Ball, DiscreteMeasure, _as_points, _ball_volume,
-                       _lattice, _sphere_area, support_ball_family)
+from . import distances
+from .exceptions import DomainError, InputError, LabError, ParameterError
+from .geometry import (Ball, DiscreteMeasure, _ball_volume, _lattice,
+                       _sphere_area)
 
 __all__ = [
     "ConeFamily",
     "CarlesonEstimate",
     "NTMaxResult",
-    "EmbeddingResult",
-    "cutoff_phi",
-    "e_sets_indicator",
-    "cutoff_gradient_check",
     "carleson_norm",
     "ntmax",
     "ntmax_family",
-    "embedding_check",
     "shell_oracle",
     "write_carleson",
 ]
 
-_CHUNK = 1 << 19                # grid cells processed per evaluator call
+_CHUNK = 1 << 15                # grid cells per slab: 8 planes of a 64^3 cube
+_SLAB_TASKS = 4                 # slabs in flight at once, at any worker count
 _NT_BUDGET = 1 << 19            # (vertex, point) pairs per cone block
 
 
@@ -97,7 +95,10 @@ class CarlesonEstimate:
     field factor), NaN where no near-shell cell evaluated; `skipped`
     counts cells whose evaluator failed or returned non-finite values.
     `refinement` re-prices the supremum ball on a half-step grid: (value at
-    h, value at h/2).
+    h, value at h/2); `refinement_skipped` counts the cells that pass
+    skipped and `refinement_bias_known` says whether its bias is known
+    (all three None without refinement).  A half step can fall below the
+    evaluator's resolution, so the h/2 value may rest on fewer cells.
     """
 
     values: np.ndarray
@@ -109,6 +110,8 @@ class CarlesonEstimate:
     h: float
     squared: bool
     refinement: tuple | None
+    refinement_skipped: int | None
+    refinement_bias_known: bool | None
 
     def refinement_ratio(self) -> float | None:
         if self.refinement is None or self.refinement[0] == 0.0:
@@ -122,7 +125,9 @@ class CarlesonEstimate:
 
     def summary(self) -> dict:
         """Scalar summary: the supremum, grid step, variant, largest known
-        bias, total skipped cells and the refinement pair with its ratio."""
+        bias, total skipped cells, and the refinement pair with its ratio,
+        the cells its h/2 pass skipped and whether that pass's bias is
+        known."""
         return {
             "supremum": self.supremum,
             "grid_step": self.h,
@@ -131,126 +136,9 @@ class CarlesonEstimate:
             "total_skipped_cells": int(self.skipped.sum()),
             "refinement": list(self.refinement) if self.refinement else None,
             "refinement_ratio": self.refinement_ratio(),
+            "refinement_skipped_cells": self.refinement_skipped,
+            "refinement_bias_known": self.refinement_bias_known,
         }
-
-
-@dataclass(frozen=True)
-class EmbeddingResult:
-    lhs: float                  # grid sum of u * f * dist^{d-n} over the ball
-    rhs: float                  # cm1 estimate times the boundary N(u) integral
-    ratio: float                # lhs / rhs; NaN when both sides vanish
-    cm1: float
-    nt_integral: float
-    n_vertices: int
-    n_empty_cones: int
-    n_cells: int
-    skipped: int
-
-
-# -- cutoff profile and support sets ---------------------------------------
-
-
-def _psi(t: np.ndarray) -> np.ndarray:
-    """Piecewise-linear bump: 1 on [-1, 1], 0 outside (-2, 2), |slope| = 1."""
-    return np.clip(2.0 - np.abs(t), 0.0, 1.0)
-
-
-def _ball_gap(points: np.ndarray, ball: Ball) -> np.ndarray:
-    """dist(X, B): zero inside the ball, radial excess outside."""
-    gap = np.linalg.norm(points - ball.center, axis=1) - ball.radius
-    return np.maximum(gap, 0.0)
-
-
-def _cutoff(sigma: DiscreteMeasure, ball: Ball, eps: float,
-            pts: np.ndarray) -> tuple:
-    """The cutoff at an (m, n) point batch from one support query:
-    (phi, (E1, E2, E3), dist(X,support)).
-
-    phi is the product of bumps in dist(X,B)/(10 dist(X,support)),
-    2 dist(X,B)/r and eps/dist(X,support), and 0 on the support itself.
-    The E-sets are the transition shells of phi inside the 2-dilate:
-
-      E1:  10 dist(X,support) <= dist(X,B) <= 20 dist(X,support)
-      E2:  r/40 <= dist(X,support) <= 2r
-      E3:  eps/2 <= dist(X,support) <= eps
-    """
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-    dist_g = sigma.dist_to_support(pts)
-    dist_b = _ball_gap(pts, ball)
-    r = ball.radius
-    on_support = dist_g <= 0.0
-    safe = np.where(on_support, 1.0, dist_g)
-    phi = _psi(dist_b / (10.0 * safe)) * _psi(2.0 * dist_b / r) \
-        * _psi(eps / safe)
-    phi[on_support] = 0.0
-    in_2b = np.linalg.norm(pts - ball.center, axis=1) <= 2.0 * r
-    e1 = in_2b & (10.0 * dist_g <= dist_b) & (dist_b <= 20.0 * dist_g)
-    e2 = in_2b & (r / 40.0 <= dist_g) & (dist_g <= 2.0 * r)
-    e3 = in_2b & (eps / 2.0 <= dist_g) & (dist_g <= eps)
-    return phi, (e1, e2, e3), dist_g
-
-
-def cutoff_phi(sigma: DiscreteMeasure, ball: Ball, eps: float,
-               points: np.ndarray) -> np.ndarray:
-    """Boundary-aware cutoff adapted to a ball (see ``_cutoff``).
-
-    Equals 1 for points inside the ball at least eps from the support;
-    vanishes once dist(X,B) exceeds 20 dist(X,support), outside the
-    2-dilate, or below distance eps/2.  Points on the support itself get
-    0 (the function lives on the complement).  One value per row of the
-    (m, n) batch.
-    """
-    return _cutoff(sigma, ball, eps,
-                   _as_points(points, sigma.ambient_dim))[0]
-
-
-def e_sets_indicator(sigma: DiscreteMeasure, ball: Ball, eps: float,
-                     points: np.ndarray) -> tuple:
-    """Indicators of the three transition shells E1, E2, E3 of the cutoff
-    (see ``_cutoff``), all inside the 2-dilate of the ball.
-
-    The cutoff's gradient is supported on their union, with norm at most
-    100/dist(X,support) there.  A tuple of three (m,) bool arrays over the
-    (m, n) batch.
-    """
-    return _cutoff(sigma, ball, eps,
-                   _as_points(points, sigma.ambient_dim))[1]
-
-
-def cutoff_gradient_check(sigma: DiscreteMeasure, ball: Ball, eps: float,
-                          points: np.ndarray, *,
-                          step: float | None = None) -> dict:
-    """Central-difference gradient of the cutoff against its shell bound.
-
-    The bound 100/dist(X,support) holds wherever any of the three shells
-    is active; a finite difference straddling a shell edge can see slope
-    where the center point sees none, so the shell indicators are OR-ed
-    over the whole stencil and the distance takes the stencil minimum.
-    Each of the 2n+1 stencil point sets costs one support query.
-    """
-    pts = _as_points(points, sigma.ambient_dim)
-    if step is None:
-        step = 1e-3 * min(eps, ball.radius)
-    if not step > 0:
-        raise ParameterError("step must be positive")
-    grad = np.zeros_like(pts)
-    _, sets, min_dist = _cutoff(sigma, ball, eps, pts)
-    active = np.logical_or.reduce(sets)
-    for j, e in enumerate(step * np.eye(pts.shape[1])):
-        (phi_hi, sets_hi, d_hi), (phi_lo, sets_lo, d_lo) = (
-            _cutoff(sigma, ball, eps, pts + e),
-            _cutoff(sigma, ball, eps, pts - e))
-        grad[:, j] = (phi_hi - phi_lo) / (2.0 * step)
-        active |= np.logical_or.reduce(sets_hi + sets_lo)
-        min_dist = np.minimum(min_dist, np.minimum(d_hi, d_lo))
-    grad_norm = np.linalg.norm(grad, axis=1)
-    with np.errstate(divide="ignore"):
-        bound = np.where(active, 100.0 / np.maximum(min_dist - step, 1e-300),
-                         0.0)
-    ok = grad_norm <= bound + 1e-9
-    return {"grad_norm": grad_norm, "bound": bound, "ok": ok,
-            "active": active, "step": step}
 
 
 # -- radial oracle ----------------------------------------------------------
@@ -292,29 +180,39 @@ def shell_oracle(d: int, n: int, r: float, s0: float, s1: float) -> float:
 # -- Carleson norms ----------------------------------------------------------
 
 
-def _grid_chunks(center: np.ndarray, radius: float, h: float):
-    """Centers of the uniform h-grid cells in the ball, in bounded slabs."""
-    n = center.shape[0]
-    m = int(math.ceil(2.0 * radius / h))
+def _grid_slabs(sigma: DiscreteMeasure, ball: Ball, h: float) -> tuple:
+    """(number of slabs, ``slab``) of the ball's uniform h-grid.
+
+    ``slab(k)`` gives the cells of leading-axis planes [k g, (k + 1) g)
+    that lie in the ball at least 2h from the support, and their support
+    distances; g = ``_CHUNK`` // (cells per plane of the ball's bounding
+    cube), at least 1.  Every in-ball cell of the slab costs one support
+    query.
+    """
+    c, r = ball.center, ball.radius
+    n = c.shape[0]
+    m = int(math.ceil(2.0 * r / h))
     axis = (np.arange(m) + 0.5 - 0.5 * m) * h
-    cross = m ** (n - 1)
-    group = max(1, _CHUNK // max(cross, 1))
-    for lo in range(0, m, group):
-        pts = _lattice([axis[lo: lo + group], *([axis] * (n - 1))]) + center
-        rad2 = np.einsum("ij,ij->i", pts - center, pts - center)
-        pts = pts[rad2 <= radius * radius]
-        if pts.shape[0]:
-            yield pts
+    group = max(1, _CHUNK // m ** (n - 1))
 
-
-def _far_cells(sigma: DiscreteMeasure, ball: Ball, h: float):
-    """(cells, support distances) of the ball's grid cells at least 2h
-    from the support, slab by slab; slabs with no such cell are skipped."""
-    for pts in _grid_chunks(ball.center, ball.radius, h):
+    def slab(k: int) -> tuple[np.ndarray, np.ndarray]:
+        pts = _lattice([axis[k * group:(k + 1) * group],
+                        *([axis] * (n - 1))]) + c
+        off = pts - c
+        pts = pts[np.einsum("ij,ij->i", off, off) <= r * r]
         dist = sigma.dist_to_support(pts)
         keep = dist >= 2.0 * h
-        if np.any(keep):
-            yield pts[keep], dist[keep]
+        return pts[keep], dist[keep]
+
+    return -(-m // group), slab
+
+
+def _sweep(n_slabs: int, fn) -> list:
+    """[fn(k) for k in range(n_slabs)], in slab order, run as at most
+    ``_SLAB_TASKS`` tasks of contiguous slabs (``distances._run_tasks``)."""
+    runs = distances._run_tasks(
+        n_slabs, lambda k0, k1: [fn(k) for k in range(k0, k1)], _SLAB_TASKS)
+    return [out for run in runs for out in run]
 
 
 # evaluator failures that cost a cell; any other exception is a bug
@@ -344,34 +242,36 @@ def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ball_value(f, sigma: DiscreteMeasure, ball: Ball, h: float,
                 p: int) -> tuple[float, float, int, int]:
     """(normalized value, bias, skipped cells, used cells) for one ball;
-    the bias is NaN when the shell holds cells but none evaluated."""
+    the bias is NaN when the shell holds cells but none evaluated.  The
+    slabs' partial sums are added in slab order."""
     d, n = sigma.intrinsic_dim, sigma.ambient_dim
     mass = sigma.mass_in_ball(ball.center, ball.radius)
     if mass <= 0:
         raise DomainError("ball carries no mass; center it on the support")
-    total = 0.0
-    skipped = cells = 0
-    near_sup = 0.0
-    shell_cells = shell_known = 0
-    for pts, dist in _far_cells(sigma, ball, h):
+    n_slabs, slab = _grid_slabs(sigma, ball, h)
+
+    def partials(k: int) -> tuple:
+        """Slab k's sum of |f|^p dist^{d-n} h^n, skipped cells, cells,
+        near-shell cells, evaluated near-shell cells and their largest
+        |f|^p."""
+        pts, dist = slab(k)
+        if not pts.shape[0]:
+            return 0.0, 0, 0, 0, 0, 0.0
         vals, bad = _evaluate_field(f, pts)
-        skipped += int(np.count_nonzero(bad))
-        cells += pts.shape[0]
-        contrib = np.abs(vals) ** p * dist ** (d - n)
-        total += float(contrib.sum()) * h ** n
         shell = dist <= 4.0 * h
         known = shell & ~bad
-        shell_cells += int(np.count_nonzero(shell))
-        shell_known += int(np.count_nonzero(known))
-        if np.any(known):
-            near_sup = max(near_sup, float(np.max(np.abs(vals[known]) ** p)))
-    if shell_cells and not shell_known:
-        near_sup = math.nan
+        return (float((np.abs(vals) ** p * dist ** (d - n)).sum()) * h ** n,
+                int(np.count_nonzero(bad)), pts.shape[0],
+                int(np.count_nonzero(shell)), int(np.count_nonzero(known)),
+                float(np.max(np.abs(vals[known]) ** p, initial=0.0)))
+
+    sums, skipped, cells, shell, known, sup = zip(*_sweep(n_slabs, partials))
+    near_sup = math.nan if sum(shell) and not sum(known) else max(sup)
     s0 = 0.5 * sigma.spacing
     bias = 0.0
     if near_sup != 0.0 and 2.0 * h > s0:
         bias = near_sup * shell_oracle(d, n, ball.radius, s0, 2.0 * h) / mass
-    return total / mass, bias, skipped, cells - skipped
+    return sum(sums) / mass, bias, sum(skipped), sum(cells) - sum(skipped)
 
 
 def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
@@ -386,7 +286,16 @@ def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
     oracle-estimated shell contribution is reported per ball as `bias`
     rather than added.  Evaluator failures and non-finite field values
     skip their cell and are counted.  With `refine`, the supremum ball is
-    re-priced at h/2 and the pair is reported for stability reading.
+    re-priced at h/2 and the pair is reported for stability reading, with
+    the cells the h/2 pass skipped and whether its bias is known.
+
+    Memory: each ball's grid is swept in slabs of ``_CHUNK`` cells, at
+    most ``_SLAB_TASKS`` (four) in flight, so a ball costs a few slabs of
+    cells, not its whole grid, at any size and worker count.  Threads:
+    the slabs run on the ``distances`` pool, so ``f`` is called from
+    pool threads on several slabs at once and must be safe to call
+    concurrently, as the ``distances`` evaluators are.  The slab edges do
+    not depend on the worker count, so neither does any result.
     """
     balls = list(balls)
     if not balls:
@@ -407,13 +316,15 @@ def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
         values[i], bias[i], skipped[i], n_cells[i] = _ball_value(
             f, sigma, b, h, p)
     top = int(np.argmax(values))
-    refinement = None
+    refinement = half_skipped = half_bias_known = None
     if refine:
-        half, _, _, _ = _ball_value(f, sigma, balls[top], h / 2.0, p)
+        half, half_bias, half_skipped, _ = _ball_value(
+            f, sigma, balls[top], h / 2.0, p)
         refinement = (float(values[top]), float(half))
+        half_bias_known = not math.isnan(half_bias)
     return CarlesonEstimate(values, tuple(balls), float(values[top]),
                             bias, skipped, n_cells, float(h), squared,
-                            refinement)
+                            refinement, half_skipped, half_bias_known)
 
 
 # -- non-tangential maximal function ----------------------------------------
@@ -500,57 +411,6 @@ def ntmax(u, sigma: DiscreteMeasure, x: np.ndarray, *,
                       "reporting 0", stacklevel=2)
         return NTMaxResult(0.0, 0, True)
     return NTMaxResult(float(np.max(np.abs(vals[member]))), count, False)
-
-
-# -- Carleson embedding check -------------------------------------------------
-
-
-def embedding_check(f, u, sigma: DiscreteMeasure, ball: Ball, h: float, *,
-                    aperture: float = 2.0, cm1: float | None = None,
-                    seed: int = 0) -> EmbeddingResult:
-    """Consistency check of the Carleson embedding on one ball: the grid
-    sum of u * f * dist^{d-n} against the unsquared Carleson estimate of
-    f times the boundary integral of the cone maxima of u.
-
-    Both sides are this module's own estimates, so the check validates
-    mutual consistency of the estimators, not an absolute constant.  The
-    cone vertices are the support points that can reach the ball (others
-    have empty truncated cones and contribute nothing exactly).
-    """
-    if not h > 0:
-        raise ParameterError("grid step must be positive")
-    d, n = sigma.intrinsic_dim, sigma.ambient_dim
-    empty = (np.zeros((0, n)), np.zeros(0))
-    cells, dist = (np.concatenate(a)
-                   for a in zip(empty, *_far_cells(sigma, ball, h)))
-    fvals, bad_f = _evaluate_field(f, cells)
-    if float(fvals.min(initial=0.0)) < -1e-12:
-        raise InputError("embedding check requires a nonnegative field f")
-    uvals, bad_u = _evaluate_field(u, cells)
-    lhs = float(np.sum(uvals * fvals * dist ** (d - n))) * h ** n
-    if cm1 is None:
-        fam = support_ball_family(sigma, 32, np.random.default_rng(seed))
-        cm1 = carleson_norm(f, sigma, fam, min(h, min(
-            b.radius for b in fam) / 32.0), squared=False,
-            refine=False).supremum
-    reach = (aperture + 1.0) * ball.radius + sigma.spacing
-    near = sigma.tree.query_ball_point(ball.center, reach)
-    vertices = sigma.points[np.asarray(sorted(near), dtype=np.intp)]
-    weights = sigma.weights[np.asarray(sorted(near), dtype=np.intp)]
-    cones = ConeFamily(vertices, aperture, ball)
-    nvals, empty = ntmax_family((cells, uvals), sigma, cones, dists=dist)
-    nt_integral = float(np.dot(weights, nvals))
-    rhs = cm1 * nt_integral
-    if rhs <= 0.0 and lhs > 1e-12:
-        raise NumericError(
-            "embedding check inconsistent: positive left side against a "
-            "zero right side (broken norm or maximal-function estimate)")
-    # both sides vanish: the ratio is undefined, not a perfect 0
-    ratio = lhs / rhs if rhs > 0.0 else math.nan
-    return EmbeddingResult(lhs, rhs, ratio, float(cm1), nt_integral,
-                           len(cones), int(np.count_nonzero(empty)),
-                           int(cells.shape[0]),
-                           int(np.count_nonzero(bad_f | bad_u)))
 
 
 # -- reporting ---------------------------------------------------------------

@@ -141,6 +141,11 @@ def _run_tasks(units: int, fn, most: int | None = None) -> list:
     order.  Callers make what a unit computes independent of the
     run it falls in, so results never depend on the worker count; a task
     allocates its own buffers, so callers pass ``most`` to bound them.
+    The callers: ``_kernel_bundle`` (whole kernel chunks), the CG passes
+    of ``elliptic.EllipticSystem`` (partial-sum blocks) and
+    ``carleson._sweep`` (grid slabs of ``carleson_norm`` and
+    ``elliptic.sn_check``, at most four tasks, whose kernel sums then
+    run inline).
     Pool threads do not inherit the caller's ``contextvars``: a telemetry
     recorder held in a ``ContextVar`` (the in-library recorder the
     ROADMAP plans) must count in the caller or submit its tasks through

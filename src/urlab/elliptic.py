@@ -43,20 +43,22 @@ array with an int8 copy of the mask.  Work that touches every cell (face
 midpoints and their kernel sums, warm-start interpolation) runs in slabs
 of ``_EVAL_SLAB`` cells; the face loop finds its faces with
 ``np.flatnonzero`` of bool masks, so it keeps no int64 index grid; the
-collar search only visits cells within a few cells of an atom; ``sn_check`` reads its window once,
-in slabs of leading-axis planes, and folds each slab's cone maxima into
-running maxima, so it builds no array over all of 2B's cells.  So the
-largest transient is the conjugate-gradient working set of four grid
+collar search only visits cells within a few cells of an atom;
+``sn_check`` reads its window once, in slabs of leading-axis planes of
+``_SN_SLAB`` cells, at most four in flight, and takes the maxima of the
+slabs' cone maxima, so it builds no array over all of 2B's cells.  So
+the largest transient is the conjugate-gradient working set of four grid
 vectors (``_cg`` reuses the right-hand side and the initial guess it is
 given) plus one 256 KB ``_BLOCK``-cell buffer per partial-sum block in
 flight, and the peak of assemble, solve and sn_check stays near the
 system plus a few grid arrays.
 
-Threads: the kernel sums and every CG pass run on all usable CPUs
-through ``distances._run_tasks``, over work split into fixed blocks
-(whole kernel chunks; ``_RED``-cell partial-sum blocks), so no result
-depends on the worker count, and the buffers the tasks hold do not grow
-with it.
+Threads: the kernel sums, every CG pass and ``sn_check``'s slabs run on
+all usable CPUs through ``distances._run_tasks``, over work split into
+fixed blocks (whole kernel chunks; ``_RED``-cell partial-sum blocks;
+``_SN_SLAB``-cell slabs, as ``carleson._sweep`` tasks, at most
+``carleson._SLAB_TASKS`` of them), so no result depends on the worker
+count, and the buffers the tasks hold do not grow with it.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ MASK_OUTER = 2
 
 _MAX_CELLS = 2 ** 31 - 1
 _EVAL_SLAB = 1 << 18            # cells per evaluation slab: 6 MB of 3-D probes
+_SN_SLAB = _EVAL_SLAB // 4      # cells per sn_check slab task
 _BLOCK = 1 << 15                # cells per matvec block: 256 KB per array
 _RED = 1 << 18                  # cells per partial-sum block: 8 _BLOCKs
 
@@ -952,10 +955,15 @@ def sn_check(system: EllipticSystem, ball: Ball,
     comparisons hold per ball for one fixed solution, so one solve may be
     shared across balls: only the ball-local sums are computed here.
 
-    The window around 2B is read once, in slabs of leading-axis planes.
-    Each slab makes one support query for its 2B cells and folds their
-    cone maxima (``carleson.ntmax_family``) and |u| into running maxima,
-    so no array spans all of 2B's cells.
+    The window around 2B is read once, in slabs of leading-axis planes
+    of ``_SN_SLAB`` cells, run as at most four tasks (``carleson._sweep``)
+    so that the memory is a few slabs at any worker count.  Each slab
+    makes one support query for its 2B cells and returns its B cells'
+    squared gradients, the cone maxima of its 2B cells
+    (``carleson.ntmax_family``) and their sup of |u|; the maxima are
+    maxima over the slabs, and the square function is one C-order sum
+    over B's cells, so no result depends on the slabs or the workers and
+    no array spans all of 2B's cells.
 
     Refused: a system coarser than r/32 (``ResolutionError``), a solution
     that does not live on the system's grid (``EllipticSystem.same_grid``;
@@ -1001,15 +1009,14 @@ def sn_check(system: EllipticSystem, ball: Ball,
 
     # walk the window in slabs of leading-axis planes; with one halo plane
     # on each side a slab's masked gradient equals the whole window's, and
-    # the suprema over 2B are running maxima of the slabs' own
+    # the suprema over 2B are maxima of the slabs' own
     plane = int(np.prod(sub.shape[1:]))
-    step = max(1, _EVAL_SLAB // plane)
-    g2_b, idx_b = [], []
-    sup = 0.0
-    nvals = np.zeros(len(cones))
-    empty = np.ones(len(cones), dtype=bool)
-    for i0 in range(0, sub.shape[0], step):
-        i1 = min(i0 + step, sub.shape[0])
+    step = max(1, _SN_SLAB // plane)
+
+    def slab(k: int) -> tuple:
+        """(squared gradients and window indices of B's cells, sup |u|
+        over 2B, cone maxima, empty-cone flags) of slab k's planes."""
+        i0, i1 = k * step, min((k + 1) * step, sub.shape[0])
         h0, h1 = max(0, i0 - 1), min(sub.shape[0], i1 + 1)
         grad2 = _masked_gradient_sq(GridField(
             sub.box_lo, sub.h, sub.values[h0:h1], sub.mask[h0:h1]))
@@ -1021,17 +1028,20 @@ def sn_check(system: EllipticSystem, ball: Ball,
             sh[a] = -1
             dist2 += (sq_off[a][i0:i1] if a == 0 else sq_off[a]).reshape(sh)
         in_b = (dist2 <= r * r) & (sub.mask[i0:i1] != MASK_COLLAR)
-        g2_b.append(grad2[in_b])
-        idx_b.append(np.flatnonzero(in_b) + i0 * plane)
         in_2b = dist2 <= 4.0 * r * r
         u_2b = vals[in_2b]
-        sup = max(sup, float(np.abs(u_2b).max(initial=0.0)))
         cells = _cell_centers(sub.box_lo, sub.h, sub.shape,
                               np.flatnonzero(in_2b) + i0 * plane)
-        s_vals, s_empty = carleson.ntmax_family(
-            (cells, u_2b), sigma, cones, dists=sigma.dist_to_support(cells))
-        np.maximum(nvals, s_vals, out=nvals)
-        empty &= s_empty
+        return ((grad2[in_b], np.flatnonzero(in_b) + i0 * plane,
+                 float(np.abs(u_2b).max(initial=0.0)))
+                + carleson.ntmax_family((cells, u_2b), sigma, cones,
+                                        dists=sigma.dist_to_support(cells)))
+
+    g2_b, idx_b, sups, nvals, empty = zip(
+        *carleson._sweep(-(-sub.shape[0] // step), slab))
+    sup = max(sups)
+    nvals = np.max(nvals, axis=0)
+    empty = np.logical_and.reduce(empty)
 
     # one sum over B's cells in C order keeps the whole-window bits
     idx_b = np.concatenate(idx_b)

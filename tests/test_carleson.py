@@ -1,34 +1,25 @@
-"""Cutoffs and shell sets, Carleson norms with bias accounting, cone
-maxima, and the two-sided embedding consistency check."""
+"""Carleson norms with bias accounting and their slab sweep, the radial
+shell oracle, and cone maxima."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from urlab import carleson, geometry
+from urlab import carleson, distances, geometry
 from urlab.carleson import (
     ConeFamily,
     carleson_norm,
-    cutoff_gradient_check,
-    cutoff_phi,
-    e_sets_indicator,
-    embedding_check,
     ntmax,
     ntmax_family,
     shell_oracle,
     write_carleson,
 )
-from urlab.exceptions import (
-    DomainError,
-    InputError,
-    NumericError,
-    ParameterError,
-    ResolutionError,
-)
+from urlab.exceptions import DomainError, ParameterError, ResolutionError
 from urlab.geometry import Ball, make_lipschitz_graph, sawtooth_profile
 
 
@@ -51,203 +42,28 @@ def _ones(pts):
     return np.ones(pts.shape[0])
 
 
-def _indicator(sigma, ball, eps, which):
+def _shell(sigma, *bands):
+    """Indicator of the union of the shells s0 <= dist(X, support) <= s1
+    over the (s0, s1) bands."""
     def f(pts):
-        return e_sets_indicator(sigma, ball, eps, pts)[which].astype(float)
+        dist = sigma.dist_to_support(pts)
+        return np.logical_or.reduce(
+            [(s0 <= dist) & (dist <= s1) for s0, s1 in bands]).astype(float)
     return f
-
-
-# -- cutoff and shell sets ---------------------------------------------------
-
-
-def test_cutoff_plateau_and_support(line3d):
-    c0 = _origin_point(line3d)
-    ball = Ball(c0, 0.25)
-    eps = 0.01
-    # plateau, below eps/2, and far along the support (tiny boundary
-    # distance, large ball gap)
-    probes = c0 + np.array([[0.1, 2 * eps, 0.0], [0.0, eps / 4.0, 0.0],
-                            [0.6, 0.01, 0.0]])
-    assert cutoff_phi(line3d, ball, eps, probes).tolist() == [1.0, 0.0, 0.0]
-    with pytest.raises(ParameterError):
-        cutoff_phi(line3d, ball, eps, probes[0])
-
-    rng = np.random.default_rng(11)
-    pts = c0 + rng.uniform(-0.7, 0.7, size=(4000, 3))
-    phi = cutoff_phi(line3d, ball, eps, pts)
-    assert np.all((phi >= 0.0) & (phi <= 1.0))
-    dist_g = line3d.dist_to_support(pts)
-    dist_b = np.maximum(np.linalg.norm(pts - ball.center, axis=1)
-                        - ball.radius, 0.0)
-    plateau = (dist_b == 0.0) & (dist_g >= eps)
-    assert np.all(phi[plateau] == 1.0)
-    outside = ((dist_b > 20.0 * dist_g) | (dist_b >= ball.radius)
-               | (dist_g <= eps / 2.0))
-    assert np.all(phi[outside] == 0.0)
 
 
 _NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda s, b, p: cutoff_phi(s, b, _NAN, p), "eps"),
-    (lambda s, b, p: cutoff_gradient_check(s, b, 0.01, p, step=_NAN), "step"),
-    (lambda s, b, p: shell_oracle(1, 3, 0.25, _NAN, 0.1), "inner radius"),
-    (lambda s, b, p: carleson_norm(_ones, s, [b], _NAN), "grid step"),
-    (lambda s, b, p: embedding_check(_ones, _ones, s, b, _NAN), "grid step"),
-], ids=["cutoff-eps", "gradient-step", "shell-s0", "norm-h", "embedding-h"])
+    (lambda s, b: shell_oracle(1, 3, 0.25, _NAN, 0.1), "inner radius"),
+    (lambda s, b: carleson_norm(_ones, s, [b], _NAN), "grid step"),
+], ids=["shell-s0", "norm-h"])
 def test_nan_is_refused_like_a_nonpositive_value(line3d, call, message):
     """NaN fails every comparison, so each positivity guard is written as
     ``not x > 0``; at ``x <= 0`` NaN passed it."""
-    c0 = _origin_point(line3d)
-    probes = c0 + np.array([[0.1, 0.02, 0.0]])
     with pytest.raises(ParameterError, match=message):
-        call(line3d, Ball(c0, 0.25), probes)
-
-
-def test_cutoff_gradient_bound(line3d):
-    c0 = _origin_point(line3d)
-    ball = Ball(c0, 0.25)
-    rng = np.random.default_rng(3)
-    pts = c0 + rng.uniform(-0.6, 0.6, size=(300, 3))
-    res = cutoff_gradient_check(line3d, ball, 0.01, pts)
-    assert bool(res["ok"].all())
-    assert float(res["grad_norm"].max()) > 0.0
-
-
-def test_e_set_memberships(line3d):
-    c0 = _origin_point(line3d)
-    ball = Ball(c0, 0.25)
-    # third shell membership at three quarters of eps (second overlaps here)
-    sets = e_sets_indicator(line3d, ball, 0.01,
-                            c0 + np.array([[0.0, 0.0075, 0.0]]))
-    assert [s.tolist() for s in sets] == [[False], [True], [True]]
-    # at eps = 0.002: the interior plateau (inside the ball, above eps,
-    # below r/40), the first shell (ball gap between 10 and 20 boundary
-    # distances) and a point beyond the 2-dilate, where everything is off
-    y = 0.01
-    x = math.sqrt(0.4 ** 2 - y ** 2)
-    probes = c0 + np.array([[0.05, 0.003, 0.0], [x, y, 0.0],
-                            [2 * ball.radius + 0.05, 0.001, 0.0]])
-    e1, e2, e3 = e_sets_indicator(line3d, ball, 0.002, probes)
-    assert e1.tolist() == [False, True, False]
-    assert not e2[[0, 2]].any() and not e3[[0, 2]].any()
-    assert cutoff_phi(line3d, ball, 0.002, probes)[0] == 1.0
-    res = cutoff_gradient_check(line3d, ball, 0.002, probes[:1])
-    assert float(res["grad_norm"][0]) <= 1e-12
-    with pytest.raises(ParameterError):
-        e_sets_indicator(line3d, ball, 0.002, probes[0])
-
-
-# The cutoff trio as written before the cutoff's geometry moved into one
-# support query per point set: each function queried the support itself.
-# Kept as the oracle of the shared implementation.
-
-
-def _oracle_cutoff_phi(sigma, ball, eps, pts):
-    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
-    dist_b = carleson._ball_gap(pts, ball)
-    on_support = dist_g <= 0.0
-    safe = np.where(on_support, 1.0, dist_g)
-    out = (carleson._psi(dist_b / (10.0 * safe))
-           * carleson._psi(2.0 * dist_b / ball.radius)
-           * carleson._psi(eps / safe))
-    out[on_support] = 0.0
-    return out
-
-
-def _oracle_e_sets(sigma, ball, eps, pts):
-    dist_g = np.atleast_1d(sigma.dist_to_support(pts))
-    dist_b = carleson._ball_gap(pts, ball)
-    r = ball.radius
-    in_2b = np.linalg.norm(pts - ball.center, axis=1) <= 2.0 * r
-    e1 = in_2b & (10.0 * dist_g <= dist_b) & (dist_b <= 20.0 * dist_g)
-    e2 = in_2b & (r / 40.0 <= dist_g) & (dist_g <= 2.0 * r)
-    e3 = in_2b & (eps / 2.0 <= dist_g) & (dist_g <= eps)
-    return e1, e2, e3
-
-
-def _oracle_gradient_check(sigma, ball, eps, pts):
-    n = sigma.ambient_dim
-    step = 1e-3 * min(eps, ball.radius)
-    grad = np.zeros_like(pts)
-    active = np.zeros(pts.shape[0], dtype=bool)
-    min_dist = np.atleast_1d(sigma.dist_to_support(pts))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        hi, lo = pts + e, pts - e
-        grad[:, j] = (_oracle_cutoff_phi(sigma, ball, eps, hi)
-                      - _oracle_cutoff_phi(sigma, ball, eps, lo)) / (2 * step)
-        for stencil in (hi, lo):
-            s1, s2, s3 = _oracle_e_sets(sigma, ball, eps, stencil)
-            active |= s1 | s2 | s3
-            min_dist = np.minimum(
-                min_dist, np.atleast_1d(sigma.dist_to_support(stencil)))
-    s1, s2, s3 = _oracle_e_sets(sigma, ball, eps, pts)
-    active |= s1 | s2 | s3
-    grad_norm = np.linalg.norm(grad, axis=1)
-    with np.errstate(divide="ignore"):
-        bound = np.where(active, 100.0 / np.maximum(min_dist - step, 1e-300),
-                         0.0)
-    return {"grad_norm": grad_norm, "bound": bound,
-            "ok": grad_norm <= bound + 1e-9, "active": active, "step": step}
-
-
-def _cutoff_batch(sigma, ball, eps):
-    """Points on the support, on and around the 2B sphere, in each E-set,
-    and a random cloud around the ball."""
-    c0, r = ball.center, ball.radius
-    rng = np.random.default_rng(5)
-    y = np.array([0.0, 1.0, 0.0])
-    x = np.array([1.0, 0.0, 0.0])
-    edge = [c0 + (2.0 * r + t) * u for t in (-1e-12, 0.0, 1e-12, 0.003)
-            for u in (x, y, (x + y) / math.sqrt(2.0))]
-    e1 = [c0 + math.sqrt((r + 15.0 * g) ** 2 - g ** 2) * x + g * y
-          for g in (0.004, 0.006)]
-    e2 = [c0 + 0.1 * y, c0 + 0.05 * x + 0.2 * y]
-    e3 = [c0 + 0.0075 * y, c0 + 0.1 * x + 0.006 * y]
-    return np.vstack([sigma.points[::10], *edge, *e1, *e2, *e3,
-                      c0 + rng.uniform(-0.6, 0.6, size=(400, 3))])
-
-
-def test_cutoff_trio_equals_the_oracle(line3d):
-    ball = Ball(_origin_point(line3d), 0.25)
-    eps = 0.01
-    pts = _cutoff_batch(line3d, ball, eps)
-    sets = e_sets_indicator(line3d, ball, eps, pts)
-    want = _oracle_e_sets(line3d, ball, eps, pts)
-    for got_set, want_set in zip(sets, want):
-        assert want_set.any() and not want_set.all()
-        assert np.array_equal(got_set, want_set)
-    phi = cutoff_phi(line3d, ball, eps, pts)
-    assert np.any(line3d.dist_to_support(pts) == 0.0)
-    assert np.array_equal(phi, _oracle_cutoff_phi(line3d, ball, eps, pts))
-    got = cutoff_gradient_check(line3d, ball, eps, pts)
-    want = _oracle_gradient_check(line3d, ball, eps, pts)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert np.array_equal(got[key], want[key]), key
-
-
-def test_cutoff_gradient_check_queries_the_support_once_per_stencil_set(
-        line3d, monkeypatch):
-    """2n+1 support queries in R^n: the centre set and the two shifted
-    sets per axis (7 in R^3, where the separate trio made 20)."""
-    ball = Ball(_origin_point(line3d), 0.25)
-    pts = _cutoff_batch(line3d, ball, 0.01)
-    calls = []
-    query = type(line3d).dist_to_support
-
-    def counted(self, x):
-        calls.append(np.shape(x))
-        return query(self, x)
-
-    monkeypatch.setattr(type(line3d), "dist_to_support", counted)
-    res = cutoff_gradient_check(line3d, ball, 0.01, pts)
-    assert len(calls) == 2 * 3 + 1
-    assert all(shape == pts.shape for shape in calls)
-    assert bool(res["ok"].all())
+        call(line3d, Ball(_origin_point(line3d), 0.25))
 
 
 # -- Carleson norms -----------------------------------------------------------
@@ -275,11 +91,9 @@ def test_carleson_zero_and_parameter_guards(line3d):
 
 
 def test_carleson_norm_is_monotone(graph2d, ball2):
-    eps = 0.02
-    f3 = _indicator(graph2d, ball2, eps, 2)
-    f23 = lambda p: (e_sets_indicator(graph2d, ball2, eps, p)[1]
-                     | e_sets_indicator(graph2d, ball2, eps, p)[2]
-                     ).astype(float)
+    eps, r = 0.02, ball2.radius
+    f3 = _shell(graph2d, (eps / 2.0, eps))
+    f23 = _shell(graph2d, (r / 40.0, 2.0 * r), (eps / 2.0, eps))
     other = Ball(graph2d.points[40], 0.1)
     balls = [ball2, other]
     h = other.radius / 32.0
@@ -305,7 +119,7 @@ def test_plane_weight_divergence_matches_radial_oracle(line3d):
 
 
 def test_second_shell_norm_stable_under_refinement(graph2d, ball2):
-    f2 = _indicator(graph2d, ball2, 0.01, 1)
+    f2 = _shell(graph2d, (ball2.radius / 40.0, 2.0 * ball2.radius))
     h = ball2.radius / 64.0
     est = carleson_norm(f2, graph2d, [ball2], h, squared=True, refine=True)
     ratio = est.refinement_ratio()
@@ -401,10 +215,112 @@ def test_evaluator_bugs_propagate_instead_of_skipping_cells(graph2d, ball2):
     h = ball2.radius / 32.0
     with pytest.raises(AttributeError):
         carleson_norm(buggy, graph2d, [ball2], h, refine=False)
-    with pytest.raises(AttributeError):
-        embedding_check(buggy, _ones, graph2d, ball2, h, cm1=1.0)
-    with pytest.raises(AttributeError):
-        embedding_check(_ones, buggy, graph2d, ball2, h, cm1=1.0)
+
+
+# -- the slab sweep -------------------------------------------------------------
+
+
+def _gradient_norm(sigma):
+    return lambda pts: np.linalg.norm(
+        distances.distance_gradient(sigma, pts, 2.0), axis=1)
+
+
+def test_refined_pass_reports_its_skipped_cells_and_bias(graph2d, ball2):
+    """The h/2 pass keeps cells down to h, below the 2h where the h pass
+    stops: its skipped cells and whether its bias is known reach the
+    estimate and the summary instead of hiding behind the refinement
+    pair."""
+    h = ball2.radius / 32.0
+
+    def fails_below_2h(pts):
+        return np.where(graph2d.dist_to_support(pts) >= 2.0 * h, 1.0, np.nan)
+
+    est = carleson_norm(fails_below_2h, graph2d, [ball2], h)
+    assert est.skipped[0] == 0 and np.isfinite(est.bias[0])
+    assert est.refinement_skipped > 0 and est.refinement_bias_known is False
+    summary = est.summary()
+    assert summary["refinement_skipped_cells"] == est.refinement_skipped
+    assert summary["refinement_bias_known"] is False
+    # the kernel refuses probes below 2 spacings = 0.01, inside the h/2
+    # pass's cells; its shell cells in [0.01, 4 (h/2)] keep the bias known
+    grad = carleson_norm(_gradient_norm(graph2d), graph2d, [ball2], h)
+    assert grad.skipped[0] == 0
+    assert grad.refinement_skipped > 0 and grad.refinement_bias_known
+    clean = carleson_norm(_ones, graph2d, [ball2], h)
+    assert clean.refinement_skipped == 0 and clean.refinement_bias_known
+    off = carleson_norm(_ones, graph2d, [ball2], h, refine=False).summary()
+    assert off["refinement_skipped_cells"] is None
+    assert off["refinement_bias_known"] is None
+
+
+def test_carleson_norm_keeps_its_bits_at_any_worker_count(graph2d, ball2,
+                                                          monkeypatch):
+    """Slabs of 5 planes make 13 slabs of the 64-plane grid, run as 1, 2
+    and 3 tasks (the last split 4/4/5), and 64 two-plane slabs at h/2;
+    each slab's kernel chunks start at its first cell, so every number
+    keeps its bits."""
+    h = ball2.radius / 32.0
+    other = Ball(graph2d.points[40], 0.25)
+    monkeypatch.setattr(carleson, "_CHUNK", 5 * 64 + 3)
+    assert carleson._grid_slabs(graph2d, ball2, h)[0] == 13
+    runs = []
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_WORKERS", workers)
+            runs.append(carleson_norm(_gradient_norm(graph2d), graph2d,
+                                      [ball2, other], h))
+    assert runs[0].refinement_skipped > 0
+    for est in runs[1:]:
+        for name in ("values", "bias", "skipped", "n_cells"):
+            assert getattr(est, name).tobytes() == \
+                getattr(runs[0], name).tobytes(), name
+        assert est.refinement == runs[0].refinement
+        assert est.refinement_skipped == runs[0].refinement_skipped
+        assert est.refinement_bias_known == runs[0].refinement_bias_known
+
+
+def test_slab_size_moves_only_the_rounding(graph2d, ball2, monkeypatch):
+    """One plane a slab against one slab a ball: the same cells, and the
+    sums within 1e-12 relative (kernel chunks and partial sums fall
+    elsewhere)."""
+    h = ball2.radius / 32.0
+    balls = [ball2, Ball(graph2d.points[40], 0.25)]
+    runs = []
+    for chunk, slabs in ((1, 64), (1 << 30, 1)):
+        monkeypatch.setattr(carleson, "_CHUNK", chunk)
+        assert carleson._grid_slabs(graph2d, ball2, h)[0] == slabs
+        runs.append(carleson_norm(_gradient_norm(graph2d), graph2d, balls, h,
+                                  refine=False))
+    tiny, whole = runs
+    assert np.array_equal(tiny.n_cells, whole.n_cells)
+    assert np.array_equal(tiny.skipped, whole.skipped)
+    assert np.all(tiny.bias > 0)
+    np.testing.assert_allclose(tiny.values, whole.values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tiny.bias, whole.bias, rtol=1e-12, atol=0)
+
+
+def test_ball_peak_is_a_few_slabs_not_its_grid(graph02, monkeypatch):
+    """Traced peak of one 137 k-cell ball in 8 slabs, gradient field.
+
+    Measured: 2.8 MiB at 1 worker and 9.5 MiB at 4 or 8 (at most four
+    slabs in flight); the whole-ball batch this sweep replaced read
+    21.0 MiB at any worker count.
+    """
+    ball = Ball(_origin_point(graph02), 0.64)
+    h = ball.radius / 32.0
+    peaks = {}
+    for workers in (1, 8):
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                est = carleson_norm(_gradient_norm(graph02), graph02, [ball],
+                                    h, refine=False)
+                peaks[workers] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+        assert est.n_cells[0] > 130_000 and est.skipped[0] == 0
+    assert peaks[1] <= 4.0 and peaks[8] <= 12.0, peaks
 
 
 def _shell_integral_oracle(d, r, s0, s1):
@@ -547,8 +463,8 @@ def _ntmax_family_oracle(u, sigma, cones, dists=None):
 
 @pytest.mark.parametrize("budget", [None, 7 * 400 + 3])
 def test_ntmax_family_matches_per_vertex_loop(graph2d, budget, monkeypatch):
-    """Values and flags equal the per-vertex loop's on the embedding
-    check's cone field (every atom a vertex, dists given); with a small
+    """Values and flags equal the per-vertex loop's on a cone field over
+    a large ball (every atom a vertex, dists given); with a small
     pair budget the 400 vertices get 7-point blocks that do not divide
     the field."""
     domain = Ball(_origin_point(graph2d), 0.45)
@@ -563,63 +479,6 @@ def test_ntmax_family_matches_per_vertex_loop(graph2d, budget, monkeypatch):
     assert want[1].any() and not want[1].all()
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-
-
-# -- embedding check ----------------------------------------------------------
-
-
-def test_embedding_battery_bounded_and_stable(graph2d):
-    c0 = _origin_point(graph2d)
-    geom = Ball(c0, 0.2)
-    domain = Ball(c0, 0.45)
-    eps = 0.02
-    fields = {name: _indicator(graph2d, geom, eps, j)
-              for j, name in enumerate(("first", "second", "third"))}
-    profiles = {
-        "const": _ones,
-        "dist": lambda p: graph2d.dist_to_support(p) / geom.radius,
-    }
-    fam = geometry.support_ball_family(graph2d, 8, np.random.default_rng(0))
-    h_fam = min(b.radius for b in fam) / 32.0
-    cm1 = {name: carleson_norm(f, graph2d, fam, h_fam, squared=False,
-                               refine=False).supremum
-           for name, f in fields.items()}
-    ratios = {}
-    for h in (0.003125, 0.003125 / 2.0, 0.003125 / 4.0):
-        for fname, f in fields.items():
-            for uname, u in profiles.items():
-                res = embedding_check(f, u, graph2d, domain, h,
-                                      cm1=cm1[fname])
-                ratios.setdefault((fname, uname), []).append(res.ratio)
-    for series in ratios.values():
-        assert max(series) <= 1.0            # one constant for the battery
-        assert max(series) <= 2.0 * min(series)
-    for fname in fields:
-        const_r, dist_r = ratios[(fname, "const")], ratios[(fname, "dist")]
-        assert all(d <= 1.1 * c for c, d in zip(const_r, dist_r))
-
-
-def test_embedding_trivial_and_error_paths(graph2d, ball2):
-    f2 = _indicator(graph2d, ball2, 0.01, 1)
-    h = 0.003125
-    zero = embedding_check(f2, lambda p: np.zeros(p.shape[0]), graph2d,
-                           ball2, h, cm1=1.0)
-    assert zero.lhs == 0.0 and math.isnan(zero.ratio)
-    with pytest.raises(NumericError):
-        embedding_check(f2, _ones, graph2d, ball2, h, cm1=0.0)
-    with pytest.raises(InputError):
-        embedding_check(lambda p: -np.ones(p.shape[0]), _ones, graph2d,
-                        ball2, h, cm1=1.0)
-
-
-def test_embedding_counts_a_cell_failing_both_fields_once(graph2d, ball2):
-    def nan(pts):
-        return np.full(pts.shape[0], np.nan)
-
-    res = embedding_check(nan, nan, graph2d, ball2, ball2.radius / 32.0,
-                          cm1=1.0)
-    assert res.n_cells > 0
-    assert res.skipped == res.n_cells
 
 
 def test_write_carleson_outputs(tmp_path, graph2d, ball2):

@@ -1005,7 +1005,7 @@ def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
     """Every SNResult field equals the whole-window body's, with slabs of
     5 planes that do not divide the 128-plane window."""
     sigma, ball, system, sol = sn128
-    monkeypatch.setattr(elliptic, "_EVAL_SLAB", 5 * 128 * 128 + 7)
+    monkeypatch.setattr(elliptic, "_SN_SLAB", 5 * 128 * 128 + 7)
     got = sn_check(system, ball, sol)
     want = _sn_check_oracle(sigma, ball, system, sol)
     assert got.square_fn > 0 and got.n_cells > 100_000
@@ -1016,7 +1016,7 @@ def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
 
 def test_sn_check_queries_the_support_once_per_slab(sn128, monkeypatch):
     """One support query per slab of the 128-plane window, not one per
-    cone-budget block: 8 slabs of 16 planes at the default slab size, one
+    cone-budget block: 32 slabs of 4 planes at the default slab size, one
     point per cell of 2B."""
     sigma, ball, system, sol = sn128
     calls = []
@@ -1028,12 +1028,30 @@ def test_sn_check_queries_the_support_once_per_slab(sn128, monkeypatch):
 
     monkeypatch.setattr(type(sigma), "dist_to_support", counting)
     res = sn_check(system, ball, sol)
-    step = elliptic._EVAL_SLAB // 128 ** 2
-    assert len(calls) == math.ceil(128 / step) == 8
+    step = elliptic._SN_SLAB // 128 ** 2
+    assert len(calls) == math.ceil(128 / step) == 32
     in_2b = np.linalg.norm(sol.field.cell_centers() - ball.center,
                            axis=1) <= 2.0 * ball.radius
     assert sum(calls) == np.count_nonzero(in_2b)
     assert res.n_empty_cones == 0
+
+
+def test_sn_check_keeps_its_bits_at_any_worker_count(sn128, monkeypatch):
+    """Slabs of 5 planes make 26 slabs of the 128-plane window, run as 1,
+    2 and 3 tasks (the last split 8/9/9): every scalar keeps its bits."""
+    sigma, ball, system, sol = sn128
+    monkeypatch.setattr(elliptic, "_SN_SLAB", 5 * 128 * 128 + 7)
+    runs = []
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_WORKERS", workers)
+            runs.append(sn_check(system, ball, sol))
+    assert runs[0].square_fn > 0 and runs[0].nt_sq > 0
+    for res in runs[1:]:
+        for f in dataclasses.fields(SNResult):
+            if f.name not in ("ball", "field"):
+                assert getattr(res, f.name) == getattr(runs[0], f.name), \
+                    f.name
 
 
 def test_sn_ratios_of_zero_data_are_nan(sn128):
@@ -1110,3 +1128,20 @@ def test_assemble_peak_does_not_grow_with_the_workers(line3d, slab,
     if slab is not None:
         assert peaks[1] <= 9.2 and peaks[1] - peaks[0] < 0.01, peaks
     assert peaks[1] - peaks[0] <= probes, peaks
+
+
+def test_sn_check_peak_stays_within_its_bound_at_any_worker_count(
+        sn128, monkeypatch):
+    """At most four slab tasks are in flight, so the traced sn_check peak
+    stays within the phase test's 2.5 grid arrays at any worker count.
+    Measured: 0.65, 1.89 and 1.89 at 1, 4 and 8 workers; one task per
+    worker with 16-plane slabs read 2.33 at 2 workers and 4.19 at 4."""
+    sigma, ball, system, sol = sn128
+    peaks = []
+    for workers in (1, 4, 8):
+        with monkeypatch.context() as mp:
+            mp.setattr(distances, "_WORKERS", workers)
+            _, peak = _peak_grid_arrays(
+                system.n_cells, lambda: sn_check(system, ball, sol))
+        peaks.append(peak)
+    assert peaks[0] <= 1.0 and max(peaks) <= 2.5, peaks

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 _SPEC = importlib.util.spec_from_file_location(
     "layers", Path(__file__).resolve().parents[1] / "tools" / "layers.py")
 layers = importlib.util.module_from_spec(_SPEC)
@@ -43,8 +45,8 @@ def test_cantor_row_counts_the_lps_of_one_alpha():
 def test_sn_rows_time_kernel_sums_and_cg_at_each_worker_count():
     sigma = layers.sn_measure()
     workers = layers.distances._WORKERS
-    got = layers.sn_rows(sigma, box=(layers.SN_BOX[0], 0.64), h=0.04,
-                         repeats=1, workers=(1, 2))
+    system = layers.sn_system(sigma, box=(layers.SN_BOX[0], 0.64), h=0.04)
+    got = layers.sn_rows(system, repeats=1, workers=(1, 2))
     assert layers.distances._WORKERS == workers
     assert [name for name, _, _ in got] == [
         "kernel sums, 1 worker(s)", "cg, 1 worker(s)",
@@ -57,6 +59,22 @@ def test_sn_rows_time_kernel_sums_and_cg_at_each_worker_count():
     assert layers.format_row(*got[1]).endswith("ms/iter")
 
 
+def test_sn_check_rows_time_sn_check_at_each_worker_count():
+    """On the workload's 128^3 grid, the smallest an r/32 ball's 2B fits;
+    zero data spare the solve but not the sweep."""
+    sigma = layers.sn_measure()
+    system = layers.sn_system(sigma)
+    solution = system.solve(np.zeros(len(sigma)))
+    got = layers.sn_check_rows(system, layers.sn_ball(sigma), solution,
+                               repeats=1, workers=(1, 2))
+    assert [row[0] for row in got] == ["sn_check, 1 worker(s)",
+                                       "sn_check, 2 worker(s)"]
+    assert all(count == 128 ** 3 and secs > 0 and peak > 0
+               for _, count, secs, peak in got)
+    line = layers.format_row(*got[0])
+    assert "cells/s" in line and line.endswith("MiB peak")
+
+
 def test_vector_rows_time_distance_gradients_at_each_worker_count():
     sigma = layers.carleson_measure()
     ball = layers.carleson_ball(sigma)
@@ -67,7 +85,23 @@ def test_vector_rows_time_distance_gradients_at_each_worker_count():
     assert [name for name, _, _ in got] == [
         "vector kernel sums, 1 worker(s)", "vector kernel sums, 2 worker(s)"]
     assert all(count > 0 and secs > 0 for _, count, secs in got)
-    cells = sum(pts.shape[0] for pts, _ in
-                layers.carleson._far_cells(sigma, ball, 0.025))
-    assert got[0][1] == got[1][1] == cells * len(sigma)
+    cells = layers.far_cells(sigma, ball, 0.025)
+    _, _, skipped, used = layers.carleson._ball_value(
+        lambda p: np.ones(p.shape[0]), sigma, ball, 0.025, 2)
+    assert cells.shape[0] == skipped + used and used > 0
+    assert got[0][1] == got[1][1] == cells.shape[0] * len(sigma)
     assert layers.format_row(*got[0]).endswith("pairs/s")
+
+
+def test_sweep_rows_count_the_cells_of_one_ball():
+    sigma = layers.carleson_measure()
+    ball = layers.carleson_ball(sigma)
+    got = layers.sweep_rows([("r/8", sigma, ball, 0.025)], repeats=1,
+                            workers=(1, 2))
+    assert [row[0] for row in got] == ["carleson sweep r/8, 1 worker(s)",
+                                       "carleson sweep r/8, 2 worker(s)"]
+    cells = layers.far_cells(sigma, ball, 0.025).shape[0]
+    assert all(count == cells and secs > 0 and peak > 0
+               for _, count, secs, peak in got)
+    line = layers.format_row(*got[0])
+    assert "cells/s" in line and line.endswith("MiB peak")

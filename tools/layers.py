@@ -28,15 +28,25 @@ Each row is the best of three runs:
 * ``cg`` in ms per iteration, with the iteration count, of the
   ``sn_line`` solve (tol 1e-3, data 1 on the atoms with x > 0.125) on the
   system ``assemble`` builds there;
+* ``sn_check`` in cells/s over that grid, the smallest that covers 2B,
+  with that solution and the workload's ball (r = 0.64 about the atom at
+  x = 0.13), and its traced peak in MiB;
 * ``vector kernel sums`` in pairs/s, on the inputs of the
   ``carleson_sawtooth`` workload (the sawtooth graph at spacing 0.00625,
   320 atoms): ``distance_gradient`` (beta 2) over the 136,564 cells of
   the r = 0.2 ball that ``urlab carleson`` draws at seed 2 (the variant
-  of benchmark seed 10) at h = 0.00625, in ``carleson_norm``'s slabs.
+  of benchmark seed 10) at h = 0.00625, as one batch;
+* ``carleson sweep`` in cells/s and traced peak in MiB of one
+  ``carleson._ball_value`` (the squared gradient field of that workload):
+  on that ball at r/32; at r/64 on the graph at spacing 0.003125 (640
+  atoms, h = 0.003125, 1.1 M cells), on the ball it draws at seed 2; and
+  at r/64 on the workload's ball (``r/64 refine``), the h/2 pass that
+  ``urlab carleson`` adds by default, where the kernel refuses the cells
+  closer than two spacings to the support and each refusal is retried.
 
-The last three rows are measured at one worker and at every worker the
-process may run on, by setting the library's private worker count (the
-CG partition is fixed when the system is assembled).
+The rows from ``kernel sums`` on are measured at one worker and at every
+worker the process may run on, by setting the library's private worker
+count (the CG partition is fixed when the system is assembled).
 
 Usage (from the repository root; BLAS runs on one thread):
 
@@ -67,6 +77,7 @@ from urlab import (  # noqa: E402
     whitney,
 )
 from urlab.geometry import (  # noqa: E402
+    Ball,
     make_cantor_set,
     make_lipschitz_graph,
     make_plane_set,
@@ -181,6 +192,23 @@ def sn_measure():
     return make_plane_set(3, 1, 0.32, 0.02)
 
 
+def sn_system(sigma, box=SN_BOX, h: float = SN_H):
+    """The system ``assemble`` builds for the ``sn_line`` config."""
+    return elliptic.assemble(sigma, box, h, elliptic.SolverConfig(
+        beta=2.0, gamma=0.0, tol=1e-3, collar=3.0))
+
+
+def sn_data(sigma) -> np.ndarray:
+    """The ``sn_line`` data: 1 on the atoms with x > 0.125."""
+    return (sigma.points[:, 0] > 0.125).astype(float)
+
+
+def sn_ball(sigma):
+    """The ``sn_line`` ball: r = 0.64 about the atom nearest x = 0.125."""
+    return Ball(sigma.points[np.argmin(np.abs(sigma.points[:, 0] - 0.125))],
+                0.64)
+
+
 def with_workers(workers: int, fn):
     """fn() with the library's kernel and CG pool set to ``workers``."""
     saved = distances._WORKERS
@@ -191,27 +219,27 @@ def with_workers(workers: int, fn):
         distances._WORKERS = saved
 
 
-def sn_rows(sigma, box=SN_BOX, h: float = SN_H, repeats: int = 3,
+def _workers(workers):
+    """The worker counts to measure: 1 and every usable CPU by default."""
+    return sorted({1, distances._WORKERS}) if workers is None else workers
+
+
+def sn_rows(system, repeats: int = 3,
             workers=None) -> list[tuple[str, int, float]]:
     """(row name, work count, best seconds) of the ``kernel sums`` and
-    ``cg`` rows at each worker count (default: 1 and every usable CPU)."""
-    if workers is None:
-        workers = sorted({1, distances._WORKERS})
-    config = elliptic.SolverConfig(beta=2.0, gamma=0.0, tol=1e-3,
-                                   collar=3.0)
-    g = (sigma.points[:, 0] > 0.125).astype(float)
-    system = elliptic.assemble(sigma, box, h, config)
+    ``cg`` rows on a system at each worker count."""
+    sigma, h, slab = system.sigma, system.h, elliptic._EVAL_SLAB
+    g = sn_data(sigma)
     cells = np.flatnonzero(system.w_pad[0])
-    slab = elliptic._EVAL_SLAB
 
     def kernel_sums():
         for s0 in range(0, cells.size, slab):
             pts = elliptic._cell_centers(system.box_lo, h, system.shape,
                                          cells[s0:s0 + slab], 0, 0.5)
-            distances.regularized_distance(sigma, pts, config.beta)
+            distances.regularized_distance(sigma, pts, system.config.beta)
 
     out = []
-    for w in workers:
+    for w in _workers(workers):
         _, secs = with_workers(w, lambda: best_of(kernel_sums, repeats))
         out.append((f"kernel sums, {w} worker(s)",
                     cells.size * len(sigma), secs))
@@ -221,7 +249,21 @@ def sn_rows(sigma, box=SN_BOX, h: float = SN_H, repeats: int = 3,
     return out
 
 
+def sn_check_rows(system, ball, solution, repeats: int = 3,
+                  workers=None) -> list[tuple[str, int, float, float]]:
+    """(row name, grid cells, best seconds, traced peak MiB) of
+    ``sn_check`` on one solution at each worker count."""
+    def check():
+        return elliptic.sn_check(system, ball, solution)
+
+    return [(f"sn_check, {w} worker(s)", system.n_cells,
+             with_workers(w, lambda: best_of(check, repeats))[1],
+             with_workers(w, lambda: traced_peak(check)))
+            for w in _workers(workers)]
+
+
 CARLESON_H = 0.00625
+FINE_H = 0.003125               # r/64, on the graph of that spacing
 
 
 def carleson_measure():
@@ -235,26 +277,52 @@ def carleson_ball(sigma, seed: int = 2):
                                [0.2])[0]
 
 
+def far_cells(sigma, ball, h: float) -> np.ndarray:
+    """The cells ``carleson_norm`` evaluates on the ball, as one batch."""
+    n_slabs, slab = carleson._grid_slabs(sigma, ball, h)
+    return np.concatenate([slab(k)[0] for k in range(n_slabs)])
+
+
 def vector_rows(sigma, ball, h: float = CARLESON_H, repeats: int = 3,
                 workers=None) -> list[tuple[str, int, float]]:
     """(row name, work count, best seconds) of the ``vector kernel sums``
-    row at each worker count (default: 1 and every usable CPU)."""
-    if workers is None:
-        workers = sorted({1, distances._WORKERS})
-    slabs = [pts for pts, _ in carleson._far_cells(sigma, ball, h)]
-    pairs = sum(pts.shape[0] for pts in slabs) * len(sigma)
+    row at each worker count: one batch, so the kernel's own tasks split
+    it."""
+    cells = far_cells(sigma, ball, h)
 
     def gradients():
-        for pts in slabs:
-            distances.distance_gradient(sigma, pts, 2.0)
+        distances.distance_gradient(sigma, cells, 2.0)
 
-    return [(f"vector kernel sums, {w} worker(s)", pairs,
+    return [(f"vector kernel sums, {w} worker(s)", cells.shape[0] * len(sigma),
              with_workers(w, lambda: best_of(gradients, repeats))[1])
-            for w in workers]
+            for w in _workers(workers)]
+
+
+def sweep_rows(cases, repeats: int = 3,
+               workers=None) -> list[tuple[str, int, float, float]]:
+    """(row name, cells, best seconds, traced peak MiB) of one squared
+    ``carleson._ball_value`` of the gradient field (beta 2) per (label,
+    sigma, ball, h) case and worker count."""
+    out = []
+    for label, sigma, ball, h in cases:
+        def value():
+            return carleson._ball_value(
+                lambda pts: np.linalg.norm(
+                    distances.distance_gradient(sigma, pts, 2.0), axis=1),
+                sigma, ball, h, 2)
+
+        for w in _workers(workers):
+            (_, _, skipped, used), secs = with_workers(
+                w, lambda: best_of(value, repeats))
+            out.append((f"carleson sweep {label}, {w} worker(s)",
+                        skipped + used, secs,
+                        with_workers(w, lambda: traced_peak(value))))
+    return out
 
 
 _UNITS = {"transport_lp": "LPs", "kernel sums": "pairs",
-          "vector kernel sums": "pairs", "cg": "iters"}
+          "vector kernel sums": "pairs", "cg": "iters", "sn_check": "cells",
+          "carleson sweep": "cells"}
 
 
 def format_row(name: str, count: int, secs: float,
@@ -273,10 +341,21 @@ def main() -> int:
     for row in rows(workload_measure()):
         print(format_row(*row), flush=True)
     print(format_row(*cantor_row()), flush=True)
-    for row in sn_rows(sn_measure()):
+    system = sn_system(sn_measure())
+    for row in sn_rows(system):
+        print(format_row(*row), flush=True)
+    sigma = system.sigma
+    for row in sn_check_rows(system, sn_ball(sigma),
+                             system.solve(sn_data(sigma))):
         print(format_row(*row), flush=True)
     sigma = carleson_measure()
-    for row in vector_rows(sigma, carleson_ball(sigma)):
+    ball = carleson_ball(sigma)
+    for row in vector_rows(sigma, ball):
+        print(format_row(*row), flush=True)
+    fine = workload_measure(FINE_H)
+    for row in sweep_rows([("r/32", sigma, ball, CARLESON_H),
+                           ("r/64", fine, carleson_ball(fine), FINE_H),
+                           ("r/64 refine", sigma, ball, FINE_H)]):
         print(format_row(*row), flush=True)
     return 0
 
