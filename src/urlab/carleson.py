@@ -1,6 +1,6 @@
 """Carleson-measure estimates and non-tangential cones.
 
-Quantities of the form  integral over a ball of |f|^p dist(X, support)^{d-n}
+Quantities of the form  integral over a ball of |f|^2 dist(X, support)^{d-n}
 are priced by Riemann sums on uniform grids.  The weight blows up at the
 support and the grid cannot resolve it, so cells closer than twice the grid
 step are excluded and the missing shell is estimated separately by a radial
@@ -11,8 +11,8 @@ of silently absorbed.
 
 Memory and threads: a ball's grid is swept in fixed slabs of leading-axis
 planes, ``_CHUNK`` cells of the ball's bounding cube each.  The slabs run
-as tasks through ``distances._run_tasks``, at most ``_SLAB_TASKS`` (four)
-in flight, each task over a contiguous run of slabs, and every slab
+through ``distances._run_units``, at most ``distances._SLAB_TASKS`` (four)
+tasks in flight, each over a contiguous run of slabs, and every slab
 returns partial sums that are combined in slab order.  So a ball holds a
 few slabs of cells at once, whatever its size and the worker count, and
 since the slab edges do not depend on the worker count, no result does.
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15                # grid cells per slab: 8 planes of a 64^3 cube
-_SLAB_TASKS = 4                 # slabs in flight at once, at any worker count
 _NT_BUDGET = 1 << 19            # (vertex, point) pairs per cone block
 
 
@@ -93,7 +92,8 @@ class CarlesonEstimate:
     `bias` estimates, per ball, what the excluded near-support shell would
     contribute (radial oracle times the near-shell sup of the integrand's
     field factor), NaN where no near-shell cell evaluated; `skipped`
-    counts cells whose evaluator failed or returned non-finite values.
+    counts cells whose evaluator refused them (a ``LabError``) or
+    returned non-finite values.
     `refinement` re-prices the supremum ball on a half-step grid: (value at
     h, value at h/2); `refinement_skipped` counts the cells that pass
     skipped and `refinement_bias_known` says whether its bias is known
@@ -108,7 +108,6 @@ class CarlesonEstimate:
     skipped: np.ndarray
     n_cells: np.ndarray
     h: float
-    squared: bool
     refinement: tuple | None
     refinement_skipped: int | None
     refinement_bias_known: bool | None
@@ -124,14 +123,13 @@ class CarlesonEstimate:
         return float(known.max()) if known.size else None
 
     def summary(self) -> dict:
-        """Scalar summary: the supremum, grid step, variant, largest known
-        bias, total skipped cells, and the refinement pair with its ratio,
-        the cells its h/2 pass skipped and whether that pass's bias is
+        """Scalar summary: the supremum, grid step, largest known bias,
+        total skipped cells, and the refinement pair with its ratio, the
+        cells its h/2 pass skipped and whether that pass's bias is
         known."""
         return {
             "supremum": self.supremum,
             "grid_step": self.h,
-            "squared": self.squared,
             "max_bias": self.max_bias(),
             "total_skipped_cells": int(self.skipped.sum()),
             "refinement": list(self.refinement) if self.refinement else None,
@@ -207,30 +205,20 @@ def _grid_slabs(sigma: DiscreteMeasure, ball: Ball, h: float) -> tuple:
     return -(-m // group), slab
 
 
-def _sweep(n_slabs: int, fn) -> list:
-    """[fn(k) for k in range(n_slabs)], in slab order, run as at most
-    ``_SLAB_TASKS`` tasks of contiguous slabs (``distances._run_tasks``)."""
-    runs = distances._run_tasks(
-        n_slabs, lambda k0, k1: [fn(k) for k in range(k0, k1)], _SLAB_TASKS)
-    return [out for run in runs for out in run]
-
-
-# evaluator failures that cost a cell; any other exception is a bug
-_CELL_FAILURES = (LabError, ArithmeticError, ValueError)
-
-
 def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Field values and the per-cell failure mask.
 
-    One vectorized call normally; if the evaluator raises one of
-    _CELL_FAILURES, each half is retried on its own down to single cells,
+    One vectorized call normally; if the evaluator refuses with a
+    ``LabError``, each half is retried on its own down to single cells,
     so a local failure costs its cells, not the whole ball, in a number of
     calls that grows with the failing regions, not the cells.  Non-finite
-    outputs fail their cells too; failed cells read 0.
+    outputs fail their cells too; failed cells read 0.  Any other
+    exception, a numpy shape error or a division by zero too, is a bug
+    and propagates.
     """
     try:
         vals = np.asarray(f(pts), dtype=np.float64).reshape(pts.shape[0])
-    except _CELL_FAILURES:
+    except LabError:
         if pts.shape[0] <= 1:
             return np.zeros(pts.shape[0]), np.ones(pts.shape[0], dtype=bool)
         halves = [_evaluate_field(f, part) for part in np.array_split(pts, 2)]
@@ -239,8 +227,8 @@ def _evaluate_field(f, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(bad, 0.0, vals), bad
 
 
-def _ball_value(f, sigma: DiscreteMeasure, ball: Ball, h: float,
-                p: int) -> tuple[float, float, int, int]:
+def _ball_value(f, sigma: DiscreteMeasure, ball: Ball,
+                h: float) -> tuple[float, float, int, int]:
     """(normalized value, bias, skipped cells, used cells) for one ball;
     the bias is NaN when the shell holds cells but none evaluated.  The
     slabs' partial sums are added in slab order."""
@@ -251,21 +239,22 @@ def _ball_value(f, sigma: DiscreteMeasure, ball: Ball, h: float,
     n_slabs, slab = _grid_slabs(sigma, ball, h)
 
     def partials(k: int) -> tuple:
-        """Slab k's sum of |f|^p dist^{d-n} h^n, skipped cells, cells,
+        """Slab k's sum of |f|^2 dist^{d-n} h^n, skipped cells, cells,
         near-shell cells, evaluated near-shell cells and their largest
-        |f|^p."""
+        |f|^2."""
         pts, dist = slab(k)
         if not pts.shape[0]:
             return 0.0, 0, 0, 0, 0, 0.0
         vals, bad = _evaluate_field(f, pts)
         shell = dist <= 4.0 * h
         known = shell & ~bad
-        return (float((np.abs(vals) ** p * dist ** (d - n)).sum()) * h ** n,
+        return (float((np.abs(vals) ** 2 * dist ** (d - n)).sum()) * h ** n,
                 int(np.count_nonzero(bad)), pts.shape[0],
                 int(np.count_nonzero(shell)), int(np.count_nonzero(known)),
-                float(np.max(np.abs(vals[known]) ** p, initial=0.0)))
+                float(np.max(np.abs(vals[known]) ** 2, initial=0.0)))
 
-    sums, skipped, cells, shell, known, sup = zip(*_sweep(n_slabs, partials))
+    sums, skipped, cells, shell, known, sup = zip(
+        *distances._run_units(n_slabs, partials, distances._SLAB_TASKS))
     near_sup = math.nan if sum(shell) and not sum(known) else max(sup)
     s0 = 0.5 * sigma.spacing
     bias = 0.0
@@ -275,23 +264,24 @@ def _ball_value(f, sigma: DiscreteMeasure, ball: Ball, h: float,
 
 
 def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
-                  squared: bool = True,
                   refine: bool = True) -> CarlesonEstimate:
     """Supremum over balls of the normalized boundary-weight integral of a
-    field: sum over grid cells of |f|^p dist^{d-n} h^n, divided by the
-    ball's measure mass, with p = 2 (norm condition) or p = 1 (the weaker
-    unsquared variant).
+    squared field: sum over grid cells of |f|^2 dist^{d-n} h^n, divided by
+    the ball's measure mass.
 
     Cells with centers closer than 2h to the support are excluded; the
     oracle-estimated shell contribution is reported per ball as `bias`
-    rather than added.  Evaluator failures and non-finite field values
-    skip their cell and are counted.  With `refine`, the supremum ball is
-    re-priced at h/2 and the pair is reported for stability reading, with
-    the cells the h/2 pass skipped and whether its bias is known.
+    rather than added.  Evaluator refusals (a ``LabError``) and non-finite
+    field values skip their cell and are counted; any other exception of
+    the evaluator is a bug and propagates.  With `refine`, the supremum
+    ball is re-priced at h/2 and the pair is reported for stability
+    reading, with the cells the h/2 pass skipped and whether its bias is
+    known.
 
     Memory: each ball's grid is swept in slabs of ``_CHUNK`` cells, at
-    most ``_SLAB_TASKS`` (four) in flight, so a ball costs a few slabs of
-    cells, not its whole grid, at any size and worker count.  Threads:
+    most ``distances._SLAB_TASKS`` (four) tasks in flight, so a ball costs
+    a few slabs of cells, not its whole grid, at any size and worker
+    count.  Threads:
     the slabs run on the ``distances`` pool, so ``f`` is called from
     pool threads on several slabs at once and must be safe to call
     concurrently, as the ``distances`` evaluators are.  The slab edges do
@@ -307,24 +297,23 @@ def carleson_norm(f, sigma: DiscreteMeasure, balls, h: float, *,
             raise ParameterError(
                 f"grid step {h:g} exceeds radius/32 for a ball of radius "
                 f"{b.radius:g}")
-    p = 2 if squared else 1
     values = np.zeros(len(balls))
     bias = np.zeros(len(balls))
     skipped = np.zeros(len(balls), dtype=np.int64)
     n_cells = np.zeros(len(balls), dtype=np.int64)
     for i, b in enumerate(balls):
         values[i], bias[i], skipped[i], n_cells[i] = _ball_value(
-            f, sigma, b, h, p)
+            f, sigma, b, h)
     top = int(np.argmax(values))
     refinement = half_skipped = half_bias_known = None
     if refine:
         half, half_bias, half_skipped, _ = _ball_value(
-            f, sigma, balls[top], h / 2.0, p)
+            f, sigma, balls[top], h / 2.0)
         refinement = (float(values[top]), float(half))
         half_bias_known = not math.isnan(half_bias)
     return CarlesonEstimate(values, tuple(balls), float(values[top]),
-                            bias, skipped, n_cells, float(h), squared,
-                            refinement, half_skipped, half_bias_known)
+                            bias, skipped, n_cells, float(h), refinement,
+                            half_skipped, half_bias_known)
 
 
 # -- non-tangential maximal function ----------------------------------------

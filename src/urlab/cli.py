@@ -367,6 +367,7 @@ def _decomposition(cfg: ExperimentConfig, sigma,
         sigma, _box(cfg, "whitney", sigma),
         cfg.get("whitney.max_depth", 10, int),
         focus=focus,
+        lam=cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float),
         alpha_resolution=cfg.get("whitney.alpha_resolution", 12, int),
         alpha_cap=cfg.get("whitney.alpha_cap", 120, int),
         alpha_seed=cfg.seed("whitney.alpha_seed"))
@@ -375,8 +376,7 @@ def _decomposition(cfg: ExperimentConfig, sigma,
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_gen(cfg, rng, outdir):
-    sigma = _build_measure(cfg)
+def _cmd_gen(cfg, sigma, rng, outdir):
     save_measure(sigma, str(outdir / "measure.txt"))
     return {"descriptor": sigma.descriptor, "n_atoms": len(sigma),
             "ambient_dim": sigma.ambient_dim,
@@ -385,8 +385,7 @@ def _cmd_gen(cfg, rng, outdir):
             "total_mass": float(sigma.weights.sum())}, ["measure.txt"]
 
 
-def _cmd_ahlfors(cfg, rng, outdir):
-    sigma = _build_measure(cfg)
+def _cmd_ahlfors(cfg, sigma, rng, outdir):
     report = ahlfors_constant(sigma, _ball_family(cfg, sigma, rng))
     n = sigma.ambient_dim
     rows = [[i, *(_fmt(c) for c in b.center), _fmt(b.radius), _fmt(v)]
@@ -401,9 +400,8 @@ def _cmd_ahlfors(cfg, rng, outdir):
             "ratio_max": float(report.ratios.max())}, ["ahlfors.csv"]
 
 
-def _cmd_alpha(cfg, rng, outdir):
+def _cmd_alpha(cfg, sigma, rng, outdir):
     from . import wasserstein as _wasserstein
-    sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
     resolution = cfg.get("wasserstein.resolution", 16, int)
     cap = cfg.get("wasserstein.cap", 300, int)
@@ -432,37 +430,34 @@ def _cmd_alpha(cfg, rng, outdir):
             "alpha_mean": float(arr.mean())}, ["alpha.csv"]
 
 
-def _cmd_whitney(cfg, rng, outdir):
+def _cmd_whitney(cfg, sigma, rng, outdir):
     from . import whitney as _whitney
-    sigma = _build_measure(cfg)
-    lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
-    dump = dict(k_max=cfg.get("whitney.k_max", 0, int), lam=lam,
+    dump = dict(k_max=cfg.get("whitney.k_max", 0, int),
                 eps=cfg.get("whitney.eps", _whitney._EPS_DEFAULT, float),
                 include_alpha=cfg.get("whitney.include_alpha", False, bool),
                 include_mu=cfg.get("whitney.include_mu", False, bool),
                 stride=cfg.get("whitney.stride", 1, int))
     deco = _decomposition(cfg, sigma)
     rows = _whitney.dump_cubes(deco, outdir / "cubes.csv", **dump)
-    return {"lookback_scale": lam, "n_cubes": len(deco),
+    return {"lookback_scale": deco.lam, "n_cubes": len(deco),
             "n_levels": len(deco.levels), "rows_written": rows,
             "n_undecided": deco.undecided}, ["cubes.csv"]
 
 
-def _cmd_ur_sum(cfg, rng, outdir):
+def _cmd_ur_sum(cfg, sigma, rng, outdir):
     from . import whitney as _whitney
-    sigma = _build_measure(cfg)
     x = _point(cfg, "query.point", sigma)
     r = cfg.get("query.radius", kind=float)
     k = cfg.get("query.k", 0, int)
-    lam = cfg.get("whitney.lam", _whitney.SCALE_FACTOR, float)
     # pruning to B(x, r) keeps every cube the sum can select
     deco = _decomposition(cfg, sigma, focus=(x, r))
-    res = _whitney.ur_square_sum(deco, x, r, k, lam=lam)
+    res = _whitney.ur_square_sum(deco, x, r, k)
     _write_csv(outdir / "ur_sum.csv",
                ["square_sum", "n_cubes", "n_excluded", "n_anchors"],
                [[_fmt(res.value), res.n_cubes, res.n_excluded,
                  res.n_anchors]])
-    return {"lookback_scale": lam, "square_sum": res.value}, ["ur_sum.csv"]
+    return {"lookback_scale": deco.lam, "square_sum": res.value}, \
+        ["ur_sum.csv"]
 
 
 def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
@@ -484,9 +479,8 @@ def _probe_points(cfg: ExperimentConfig, sigma) -> np.ndarray:
     return start[None, :] + t[:, None] * (stop - start)[None, :]
 
 
-def _cmd_dist_fields(cfg, rng, outdir):
+def _cmd_dist_fields(cfg, sigma, rng, outdir):
     from . import distances as _distances
-    sigma = _build_measure(cfg)
     beta = cfg.get("distances.beta", 2.0, float)
     pts = _probe_points(cfg, sigma)
     sample = _distances.evaluate_fields(sigma, pts, beta)
@@ -507,9 +501,8 @@ def _cmd_dist_fields(cfg, rng, outdir):
             "n_reliable": int(sample.reliable.sum())}, ["fields.csv"]
 
 
-def _cmd_verify_identities(cfg, rng, outdir):
+def _cmd_verify_identities(cfg, sigma, rng, outdir):
     from . import distances as _distances, wasserstein as _wasserstein
-    sigma = _build_measure(cfg)
     d = sigma.intrinsic_dim
     beta = cfg.get("distances.beta", 2.0, float)
     gap = cfg.get("identities.gap", 10.0 * sigma.spacing, float)
@@ -556,10 +549,6 @@ def _field_fn(cfg: ExperimentConfig, sigma):
     kind = cfg.get("field.kind", "one", str)
     if kind == "one":
         return lambda pts: np.ones(pts.shape[0])
-    if kind == "riesz":
-        beta = cfg.get("field.beta", 2.0, float)
-        return lambda pts: np.linalg.norm(
-            _distances.riesz_field(sigma, pts, beta), axis=1)
     if kind == "gradient":
         beta = cfg.get("field.beta", 2.0, float)
         return lambda pts: np.linalg.norm(
@@ -567,14 +556,12 @@ def _field_fn(cfg: ExperimentConfig, sigma):
     raise InputError(f"unknown field.kind {kind!r}")
 
 
-def _cmd_carleson(cfg, rng, outdir):
+def _cmd_carleson(cfg, sigma, rng, outdir):
     from . import carleson as _carleson
-    sigma = _build_measure(cfg)
     balls = _ball_family(cfg, sigma, rng)
     h = cfg.get("carleson.h", min(b.radius for b in balls) / 32.0, float)
     est = _carleson.carleson_norm(
         _field_fn(cfg, sigma), sigma, balls, h,
-        squared=cfg.get("carleson.squared", True, bool),
         refine=cfg.get("carleson.refine", True, bool))
     _carleson.write_carleson(est, str(outdir / "carleson.csv"),
                              str(outdir / "carleson_summary.json"))
@@ -582,9 +569,8 @@ def _cmd_carleson(cfg, rng, outdir):
         ["carleson.csv", "carleson_summary.json"]
 
 
-def _cmd_solve(cfg, rng, outdir):
+def _cmd_solve(cfg, sigma, rng, outdir):
     from . import elliptic as _elliptic
-    sigma = _build_measure(cfg)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     system = _system(cfg, sigma, lambda _: _hull_box(sigma),
                      cfg.get("elliptic.h", kind=float))
@@ -598,9 +584,8 @@ def _cmd_solve(cfg, rng, outdir):
         ["field.bin", "field.json", "field_mask.bin"]
 
 
-def _cmd_hm(cfg, rng, outdir):
+def _cmd_hm(cfg, sigma, rng, outdir):
     from . import elliptic as _elliptic
-    sigma = _build_measure(cfg)
     e = _atom_data(cfg, sigma, "set")
     if e.dtype != bool:
         raise InputError("set.kind must describe a membership set, not data")
@@ -616,9 +601,8 @@ def _cmd_hm(cfg, rng, outdir):
             "set_size": int(e.sum())}, ["hm.csv"]
 
 
-def _cmd_ainfty(cfg, rng, outdir):
+def _cmd_ainfty(cfg, sigma, rng, outdir):
     from . import elliptic as _elliptic
-    sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     n_sets = cfg.get("scatter.n_sets", 64, int)
     seed = cfg.seed("scatter.seed")
@@ -634,9 +618,8 @@ def _cmd_ainfty(cfg, rng, outdir):
             "iterations": res.iterations}, ["scatter.csv"]
 
 
-def _cmd_sn(cfg, rng, outdir):
+def _cmd_sn(cfg, sigma, rng, outdir):
     from . import elliptic as _elliptic
-    sigma = _build_measure(cfg)
     ball = _single_ball(cfg, sigma)
     g = _atom_data(cfg, sigma, "data").astype(np.float64)
     r = ball.radius
@@ -739,7 +722,7 @@ def _run_into(subcommand: str, cfg: ExperimentConfig, out: Path) -> dict:
         seed = cfg.consumed["seed"]
     else:
         summary, artifacts = _COMMANDS[subcommand](
-            cfg, np.random.default_rng(seed), out)
+            cfg, _build_measure(cfg), np.random.default_rng(seed), out)
     manifest = {
         "subcommand": subcommand,
         "status": "ok",

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 1 << 16         # floats per (atoms, probes) block: 512 KB
+_SLAB_TASKS = 4                 # grid-slab tasks in flight, at any worker count
 _pool: tuple[int, ThreadPoolExecutor] | None = None    # (threads, pool)
 _pool_lock = threading.Lock()
 _local = threading.local()          # ``in_task`` is set on pool threads
@@ -141,15 +142,14 @@ def _run_tasks(units: int, fn, most: int | None = None) -> list:
     order.  Callers make what a unit computes independent of the
     run it falls in, so results never depend on the worker count; a task
     allocates its own buffers, so callers pass ``most`` to bound them.
-    The callers: ``_kernel_bundle`` (whole kernel chunks), the CG passes
-    of ``elliptic.EllipticSystem`` (partial-sum blocks) and
-    ``carleson._sweep`` (grid slabs of ``carleson_norm`` and
-    ``elliptic.sn_check``, at most four tasks, whose kernel sums then
-    run inline).
+    The callers: ``_kernel_bundle`` (whole kernel chunks) and
+    ``_run_units``, the per-unit map of the CG passes of
+    ``elliptic.EllipticSystem`` (partial-sum blocks) and of the grid
+    slabs of ``carleson_norm`` and ``elliptic.sn_check`` (at most
+    ``_SLAB_TASKS`` tasks, whose kernel sums then run inline).
     Pool threads do not inherit the caller's ``contextvars``: a telemetry
-    recorder held in a ``ContextVar`` (the in-library recorder the
-    ROADMAP plans) must count in the caller or submit its tasks through
-    ``contextvars.copy_context()``.
+    recorder held in a ``ContextVar`` must count in the caller or submit
+    its tasks through ``contextvars.copy_context()``.
     """
     tasks = max(1, min(_WORKERS, units,
                        units if most is None else most))
@@ -168,6 +168,14 @@ def _run_tasks(units: int, fn, most: int | None = None) -> list:
     futures = [pool.submit(f) for f in fns]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def _run_units(units: int, fn, most: int | None = None) -> list:
+    """[fn(u) for u in range(units)], in unit order, each task of
+    ``_run_tasks`` running fn over its contiguous run of units."""
+    runs = _run_tasks(units, lambda u0, u1: [fn(u) for u in range(u0, u1)],
+                      most)
+    return [out for run in runs for out in run]
 
 
 # -- kernel normalizing constant -------------------------------------------

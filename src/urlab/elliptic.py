@@ -55,9 +55,10 @@ system plus a few grid arrays.
 
 Threads: the kernel sums, every CG pass and ``sn_check``'s slabs run on
 all usable CPUs through ``distances._run_tasks``, over work split into
-fixed blocks (whole kernel chunks; ``_RED``-cell partial-sum blocks;
-``_SN_SLAB``-cell slabs, as ``carleson._sweep`` tasks, at most
-``carleson._SLAB_TASKS`` of them), so no result depends on the worker
+fixed blocks (whole kernel chunks; ``_RED``-cell partial-sum blocks and
+``_SN_SLAB``-cell slabs, both mapped one unit at a time by
+``distances._run_units``, the slabs as at most
+``distances._SLAB_TASKS`` tasks), so no result depends on the worker
 count, and the buffers the tasks hold do not grow with it.
 """
 
@@ -375,15 +376,10 @@ class EllipticSystem:
     def _blockwise(self, fn) -> list:
         """[fn(lo, hi) for each partial-sum block [lo, hi) of _RED cells],
         in block order, run as one task per worker over a contiguous run
-        of whole blocks (``distances._run_tasks``)."""
+        of whole blocks (``distances._run_units``)."""
         nc = self.n_cells
-
-        def task(b0, b1):
-            return [fn(lo, min(lo + _RED, nc))
-                    for lo in range(b0 * _RED, b1 * _RED, _RED)]
-
-        out = distances._run_tasks(-(-nc // _RED), task)
-        return [v for part in out for v in part]
+        return distances._run_units(
+            -(-nc // _RED), lambda b: fn(b * _RED, min((b + 1) * _RED, nc)))
 
     def _inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """u . v, from one ``einsum`` per partial-sum block (no BLAS)
@@ -956,12 +952,12 @@ def sn_check(system: EllipticSystem, ball: Ball,
     shared across balls: only the ball-local sums are computed here.
 
     The window around 2B is read once, in slabs of leading-axis planes
-    of ``_SN_SLAB`` cells, run as at most four tasks (``carleson._sweep``)
-    so that the memory is a few slabs at any worker count.  Each slab
-    makes one support query for its 2B cells and returns its B cells'
-    squared gradients, the cone maxima of its 2B cells
-    (``carleson.ntmax_family``) and their sup of |u|; the maxima are
-    maxima over the slabs, and the square function is one C-order sum
+    of ``_SN_SLAB`` cells, run as at most four tasks
+    (``distances._run_units``) so that the memory is a few slabs at any
+    worker count.  Each slab makes one support query for its 2B cells and
+    returns its B cells' squared gradients, the cone maxima of its 2B
+    cells (``carleson.ntmax_family``) and their sup of |u|; the maxima
+    are maxima over the slabs, and the square function is one C-order sum
     over B's cells, so no result depends on the slabs or the workers and
     no array spans all of 2B's cells.
 
@@ -1037,8 +1033,8 @@ def sn_check(system: EllipticSystem, ball: Ball,
                 + carleson.ntmax_family((cells, u_2b), sigma, cones,
                                         dists=sigma.dist_to_support(cells)))
 
-    g2_b, idx_b, sups, nvals, empty = zip(
-        *carleson._sweep(-(-sub.shape[0] // step), slab))
+    g2_b, idx_b, sups, nvals, empty = zip(*distances._run_units(
+        -(-sub.shape[0] // step), slab, distances._SLAB_TASKS))
     sup = max(sups)
     nvals = np.max(nvals, axis=0)
     empty = np.logical_and.reduce(empty)

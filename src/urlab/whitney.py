@@ -21,14 +21,15 @@ memory is its output, plus one chunk, plus one level's sort of its keys;
 its parent's atom already puts within 10 sides in the sup norm violates
 without a nearest-atom query.
 
-A cube's flatness ball at scale k has radius lam * 2^k * diam(Q); one
-rule (`_flatness_ball`) gives it with its refusal outside the data
-window, for every caller.
+A cube's flatness ball at scale k has radius lam * 2^k * diam(Q), with
+one dilation lam for the whole decomposition (``decompose``'s ``lam``,
+stored as ``deco.lam``); one rule (`_flatness_ball`) gives it with its
+refusal outside the data window, for every caller.
 
 Scale caveat: the classical construction evaluates flatness on balls
 B(anchor, SCALE_FACTOR * 2^k * diam(Q)) with an enormous SCALE_FACTOR.
 At desk scale such balls leave any finite dataset immediately, so
-SCALE_FACTOR defaults to 8 here and is a parameter everywhere; every
+SCALE_FACTOR defaults to 8 here and is a parameter of `decompose`; every
 claim checked against it is structural (a bound exists), so the change
 only renames constants.  Output headers echo the value in use.
 """
@@ -258,7 +259,7 @@ class WhitneyDecomposition:
     """
 
     def __init__(self, sigma, box_lo, box_side, max_depth, levels, undecided,
-                 alpha_resolution, alpha_cap, alpha_seed, focus=None,
+                 lam, alpha_resolution, alpha_cap, alpha_seed, focus=None,
                  pruned=0):
         self.sigma = sigma
         self.box_lo = box_lo
@@ -268,6 +269,7 @@ class WhitneyDecomposition:
         self.undecided = undecided
         self.focus = focus
         self.pruned = pruned
+        self.lam = lam
         self.alpha_resolution = alpha_resolution
         self.alpha_cap = alpha_cap
         self.alpha_seed = alpha_seed
@@ -329,7 +331,8 @@ def _require(deco, *, empty_if_focused: bool = False) -> None:
 
 
 def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
-              focus=None, alpha_resolution: int = 12, alpha_cap: int = 120,
+              focus=None, lam: float = SCALE_FACTOR,
+              alpha_resolution: int = 12, alpha_cap: int = 120,
               alpha_seed: int = 0) -> WhitneyDecomposition:
     """Maximal dyadic cubes whose 20-dilate misses the support.
 
@@ -363,6 +366,10 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     Pruned branch counts are recorded; outside the focus region a_x
     reports holes as missing cubes (NaN with level -1), so point queries
     there are unsafe.
+
+    `lam` is the dilation of every flatness ball the decomposition prices
+    (radius lam * 2^k * diam(Q)); it and the alpha settings are stored on
+    the decomposition, since its flatness memo holds their numbers.
     """
     pts = sigma.points
     n = sigma.ambient_dim
@@ -444,17 +451,18 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
         chunks = _child_chunks(parents, np.concatenate(nears))
 
     return WhitneyDecomposition(sigma, lo, side, max_depth, levels, undecided,
-                                alpha_resolution, alpha_cap, alpha_seed,
+                                lam, alpha_resolution, alpha_cap, alpha_seed,
                                 focus=focus, pruned=pruned)
 
 
 # -- per-cube quantities --------------------------------------------------------
 
 
-def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
-             lam: float = SCALE_FACTOR) -> AlphaResult:
+def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube,
+             k: int = 0) -> AlphaResult:
     """Flatness number of the support on B(anchor, lam * 2^k * diam(Q)),
-    from the PCA initialization of ``alpha_number`` (no refinement).
+    lam being ``deco.lam``, from the PCA initialization of
+    ``alpha_number`` (no refinement).
 
     Memoized by (anchor, radius): rings of cubes sharing an anchor ball
     resolve to a single LP.  A radius outside the data window is refused
@@ -462,7 +470,7 @@ def alpha_qk(deco: WhitneyDecomposition, cube: WhitneyCube, k: int = 0, *,
     """
     _require(deco)
     _scale_index("k", k)
-    radius, refusal = _flatness_ball(deco, cube.level, k, lam)
+    radius, refusal = _flatness_ball(deco, cube.level, k)
     if refusal is not None:
         raise refusal
     return _anchor_alpha(deco, cube.anchor_index, radius)
@@ -474,19 +482,18 @@ def _scale_index(name: str, k: int) -> None:
         raise ParameterError(f"{name} must be nonnegative, got {k}")
 
 
-def _flatness_ball(deco: WhitneyDecomposition, level: int, k: int,
-                   lam: float) -> tuple:
+def _flatness_ball(deco: WhitneyDecomposition, level: int, k: int) -> tuple:
     """(radius, refusal) of the flatness ball of a level's cubes at scale
-    k: radius lam * 2^k * diam(Q), and the error refusing it outside the
-    data window (above its ceiling: truncation, below its floor:
-    resolution), or None.
+    k: radius lam * 2^k * diam(Q) with lam = ``deco.lam``, and the error
+    refusing it outside the data window (above its ceiling: truncation,
+    below its floor: resolution), or None.
 
     The radius depends on a cube only through its level, so a refusal
     holds for a whole (level, k) column of cubes.
     """
     sigma = deco.sigma
-    radius = lam * 2.0 ** k * (math.sqrt(sigma.ambient_dim)
-                                * deco.levels[level].side)
+    radius = deco.lam * 2.0 ** k * (math.sqrt(sigma.ambient_dim)
+                                     * deco.levels[level].side)
     floor_r, ceil_r = sigma.window()
     refusal = None
     if radius > ceil_r:
@@ -528,7 +535,7 @@ def _box_plane_gap(lo: np.ndarray, hi: np.ndarray, flat: FlatMeasure) -> float:
 
 
 def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
-                   eps: float, lam: float):
+                   eps: float):
     """(flat, branch, alpha, atilde) without the geometric post-checks.
 
     The optimal branch reuses the minimizing flat of the flatness LP, whose
@@ -538,7 +545,7 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     """
     sigma = deco.sigma
     d = sigma.intrinsic_dim
-    a_res = alpha_qk(deco, cube, 0, lam=lam)
+    a_res = alpha_qk(deco, cube, 0)
     if a_res.value <= eps:
         return a_res.flat, "optimal", a_res.value, a_res.value
     xi = cube.anchor
@@ -552,7 +559,7 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     flat = FlatMeasure(xi.copy(), rows[:d], 1.0)
     # the plane passes through the ball's centre, so the sample is never
     # empty; alpha_qk above already refused a ball outside the window
-    ball = Ball(xi, _flatness_ball(deco, cube.level, 0, lam)[0])
+    ball = Ball(xi, _flatness_ball(deco, cube.level, 0)[0])
     atilde = local_wasserstein(
         flat_sample(flat, ball, deco.alpha_resolution), sigma, ball,
         cap=deco.alpha_cap, seed=deco.alpha_seed)
@@ -560,7 +567,7 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
 
 
 def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
-         eps: float = _EPS_DEFAULT, lam: float = SCALE_FACTOR) -> MuResult:
+         eps: float = _EPS_DEFAULT) -> MuResult:
     """Flat measure attached to a cube, with separation post-checks.
 
     Small flatness number: reuse the minimizing flat measure (its distance
@@ -573,8 +580,7 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     """
     _require(deco)
     sigma = deco.sigma
-    flat, branch, alpha, atilde = _attached_flat(deco, cube, eps=eps,
-                                                 lam=lam)
+    flat, branch, alpha, atilde = _attached_flat(deco, cube, eps=eps)
     xi = cube.anchor
     lo2, hi2 = cube.box(2.0)
     gap_2q = _box_plane_gap(lo2, hi2, flat)
@@ -600,8 +606,8 @@ def _alpha_upper_bound(sigma: DiscreteMeasure, center: np.ndarray,
 
 
 def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
-        beta_exp: float, *, k_max: int = 8, eps: float = _EPS_DEFAULT,
-        lam: float = SCALE_FACTOR) -> AXResult:
+        beta_exp: float, *, k_max: int = 8,
+        eps: float = _EPS_DEFAULT) -> AXResult:
     """Multiscale flatness sum at each point of an (m, n) batch: the cube
     term plus the geometrically damped ladder over growing balls.
 
@@ -628,7 +634,7 @@ def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
     cubes, inv = np.unique(np.stack([level[found], index[found]], axis=1),
                            axis=0, return_inverse=True)
     terms = [_a_x_cube(deco, WhitneyCube(deco, int(k), int(j)), m,
-                       k_max=k_max, eps=eps, lam=lam) for k, j in cubes]
+                       k_max=k_max, eps=eps) for k, j in cubes]
     value, tail = np.full((2, pts.shape[0]), np.nan)
     skipped = [()] * pts.shape[0]
     for i, c in zip(found, inv.reshape(-1)):
@@ -637,30 +643,30 @@ def a_x(deco: WhitneyDecomposition, points: np.ndarray, alpha_exp: float,
 
 
 def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
-              k_max: int, eps: float, lam: float) -> tuple:
+              k_max: int, eps: float) -> tuple:
     """Per-cube body of a_x: (value, tail, skipped)."""
     sigma = deco.sigma
     d = sigma.intrinsic_dim
     skipped = []
     total = 0.0
     try:
-        total = _attached_flat(deco, cube, eps=eps, lam=lam)[3]
+        total = _attached_flat(deco, cube, eps=eps)[3]
     except (TruncationError, ResolutionError):
         skipped.append(-1)
     for k in range(k_max + 1):
         try:
-            a_res = alpha_qk(deco, cube, k, lam=lam)
+            a_res = alpha_qk(deco, cube, k)
         except (TruncationError, ResolutionError):
             skipped.append(k)
             continue
         total += 2.0 ** (-k * m) * a_res.value
     tail = 0.0
     for k in skipped:           # scale -1 is the attachment term (k=0 ball)
-        r_k, _ = _flatness_ball(deco, cube.level, max(k, 0), lam)
+        r_k, _ = _flatness_ball(deco, cube.level, max(k, 0))
         tail += 2.0 ** (-max(k, 0) * m) * _alpha_upper_bound(
             sigma, cube.anchor, r_k)
     # k > k_max: bound_k decays like 2^{-kd} once the ball eats the data
-    r_top, _ = _flatness_ball(deco, cube.level, k_max, lam)
+    r_top, _ = _flatness_ball(deco, cube.level, k_max)
     q = 2.0 ** (-(m + d))
     tail += (2.0 ** (-k_max * m) * _alpha_upper_bound(sigma, cube.anchor,
                                                       r_top)
@@ -669,7 +675,7 @@ def _a_x_cube(deco: WhitneyDecomposition, cube: WhitneyCube, m: float, *,
 
 
 def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
-                  k: int = 0, *, lam: float = SCALE_FACTOR) -> URSumResult:
+                  k: int = 0) -> URSumResult:
     """Normalized square sum of flatness numbers over cubes near a ball.
 
     Cubes enter when their 2-dilate meets B(x, r); each contributes
@@ -705,7 +711,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
         if count == 0:
             continue
         ell = math.sqrt(n) * lev.side
-        radius, refusal = _flatness_ball(deco, lev_k, k, lam)
+        radius, refusal = _flatness_ball(deco, lev_k, k)
         if refusal is not None:
             n_excluded += count
             continue
@@ -719,7 +725,7 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
 
 
 def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
-               lam: float = SCALE_FACTOR, eps: float = _EPS_DEFAULT,
+               eps: float = _EPS_DEFAULT,
                include_alpha: bool = False, include_mu: bool = False,
                stride: int = 1) -> int:
     """CSV dump of the decomposition; returns the number of rows written.
@@ -756,7 +762,7 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
             # whole (level, k) column
             radii = []
             for k in range(k_max + 1 if include_alpha else 0):
-                radius, refusal = _flatness_ball(deco, level, k, lam)
+                radius, refusal = _flatness_ball(deco, level, k)
                 radii.append(radius if refusal is None else None)
             anchors = deco.sigma.points[lev.anchor_idx[local]]
             for i, corner, anchor in zip(local, corners.tolist(), anchors):
@@ -775,7 +781,7 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
                 if include_mu:
                     try:
                         mu = mu_q(deco, WhitneyCube(deco, level, int(i)),
-                                  eps=eps, lam=lam)
+                                  eps=eps)
                         row += [mu.branch, f"{mu.flat.c:.17g}",
                                 f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
                                 str(mu.flagged)]

@@ -106,7 +106,7 @@ def test_carleson_norm_is_monotone(graph2d, ball2):
 def test_plane_weight_divergence_matches_radial_oracle(line3d):
     ball = Ball(_origin_point(line3d), 0.25)
     h = ball.radius / 32.0
-    est = carleson_norm(_ones, line3d, [ball], h, squared=True, refine=True)
+    est = carleson_norm(_ones, line3d, [ball], h, refine=True)
     v_h, v_half = est.refinement
     increment = v_half - v_h
     assert increment >= 0.5 * math.log(2.0)
@@ -121,7 +121,7 @@ def test_plane_weight_divergence_matches_radial_oracle(line3d):
 def test_second_shell_norm_stable_under_refinement(graph2d, ball2):
     f2 = _shell(graph2d, (ball2.radius / 40.0, 2.0 * ball2.radius))
     h = ball2.radius / 64.0
-    est = carleson_norm(f2, graph2d, [ball2], h, squared=True, refine=True)
+    est = carleson_norm(f2, graph2d, [ball2], h, refine=True)
     ratio = est.refinement_ratio()
     assert 1.0 / 1.2 <= ratio <= 1.2
     assert est.skipped[0] == 0
@@ -143,7 +143,7 @@ def test_skipped_cell_accounting(graph2d, ball2):
     assert np.isfinite(est.values[0]) and est.values[0] > 0.0
 
     def broken(pts):
-        raise ValueError("no field here")
+        raise DomainError("no field here")
 
     est2 = carleson_norm(broken, graph2d, [ball2], ball2.radius / 32.0,
                          refine=False)
@@ -208,13 +208,23 @@ def test_bias_is_unknown_when_no_shell_cell_evaluates(graph2d, ball2):
 
 def test_evaluator_bugs_propagate_instead_of_skipping_cells(graph2d, ball2):
     """A programming error in an evaluator is not a cell failure: it must
-    surface, not turn into a count of skipped cells."""
+    surface, not turn into a count of skipped cells.  Only a ``LabError``
+    costs cells; a numpy shape error and a division by zero are bugs."""
     def buggy(pts):
         return pts.no_such_attribute
 
+    def misshaped(pts):
+        return np.ones(pts.shape[0]).reshape(-1, 2) @ np.ones((3, 1))
+
+    def divides_by_zero(pts):
+        far = int(np.count_nonzero(pts[:, 0] > 10.0))   # none in the ball
+        return np.ones(pts.shape[0]) * (1.0 / far)
+
     h = ball2.radius / 32.0
-    with pytest.raises(AttributeError):
-        carleson_norm(buggy, graph2d, [ball2], h, refine=False)
+    for field, error in [(buggy, AttributeError), (misshaped, ValueError),
+                         (divides_by_zero, ZeroDivisionError)]:
+        with pytest.raises(error):
+            carleson_norm(field, graph2d, [ball2], h, refine=False)
 
 
 # -- the slab sweep -------------------------------------------------------------

@@ -14,10 +14,13 @@ import pytest
 
 import urlab
 from urlab import distances, elliptic, whitney
+from urlab.carleson import carleson_norm
 from urlab.cli import ExperimentConfig, main, run
 from urlab.elliptic import read_field
 from urlab.exceptions import DomainError, InputError
-from urlab.geometry import load_measure, make_plane_set
+from urlab.geometry import (load_measure, make_lipschitz_graph,
+                            make_plane_set, sawtooth_profile, sine_profile,
+                            support_ball_family)
 
 
 def _manifest(outdir):
@@ -265,6 +268,72 @@ def test_dist_fields_table(tmp_path):
     assert len(lines) == 5
     assert lines[0].split(",")[:4] == ["x0", "x1", "x2", "distance"]
     assert _manifest(tmp_path)["summary"]["n_reliable"] == 4
+
+
+def test_dist_fields_at_listed_points_equal_evaluate_fields(tmp_path):
+    """``probes.points`` gives the probes one by one: each row holds
+    ``evaluate_fields`` at its point.  A point with the wrong number of
+    coordinates, or an empty list, is an InputError record."""
+    points = [[0.0, 0.05, 0.0], [0.1, 0.2, 0.3], [0.4, 0.0, 0.25]]
+    config = {"generator": {"kind": "plane", "spacing": 0.02},
+              "probes": {"points": points}, "distances": {"beta": 3.0}}
+    assert run("dist-fields", config, tmp_path / "ok") == 0
+    want = distances.evaluate_fields(make_plane_set(3, 1, 1.0, 0.02),
+                                     np.asarray(points), 3.0)
+    with open(tmp_path / "ok" / "fields.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        got = [float(row[f"{name}{j}"]) for name in ("x", "field", "grad")
+               for j in range(3)]
+        assert got == [*points[i], *want.field[i], *want.gradient[i]]
+        assert float(row["distance"]) == want.distance[i]
+        assert float(row["support_gap"]) == want.support_gap[i]
+        assert row["reliable"] == str(int(want.reliable[i]))
+    for bad in ([[0.0, 0.05]], []):
+        out = tmp_path / f"bad{len(bad)}"
+        assert run("dist-fields", {**config, "probes": {"points": bad}},
+                   out) == 1
+        assert _error(out)["error"] == "InputError"
+        assert "probes.points" in _error(out)["message"]
+
+
+def test_carleson_of_the_unit_field_equals_the_in_process_norm(tmp_path):
+    """``field.kind`` one (the default) prices the constant field 1: the
+    table and the summary hold ``carleson_norm`` of it on the ball family
+    that the run's seed draws."""
+    config = {"generator": {"kind": "graph", "spacing": 0.02},
+              "balls": {"count": 2, "radii": [0.64]},
+              "carleson": {"h": 0.02, "refine": False}, "seed": 3}
+    assert run("carleson", config, tmp_path) == 0
+    man = _manifest(tmp_path)
+    assert man["config"]["field"]["kind"] == "one"
+    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5,
+                                 1.0, 0.02)
+    balls = support_ball_family(sigma, 2, np.random.default_rng(3), [0.64])
+    est = carleson_norm(lambda p: np.ones(p.shape[0]), sigma, balls, 0.02,
+                        refine=False)
+    with open(tmp_path / "carleson.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["value"] for row in rows] == [f"{v:.17g}"
+                                              for v in est.values]
+    assert [int(row["used_cells"]) for row in rows] == est.n_cells.tolist()
+    assert man["summary"]["supremum"] == est.supremum
+    assert man["summary"]["max_bias"] == est.max_bias()
+
+
+def test_sine_generator_builds_the_sine_graph(tmp_path):
+    """``generator.profile`` sine builds the graph of ``sine_profile``,
+    with period 1 by default."""
+    config = {"generator": {"kind": "graph", "profile": "sine", "lam": 0.3,
+                            "spacing": 0.02}}
+    assert run("gen", config, tmp_path) == 0
+    assert _manifest(tmp_path)["config"]["generator"]["period"] == 1.0
+    got = load_measure(tmp_path / "measure.txt")
+    want = make_lipschitz_graph(3, 1, sine_profile(0.3, 1.0), 0.3, 1.0,
+                                0.02)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.weights, want.weights)
 
 
 def test_hm_half_line_value(tmp_path):

@@ -33,6 +33,7 @@ from urlab.exceptions import (
     DegenerateInputError,
     DomainError,
     InputError,
+    NumericError,
     ParameterError,
     ResolutionError,
     TopologyError,
@@ -274,6 +275,16 @@ def test_solve_matches_oracle_cg(line3d, sys48):
     want, iters = _cg_oracle(sys48, b, x0, sys48.config.tol)
     assert res.iterations == iters > 0
     assert np.abs(res.field.values.ravel() - want).max() <= 1e-12
+
+
+def test_cg_that_runs_out_of_iterations_is_a_numeric_error(line3d):
+    """A solve that has not met its tolerance after ``maxiter`` iterations
+    raises instead of returning the iterate it stopped at."""
+    system = assemble(line3d, (np.zeros(3), 3.0), 3.0 / 24,
+                      SolverConfig(maxiter=1))
+    g = (line3d.points[:, 0] > 0).astype(float)
+    with pytest.raises(NumericError, match="after 1 iterations"):
+        system.solve(g)
 
 
 def test_face_weights_match_plane_closed_form(line3d):

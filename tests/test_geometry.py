@@ -17,6 +17,7 @@ from urlab.geometry import (
     make_plane_set,
     save_measure,
     sawtooth_profile,
+    sine_profile,
     support_ball_family,
 )
 
@@ -185,6 +186,26 @@ def test_lipschitz_graph_refuses_a_lam_that_is_not_nonnegative(lam):
     with pytest.raises(ParameterError, match="lam"):
         make_lipschitz_graph(3, 1, sawtooth_profile(2.0, 0.5), lam, 1.0,
                              0.01)
+
+
+def test_sine_profile_has_amplitude_lam_over_k_and_slope_lam():
+    """lam / k sin(k t), k = 2 pi / period, along each axis, over sqrt(d):
+    its largest value is lam / k and its largest slope is lam, and in
+    d = 2 its gradient along the diagonal has length lam."""
+    lam, period = 0.5, 0.25
+    k = 2.0 * math.pi / period
+    fn = sine_profile(lam, period)
+    t = np.linspace(0.0, 1.0, 4001)
+    y = fn(t[:, None])
+    assert y.shape == (t.size, 1)
+    assert np.max(np.abs(y)) == pytest.approx(lam / k, rel=1e-12)
+    assert np.max(np.abs(np.diff(y[:, 0]) / np.diff(t))) == pytest.approx(
+        lam, rel=1e-3)
+    diag = fn(np.stack([t, t], axis=1))[:, 0]
+    slope = np.diff(diag) / (np.diff(t) * math.sqrt(2.0))
+    assert np.max(np.abs(slope)) == pytest.approx(lam, rel=1e-3)
+    graph = make_lipschitz_graph(3, 1, fn, lam, 1.0, 0.01)
+    assert np.max(np.abs(graph.points[:, 1])) <= lam / k + 1e-15
 
 
 def test_flat_graph_matches_plane(line3d):

@@ -20,14 +20,15 @@ def test_rows_count_the_work_of_each_layer():
         "transport_lp", "decompose depth 10 focus r=0.2"]
     assert all(count > 0 and secs > 0 for _, count, secs, *_ in got)
     # the decompose rows carry a traced peak that holds their output
-    deco = layers.whitney.decompose(sigma, None, 9, focus=layers.QUERY)
+    deco = layers.whitney.decompose(sigma, None, 9, focus=layers.QUERY,
+                                    lam=layers.LAM)
     out = sum(lev.packed.nbytes + lev.centers.nbytes + lev.anchor_idx.nbytes
               for lev in deco.levels.values()) / 2 ** 20
     assert [len(row) for row in got] == [4, 4, 3, 4]
     assert got[1][1] == len(deco) and got[1][3] >= out
     assert layers.format_row(*got[1]).endswith("MiB peak")
     # one LP per distinct anchor ball the sum prices
-    want = layers.whitney.ur_square_sum(deco, *layers.QUERY, lam=layers.LAM)
+    want = layers.whitney.ur_square_sum(deco, *layers.QUERY)
     assert got[2][1] == want.n_anchors == len(deco.alpha_cache)
     line = layers.format_row(*got[2])
     assert line.startswith("transport_lp") and line.endswith("LPs/s")
@@ -87,7 +88,7 @@ def test_vector_rows_time_distance_gradients_at_each_worker_count():
     assert all(count > 0 and secs > 0 for _, count, secs in got)
     cells = layers.far_cells(sigma, ball, 0.025)
     _, _, skipped, used = layers.carleson._ball_value(
-        lambda p: np.ones(p.shape[0]), sigma, ball, 0.025, 2)
+        lambda p: np.ones(p.shape[0]), sigma, ball, 0.025)
     assert cells.shape[0] == skipped + used and used > 0
     assert got[0][1] == got[1][1] == cells.shape[0] * len(sigma)
     assert layers.format_row(*got[0]).endswith("pairs/s")

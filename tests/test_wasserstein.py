@@ -404,6 +404,33 @@ def test_alpha_prices_the_start_once(graph02, monkeypatch):
     assert res.nm_iterations == runs[0].nit
 
 
+def test_alpha_on_a_flat_two_plane_keeps_both_samples_within_cap(
+        plane4d, monkeypatch):
+    """d = 2: the flat sample's resolution is cut to sqrt(cap / (2 pi)),
+    13 at cap 1200, so that it holds at most half the cap, 600 atoms;
+    at the default resolution 16 it would hold more.  The 311 atoms of
+    the ball then fit beside it unresampled, and alpha on the flat plane
+    is small (measured 0.127, the lattice and flat-sample floors)."""
+    sizes = []
+    solve = wasserstein._transport_lp
+
+    def spy(pts_a, w_a, pts_b, w_b, *args, **kwargs):
+        sizes.append((pts_a.shape[0], pts_b.shape[0]))
+        return solve(pts_a, w_a, pts_b, w_b, *args, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "_transport_lp", spy)
+    center = plane4d.points[np.argmin(np.linalg.norm(plane4d.points,
+                                                     axis=1))]
+    ball = Ball(center, 0.1)
+    res = alpha_number(plane4d, ball, cap=1200, refine=False)
+    [(flat, support)] = sizes
+    assert 0 < flat <= 600
+    assert flat_sample(res.flat, ball, 16).points.shape[0] > 600
+    assert support == plane4d.restrict_to_ball(ball)[0].shape[0] == 311
+    assert res.value <= 0.2
+    assert not res.truncated
+
+
 def test_alpha_recovers_offset_plane(line3d):
     # same line translated: the optimizer must find the translated plane
     pts = line3d.points + np.array([0.0, 0.03, 0.0])

@@ -52,12 +52,18 @@ def deco_small(small_line):
 
 @pytest.fixture(scope="module")
 def deco_line(line3d):
-    return decompose(line3d, max_depth=8)
+    return decompose(line3d, max_depth=8, lam=2.0)
+
+
+@pytest.fixture(scope="module")
+def deco_line3(line3d):
+    """`deco_line` with flatness balls of dilation 3."""
+    return decompose(line3d, max_depth=8, lam=3.0)
 
 
 @pytest.fixture(scope="module")
 def deco_graph(graph02):
-    return decompose(graph02, max_depth=8)
+    return decompose(graph02, max_depth=8, lam=2.0)
 
 
 def _cube_at(deco, x):
@@ -379,7 +385,7 @@ def test_alpha_plane_discretization_bound(deco_line, line3d):
     for level in (7, 8):
         cube = _interior_cube(deco_line, level)
         radius = 2.0 * cube.diameter
-        a = alpha_qk(deco_line, cube, 0, lam=2.0)
+        a = alpha_qk(deco_line, cube, 0)
         assert a.value <= 5.0 * line3d.spacing / radius
         # sharper expected scale: grid pitch of the data and of the flat sample
         assert a.value <= 1.5 * (line3d.spacing / radius + 1.0 / 12.0)
@@ -390,41 +396,41 @@ def test_alpha_uniform_mass_bound(deco_line, deco_graph):
     for deco in (deco_line, deco_graph):
         cube = _interior_cube(deco, 8)
         for k in (0, 1):
-            a = alpha_qk(deco, cube, k, lam=2.0)
+            a = alpha_qk(deco, cube, k)
             cap = _alpha_upper_bound(deco.sigma, cube.anchor,
                                      2.0 * 2.0 ** k * cube.diameter)
             assert a.value <= cap * (1 + 1e-9)
 
 
-def test_alpha_cache_collapses_shared_anchors(deco_line):
-    lev = deco_line.levels[8]
+def test_alpha_cache_collapses_shared_anchors(line3d):
+    deco = decompose(line3d, max_depth=8, lam=1.9)
+    lev = deco.levels[8]
     owners = {}
     for i, a in enumerate(lev.anchor_idx):
         owners.setdefault(int(a), []).append(i)
     twins = next(v for v in owners.values() if len(v) >= 2)
-    before = len(deco_line.alpha_cache)
-    r1 = alpha_qk(deco_line, WhitneyCube(deco_line, 8, twins[0]), 0,
-                  lam=1.9)
-    r2 = alpha_qk(deco_line, WhitneyCube(deco_line, 8, twins[1]), 0,
-                  lam=1.9)
-    assert len(deco_line.alpha_cache) == before + 1
+    before = len(deco.alpha_cache)
+    r1 = alpha_qk(deco, WhitneyCube(deco, 8, twins[0]), 0)
+    r2 = alpha_qk(deco, WhitneyCube(deco, 8, twins[1]), 0)
+    assert len(deco.alpha_cache) == before + 1
     assert r1 is r2
 
 
-def test_alpha_window_errors_and_flag(deco_line):
+def test_alpha_window_errors_and_flag(deco_line, line3d):
     cube = _interior_cube(deco_line, 8)
+    half = decompose(line3d, max_depth=8, lam=0.5)
     with pytest.raises(TruncationError):
-        alpha_qk(deco_line, cube, 2, lam=2.0)   # ball outgrows the data
+        alpha_qk(deco_line, cube, 2)    # ball outgrows the data
     with pytest.raises(ResolutionError):
-        alpha_qk(deco_line, cube, 0, lam=0.5)   # ball under-resolves
+        alpha_qk(half, _interior_cube(half, 8), 0)  # ball under-resolves
     with pytest.raises(ParameterError):
-        alpha_qk(deco_line, cube, -1, lam=2.0)
+        alpha_qk(deco_line, cube, -1)
 
 
 def test_alpha_floor_on_cantor_dust():
     sigma = make_cantor_set(6)
     deco = decompose(sigma, box=CANTOR_BOX, max_depth=12,
-                     focus=(np.zeros(3), 0.05))
+                     focus=(np.zeros(3), 0.05), lam=1.0)
     lo_ell, hi_ell = 4.0 ** -5, 4.0 ** -2
     sampled = 0
     for level, lev in deco.levels.items():
@@ -433,7 +439,7 @@ def test_alpha_floor_on_cantor_dust():
             continue
         n = len(lev.packed)
         for idx in (0, n // 2, n - 1):
-            a = alpha_qk(deco, WhitneyCube(deco, level, idx), 0, lam=1.0)
+            a = alpha_qk(deco, WhitneyCube(deco, level, idx), 0)
             assert a.value >= 0.05
             sampled += 1
     assert sampled >= 9
@@ -444,7 +450,7 @@ def test_alpha_floor_on_cantor_dust():
 
 def test_mu_plane_recovers_true_plane(deco_line, line3d):
     cube = _interior_cube(deco_line, 8)
-    m = mu_q(deco_line, cube, lam=2.0)
+    m = mu_q(deco_line, cube)
     assert m.branch == "optimal"
     assert all(m.checks.values()) and not m.flagged
     assert m.anchor_gap <= line3d.spacing
@@ -454,7 +460,7 @@ def test_mu_plane_recovers_true_plane(deco_line, line3d):
 
 def test_mu_separating_branch(deco_line, line3d):
     cube = _interior_cube(deco_line, 8, frac=0.25)
-    m = mu_q(deco_line, cube, eps=1e-9, lam=2.0)
+    m = mu_q(deco_line, cube, eps=1e-9)
     assert m.branch == "separating"
     assert m.flat.c == 1.0
     assert m.anchor_gap == 0.0          # plane passes through the anchor
@@ -470,7 +476,7 @@ def test_mu_graph_sweep_calibration(deco_graph):
         n = len(deco_graph.levels[level].packed)
         for frac in (0.15, 0.5, 0.85):
             cube = WhitneyCube(deco_graph, level, int(frac * n))
-            m = mu_q(deco_graph, cube, lam=2.0)
+            m = mu_q(deco_graph, cube)
             assert all(m.checks.values()), (level, frac, m.checks)
             ratios.append(m.atilde / max(m.alpha_q, 1e-12))
     assert max(ratios) <= 2.0           # measured 1.0 on this sweep
@@ -483,10 +489,10 @@ def test_separating_flat_is_priced_once_per_mu_q_call(monkeypatch):
     from urlab import wasserstein
     sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
                                  0.02)
-    deco = decompose(sigma, max_depth=8)
+    deco = decompose(sigma, max_depth=8, lam=3.0)
     cube = next(c for c in (WhitneyCube(deco, 7, i)
                             for i in range(0, len(deco.levels[7].packed), 7))
-                if alpha_qk(deco, c, 0, lam=3.0).value > 0.15)
+                if alpha_qk(deco, c, 0).value > 0.15)
     seen = []
     solve = wasserstein.linprog
 
@@ -495,9 +501,9 @@ def test_separating_flat_is_priced_once_per_mu_q_call(monkeypatch):
         return solve(c, **kwargs)
 
     monkeypatch.setattr(wasserstein, "linprog", spy)
-    first = mu_q(deco, cube, eps=0.15, lam=3.0)
+    first = mu_q(deco, cube, eps=0.15)
     assert len(seen) == 1
-    second = mu_q(deco, cube, eps=0.1, lam=3.0)
+    second = mu_q(deco, cube, eps=0.1)
     assert len(seen) == 2
     assert first.branch == second.branch == "separating"
     assert second.atilde == first.atilde
@@ -508,14 +514,13 @@ def test_separating_flat_is_priced_once_per_mu_q_call(monkeypatch):
 
 def test_a_x_plane_value_tail_and_flags(deco_line, line3d):
     cube = _interior_cube(deco_line, 8, frac=0.6)
-    out = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4, lam=2.0)
+    out = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4)
     assert (out.level[0], out.index[0]) == (8, cube.index)
     assert out.value[0] <= 10.0 * line3d.spacing / cube.diameter
     assert out.value[0] > 0.0
     assert out.skipped == ((2, 3, 4),)  # those balls outgrow the data window
     assert out.tail[0] > 0.0
-    repeat = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4,
-                 lam=2.0)
+    repeat = a_x(deco_line, cube.center[None, :], 1.0, 1.0, k_max=4)
     assert repeat.value == out.value
 
 
@@ -524,7 +529,7 @@ def test_a_x_fallback_flag_and_domain(deco_line):
     level -1, below every retained cube and outside the box alike; a 1-D
     point and a non-positive exponent are refused."""
     pts = np.array([[0.0, 0.07, 0.0], [40.0, 0.0, 0.0]])
-    out = a_x(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
+    out = a_x(deco_line, pts, 1.0, 1.0, k_max=2)
     assert np.isnan(out.value).all() and np.isnan(out.tail).all()
     assert out.level.tolist() == [-1, -1] and out.index.tolist() == [-1, -1]
     assert out.skipped == ((), ())
@@ -547,7 +552,7 @@ def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
              + rng.uniform(-0.45, 0.45, size=(20, 3)) * sides)
     outside = deco_line.box_lo - 1.0
     pts = np.vstack([inner, line3d.points[::40], outside])
-    batch = a_x(deco_line, pts, 1.0, 1.0, k_max=2, lam=2.0)
+    batch = a_x(deco_line, pts, 1.0, 1.0, k_max=2)
     got = batch.value
     assert got.shape == batch.tail.shape == (pts.shape[0],)
     assert len(batch.skipped) == pts.shape[0]
@@ -563,8 +568,8 @@ def test_a_x_batch_matches_one_point_at_a_time(deco_line, line3d):
                                                         cube.index)
             # the per-cube body at the cube that the oracle finds
             assert (got[i], batch.tail[i], batch.skipped[i]) == _a_x_cube(
-                deco_line, cube, 1.0, k_max=2, eps=_EPS_DEFAULT, lam=2.0)
-        one = a_x(deco_line, x[None, :], 1.0, 1.0, k_max=2, lam=2.0)
+                deco_line, cube, 1.0, k_max=2, eps=_EPS_DEFAULT)
+        one = a_x(deco_line, x[None, :], 1.0, 1.0, k_max=2)
         assert np.array_equal(one.value, got[i:i + 1], equal_nan=True)
         assert np.array_equal(one.tail, batch.tail[i:i + 1],
                               equal_nan=True)
@@ -582,40 +587,41 @@ def test_ur_sum_plane_refinement_trend(deco_line, line3d_fine):
     # flat support: halving the spacing at fixed radius cuts the sum well
     # below half (measured 3.17 -> 1.09); the classical all-scale limit is
     # unreachable here because the window floor pins the deepest ball size
-    deco_fine = decompose(line3d_fine, max_depth=8)
-    coarse = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0, lam=2.0)
-    fine = ur_square_sum(deco_fine, np.zeros(3), 0.25, k=0, lam=2.0)
+    deco_fine = decompose(line3d_fine, max_depth=8, lam=2.0)
+    coarse = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0)
+    fine = ur_square_sum(deco_fine, np.zeros(3), 0.25, k=0)
     assert coarse.n_excluded == 0 and fine.n_excluded == 0
     assert fine.value <= 0.5 * coarse.value
     assert coarse.value < 5.0
 
 
-def test_ur_sum_focus_invariance_and_guard(line3d, deco_line):
-    focused = decompose(line3d, max_depth=8, focus=(np.zeros(3), 0.3))
-    full = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0, lam=2.0)
-    part = ur_square_sum(focused, np.zeros(3), 0.25, k=0, lam=2.0)
+def test_ur_sum_focus_invariance_and_guard(line3d, deco_line, deco_line3):
+    focused = decompose(line3d, max_depth=8, focus=(np.zeros(3), 0.3),
+                        lam=2.0)
+    full = ur_square_sum(deco_line, np.zeros(3), 0.25, k=0)
+    part = ur_square_sum(focused, np.zeros(3), 0.25, k=0)
     assert part.value == pytest.approx(full.value, rel=1e-12)
     with pytest.raises(ParameterError):
-        ur_square_sum(focused, np.zeros(3), 0.35, k=0, lam=2.0)
+        ur_square_sum(focused, np.zeros(3), 0.35, k=0)
     # the focus that `urlab ur-sum` always uses, (x, r), prunes no cube
     # the sum selects: every result field equals the unfocused one exactly
     x, r = line3d.points[120], 0.25
-    cli_focus = decompose(line3d, max_depth=8, focus=(x, r))
+    cli_focus = decompose(line3d, max_depth=8, focus=(x, r), lam=3.0)
     assert cli_focus.pruned > 0
     for k in (0, 1):
-        want = ur_square_sum(deco_line, x, r, k=k, lam=3.0)
-        got = ur_square_sum(cli_focus, x, r, k=k, lam=3.0)
+        want = ur_square_sum(deco_line3, x, r, k=k)
+        got = ur_square_sum(cli_focus, x, r, k=k)
         assert want.n_cubes > 0
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def test_ur_sum_in_tiny_chunks_equals_the_whole_level_scan(monkeypatch,
-                                                          deco_line, line3d):
+                                                          deco_line3, line3d):
     x, r = line3d.points[120], 0.25
     monkeypatch.setattr(whitney, "_CHUNK", 2 ** 40)
-    want = [ur_square_sum(deco_line, x, r, k=k, lam=3.0) for k in (0, 3)]
+    want = [ur_square_sum(deco_line3, x, r, k=k) for k in (0, 3)]
     monkeypatch.setattr(whitney, "_CHUNK", 7)
-    got = [ur_square_sum(deco_line, x, r, k=k, lam=3.0) for k in (0, 3)]
+    got = [ur_square_sum(deco_line3, x, r, k=k) for k in (0, 3)]
     assert want[0].n_cubes > 0 and want[1].n_excluded > 0
     assert [dataclasses.asdict(g) for g in got] == [
         dataclasses.asdict(w) for w in want]
@@ -627,8 +633,8 @@ def test_ur_sum_k_growth_is_linearly_stable():
     sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
                                  0.00125)
     x = sigma.points[int(np.argmin(np.linalg.norm(sigma.points, axis=1)))]
-    deco = decompose(sigma, max_depth=12, focus=(x, 0.45))
-    vals = [ur_square_sum(deco, x, 0.2, k=k, lam=3.0).value
+    deco = decompose(sigma, max_depth=12, focus=(x, 0.45), lam=3.0)
+    vals = [ur_square_sum(deco, x, 0.2, k=k).value
             for k in (0, 1, 2)]
     assert all(v > 0 for v in vals)
     assert max(vals) <= 2.0 * min(vals)
@@ -643,8 +649,8 @@ def test_ur_sum_grows_on_cantor_refinement():
     for m, depth in ((3, 10), (5, 12)):
         sigma = make_cantor_set(m)
         deco = decompose(sigma, box=CANTOR_BOX, max_depth=depth,
-                         focus=(np.zeros(3), 0.13))
-        out = ur_square_sum(deco, np.zeros(3), 0.1, k=0, lam=4.0)
+                         focus=(np.zeros(3), 0.13), lam=4.0)
+        out = ur_square_sum(deco, np.zeros(3), 0.1, k=0)
         vals[m] = out
     assert vals[3].n_excluded > 0       # below-floor levels stay visible
     assert vals[5].value >= 1.5 * vals[3].value
@@ -660,9 +666,10 @@ def test_ur_sum_parameter_guards(deco_small):
 def test_ur_sum_of_an_empty_focused_decomposition_is_zero(small_line):
     # the focus proves no selectable cube was dropped, so an empty focused
     # decomposition sums to 0; an empty unfocused one is still refused
-    focused = decompose(small_line, max_depth=4, focus=(np.zeros(3), 0.1))
+    focused = decompose(small_line, max_depth=4, focus=(np.zeros(3), 0.1),
+                        lam=2.0)
     assert len(focused) == 0 and focused.pruned > 0
-    got = ur_square_sum(focused, np.zeros(3), 0.1, lam=2.0)
+    got = ur_square_sum(focused, np.zeros(3), 0.1)
     assert dataclasses.astuple(got) == (0.0, 0, 0, 0)
     with pytest.raises(StateError):
         ur_square_sum(decompose(small_line, max_depth=4), np.zeros(3), 0.1)
@@ -707,9 +714,10 @@ def test_dump_cubes_refuses_stride_below_one(tmp_path, deco_small, stride):
     assert not path.exists()
 
 
-def _dump_cubes_oracle(deco, path, *, k_max=0, lam=8.0, eps=0.3,
+def _dump_cubes_oracle(deco, path, *, k_max=0, eps=0.3,
                        include_alpha=False, include_mu=False, stride=1):
-    """The replaced per-cube writer, kept as a reference."""
+    """The replaced per-cube writer, kept as a reference; its flatness
+    balls take ``deco.lam``."""
     n = deco.sigma.ambient_dim
     rows = 0
     with open(path, "w", newline="") as fh:
@@ -730,13 +738,13 @@ def _dump_cubes_oracle(deco, path, *, k_max=0, lam=8.0, eps=0.3,
             if include_alpha:
                 for k in range(k_max + 1):
                     try:
-                        alpha = alpha_qk(deco, cube, k, lam=lam).value
+                        alpha = alpha_qk(deco, cube, k).value
                         row.append(f"{alpha:.17g}")
                     except (TruncationError, ResolutionError):
                         row.append("")
             if include_mu:
                 try:
-                    mu = mu_q(deco, cube, eps=eps, lam=lam)
+                    mu = mu_q(deco, cube, eps=eps)
                     row += [mu.branch, f"{mu.flat.c:.17g}",
                             f"{mu.gap_2q:.17g}", f"{mu.anchor_gap:.17g}",
                             str(mu.flagged)]

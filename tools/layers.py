@@ -37,7 +37,7 @@ Each row is the best of three runs:
   the r = 0.2 ball that ``urlab carleson`` draws at seed 2 (the variant
   of benchmark seed 10) at h = 0.00625, as one batch;
 * ``carleson sweep`` in cells/s and traced peak in MiB of one
-  ``carleson._ball_value`` (the squared gradient field of that workload):
+  ``carleson._ball_value`` (the gradient field of that workload, squared):
   on that ball at r/32; at r/64 on the graph at spacing 0.003125 (640
   atoms, h = 0.003125, 1.1 M cells), on the ball it draws at seed 2; and
   at r/64 on the workload's ball (``r/64 refine``), the h/2 pass that
@@ -159,9 +159,9 @@ def rows(sigma, depths=(9, 11), query=QUERY, wide=WIDE, lam: float = LAM,
     # 120, seed 0
     row, deco = decompose_row(
         f"decompose depth {focused} focus r={query[1]:g}",
-        lambda: whitney.decompose(sigma, None, focused, focus=query),
+        lambda: whitney.decompose(sigma, None, focused, focus=query, lam=lam),
         repeats)
-    calls = lp_calls(lambda: whitney.ur_square_sum(deco, *query, lam=lam))
+    calls = lp_calls(lambda: whitney.ur_square_sum(deco, *query))
     del deco
     # the LPs are timed before the wide row: a freed depth-12
     # decomposition left them 30% slower to solve again
@@ -300,7 +300,7 @@ def vector_rows(sigma, ball, h: float = CARLESON_H, repeats: int = 3,
 
 def sweep_rows(cases, repeats: int = 3,
                workers=None) -> list[tuple[str, int, float, float]]:
-    """(row name, cells, best seconds, traced peak MiB) of one squared
+    """(row name, cells, best seconds, traced peak MiB) of one
     ``carleson._ball_value`` of the gradient field (beta 2) per (label,
     sigma, ball, h) case and worker count."""
     out = []
@@ -309,7 +309,7 @@ def sweep_rows(cases, repeats: int = 3,
             return carleson._ball_value(
                 lambda pts: np.linalg.norm(
                     distances.distance_gradient(sigma, pts, 2.0), axis=1),
-                sigma, ball, h, 2)
+                sigma, ball, h)
 
         for w in _workers(workers):
             (_, _, skipped, used), secs = with_workers(
