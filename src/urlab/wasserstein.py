@@ -372,25 +372,26 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         basis = _orthonormalize(u + tilt @ v)
         return FlatMeasure(bary + boff @ v, basis, c * c0)
 
-    def price(theta: np.ndarray) -> float:
-        samp = flat_sample(build(theta), ball, m_res)
+    def price(flat: FlatMeasure) -> float:
+        samp = flat_sample(flat, ball, m_res)
         return _transport_lp(samp.points, samp.weights, pts, w, ball.center,
                              r, cap=None) / r ** (d + 1)
 
     npar = d * codim + codim + 1
     theta0 = np.zeros(npar)
-    f0 = price(theta0)
+    flat0 = build(theta0)
+    f0 = price(flat0)
 
     def objective(theta: np.ndarray) -> float:
         if np.array_equal(theta, theta0):
             return f0           # the start is a simplex vertex: priced once
         try:
-            return price(theta)
+            return price(build(theta))
         except (InputError, ResolutionError):
             return math.inf     # no patch in the ball: never a best vertex
 
     # without refinement the PCA init is the result: an upper bound on the inf
-    best_theta, best, refined, nit = theta0, f0, f0, 0
+    best_flat, best, refined, nit = flat0, f0, f0, 0
     if refine:
         steps = np.full(npar, 0.1)
         steps[-1] = 0.2
@@ -399,6 +400,6 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
                                 "fatol": 1e-5, "initial_simplex": np.vstack(
                                     [theta0, theta0 + np.diag(steps)])})
         # the simplex holds the finite start, so its best is never worse
-        best_theta, best = res.x, float(res.fun)
+        best_flat, best = build(res.x), float(res.fun)
         refined, nit = best, int(res.nit)
-    return AlphaResult(best, build(best_theta), f0, refined, nit, truncated)
+    return AlphaResult(best, best_flat, f0, refined, nit, truncated)

@@ -3,11 +3,13 @@ flatness numbers, flat-measure attachments, and multiscale square sums.
 
 The complement is tiled by maximal dyadic cubes whose 20-fold dilate
 misses the support; the 60-fold dilate of each retained cube then meets
-it by maximality.  Cubes are stored struct-of-arrays per level (corner
-multi-indices packed into sorted int64 keys) because codimension-2 tubes
-produce millions of cubes at depth; `WhitneyCube` objects are lightweight
-views.  Flatness numbers are memoized by (anchor point, ball radius) —
-all cubes in a cross-sectional ring share their anchor ball, which
+it by maximality.  Cubes are stored struct-of-arrays per level, as corner
+multi-indices packed into sorted int64 keys and int32 anchors, because
+codimension-2 tubes produce millions of cubes at depth.  The key is a
+cube's only position data: its corner and centre are unpacked from it
+where they are read, a chunk at a time; `WhitneyCube` objects are
+lightweight views.  Flatness numbers are memoized by (anchor point, ball
+radius) — all cubes in a cross-sectional ring share their anchor ball, which
 collapses the LP count per level to the number of distinct anchors.  That
 memo, `alpha_cache`, is the only one, since it is the one that runs hit:
 on the `whitney` rerun config of tests/test_cli.py, 341 of its 441
@@ -17,9 +19,9 @@ again on each call.
 
 `decompose` sweeps each level in fixed chunks of `_CHUNK` cubes, so its
 memory is its output, plus one chunk, plus one level's sort of its keys;
-`ur_square_sum` scans the levels in the same chunks.  A child cube that
-its parent's atom already puts within 10 sides in the sup norm violates
-without a nearest-atom query.
+`ur_square_sum` scans the levels in the same chunks and keeps one anchor
+count array per level.  A child cube that its parent's atom already puts
+within 10 sides in the sup norm violates without a nearest-atom query.
 
 A cube's flatness ball at scale k has radius lam * 2^k * diam(Q), with
 one dilation lam for the whole decomposition (``decompose``'s ``lam``,
@@ -141,19 +143,11 @@ def _anchors(sigma, ctr: np.ndarray, aidx: np.ndarray,
 
 def _sorted_level(keys: list, anchors: list, lo: np.ndarray,
                   side: float) -> "_Level":
-    """One level from its chunks' packed keys and anchors: one sort, then
-    the centres rebuilt from the sorted keys a chunk at a time."""
+    """One level from its chunks' packed keys and anchors, in one sort."""
     key = np.concatenate(keys)
     order = np.argsort(key)
     key = key[order]
-    anchor_idx = np.concatenate(anchors)[order]
-    del order
-    n = lo.shape[0]
-    centers = np.empty((key.size, n))
-    for s in range(0, key.size, _CHUNK):
-        centers[s:s + _CHUNK] = lo + (_unpack(key[s:s + _CHUNK], n)
-                                      + 0.5) * side
-    return _Level(side, key, centers, anchor_idx)
+    return _Level(side, lo, key, np.concatenate(anchors)[order])
 
 
 def _dilate_gap2(centers: np.ndarray, side: float, s: float,
@@ -166,9 +160,14 @@ def _dilate_gap2(centers: np.ndarray, side: float, s: float,
 @dataclass
 class _Level:
     side: float
+    lo: np.ndarray              # (n,) low corner of the decomposition box
     packed: np.ndarray          # (M,) int64 corner keys, ascending
-    centers: np.ndarray         # (M, n) float
-    anchor_idx: np.ndarray      # (M,) indices into sigma.points
+    anchor_idx: np.ndarray      # (M,) int32 indices into sigma.points
+
+    def centers(self, s: int = 0, e: int | None = None) -> np.ndarray:
+        """(e - s, n) centres of cubes s to e, unpacked from their keys."""
+        return self.lo + (_unpack(self.packed[s:e], self.lo.shape[0])
+                          + 0.5) * self.side
 
 
 @dataclass
@@ -222,12 +221,12 @@ class WhitneyCube:
     def corner(self) -> np.ndarray:
         """Integer grid coordinates of the low corner at this level."""
         lev = self.deco.levels[self.level]
-        rel = (lev.centers[self.index] - self.deco.box_lo) / lev.side
-        return np.rint(rel - 0.5).astype(np.int64)
+        return _unpack(lev.packed[self.index:self.index + 1], lev.lo.size)[0]
 
     @property
     def center(self) -> np.ndarray:
-        return self.deco.levels[self.level].centers[self.index]
+        return self.deco.levels[self.level].centers(self.index,
+                                                    self.index + 1)[0]
 
     @property
     def diameter(self) -> float:
@@ -318,6 +317,15 @@ class WhitneyDecomposition:
         return level, index
 
 
+def _finite_point(x, n: int, name: str) -> np.ndarray:
+    """x as a float64 (n,) point; anything else, or a non-finite
+    coordinate, is an InputError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise InputError(f"{name} must be a finite point of R^{n}")
+    return x
+
+
 def _require(deco, *, empty_if_focused: bool = False) -> None:
     """Refuse anything but a completed, non-empty decomposition; with
     ``empty_if_focused`` a focused one may be empty, since its focus
@@ -356,8 +364,8 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
     Memory: each level is swept in chunks of _CHUNK cubes, and between
     levels only the violating parents live on, as corners and atoms.  A
     chunk returns its retained cubes' keys and anchors; a level then
-    makes one sort of its keys and rebuilds its centres from them, a
-    chunk at a time.  The peak is the output, plus one chunk, plus one
+    makes one sort of its keys, and no centres are rebuilt: the output is
+    12 bytes per cube.  The peak is the output, plus one chunk, plus one
     level's sort, and no level is ever held as a whole candidate array.
 
     `focus=(x, R)` prunes subdivision branches that can never produce a
@@ -394,10 +402,8 @@ def decompose(sigma: DiscreteMeasure, box=None, max_depth: int = 10, *,
             f"(got margin {margin:g} for side {side:g})")
 
     if focus is not None:
-        f_center = np.asarray(focus[0], dtype=np.float64)
+        f_center = _finite_point(focus[0], n, "focus center")
         f_radius = float(focus[1])
-        if f_center.shape != (n,) or not np.all(np.isfinite(f_center)):
-            raise InputError(f"focus center must be a finite point of R^{n}")
         if not f_radius > 0:
             raise ParameterError("focus radius must be positive")
 
@@ -682,32 +688,37 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
     alpha^2 * diam^d.  Whole levels whose flatness balls leave the data
     window are excluded and counted, keeping truncation bias visible.
     A decomposition focused on a ball holding B(x, r) may be empty: its
-    sum is 0 over no cube.
+    sum is 0 over no cube.  A query point that is not a finite point of
+    R^n is an InputError.
+
+    Cubes of one level share their alpha through their anchor, so each
+    level is scanned in chunks of _CHUNK cubes, adding the anchors of the
+    selected cubes into one count per atom; the distinct anchors are then
+    priced in ascending order, and the level adds diam^d * sum_a n_a
+    alpha_a^2.  No per-cube array outlives its chunk.
     """
     _require(deco, empty_if_focused=True)
     _scale_index("k", k)
     if not r > 0:
         raise ParameterError("r must be positive")
-    x = np.asarray(x, dtype=np.float64)
+    sigma = deco.sigma
+    d = sigma.intrinsic_dim
+    n = sigma.ambient_dim
+    x = _finite_point(x, n, "query point")
     if deco.focus is not None:
         f_center, f_radius = deco.focus
         if float(np.linalg.norm(x - np.asarray(f_center))) + r > f_radius:
             raise ParameterError(
                 "query ball leaves the focus region of a pruned decomposition")
-    sigma = deco.sigma
-    d = sigma.intrinsic_dim
-    n = sigma.ambient_dim
-    total = 0.0
-    n_cubes = 0
-    n_excluded = 0
-    anchors = 0
+    total, n_cubes, n_excluded, anchors = 0.0, 0, 0, 0
     for lev_k, lev in deco.levels.items():
-        aidx = np.concatenate([
-            lev.anchor_idx[s:s + _CHUNK][
-                _dilate_gap2(lev.centers[s:s + _CHUNK], lev.side, 2.0, x)
-                <= r * r]
-            for s in range(0, len(lev.packed), _CHUNK)])
-        count = aidx.size
+        counts = np.zeros(len(sigma), dtype=np.int64)
+        for s in range(0, len(lev.packed), _CHUNK):
+            hit = _dilate_gap2(lev.centers(s, s + _CHUNK), lev.side, 2.0,
+                               x) <= r * r
+            counts += np.bincount(lev.anchor_idx[s:s + _CHUNK][hit],
+                                  minlength=counts.size)
+        count = int(counts.sum())
         if count == 0:
             continue
         ell = math.sqrt(n) * lev.side
@@ -715,10 +726,10 @@ def ur_square_sum(deco: WhitneyDecomposition, x: np.ndarray, r: float,
         if refusal is not None:
             n_excluded += count
             continue
-        uniq, inv = np.unique(aidx, return_inverse=True)
+        uniq = np.flatnonzero(counts)
         vals = np.array([_anchor_alpha(deco, a_i, radius).value
                          for a_i in uniq])
-        total += ell ** d * float(np.sum(vals[inv] ** 2))
+        total += ell ** d * float(np.sum(counts[uniq] * vals ** 2))
         n_cubes += count
         anchors += len(uniq)
     return URSumResult(total / r ** d, n_cubes, n_excluded, anchors)
@@ -754,8 +765,7 @@ def dump_cubes(deco: WhitneyDecomposition, path, *, k_max: int = 0,
         w.writerow(head)
         for (level, lev), start in zip(deco.levels.items(), deco._starts):
             local = np.arange(-int(start) % stride, len(lev.packed), stride)
-            corners = np.rint((lev.centers[local] - deco.box_lo) / lev.side
-                              - 0.5).astype(np.int64)
+            corners = _unpack(lev.packed[local], n)
             diam = math.sqrt(n) * lev.side
             diameter = f"{diam:.17g}"
             # alpha_qk's radii, None where the data window refuses the

@@ -17,20 +17,25 @@ def test_rows_count_the_work_of_each_layer():
                       wide=(10, layers.WIDE[1]), repeats=1)
     assert [row[0] for row in got] == [
         "decompose depth 5", "decompose depth 9 focus r=0.1",
-        "transport_lp", "decompose depth 10 focus r=0.2"]
+        "ur_square_sum scan", "transport_lp",
+        "decompose depth 10 focus r=0.2"]
     assert all(count > 0 and secs > 0 for _, count, secs, *_ in got)
     # the decompose rows carry a traced peak that holds their output
     deco = layers.whitney.decompose(sigma, None, 9, focus=layers.QUERY,
                                     lam=layers.LAM)
-    out = sum(lev.packed.nbytes + lev.centers.nbytes + lev.anchor_idx.nbytes
+    out = sum(lev.packed.nbytes + lev.anchor_idx.nbytes
               for lev in deco.levels.values()) / 2 ** 20
-    assert [len(row) for row in got] == [4, 4, 3, 4]
+    assert [len(row) for row in got] == [4, 4, 4, 3, 4]
     assert got[1][1] == len(deco) and got[1][3] >= out
     assert layers.format_row(*got[1]).endswith("MiB peak")
+    # the scan row sweeps every cube of that decomposition
+    assert got[2][1] == len(deco) and got[2][3] > 0
+    line = layers.format_row(*got[2])
+    assert "cubes/s" in line and line.endswith("MiB peak")
     # one LP per distinct anchor ball the sum prices
     want = layers.whitney.ur_square_sum(deco, *layers.QUERY)
-    assert got[2][1] == want.n_anchors == len(deco.alpha_cache)
-    line = layers.format_row(*got[2])
+    assert got[3][1] == want.n_anchors == len(deco.alpha_cache)
+    line = layers.format_row(*got[3])
     assert line.startswith("transport_lp") and line.endswith("LPs/s")
 
 

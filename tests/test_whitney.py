@@ -70,7 +70,7 @@ def _cube_at(deco, x):
     """The retained cube holding the point x, or None: a scan of every
     level's centres, the single-point oracle for `_locate` and `a_x`."""
     held = [(k, int(i)) for k, lev in deco.levels.items()
-            for i in np.flatnonzero(np.all(np.abs(lev.centers - x)
+            for i in np.flatnonzero(np.all(np.abs(lev.centers() - x)
                                            < 0.5 * lev.side, axis=1))]
     assert len(held) <= 1
     return WhitneyCube(deco, *held[0]) if held else None
@@ -78,7 +78,7 @@ def _cube_at(deco, x):
 
 def _interior_cube(deco, level, frac=0.5, bound=0.3):
     lev = deco.levels[level]
-    idx = np.where(np.abs(lev.centers[:, 0]) < bound)[0]
+    idx = np.where(np.abs(lev.centers()[:, 0]) < bound)[0]
     return WhitneyCube(deco, level, int(idx[int(frac * (len(idx) - 1))]))
 
 
@@ -89,7 +89,7 @@ def test_retention_both_halves_exact(deco_small, small_line):
     # brute-force sup-norm distance from every cube center to every point
     pts = small_line.points
     for k, lev in deco_small.levels.items():
-        gaps = np.abs(lev.centers[:, None, :] - pts[None, :, :]).max(axis=2)
+        gaps = np.abs(lev.centers()[:, None, :] - pts[None, :, :]).max(axis=2)
         d_inf = gaps.min(axis=1)
         assert np.all(d_inf > 10.0 * lev.side)                # 20Q clear
         assert np.all(d_inf <= 30.0 * lev.side * (1 + 1e-12))  # 60Q touches
@@ -102,7 +102,7 @@ def test_retained_cubes_are_maximal(deco_small):
     for k, lev in deco_small.levels.items():
         if k - 1 not in deco_small.levels:
             continue
-        rel = (lev.centers - deco_small.box_lo) / lev.side - 0.5
+        rel = (lev.centers() - deco_small.box_lo) / lev.side - 0.5
         corners = np.rint(rel).astype(np.int64)
         parent_keys = _pack(corners // 2, 3)
         coarse = deco_small.levels[k - 1].packed
@@ -135,10 +135,10 @@ def test_sandwich_band_over_the_plane(deco_line):
     # band forced by the 10/30-clearance sandwich
     lo, hi = 1.0 / (40.0 * math.sqrt(3)), math.sqrt(3)
     for k, lev in deco_line.levels.items():
-        core = np.abs(lev.centers[:, 0]) <= 0.5
+        core = np.abs(lev.centers()[:, 0]) <= 0.5
         if not np.any(core):
             continue
-        h = np.linalg.norm(lev.centers[core, 1:], axis=1)  # height over axis
+        h = np.linalg.norm(lev.centers()[core, 1:], axis=1)  # height over axis
         ratio = lev.side / h
         assert ratio.min() >= lo and ratio.max() <= hi
 
@@ -154,7 +154,7 @@ def neighbor_count_max(deco, *, max_level_gap=2):
     max_level_gap=None to scan every pair regardless.
     """
     keys = list(deco.levels)
-    trees = {k: cKDTree(deco.levels[k].centers) for k in keys}
+    trees = {k: cKDTree(deco.levels[k].centers()) for k in keys}
     counts = {k: np.zeros(len(deco.levels[k].packed), dtype=np.int64)
               for k in keys}
     for a in keys:
@@ -163,7 +163,7 @@ def neighbor_count_max(deco, *, max_level_gap=2):
                 continue
             lev_b = deco.levels[b]
             counts[b] += trees[a].query_ball_point(
-                lev_b.centers, deco.levels[a].side + lev_b.side, p=np.inf,
+                lev_b.centers(), deco.levels[a].side + lev_b.side, p=np.inf,
                 return_length=True)
     return int(max(arr.max() for arr in counts.values()))
 
@@ -306,7 +306,7 @@ def test_decompose_equals_the_sup_norm_oracle(name, box, depth, focus):
     for k, (side, packed, centers, anchor_idx) in levels.items():
         lev = deco.levels[k]
         assert lev.side == side
-        for got, want in ((lev.packed, packed), (lev.centers, centers),
+        for got, want in ((lev.packed, packed), (lev.centers(), centers),
                           (lev.anchor_idx, anchor_idx)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         fallback += int(np.count_nonzero(
@@ -361,8 +361,9 @@ def test_atoms_decide_queries_without_changing_the_cubes(monkeypatch):
 
 
 def test_decompose_peak_stays_near_its_output():
-    # the ursum_sawtooth graph and focus: the whole-level sweep peaked at
-    # 4.7 times the output; one chunk and one level's sort read 1.4
+    # the ursum_sawtooth graph and focus, in traced bytes per cube: the
+    # output is 12 (a key and an anchor), and one chunk and one level's
+    # sort beside it bring the peak to 36.2
     sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.2, 0.5), 0.2, 1.0,
                                  0.00125)
     sigma.tree                  # built before tracing starts
@@ -372,10 +373,8 @@ def test_decompose_peak_stays_near_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = sum(lev.packed.nbytes + lev.centers.nbytes + lev.anchor_idx.nbytes
-              for lev in deco.levels.values())
     assert len(deco) == 145312
-    assert peak <= 2.0 * out
+    assert peak <= 40 * len(deco)
 
 
 # -- per-cube flatness -------------------------------------------------------
@@ -625,6 +624,53 @@ def test_ur_sum_in_tiny_chunks_equals_the_whole_level_scan(monkeypatch,
     assert want[0].n_cubes > 0 and want[1].n_excluded > 0
     assert [dataclasses.asdict(g) for g in got] == [
         dataclasses.asdict(w) for w in want]
+
+
+def _ur_sum_oracle(deco, x, r, k):
+    """ur_square_sum cube by cube: (value, n_cubes, n_excluded,
+    n_anchors) over every cube whose 2-dilate meets B(x, r), each priced
+    by alpha_qk; the cubes are selected a whole level at a time."""
+    d = deco.sigma.intrinsic_dim
+    total, n_cubes, n_excluded, anchors = 0.0, 0, 0, set()
+    for level, lev in deco.levels.items():
+        gap = np.clip(np.abs(lev.centers() - x) - lev.side, 0.0, None)
+        for i in np.flatnonzero(np.linalg.norm(gap, axis=1) <= r):
+            cube = WhitneyCube(deco, level, int(i))
+            try:
+                alpha = alpha_qk(deco, cube, k).value
+            except (TruncationError, ResolutionError):
+                n_excluded += 1
+                continue
+            total += alpha ** 2 * cube.diameter ** d
+            n_cubes += 1
+            anchors.add((level, cube.anchor_index))
+    return total / r ** d, n_cubes, n_excluded, len(anchors)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_ur_sum_equals_the_per_cube_oracle(deco_line3, line3d, k):
+    # k = 3 pushes every selected level's flatness balls past the window
+    x, r = line3d.points[120], 0.25
+    got = ur_square_sum(deco_line3, x, r, k=k)
+    value, n_cubes, n_excluded, n_anchors = _ur_sum_oracle(deco_line3, x,
+                                                           r, k)
+    assert (n_cubes > 0, n_excluded > 0) == ((True, False) if k == 0
+                                             else (False, True))
+    assert got.value == pytest.approx(value, rel=1e-12)
+    assert (got.n_cubes, got.n_excluded, got.n_anchors) == (
+        n_cubes, n_excluded, n_anchors)
+
+
+@pytest.mark.parametrize("focused", [False, True])
+@pytest.mark.parametrize("x", [[float("nan"), 0.0, 0.0], [0.0, 0.0]])
+def test_ur_sum_refuses_a_query_point_outside_r3(line3d, deco_line3,
+                                                 focused, x):
+    deco = deco_line3
+    if focused:
+        deco = decompose(line3d, max_depth=6, focus=(np.zeros(3), 0.3),
+                         lam=3.0)
+    with pytest.raises(InputError, match="query point"):
+        ur_square_sum(deco, x, 0.2)
 
 
 def test_ur_sum_k_growth_is_linearly_stable():

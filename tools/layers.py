@@ -6,6 +6,9 @@ Each row is the best of three runs:
 
 * ``decompose`` in cubes/s, unfocused at depth 9, and at depth 11 with
   focus ((0, 0, 0), 0.1), the workload's query ball;
+* ``ur_square_sum scan`` in cubes/s over every cube of that focused
+  decomposition (lam 3, k 0), with the alpha cache already filled, so the
+  row times the level scan and no LP, and the traced peak in MiB;
 * ``transport_lp`` in LPs/s over the LPs of the anchor alphas that
   ``ur_square_sum`` prices on that focused decomposition (lam 3, k 0,
   alpha_cap 120, alpha_resolution 12, alpha_seed 0).  One untimed sum
@@ -149,7 +152,7 @@ def lp_row(name: str, calls: list[tuple], repeats: int) -> tuple:
 def rows(sigma, depths=(9, 11), query=QUERY, wide=WIDE, lam: float = LAM,
          repeats: int = 3) -> list[tuple]:
     """(row name, work count, best seconds[, traced peak MiB]) of each
-    layer row; the decompose rows carry the peak."""
+    layer row; the decompose and scan rows carry the peak."""
     full, focused = depths
     wide_depth, wide_query = wide
     out = [decompose_row(f"decompose depth {full}",
@@ -161,11 +164,17 @@ def rows(sigma, depths=(9, 11), query=QUERY, wide=WIDE, lam: float = LAM,
         f"decompose depth {focused} focus r={query[1]:g}",
         lambda: whitney.decompose(sigma, None, focused, focus=query, lam=lam),
         repeats)
-    calls = lp_calls(lambda: whitney.ur_square_sum(deco, *query))
+
+    def scan():
+        return whitney.ur_square_sum(deco, *query)
+
+    calls = lp_calls(scan)      # fills the alpha cache the scan row reads
+    scan_row = ("ur_square_sum scan", len(deco), best_of(scan, repeats)[1],
+                traced_peak(scan))
     del deco
     # the LPs are timed before the wide row: a freed depth-12
     # decomposition left them 30% slower to solve again
-    out += [row, lp_row("transport_lp", calls, repeats),
+    out += [row, scan_row, lp_row("transport_lp", calls, repeats),
             decompose_row(f"decompose depth {wide_depth} focus "
                           f"r={wide_query[1]:g}",
                           lambda: whitney.decompose(sigma, None, wide_depth,
