@@ -80,7 +80,7 @@ from .exceptions import (DegenerateInputError, DomainError, InputError,
                          NumericError, ParameterError, ResolutionError,
                          TopologyError)
 from .geometry import (Ball, CorkscrewResult, DiscreteMeasure, _as_box,
-                       corkscrew_point)
+                       _finite_point, corkscrew_point)
 
 __all__ = [
     "MASK_INTERIOR", "MASK_COLLAR", "MASK_OUTER",
@@ -596,9 +596,7 @@ class EllipticSystem:
         return self._unit
 
     def check_pole(self, pole) -> np.ndarray:
-        pole = np.asarray(pole, dtype=np.float64)
-        if pole.shape != (len(self.shape),):
-            raise InputError("pole dimension does not match the grid")
+        pole = _finite_point(pole, len(self.shape), "pole")
         gap = float(self.sigma.dist_to_support(pole))
         if gap < 4.0 * self.h:
             raise DomainError(
@@ -964,7 +962,8 @@ def sn_check(system: EllipticSystem, ball: Ball,
     Refused: a system coarser than r/32 (``ResolutionError``), a solution
     that does not live on the system's grid (``EllipticSystem.same_grid``;
     ``InputError``) and a grid that does not cover 2B (``DomainError``).
-    The gradient weight takes beta from the system.
+    The gradient weight D_beta^{d+2-n}, beta from the system, is applied
+    at every (n, d); at d + 2 = n it is exactly 1.
     """
     sigma = system.sigma
     r = ball.radius
@@ -1041,14 +1040,10 @@ def sn_check(system: EllipticSystem, ball: Ball,
 
     # one sum over B's cells in C order keeps the whole-window bits
     idx_b = np.concatenate(idx_b)
-    expo2 = d + 2.0 - n
     if idx_b.size:
-        if expo2 == 0.0:
-            wgt = 1.0
-        else:
-            wgt = _conductance(
-                sigma, _cell_centers(sub.box_lo, sub.h, sub.shape, idx_b),
-                system.config.beta, expo2, "gradient")
+        wgt = _conductance(
+            sigma, _cell_centers(sub.box_lo, sub.h, sub.shape, idx_b),
+            system.config.beta, d + 2.0 - n, "gradient")
         square_fn = float(np.sum(np.concatenate(g2_b) * wgt) * fld.h ** n)
     else:
         square_fn = 0.0

@@ -139,7 +139,7 @@ class Ball:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=np.float64))
+                           _finite_point(self.center, None, "ball center"))
         if not self.radius > 0:
             raise ParameterError("ball radius must be positive")
 
@@ -171,6 +171,16 @@ def _as_points(points, n: int) -> np.ndarray:
         raise ParameterError(
             f"points must have shape (m, {n}), got {pts.shape}")
     return pts
+
+
+def _finite_point(x, n: int | None, name: str) -> np.ndarray:
+    """x as a float64 (n,) point, of any length when n is None; anything
+    else, or a non-finite coordinate, is an InputError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or n not in (None, x.shape[0]) \
+            or not np.all(np.isfinite(x)):
+        raise InputError(f"{name} must be a finite point of R^{n or 'n'}")
+    return x
 
 
 def _as_box(box, n: int) -> tuple[np.ndarray, float]:

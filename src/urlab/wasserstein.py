@@ -34,9 +34,15 @@ The LP contract: `linprog` returns the optimum and the simplex iteration
 count, and nothing else.  It raises NumericError itself when HiGHS ends
 without an optimum (the message names the HiGHS model status) and when
 the solution misses linprog's feasibility bound.  `_transport_lp` returns
-the optimum alone.  `alpha_number` prices its PCA start without catching
-anything, so a start whose flat sample is refused raises; inside
-Nelder-Mead a refused flat scores +inf, which no finite start loses to.
+the optimum of the LP it is given: every atom inside the ball enters it,
+and none is dropped for size.  `_ball_support` is the one reduction of a
+ball's support to an atom cap.  Every flat (an α start, a Nelder-Mead
+vertex, a Whitney cube's separating plane) is priced as
+`local_wasserstein` of its flat sample against that support, so a cube's
+α and its separating-plane distance see one sample.  `alpha_number`
+prices its PCA start without catching anything, so a start whose flat
+sample is refused raises; inside Nelder-Mead a refused flat scores +inf,
+which no finite start loses to.
 """
 
 from __future__ import annotations
@@ -212,8 +218,7 @@ def linprog(c, *, A_eq, b_eq) -> LPResult:
     return LPResult(fun, info.simplex_iteration_count)
 
 
-def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
-                  cap=300, seed=0) -> float:
+def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius) -> float:
     """Optimum of the shared transport LP (see the module docstring)."""
     center = np.asarray(center, dtype=np.float64)
 
@@ -223,16 +228,6 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
 
     pts_a, w_a = _inside(np.asarray(pts_a, float), np.asarray(w_a, float))
     pts_b, w_b = _inside(np.asarray(pts_b, float), np.asarray(w_b, float))
-
-    total = pts_a.shape[0] + pts_b.shape[0]
-    if cap is not None and total > cap:
-        rng = np.random.default_rng(seed)
-        ta = max(1, round(cap * pts_a.shape[0] / total))
-        tb = max(1, cap - ta)
-        if pts_a.shape[0] > ta:
-            pts_a, w_a = _resample(pts_a, w_a, ta, rng)
-        if pts_b.shape[0] > tb:
-            pts_b, w_b = _resample(pts_b, w_b, tb, rng)
 
     pts = np.concatenate([pts_a, pts_b], axis=0)
     coeff = np.concatenate([w_a, -w_b])
@@ -273,22 +268,58 @@ def _transport_lp(pts_a, w_a, pts_b, w_b, center, radius, *,
                          b_eq=mass).fun)
 
 
-def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ball: Ball,
-                      *, cap: int = 300, seed: int = 0) -> float:
+def local_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                      ball: Ball) -> float:
     """Normalized ball-localized Wasserstein-1 distance between two clouds.
 
     The value is r^{-d-1} times the optimum of the transport LP in which
     the sphere is a ground node (see the module docstring); it equals the
-    supremum over potentials supported in the closed ball.
-    Weight-proportional subsampling (seeded) keeps the combined sample
-    count at or below `cap`.
+    supremum over potentials supported in the closed ball.  It is exact:
+    every atom inside the ball enters the LP.
     """
     if mu.intrinsic_dim != nu.intrinsic_dim:
         raise InputError("measures must share the intrinsic dimension")
     d = mu.intrinsic_dim
     opt = _transport_lp(mu.points, mu.weights, nu.points, nu.weights,
-                        ball.center, ball.radius, cap=cap, seed=seed)
+                        ball.center, ball.radius)
     return opt / ball.radius ** (d + 1)
+
+
+def _ball_support(sigma: DiscreteMeasure, ball: Ball, resolution: int,
+                  cap: int, seed: int) -> tuple[DiscreteMeasure, int]:
+    """(support, m_res): sigma's atoms strictly inside the ball, cut down
+    to fit beside a flat sample of resolution m_res within the cap.
+
+    The flat side gets about half the cap: for d >= 2 the resolution is
+    cut to sqrt(cap / (2 |B^d|)), at least 3, and the flat budget is
+    min(cap // 2, (2 m_res)^d).  A ball holding more than cap - budget
+    atoms is resampled to that many by one draw from
+    ``default_rng(seed)``; otherwise its atoms come back unresampled, in
+    index order.  Fewer than d + 1 atoms is a DegenerateInputError, and a
+    cap that leaves fewer than d + 1 atoms beside the budget a
+    ParameterError.
+    """
+    d = sigma.intrinsic_dim
+    pts, w = sigma.restrict_to_ball(ball)
+    if pts.shape[0] < d + 1:
+        raise DegenerateInputError(
+            f"need at least {d + 1} support points in the ball, "
+            f"found {pts.shape[0]}")
+    # budget: flat side gets about half the cap at the chosen resolution
+    m_res = resolution
+    if d >= 2:
+        max_res = max(3, int(math.sqrt(cap / (2.0 * _ball_volume(d)))))
+        m_res = min(m_res, max_res)
+    flat_budget = min(cap // 2, (2 * m_res) ** d)
+    if cap - flat_budget < d + 1:
+        raise ParameterError(
+            f"cap {cap} leaves {cap - flat_budget} support atoms beside the "
+            f"flat sample; a d-plane fit needs at least {d + 1}")
+    rng = np.random.default_rng(seed)
+    if pts.shape[0] > cap - flat_budget:
+        pts, w = _resample(pts, w, cap - flat_budget, rng)
+    return DiscreteMeasure(sigma.ambient_dim, d, pts, w, sigma.spacing,
+                           "ball support"), m_res
 
 
 # -- alpha numbers ------------------------------------------------------------
@@ -326,32 +357,21 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
     reported; the refined one is never larger, since the simplex holds the
     start.  A start whose flat patch the sample refuses raises, refined or
     not.
+
+    Every flat is priced as `local_wasserstein` of its sample at
+    resolution m_res against the ball's support, both from
+    `_ball_support(sigma, ball, resolution, cap, seed)`: the seed acts
+    only where the ball holds more atoms than the cap leaves beside the
+    flat sample.
     """
     d = sigma.intrinsic_dim
     n = sigma.ambient_dim
     codim = n - d
     r = ball.radius
-    pts, w = sigma.restrict_to_ball(ball)
-    if pts.shape[0] < d + 1:
-        raise DegenerateInputError(
-            f"need at least {d + 1} support points in the ball, "
-            f"found {pts.shape[0]}")
+    support, m_res = _ball_support(sigma, ball, resolution, cap, seed)
+    pts, w = support.points, support.weights
     floor_r, ceil_r = sigma.window()
     truncated = not floor_r <= r <= ceil_r
-
-    # budget: flat side gets about half the cap at the chosen resolution
-    m_res = resolution
-    if d >= 2:
-        max_res = max(3, int(math.sqrt(cap / (2.0 * _ball_volume(d)))))
-        m_res = min(m_res, max_res)
-    flat_budget = min(cap // 2, (2 * m_res) ** d)
-    if cap - flat_budget < d + 1:
-        raise ParameterError(
-            f"cap {cap} leaves {cap - flat_budget} support atoms beside the "
-            f"flat sample; a d-plane fit needs at least {d + 1}")
-    rng = np.random.default_rng(seed)
-    if pts.shape[0] > cap - flat_budget:
-        pts, w = _resample(pts, w, cap - flat_budget, rng)
 
     mass = float(w.sum())
     bary = (w @ pts) / mass
@@ -373,9 +393,8 @@ def alpha_number(sigma: DiscreteMeasure, ball: Ball, *,
         return FlatMeasure(bary + boff @ v, basis, c * c0)
 
     def price(flat: FlatMeasure) -> float:
-        samp = flat_sample(flat, ball, m_res)
-        return _transport_lp(samp.points, samp.weights, pts, w, ball.center,
-                             r, cap=None) / r ** (d + 1)
+        return local_wasserstein(flat_sample(flat, ball, m_res), support,
+                                 ball)
 
     npar = d * codim + codim + 1
     theta0 = np.zeros(npar)

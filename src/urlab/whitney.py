@@ -47,16 +47,17 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .exceptions import (
-    InputError,
     ParameterError,
     ResolutionError,
     StateError,
     TruncationError,
 )
-from .geometry import Ball, DiscreteMeasure, _as_box, _as_points
+from .geometry import (Ball, DiscreteMeasure, _as_box, _as_points,
+                       _finite_point)
 from .wasserstein import (
     AlphaResult,
     FlatMeasure,
+    _ball_support,
     _null_space,
     alpha_number,
     flat_sample,
@@ -317,15 +318,6 @@ class WhitneyDecomposition:
         return level, index
 
 
-def _finite_point(x, n: int, name: str) -> np.ndarray:
-    """x as a float64 (n,) point; anything else, or a non-finite
-    coordinate, is an InputError."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,) or not np.all(np.isfinite(x)):
-        raise InputError(f"{name} must be a finite point of R^{n}")
-    return x
-
-
 def _require(deco, *, empty_if_focused: bool = False) -> None:
     """Refuse anything but a completed, non-empty decomposition; with
     ``empty_if_focused`` a focused one may be empty, since its focus
@@ -547,7 +539,11 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     The optimal branch reuses the minimizing flat of the flatness LP, whose
     transport distance IS the flatness value, so no extra LP runs and the
     result memoizes per anchor ball.  The separating branch constructs a
-    cube-specific plane and prices it with one LP per call.
+    cube-specific plane and prices it with one LP per call, against the
+    support the ball's alpha is priced on (``wasserstein._ball_support``
+    with the decomposition's resolution, cap and seed) and at alpha's
+    flat-sample resolution, so alpha and atilde are two flats priced
+    against one sample.
     """
     sigma = deco.sigma
     d = sigma.intrinsic_dim
@@ -566,9 +562,9 @@ def _attached_flat(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     # the plane passes through the ball's centre, so the sample is never
     # empty; alpha_qk above already refused a ball outside the window
     ball = Ball(xi, _flatness_ball(deco, cube.level, 0)[0])
-    atilde = local_wasserstein(
-        flat_sample(flat, ball, deco.alpha_resolution), sigma, ball,
-        cap=deco.alpha_cap, seed=deco.alpha_seed)
+    support, m_res = _ball_support(sigma, ball, deco.alpha_resolution,
+                                   deco.alpha_cap, deco.alpha_seed)
+    atilde = local_wasserstein(flat_sample(flat, ball, m_res), support, ball)
     return flat, "separating", a_res.value, atilde
 
 
@@ -583,6 +579,8 @@ def mu_q(deco: WhitneyDecomposition, cube: WhitneyCube, *,
     separates the plane from the whole dilate, which the center-segment
     choice does not guarantee.  Post-checks record the separation, the
     anchor offset, and the density band; failures flag the cube loudly.
+    The separating plane's distance ``atilde`` is priced against the same
+    reduced support of the ball as the cube's alpha.
     """
     _require(deco)
     sigma = deco.sigma

@@ -450,6 +450,20 @@ def test_hitting_probabilities_at_one_pole_share_one_solve(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("case", ["ball-nan", "pole-nan", "pole-inf"])
+def test_a_non_finite_centre_or_pole_is_an_input_error(case, line3d, sys48):
+    """Refused before any kd-tree query, whose own ValueError ('x' must be
+    finite) names neither the ball nor the pole."""
+    from urlab.wasserstein import alpha_number
+    with pytest.raises(InputError, match="must be a finite point"):
+        if case == "ball-nan":
+            alpha_number(line3d, Ball([np.nan, 0.0, 0.0], 0.2))
+        else:
+            bad = np.nan if case == "pole-nan" else np.inf
+            harmonic_measure(sys48, line3d.points[:, 0] > 0,
+                             np.array([bad, 0.5, 0.0]))
+
+
 def test_mass_gap_solves_the_constant_datum_once_per_system(line3d,
                                                             monkeypatch):
     """Three hitting probabilities at two poles on an absorbing-wall

@@ -181,6 +181,51 @@ def test_unset_options_are_the_defaults_no_call_passes():
                            ("geometry.py", "build", "spacing")]
 
 
+_DATACLASSES = '''import dataclasses
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Config:
+    """Knobs."""
+
+    tol: float
+    beta: float = 2.0
+    name: str = "x"
+
+    def scaled(self, by=1.0):
+        return self.beta * by
+
+
+@dataclasses.dataclass
+class Report:
+    rows: list = field(default_factory=list)
+
+
+@dataclass
+class _Hidden:
+    q: int = 1
+
+
+class Plain:
+    x: int = 1
+'''
+
+
+def test_defaulted_dataclass_fields_are_options():
+    """A public dataclass's defaulted fields count as options, beside its
+    methods' defaulted parameters; a private dataclass's, or a plain
+    class's annotated attributes, do not.  A constructor call sets a
+    field by keyword or by its position among all the fields."""
+    # Config: beta, name and scaled's by; Report: rows
+    assert loc.count(_DATACLASSES)["options"] == 4
+    callers = ("def run(Config, Report):\n"
+               "    Config(1e-3, 2.5).scaled(2.0)\n"
+               "    return Report(rows=[])\n")
+    got = loc.unset_options({"config.py": _DATACLASSES, "cli.py": callers})
+    assert got == [("config.py", "Config", "name")]
+
+
 def test_main_rejects_extra_arguments(capsys):
     assert loc.main(["a", "b"]) == 2
     assert "Usage" in capsys.readouterr().err

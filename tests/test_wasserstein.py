@@ -23,7 +23,7 @@ from urlab.wasserstein import (
     flat_sample,
     local_wasserstein,
 )
-from urlab.wasserstein import _transport_lp
+from urlab.wasserstein import _ball_support, _transport_lp
 
 
 def _atoms(points, weights):
@@ -115,7 +115,7 @@ def test_transport_lp_matches_dual_oracle(coincide):
         wb = rng.uniform(0.1, 1.0, size=nb)
         center = rng.normal(size=3) * 0.1
         r = float(rng.uniform(0.8, 1.2))
-        got = _transport_lp(a, wa, b, wb, center, r, cap=None)
+        got = _transport_lp(a, wa, b, wb, center, r)
         want = _dual_lp_oracle(a, wa, b, wb, center, r)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -127,10 +127,8 @@ def test_transport_lp_one_signed_runs_no_lp(monkeypatch):
     wa = rng.uniform(0.1, 1.0, size=30)
     empty = np.zeros((0, 3))
     bound = 1.0 - np.linalg.norm(a, axis=1)
-    for got in (_transport_lp(a, wa, empty, np.zeros(0), np.zeros(3), 1.0,
-                              cap=None),
-                _transport_lp(empty, np.zeros(0), a, wa, np.zeros(3), 1.0,
-                              cap=None)):
+    for got in (_transport_lp(a, wa, empty, np.zeros(0), np.zeros(3), 1.0),
+                _transport_lp(empty, np.zeros(0), a, wa, np.zeros(3), 1.0)):
         assert got == pytest.approx(float(wa @ bound), rel=1e-12)
         assert got == pytest.approx(
             _dual_lp_oracle(a, wa, empty, np.zeros(0), np.zeros(3), 1.0),
@@ -146,7 +144,7 @@ def test_transport_lp_prunes_every_pair(monkeypatch):
     b = np.array([-0.9, 0.0, 0.0]) + rng.uniform(-0.03, 0.03, size=(9, 3))
     wa = rng.uniform(0.1, 1.0, size=12)
     wb = rng.uniform(0.1, 1.0, size=9)
-    got = _transport_lp(a, wa, b, wb, np.zeros(3), 1.0, cap=None)
+    got = _transport_lp(a, wa, b, wb, np.zeros(3), 1.0)
     assert seen == [21]         # ground flows only, no pair column
     bound = 1.0 - np.linalg.norm(np.concatenate([a, b]), axis=1)
     want = _dual_lp_oracle(a, wa, b, wb, np.zeros(3), 1.0)
@@ -158,7 +156,7 @@ def test_transport_lp_prunes_every_pair(monkeypatch):
 def test_transport_lp_single_atom():
     p = np.array([[0.2, -0.1, 0.3]])
     got = _transport_lp(p, [0.7], np.zeros((0, 3)), np.zeros(0),
-                        np.zeros(3), 1.0, cap=None)
+                        np.zeros(3), 1.0)
     want = 0.7 * (1.0 - np.linalg.norm(p))
     assert got == pytest.approx(want, rel=1e-15)
     assert got == pytest.approx(
@@ -205,7 +203,7 @@ def test_linprog_matches_scipy_linprog_on_transport_lps(monkeypatch):
 
     monkeypatch.setattr(wasserstein, "linprog", spy)
     for args in inputs:
-        _transport_lp(*args, cap=None)
+        _transport_lp(*args)
     assert len(seen) >= 20
     rows = np.array([kw["A_eq"].shape[0] for _, kw in seen])
     assert np.sum((rows >= 40) & (rows <= 80)) >= 8
@@ -247,7 +245,7 @@ def test_transport_lp_raises_when_the_lp_fails(monkeypatch, failure):
     else:
         monkeypatch.setattr(wasserstein, "_FEAS_TOL", -1.0)
     with pytest.raises(NumericError, match="LP failed"):
-        _transport_lp(a, [1.0], b, [1.0], np.zeros(3), 1.0, cap=None)
+        _transport_lp(a, [1.0], b, [1.0], np.zeros(3), 1.0)
 
 
 def test_identical_inputs_vanish(line3d):
@@ -257,8 +255,8 @@ def test_identical_inputs_vanish(line3d):
 
 def test_symmetry(line3d, graph02):
     ball = Ball(np.array([0.105, 0.0, 0.0]), 0.2)
-    ab = local_wasserstein(line3d, graph02, ball, cap=150, seed=4)
-    ba = local_wasserstein(graph02, line3d, ball, cap=150, seed=4)
+    ab = local_wasserstein(line3d, graph02, ball)
+    ba = local_wasserstein(graph02, line3d, ball)
     assert ab == pytest.approx(ba, rel=1e-6, abs=1e-9)
 
 
@@ -277,11 +275,24 @@ def test_scale_invariance():
     assert scaled == pytest.approx(base, rel=1e-6, abs=1e-9)
 
 
-def test_determinism_under_subsampling(line3d, graph02):
+def test_ball_support_is_one_seeded_draw_or_the_atoms_in_order(line3d):
+    """Above the cap the support is one draw, the same at one seed; under
+    it the ball's atoms come back unresampled, in index order, beside the
+    flat resolution (cut for d >= 2 only)."""
     ball = Ball(np.zeros(3), 0.25)
-    a = local_wasserstein(line3d, graph02, ball, cap=60, seed=9)
-    b = local_wasserstein(line3d, graph02, ball, cap=60, seed=9)
-    assert a == b
+    pts, w = line3d.restrict_to_ball(ball)
+    assert len(pts) == 50
+    a, m_a = _ball_support(line3d, ball, 16, 60, 9)
+    b, m_b = _ball_support(line3d, ball, 16, 60, 9)
+    assert m_a == m_b == 16
+    assert len(a) <= 30     # cap - min(cap // 2, 32) atoms at most
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.weights, b.weights)
+    assert a.total_mass == pytest.approx(w.sum(), rel=1e-12)
+    whole, m_res = _ball_support(line3d, ball, 16, 300, 9)
+    assert m_res == 16
+    assert np.array_equal(whole.points, pts)
+    assert np.array_equal(whole.weights, w)
 
 
 # -- flat sampling ------------------------------------------------------------

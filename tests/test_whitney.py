@@ -22,8 +22,9 @@ from urlab.exceptions import (
     StateError,
     TruncationError,
 )
-from urlab.geometry import DiscreteMeasure, make_cantor_set, \
+from urlab.geometry import Ball, DiscreteMeasure, make_cantor_set, \
     make_lipschitz_graph, make_plane_set, sawtooth_profile
+from urlab.wasserstein import flat_sample, local_wasserstein
 from urlab.whitney import (
     _EPS_DEFAULT,
     WhitneyCube,
@@ -506,6 +507,36 @@ def test_separating_flat_is_priced_once_per_mu_q_call(monkeypatch):
     assert len(seen) == 2
     assert first.branch == second.branch == "separating"
     assert second.atilde == first.atilde
+
+
+def test_separating_flat_is_priced_against_alphas_support():
+    """atilde is the exact distance from the plane's flat sample, at
+    alpha's resolution, to the ball's atoms reduced as alpha reduces them:
+    one multinomial draw from default_rng(alpha_seed) down to cap minus
+    the flat budget.  Here the ball holds 80 atoms and the draw keeps 17
+    of them at cap 40; atilde reads 0.729 (0.768 when the separating
+    plane was priced on its own proportional resampling)."""
+    sigma = make_lipschitz_graph(3, 1, sawtooth_profile(0.5, 0.5), 0.5, 1.0,
+                                 0.005)
+    deco = decompose(sigma, max_depth=8, lam=3.0, alpha_cap=40)
+    cube = WhitneyCube(deco, 7, len(deco.levels[7].packed) // 3)
+    m = mu_q(deco, cube, eps=1e-9)
+    assert m.branch == "separating"
+    ball = Ball(cube.anchor, deco.lam * cube.diameter)
+    pts, w = sigma.restrict_to_ball(ball)
+    # d = 1: the flat budget is min(cap // 2, 2 * resolution)
+    target = deco.alpha_cap - min(deco.alpha_cap // 2,
+                                  2 * deco.alpha_resolution)
+    counts = np.random.default_rng(deco.alpha_seed).multinomial(
+        target, w / w.sum())
+    keep = counts > 0
+    assert (len(pts), keep.sum()) == (80, 17)
+    support = DiscreteMeasure(3, 1, pts[keep],
+                              counts[keep] * (w.sum() / target),
+                              sigma.spacing)
+    want = local_wasserstein(
+        flat_sample(m.flat, ball, deco.alpha_resolution), support, ball)
+    assert m.atilde == want
 
 
 # -- the multiscale sum at a point -------------------------------------------

@@ -2,19 +2,24 @@
 a git revision when given.
 
 Per module: code, docstring, comment and blank lines, and ``options``, the
-defaulted parameters of public functions and methods.  Docstrings are the
-module, class and function docstrings that ``ast`` finds; a line counts as
-a comment when its first non-blank character is ``#``.  Every other
-non-blank line is code.  A function or method is public when neither its
-name nor its class's name starts with ``_``; nested functions are not
-counted.
+defaulted parameters of public functions and methods and the defaulted
+fields of public dataclasses (each field of a config object is an
+option).  Docstrings are the module, class and function docstrings that
+``ast`` finds; a line counts as a comment when its first non-blank
+character is ``#``.  Every other non-blank line is code.  A function or
+method is public when neither its name nor its class's name starts with
+``_``; nested functions are not counted.  A dataclass is a top-level
+class decorated with ``dataclass`` or ``dataclass(...)``; its fields are
+its annotated class attributes, and a field is defaulted when it is
+assigned a value.
 
 A second table lists the options no run sets: each public defaulted
-parameter that no call under src/urlab passes, by keyword or by position.
-Calls are matched to definitions by name alone (``x.solve(...)`` is a
-call of every public ``solve``), and a call with ``*args`` or ``**kw``
-sets every parameter, so the list is approximate.  It is a report of the
-working tree, not a gate.
+parameter or dataclass field that no call under src/urlab passes, by
+keyword or by position.  Calls are matched to definitions by name alone
+(``x.solve(...)`` is a call of every public ``solve``, and
+``SolverConfig(...)`` sets the fields of the dataclass), and a call with
+``*args`` or ``**kw`` sets every parameter, so the list is approximate.
+It is a report of the working tree, not a gate.
 
 A third table counts each module's public names: the ``__all__`` entries
 it defines itself, or, in a module without ``__all__``, its public
@@ -81,11 +86,43 @@ def _public_functions(tree: ast.Module):
                 yield owner, f
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a decorator is ``dataclass``, called or not, plain or as
+    an attribute (``dataclasses.dataclass``)."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) \
+                == "dataclass":
+            return True
+    return False
+
+
+def _field_defaults(node: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, position among the constructor's arguments) of each
+    defaulted field of a dataclass."""
+    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+              and isinstance(f.target, ast.Name)]
+    return [(f.target.id, i) for i, f in enumerate(fields)
+            if f.value is not None]
+
+
+def _option_sets(tree: ast.Module):
+    """(label, callee name, [(name, position or None if keyword-only)])
+    of each public function, method and dataclass with its defaulted
+    parameters or fields."""
+    for owner, f in _public_functions(tree):
+        label = f.name if owner is None else f"{owner}.{f.name}"
+        yield label, f.name, _defaulted(owner, f)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") \
+                and _is_dataclass(node):
+            yield node.name, node.name, _field_defaults(node)
+
+
 def _options(tree: ast.Module) -> int:
-    """Defaulted parameters of the public functions and methods."""
-    return sum(len(f.args.defaults) + sum(d is not None
-                                          for d in f.args.kw_defaults)
-               for _, f in _public_functions(tree))
+    """Defaulted parameters of the public functions and methods, and
+    defaulted fields of the public dataclasses."""
+    return sum(len(params) for _, _, params in _option_sets(tree))
 
 
 def _defaulted(owner: str | None, f: ast.AST) -> list[tuple[str, int | None]]:
@@ -121,12 +158,11 @@ def unset_options(sources: dict[str, str]) -> list[tuple[str, str, str]]:
                  {k.arg for k in node.keywords}))
     out = []
     for module, tree in trees.items():
-        for owner, f in _public_functions(tree):
-            label = f.name if owner is None else f"{owner}.{f.name}"
-            for param, pos in _defaulted(owner, f):
+        for label, callee, params in _option_sets(tree):
+            for param, pos in params:
                 if not any(n == math.inf or param in kw
                            or (pos is not None and n > pos)
-                           for n, kw in calls.get(f.name, ())):
+                           for n, kw in calls.get(callee, ())):
                     out.append((module, label, param))
     return out
 
