@@ -329,6 +329,20 @@ def _field_data(u) -> tuple[np.ndarray, np.ndarray]:
     return pts, vals
 
 
+def _outer_gap(sigma: DiscreteMeasure, cones: ConeFamily) -> float:
+    """Distance from the centre of the cones' ball to the nearest atom
+    outside that closed ball, inf when there is none, if the vertices are
+    the atoms inside it in atom order (the family of
+    ``elliptic.sn_check``); -inf for any other family."""
+    if cones.ball is None:
+        return -math.inf
+    gap = np.linalg.norm(sigma.points - cones.ball.center, axis=1)
+    inside = gap <= cones.ball.radius
+    if not np.array_equal(sigma.points[inside], cones.vertices):
+        return -math.inf
+    return float(gap[~inside].min(initial=math.inf))
+
+
 def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
                  dists: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,24 +361,42 @@ def ntmax_family(u, sigma: DiscreteMeasure, cones: ConeFamily, *,
     beyond the caller's own.  One ``cdist`` call gives a block's squared
     vertex distances, summed axis by axis, and each vertex's block maximum
     is a masked max over its members along one contiguous row.
+
+    When the vertices are the atoms of the closed truncating ball B(c, R)
+    (``_outer_gap``), the support distances come from that matrix: an
+    atom a outside B has |y - a| >= |a - c| - |y - c|, so wherever the
+    nearest vertex is nearer than that bound for the nearest such atom,
+    by a relative margin of 1e-12 against rounding, it is the nearest
+    atom, and the root of its squared distance is the kd-tree's distance
+    bit for bit (both add the squared coordinate differences in axis
+    order).  Only the other points of B go through
+    ``DiscreteMeasure.dist_to_support``; a point outside B is in no cone.
     """
     pts, vals = _field_data(u)
     if dists is not None:
         dists = np.asarray(dists, dtype=np.float64)
+    outer = _outer_gap(sigma, cones) if dists is None else -math.inf
     best = np.full(len(cones), -np.inf)
     size = max(1, _NT_BUDGET // max(1, len(cones)))
     for lo in range(0, pts.shape[0], size):
         b_pts = pts[lo:lo + size]
-        b_dists = sigma.dist_to_support(b_pts) if dists is None \
-            else dists[lo:lo + size]
-        reach2 = (cones.aperture * b_dists) ** 2
+        sq = distance.cdist(cones.vertices, b_pts, "sqeuclidean")
         absvals = np.abs(vals[lo:lo + size])
         if cones.ball is not None:
-            inside = (np.linalg.norm(b_pts - cones.ball.center, axis=1)
-                      <= cones.ball.radius)
+            gap = np.linalg.norm(b_pts - cones.ball.center, axis=1)
+            inside = gap <= cones.ball.radius
             absvals = np.where(inside, absvals, -np.inf)
-        member = (distance.cdist(cones.vertices, b_pts, "sqeuclidean")
-                  <= reach2)
+        if dists is not None:
+            b_dists = dists[lo:lo + size]
+        elif outer == -math.inf:
+            b_dists = sigma.dist_to_support(b_pts)
+        else:
+            b_dists = np.sqrt(sq.min(axis=0))
+            todo = inside & (b_dists + gap > outer * (1.0 - 1e-12))
+            if todo.any():
+                b_dists[todo] = sigma.dist_to_support(b_pts[todo])
+        member = sq <= (cones.aperture * b_dists) ** 2
+        del sq                  # not held through the masked max
         np.maximum(best, np.max(np.broadcast_to(absvals, member.shape),
                                 axis=1, where=member, initial=-np.inf),
                    out=best)

@@ -18,8 +18,11 @@ truncation instead:
 
 The resulting matrix A is symmetric positive definite and block-diagonal
 between pinned and free cells, so one conjugate-gradient solve per boundary
-datum suffices.  The per-atom data g enter only through the right-hand side
-C g of one sparse boundary-coupling list C (see ``EllipticSystem``).
+datum suffices.  The system stores it Jacobi-scaled, as
+A~ = D^-1/2 A D^-1/2 = I - W~ with D its diagonal, and its CG is plain CG
+on A~, which is Jacobi-preconditioned CG on A.  The per-atom data g enter
+only through the right-hand side C g of one sparse boundary-coupling list
+C (see ``EllipticSystem``).
 Symmetry then gives a *representer*: a value s . A^-1 C g observed through
 the interpolation stencil s of a pole X equals (C^T v) . g with v = A^-1 s.
 That v is the discrete Green function G(X, .) (``EllipticSystem.green``),
@@ -35,21 +38,24 @@ kernel refuses probes below twice the atom spacing, so ``assemble`` requires
 ``(collar - 0.5) * h >= 2 * spacing`` up front (``SolverConfig.min_h``).
 
 Memory: an assembled system keeps about 4.3 float64 grid arrays resident
-(``diag``, one padded conductance array per axis, and the int8 mask with
-its collar flags) plus the boundary-coupling list, whose length
-follows the collar, not the grid; after its first ``harmonic_measure``
-call it also holds the solution for the constant datum, one more grid
-array with an int8 copy of the mask.  Work that touches every cell (face
-midpoints and their kernel sums, warm-start interpolation) runs in slabs
-of ``_EVAL_SLAB`` cells; the face loop finds its faces with
-``np.flatnonzero`` of bool masks, so it keeps no int64 index grid; the
-collar search only visits cells within a few cells of an atom;
-``sn_check`` reads its window once, in slabs of leading-axis planes of
-``_SN_SLAB`` cells, at most four in flight, and takes the maxima of the
-slabs' cone maxima, so it builds no array over all of 2B's cells.  So
-the largest transient is the conjugate-gradient working set of four grid
-vectors (``_cg`` reuses the right-hand side and the initial guess it is
-given) plus one 256 KB ``_BLOCK``-cell buffer per partial-sum block in
+(``diag``, the unscaled diagonal, one padded array of scaled conductances
+per axis, and the int8 mask with its collar flags) plus the
+boundary-coupling list, whose length follows the collar, not the grid;
+after its first ``harmonic_measure`` call it also holds the solution for
+the constant datum, one more grid array with an int8 copy of the mask.
+Work that touches every cell (face midpoints and their kernel sums,
+warm-start interpolation) runs in slabs of ``_EVAL_SLAB`` cells, and the
+in-place scaling of the conductances in ``_BLOCK``-cell blocks; the face
+loop finds its faces with ``np.flatnonzero`` of bool masks, so it keeps
+no int64 index grid; the collar search only visits cells within a few
+cells of an atom; ``sn_check`` reads its window once, in slabs of
+leading-axis planes of ``_SN_SLAB`` cells, at most four in flight, and
+takes the maxima of the slabs' cone maxima, so it builds no array over
+all of 2B's cells.  So the largest transient is the conjugate-gradient
+working set of four grid vectors, the iterate x, the residual r, the
+direction p and A~ p (``_cg`` reuses the right-hand side and the initial
+guess it is given, and maps them into and out of the scaled variables in
+place), plus one 256 KB ``_BLOCK``-cell buffer per partial-sum block in
 flight, and the peak of assemble, solve and sn_check stays near the
 system plus a few grid arrays.
 
@@ -104,6 +110,12 @@ _RED = 1 << 18                  # cells per partial-sum block: 8 _BLOCKs
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """u . v of two 1-D blocks by ``einsum``, which calls no BLAS."""
     return float(np.einsum("i,i->", u, v))
+
+
+def _blocks(lo: int, hi: int):
+    """The _BLOCK-cell blocks [b_lo, b_hi) of [lo, hi), in order."""
+    for b_lo in range(lo, hi, _BLOCK):
+        yield b_lo, min(b_lo + _BLOCK, hi)
 
 
 def _axis_slice(n: int, axis: int, sl) -> tuple:
@@ -336,14 +348,18 @@ class EllipticSystem:
     """Assembled truncated system on one box; reusable across data.
 
     State over the flat (C-order) grid cells: ``mask`` (int8 cell roles),
-    ``diag`` (the diagonal, 1 on pinned collar rows), ``w_pad`` (per axis,
-    the conductances of faces between two unknowns, zero-padded; see
-    ``_matvec``) and ``coupling``, the boundary-coupling list ``(cell,
+    ``diag`` (the diagonal d of A, 1 on pinned collar rows), ``w_pad``
+    (per axis, the scaled conductances w / sqrt(d_i d_{i+s}) of faces
+    between cells i and i + s that are both unknowns, zero-padded; see
+    ``_matvec``), so that the stored operator is A~ = D^-1/2 A D^-1/2 =
+    I - W~, and ``coupling``, the boundary-coupling list ``(cell,
     atom, weight)``: a unit entry per collar cell at its nearest atom, and
     per face between an unknown and a collar cell an entry (unknown cell,
     the collar cell's nearest atom, face weight).  ``_rhs`` and
     ``_collar_functional`` are the two transposes of that one list;
     ``pole_weights`` relies on this to be the exact adjoint of ``solve``.
+    The unscaled conductances are w~ sqrt(d_i d_{i+s}) and A x is
+    sqrt(d) A~ (sqrt(d) x); ``_cg`` solves A x = b through A~.
     """
 
     def __init__(self, sigma: DiscreteMeasure, config: SolverConfig,
@@ -389,14 +405,12 @@ class EllipticSystem:
 
     def _matvec_cells(self, x: np.ndarray, out: np.ndarray, lo: int,
                       hi: int) -> None:
-        """out[lo:hi] = (A x)[lo:hi], in _BLOCK-cell blocks through one
+        """out[lo:hi] = (A~ x)[lo:hi], in _BLOCK-cell blocks through one
         _BLOCK-cell buffer."""
         nc = self.n_cells
         buf = np.empty(min(_BLOCK, hi - lo))
-        for b_lo in range(lo, hi, _BLOCK):
-            b_hi = min(b_lo + _BLOCK, hi)
-            np.multiply(self.diag[b_lo:b_hi], x[b_lo:b_hi],
-                        out=out[b_lo:b_hi])
+        for b_lo, b_hi in _blocks(lo, hi):
+            out[b_lo:b_hi] = x[b_lo:b_hi]
             for w, s in zip(self.w_pad, self._strides):
                 f_hi = min(b_hi, nc - s)
                 if f_hi > b_lo:
@@ -412,13 +426,14 @@ class EllipticSystem:
 
     def _matvec(self, x: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:
-        """y = A x, one blocked pass over the flat arrays.
+        """y = A~ x, the stored scaled operator, one blocked pass over the
+        flat arrays.
 
-        ``w_pad[a]`` holds axis a's conductances on the full grid, zero in
-        the last layer along a, so the face between cells i and i + s (s
-        the flat stride of axis a) is entry i of one contiguous array.
-        Each block of _BLOCK cells computes diag*x and then, axis by axis,
-        subtracts the forward term w[i]*x[i+s] and the backward term
+        ``w_pad[a]`` holds axis a's scaled conductances on the full grid,
+        zero in the last layer along a, so the face between cells i and
+        i + s (s the flat stride of axis a) is entry i of one contiguous
+        array.  Each block of _BLOCK cells copies x and then, axis by
+        axis, subtracts the forward term w[i]*x[i+s] and the backward term
         w[i-s]*x[i-s].  Those are the products, in the same order, of a
         sweep of whole-grid slices over the face-shaped ``w_faces`` (the
         padding only subtracts exact zeros), so the result is bit-identical
@@ -434,25 +449,33 @@ class EllipticSystem:
         return out
 
     def _cg(self, b: np.ndarray, x0: np.ndarray) -> tuple:
-        """Jacobi-preconditioned conjugate gradients, hand-rolled so the
-        stencil matvec is the only per-iteration cost.
+        """Jacobi-preconditioned conjugate gradients on A, run as plain CG
+        on the stored A~ = D^-1/2 A D^-1/2 (Saad, Iterative Methods for
+        Sparse Linear Systems, 2nd ed. 2003, section 9.2): the same
+        iterates in exact arithmetic, and no diagonal to apply per
+        iteration.  Hand-rolled so the stencil matvec is the only
+        per-iteration cost.
 
         Takes ownership of both arguments, which must be contiguous
-        float64 grid vectors: the iterate x is updated in ``x0``'s buffer
-        and returned, and the residual r = b - A x0 overwrites ``b``.  The
-        preconditioned residual z shares one buffer with A p, which it
-        only occupies between matvecs, so the working set is four grid
-        vectors: x, r, A p (or z) and p.
+        float64 grid vectors.  One pass maps in: p = sqrt(d) x0, and
+        b / sqrt(d) overwrites ``b``, which then holds the scaled residual
+        r = D^-1/2 (b - A x).  If x0 already meets the tolerance it is
+        returned untouched with 0 iterations, so constant data stay
+        bit-exact.  Otherwise the scaled iterate sqrt(d) x runs in p's
+        buffer, x0's buffer becomes the search direction p, and a last
+        pass maps out x = x~ / sqrt(d) in place.  So the working set is
+        four grid vectors: x, r, p and A~ p.
 
         Each iteration is three passes over the fixed partial-sum blocks,
-        one task per worker (``_blockwise``): A p with p . A p; then
-        x += alpha p and r -= alpha A p through a _BLOCK-cell buffer, r . r,
-        z = r / diag and r . z; then p = z + beta p.  A dot product is one
-        ``einsum`` per block, which calls no BLAS, and the blocks' partial
-        sums are combined by ``math.fsum``.  So no pass allocates more than
-        one _BLOCK-cell buffer per block in flight, and the iterates, the
-        iteration count and the residual are the same bits at any worker
-        count and any BLAS thread count.  Stops once |r| <= tol * |b|.
+        one task per worker (``_blockwise``): A~ p with p . A~ p; then
+        x += alpha p and r -= alpha A~ p through a _BLOCK-cell buffer,
+        r . r and r . (d r) = |b - A x|^2; then p = r + beta p.  A sum is
+        one ``einsum`` per block, which calls no BLAS, and the blocks'
+        partial sums are combined by ``math.fsum``.  So no pass allocates
+        more than one _BLOCK-cell buffer per block in flight, and the
+        iterates, the iteration count and the residual are the same bits
+        at any worker count and any BLAS thread count.  Stops once
+        |b - A x| <= tol * |b|, both norms of the unscaled system.
         """
         maxiter = self.config.maxiter
         if maxiter is None:
@@ -460,19 +483,37 @@ class EllipticSystem:
         diag = self.diag
         bnorm = math.sqrt(self._inner(b, b))
         stop = self.config.tol * bnorm
-        x = x0
         r = b
-        ap = self._matvec(x)
-        np.subtract(b, ap, out=r)
-        iters = 0
-        rnorm = math.sqrt(self._inner(r, r))
+        p = np.empty(self.n_cells)
+        ap = np.empty(self.n_cells)
 
-        def precondition(lo, hi):
-            # z = (1/diag) r, the reciprocal formed in z at each use so
-            # that no grid array of it stays resident
-            z = np.divide(1.0, diag[lo:hi], out=ap[lo:hi])
-            z *= r[lo:hi]
-            return _dot(r[lo:hi], z)
+        def root_diag(lo, hi):
+            """(b_lo, b_hi, sqrt(d) on the block) for each _BLOCK-cell
+            block of [lo, hi), the roots formed in one buffer."""
+            buf = np.empty(min(_BLOCK, hi - lo))
+            for b_lo, b_hi in _blocks(lo, hi):
+                yield b_lo, b_hi, np.sqrt(diag[b_lo:b_hi],
+                                          out=buf[:b_hi - b_lo])
+
+        def map_in(lo, hi):
+            for b_lo, b_hi, root in root_diag(lo, hi):
+                np.multiply(x0[b_lo:b_hi], root, out=p[b_lo:b_hi])
+                np.divide(r[b_lo:b_hi], root, out=r[b_lo:b_hi])
+
+        def map_out(lo, hi):
+            for b_lo, b_hi, root in root_diag(lo, hi):
+                np.divide(x[b_lo:b_hi], root, out=x[b_lo:b_hi])
+
+        def sums(lo, hi):
+            """(r . r, r . (d r)) on the block [lo, hi)."""
+            rb = r[lo:hi]
+            return _dot(rb, rb), float(np.einsum("i,i,i->", diag[lo:hi],
+                                                 rb, rb))
+
+        def first_residual(lo, hi):
+            self._matvec_cells(p, ap, lo, hi)
+            np.subtract(r[lo:hi], ap[lo:hi], out=r[lo:hi])
+            return sums(lo, hi)
 
         def p_ap(lo, hi):
             self._matvec_cells(p, ap, lo, hi)
@@ -480,33 +521,39 @@ class EllipticSystem:
 
         def step(lo, hi):
             buf = np.empty(min(_BLOCK, hi - lo))
-            for b_lo in range(lo, hi, _BLOCK):
-                b_hi = min(b_lo + _BLOCK, hi)
+            for b_lo, b_hi in _blocks(lo, hi):
                 t = buf[:b_hi - b_lo]
                 xb, rb = x[b_lo:b_hi], r[b_lo:b_hi]
                 np.add(xb, np.multiply(p[b_lo:b_hi], alpha, out=t), out=xb)
                 np.subtract(rb, np.multiply(ap[b_lo:b_hi], alpha, out=t),
                             out=rb)
-            return _dot(r[lo:hi], r[lo:hi]), precondition(lo, hi)
+            return sums(lo, hi)
 
         def new_p(lo, hi):
             pb = p[lo:hi]
             np.multiply(pb, beta, out=pb)
-            np.add(pb, ap[lo:hi], out=pb)
+            np.add(pb, r[lo:hi], out=pb)
 
+        self._blockwise(map_in)
+        rr, rd = zip(*self._blockwise(first_residual))
+        rnorm = math.sqrt(math.fsum(rd))
+        iters = 0
+        x = x0
         if rnorm > stop:
-            rz = math.fsum(self._blockwise(precondition))
-            p = ap.copy()
+            x, p = p, x0
+            self._blockwise(lambda lo, hi: np.copyto(p[lo:hi], r[lo:hi]))
+            rr = math.fsum(rr)
             for iters in range(1, maxiter + 1):
-                alpha = rz / math.fsum(self._blockwise(p_ap))
-                rr, rz_new = zip(*self._blockwise(step))
-                rnorm = math.sqrt(math.fsum(rr))
+                alpha = rr / math.fsum(self._blockwise(p_ap))
+                rr_new, rd = zip(*self._blockwise(step))
+                rnorm = math.sqrt(math.fsum(rd))
                 if rnorm <= stop:
                     break
-                rz_new = math.fsum(rz_new)
-                beta = rz_new / rz
+                rr_new = math.fsum(rr_new)
+                beta = rr_new / rr
                 self._blockwise(new_p)
-                rz = rz_new
+                rr = rr_new
+            self._blockwise(map_out)
         residual = rnorm / bnorm if bnorm > 0 else rnorm
         if rnorm > stop and bnorm > 0:
             raise NumericError(
@@ -800,6 +847,16 @@ def assemble(sigma: DiscreteMeasure, box, h: float,
     diag[coll_cells] = 1.0
     if np.any(diag <= 0):
         raise NumericError("isolated cell with no conductance; refine h")
+    # store A~ = D^-1/2 A D^-1/2: w[i] / sqrt(d_i d_{i+s}), block by
+    # block; the last layer along each axis has no face and stays zero
+    buf = np.empty(min(_BLOCK, ncells))
+    for a, wp in enumerate(w_pad):
+        stride = ncells // m ** (a + 1)
+        for s0, s1 in _blocks(0, ncells - stride):
+            t = np.multiply(diag[s0:s1], diag[s0 + stride:s1 + stride],
+                            out=buf[:s1 - s0])
+            np.sqrt(t, out=t)
+            np.divide(wp[s0:s1], t, out=wp[s0:s1])
 
     coupling = tuple(map(np.concatenate, zip(*coupling)))
     return EllipticSystem(sigma, config, lo, h, shape, mask, diag, w_pad,
@@ -952,9 +1009,11 @@ def sn_check(system: EllipticSystem, ball: Ball,
     The window around 2B is read once, in slabs of leading-axis planes
     of ``_SN_SLAB`` cells, run as at most four tasks
     (``distances._run_units``) so that the memory is a few slabs at any
-    worker count.  Each slab makes one support query for its 2B cells and
-    returns its B cells' squared gradients, the cone maxima of its 2B
-    cells (``carleson.ntmax_family``) and their sup of |u|; the maxima
+    worker count.  Each slab returns its B cells' squared gradients, the
+    cone maxima of its 2B cells (``carleson.ntmax_family``, over the
+    atoms in 2B, which takes the support distances from its own vertex
+    distances and queries the support only for the cells where an atom
+    outside 2B might be nearer) and their sup of |u|; the maxima
     are maxima over the slabs, and the square function is one C-order sum
     over B's cells, so no result depends on the slabs or the workers and
     no array spans all of 2B's cells.
@@ -1029,8 +1088,7 @@ def sn_check(system: EllipticSystem, ball: Ball,
                               np.flatnonzero(in_2b) + i0 * plane)
         return ((grad2[in_b], np.flatnonzero(in_b) + i0 * plane,
                  float(np.abs(u_2b).max(initial=0.0)))
-                + carleson.ntmax_family((cells, u_2b), sigma, cones,
-                                        dists=sigma.dist_to_support(cells)))
+                + carleson.ntmax_family((cells, u_2b), sigma, cones))
 
     g2_b, idx_b, sups, nvals, empty = zip(*distances._run_units(
         -(-sub.shape[0] // step), slab, distances._SLAB_TASKS))

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import distance
 
 from urlab import carleson, distances, geometry
 from urlab.carleson import (
@@ -489,6 +490,57 @@ def test_ntmax_family_matches_per_vertex_loop(graph2d, budget, monkeypatch):
     assert want[1].any() and not want[1].all()
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", ["graph2d", "sheet4d"])
+def test_ntmax_family_takes_support_distances_from_its_vertex_block(
+        case, graph2d, monkeypatch):
+    """Cones over the atoms of their closed ball B(c, R), in atom order,
+    take their support distances from the cone block.  Values and flags
+    equal the kd-distance oracle's bit for bit, and the support is
+    queried only at the points of B whose nearest vertex v may not be
+    the nearest atom: |y - v| + |y - c| > (1 - 1e-12) min |a - c| over
+    the atoms a outside B.  Any other family queries every point."""
+    if case == "graph2d":
+        sigma = graph2d
+        c, radius = _origin_point(sigma), 0.2
+    else:
+        sigma = geometry.make_plane_set(4, 2, 0.16, 0.01)
+        c, radius = np.array([-0.12, -0.1, 0.01, 0.0]), 0.06
+    rng = np.random.default_rng(8)
+    n = sigma.ambient_dim
+    pts = rng.uniform(c - 1.1 * radius, c + 1.1 * radius, (20_000, n))
+    vals = rng.normal(size=pts.shape[0])
+    gap = np.linalg.norm(sigma.points - c, axis=1)
+    inside = gap <= radius
+    outer = gap[~inside].min()
+    cones = ConeFamily(sigma.points[inside], 2.0, Ball(c, radius))
+    want = _ntmax_family_oracle((pts, vals), sigma, cones,
+                                dists=sigma.dist_to_support(pts))
+    calls = []
+    query = type(sigma).dist_to_support
+
+    def counting(self, x):
+        calls.append(len(x))
+        return query(self, x)
+
+    monkeypatch.setattr(type(sigma), "dist_to_support", counting)
+    got = ntmax_family((pts, vals), sigma, cones)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not want[1].all()
+    pt_gap = np.linalg.norm(pts - c, axis=1)
+    nearest = np.sqrt(distance.cdist(pts, cones.vertices,
+                                     "sqeuclidean").min(axis=1))
+    uncertified = np.count_nonzero(
+        (pt_gap <= radius) & (nearest + pt_gap > outer * (1.0 - 1e-12)))
+    assert 0 < sum(calls) == uncertified < np.count_nonzero(pt_gap <= radius)
+
+    for family in (ConeFamily(sigma.points[inside][1:], 2.0, Ball(c, radius)),
+                   ConeFamily(sigma.points[inside], 2.0)):
+        calls.clear()
+        ntmax_family((pts, vals), sigma, family)
+        assert sum(calls) == pts.shape[0]
 
 
 def test_write_carleson_outputs(tmp_path, graph2d, ball2):

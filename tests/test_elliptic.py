@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from urlab import carleson, distances, elliptic
 from urlab.distances import kernel_constant, regularized_distance
@@ -49,10 +50,11 @@ from urlab.geometry import (
 
 def _matvec_oracle(system, x):
     """The replaced stencil matvec, kept as a reference: one whole-grid
-    slice sweep per axis and direction over the face-shaped weights."""
+    slice sweep per axis and direction over the face-shaped weights of
+    the stored scaled operator A~, whose diagonal is 1."""
     n = len(system.shape)
     x3 = x.reshape(system.shape)
-    y3 = system.diag.reshape(system.shape) * x3
+    y3 = x3.copy()
     for a, w in enumerate(system.w_faces):
         fr = elliptic._axis_slice(n, a, np.s_[:-1])
         bk = elliptic._axis_slice(n, a, np.s_[1:])
@@ -61,11 +63,27 @@ def _matvec_oracle(system, x):
     return y3.ravel()
 
 
+def _physical_matvec(system, x):
+    """A x of the unscaled operator A = sqrt(d) A~ sqrt(d)."""
+    root = np.sqrt(system.diag)
+    return root * _matvec_oracle(system, root * x)
+
+
+def _physical_faces(system):
+    """The unscaled face conductances w = w~ sqrt(d_i d_{i+s}), rebuilt
+    from the stored form, face-shaped per axis."""
+    n = len(system.shape)
+    d = system.diag.reshape(system.shape)
+    return [w * np.sqrt(d[elliptic._axis_slice(n, a, np.s_[:-1])]
+                        * d[elliptic._axis_slice(n, a, np.s_[1:])])
+            for a, w in enumerate(system.w_faces)]
+
+
 def _cg_oracle(system, b, x0, tol):
-    """The replaced Jacobi-PCG loop over the oracle matvec."""
+    """The replaced Jacobi-PCG loop, on the unscaled operator."""
     stop = tol * np.linalg.norm(b)
     x = x0.copy()
-    r = b - _matvec_oracle(system, x)
+    r = b - _physical_matvec(system, x)
     inv_diag = 1.0 / system.diag
     z = r * inv_diag
     p = z.copy()
@@ -73,7 +91,7 @@ def _cg_oracle(system, b, x0, tol):
     iters = 0
     while np.linalg.norm(r) > stop:
         iters += 1
-        ap = _matvec_oracle(system, p)
+        ap = _physical_matvec(system, p)
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -183,6 +201,8 @@ def test_collar_wall_disconnects_box():
 
 
 def test_matrix_is_symmetric_and_kills_constants(sys48):
+    """The stored A~ = D^-1/2 A D^-1/2 is symmetric, and A~ sqrt(d) =
+    D^-1/2 A 1 vanishes on the free rows."""
     rng = np.random.default_rng(3)
     for _ in range(2):
         x = rng.normal(size=sys48.n_cells)
@@ -191,7 +211,7 @@ def test_matrix_is_symmetric_and_kills_constants(sys48):
         rhs = float(y @ sys48._matvec(x))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-    r = sys48._matvec(np.ones(sys48.n_cells))
+    r = sys48._matvec(np.sqrt(sys48.diag))
     touches_collar = np.zeros(sys48.n_cells, dtype=bool)
     touches_collar[sys48.coupling[0]] = True
     free = ~sys48.collar & ~touches_collar
@@ -266,15 +286,20 @@ def test_padded_faces_back_the_face_views(sys48):
         assert not last.any()
 
 
-def test_solve_matches_oracle_cg(line3d, sys48):
-    g = (line3d.points[:, 0] > 0).astype(float)
-    res = sys48.solve(g)
-    b = sys48._rhs(g)
-    x0 = b.copy()
-    x0[~sys48.collar] = g.mean()
-    want, iters = _cg_oracle(sys48, b, x0, sys48.config.tol)
-    assert res.iterations == iters > 0
-    assert np.abs(res.field.values.ravel() - want).max() <= 1e-12
+def test_solve_matches_oracle_cg(request):
+    """CG on the stored A~ takes the oracle's Jacobi-PCG steps on A:
+    with reflecting walls, with absorbing walls (whose ghost faces only
+    add to the diagonal) and in R^4."""
+    for name in ("sys48", "sys48d", "sys4"):
+        system = request.getfixturevalue(name)
+        g = (system.sigma.points[:, 0] > 0).astype(float)
+        res = system.solve(g)
+        b = system._rhs(g)
+        x0 = b.copy()
+        x0[~system.collar] = g.mean()
+        want, iters = _cg_oracle(system, b, x0, system.config.tol)
+        assert res.iterations == iters > 0, name
+        assert np.abs(res.field.values.ravel() - want).max() <= 1e-12, name
 
 
 def test_cg_that_runs_out_of_iterations_is_a_numeric_error(line3d):
@@ -296,7 +321,7 @@ def test_face_weights_match_plane_closed_form(line3d):
     m = sysc.shape[0]
     cb = kernel_constant(1, 2.0)
     ax = [sysc.box_lo[a] + (np.arange(m) + 0.5) * h for a in range(3)]
-    w1 = sysc.w_faces[1]
+    w1 = _physical_faces(sysc)[1]
     checked = 0
     for ix in (m // 2 - 2, m // 2, m // 2 + 2):
         for iz in (m // 2 - 1, m // 2, m // 2 + 1):
@@ -330,12 +355,12 @@ def _magic_residual(sigma, h: float, beta: float) -> float:
     dval = np.zeros(system.n_cells)
     dval[cells] = regularized_distance(
         sigma, elliptic._cell_centers(system.box_lo, h, shape, cells), beta)
-    res = np.abs(system._matvec(dval)).reshape(shape)
+    res = np.abs(_physical_matvec(system, dval)).reshape(shape)
     d = dval.reshape(shape)
     collar = system.collar.reshape(shape)
     inner = system.mask.reshape(shape) == MASK_INTERIOR  # no wall neighbour
     scale = np.zeros(shape)
-    for a, w in enumerate(system.w_faces):
+    for a, w in enumerate(_physical_faces(system)):
         fr = elliptic._axis_slice(4, a, np.s_[:-1])
         bk = elliptic._axis_slice(4, a, np.s_[1:])
         flux = w * np.abs(d[fr] - d[bk])
@@ -639,7 +664,8 @@ def test_cross_grid_warm_start_interpolates_and_converges(line3d, sys48):
     warm = sys48.solve(g, warm_start=coarse)
     assert warm.iterations > 0
     b = sys48._rhs(g)
-    gap = sys48._matvec((warm.field.values - cold.field.values).ravel())
+    gap = _physical_matvec(sys48,
+                           (warm.field.values - cold.field.values).ravel())
     assert np.linalg.norm(gap) <= 2.0 * tol * np.linalg.norm(b)
     # batched interpolation is the one point at a time
     pts = np.random.default_rng(5).uniform(lo, hi, size=(300, 3))
@@ -1019,7 +1045,8 @@ def _sn_check_oracle(sigma, ball, system, sol):
     cones = carleson.ConeFamily(sigma.points[verts], 2.0,
                                 Ball(ball.center, 2.0 * r))
     nvals, empty = carleson.ntmax_family(
-        (cells_2b, sub.values[in_2b]), sigma, cones)
+        (cells_2b, sub.values[in_2b]), sigma, cones,
+        dists=sigma.dist_to_support(cells_2b))
     nt_sq = float(np.sum(sigma.weights[verts] * nvals ** 2))
     return SNResult(square_fn, float(sup_sq), nt_sq, sup, ball,
                     float(system.h), sol.iterations, sol.residual,
@@ -1039,11 +1066,8 @@ def test_slabbed_sn_check_matches_whole_window(sn128, monkeypatch):
         assert a is b if f.name in ("ball", "field") else a == b, f.name
 
 
-def test_sn_check_queries_the_support_once_per_slab(sn128, monkeypatch):
-    """One support query per slab of the 128-plane window, not one per
-    cone-budget block: 32 slabs of 4 planes at the default slab size, one
-    point per cell of 2B."""
-    sigma, ball, system, sol = sn128
+def _counting_support_queries(sigma, monkeypatch) -> list:
+    """The point counts of every support query made from now on."""
     calls = []
     query = type(sigma).dist_to_support
 
@@ -1052,13 +1076,63 @@ def test_sn_check_queries_the_support_once_per_slab(sn128, monkeypatch):
         return query(self, x)
 
     monkeypatch.setattr(type(sigma), "dist_to_support", counting)
+    return calls
+
+
+def test_sn_check_makes_no_support_query_when_2b_holds_every_atom(
+        sn128, monkeypatch):
+    """2B holds all 32 atoms, so every cell's nearest atom is a cone
+    vertex: the cone pass's own vertex distances give every support
+    distance, and sn_check queries the support for none of 2B's cells."""
+    sigma, ball, system, sol = sn128
+    calls = _counting_support_queries(sigma, monkeypatch)
     res = sn_check(system, ball, sol)
-    step = elliptic._SN_SLAB // 128 ** 2
-    assert len(calls) == math.ceil(128 / step) == 32
-    in_2b = np.linalg.norm(sol.field.cell_centers() - ball.center,
-                           axis=1) <= 2.0 * ball.radius
-    assert sum(calls) == np.count_nonzero(in_2b)
+    assert calls == []
     assert res.n_empty_cones == 0
+
+
+@pytest.fixture(scope="module")
+def sn128_long():
+    """The sn128 grid and ball on a 160-atom line (extent 1.6) that
+    reaches past 2B at both ends.  Returns (sigma, ball, system,
+    solution)."""
+    sigma = make_plane_set(3, 1, 1.6, 0.02)
+    c = sigma.points[np.argmin(np.abs(sigma.points[:, 0] - 0.125))]
+    ball = Ball(c, 0.64)
+    system = assemble(sigma, (c, 4.0 * ball.radius), ball.radius / 32.0,
+                      SolverConfig(tol=1e-3, collar=3.0))
+    assert system.shape == (128,) * 3
+    sol = system.solve((sigma.points[:, 0] > c[0]).astype(float))
+    return sigma, ball, system, sol
+
+
+def test_sn_check_queries_only_the_cells_no_vertex_certifies(sn128_long,
+                                                             monkeypatch):
+    """On a line that reaches past 2B, sn_check equals the oracle, which
+    queries every 2B cell, field for field, and queries only the 2B
+    cells whose nearest vertex v is not provably nearer than every atom
+    outside 2B: |y - v| + |y - c| > (1 - 1e-12) min |a - c| over the
+    atoms a outside 2B."""
+    sigma, ball, system, sol = sn128_long
+    with monkeypatch.context() as mp:
+        calls = _counting_support_queries(sigma, mp)
+        got = sn_check(system, ball, sol)
+    want = _sn_check_oracle(sigma, ball, system, sol)
+    for f in dataclasses.fields(SNResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a is b if f.name in ("ball", "field") else a == b, f.name
+
+    centers = sol.field.cell_centers()
+    gap = np.linalg.norm(centers - ball.center, axis=1)
+    in_2b = gap <= 2.0 * ball.radius
+    centers, gap = centers[in_2b], gap[in_2b]
+    atom_gap = np.linalg.norm(sigma.points - ball.center, axis=1)
+    verts = sigma.points[atom_gap <= 2.0 * ball.radius]
+    outer = atom_gap[atom_gap > 2.0 * ball.radius].min()
+    nearest = cKDTree(verts).query(centers)[0]
+    uncertified = np.count_nonzero(nearest + gap > outer * (1.0 - 1e-12))
+    assert 0 < sum(calls) == uncertified < in_2b.sum()
+    assert got.nt_sq > 0 and got.n_empty_cones == 0
 
 
 def test_sn_check_keeps_its_bits_at_any_worker_count(sn128, monkeypatch):

@@ -49,7 +49,7 @@ Each row is the best of three runs:
 
 The rows from ``kernel sums`` on are measured at one worker and at every
 worker the process may run on, by setting the library's private worker
-count (the CG partition is fixed when the system is assembled).
+count.
 
 Usage (from the repository root; BLAS runs on one thread):
 
